@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Time the compiled kernels against their pure-Python twins.
+"""Time the compiled kernels against their pure-Python twins, and the numpy
+cone scan the builders use against the scalar kernel scans.
 
-Both implementations must return bit-identical values, so each row also
-re-checks agreement on its own workload before reporting the speedup.
+All implementations must return bit-identical values, so each row also
+re-checks agreement on its own workload before reporting the speedup. The
+cone-scan rows run without the compiled extension too.
 """
 
 import argparse
@@ -11,6 +13,7 @@ import random
 import time
 
 from spannerkit import _kernels_py as pure
+from spannerkit.build import cone_scan
 
 try:
     from spannerkit import _kernels as compiled
@@ -59,6 +62,34 @@ def rows(n, repeat, rng):
            lambda: compiled.cone_edges(xs, ys, 12, False, 0))
 
 
+SCANS = [
+    ("half-theta-6", 6, True, 0b010101),
+    ("theta k=7", 7, True, 0),
+    ("yao k=6", 6, False, 0),
+    ("yao k=12", 12, False, 0),
+]
+
+
+def scan_table(n, repeat, rng):
+    xs = [rng.uniform(0.0, 100.0) for _ in range(n)]
+    ys = [rng.uniform(0.0, 100.0) for _ in range(n)]
+    print(f"{'cone scan':<26} {'workload':<16} {'pure ms':>9} {'numpy ms':>9} "
+          f"{'compiled ms':>12} {'vs pure':>8}  agree")
+    for name, k, proj, mask in SCANS:
+        tp, rp = best_of(lambda: pure.cone_edges(xs, ys, k, proj, mask), repeat)
+        tn, rn = best_of(lambda: cone_scan(xs, ys, k, proj, mask), repeat)
+        agree = rn == rp
+        tc = "-"
+        if compiled is not None:
+            t, rc = best_of(lambda: compiled.cone_edges(xs, ys, k, proj, mask), repeat)
+            tc = f"{t * 1e3:.2f}"
+            agree = agree and rn == rc
+        print(f"{name:<26} {f'n={n} scan':<16} {tp * 1e3:>9.2f} {tn * 1e3:>9.2f} "
+              f"{tc:>12} {tp / tn:>7.1f}x  {agree}")
+        if not agree:
+            raise SystemExit(f"cone scan divergence in {name}")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=int, default=512, help="points in the edge-scan workload")
@@ -66,11 +97,13 @@ def main():
     ap.add_argument("--seed", type=int, default=2024)
     args = ap.parse_args()
 
+    scan_table(args.n, args.repeat, random.Random(args.seed))
     if compiled is None:
-        print("compiled kernels not built; nothing to compare against")
+        print("compiled kernels not built; no compiled-versus-pure kernel rows")
         return
 
     rng = random.Random(args.seed)
+    print()
     print(f"{'kernel':<26} {'workload':<16} {'pure ms':>9} {'compiled ms':>12} "
           f"{'speedup':>8}  agree")
     for name, workload, fp, fc in rows(args.n, args.repeat, rng):

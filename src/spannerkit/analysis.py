@@ -313,8 +313,7 @@ def g9_approximation_check(h: SpannerGraph, g9: SpannerGraph, tolerance: float =
             raise InternalInvariantViolation(f"closest fan edge ({s}, {closest}) missing from g9")
         entry = math.hypot(h.points[closest].x - ps.x, h.points[closest].y - ps.y)
         # Prefix path lengths along the fan in both directions from the closest.
-        for v in members:
-            vi = members.index(v)
+        for vi, v in enumerate(members):
             lo, hi = (ci, vi) if ci <= vi else (vi, ci)
             walk = 0.0
             for a, b in zip(members[lo:hi], members[lo + 1 : hi + 1]):

@@ -12,12 +12,21 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import kernels
 from .errors import InternalInvariantViolation, InvalidParameter
 from .geometry import ConeSystem, Point, PointSet, theta_projection
 
 #: Bitmask of the even ("positive") cones of a 6-cone system.
 _POSITIVE_MASK_6 = 0b010101
+
+#: Pair elements per row block of the cone scan (a block holds at least one row).
+_SCAN_BLOCK = 65536
+#: Cone labels whose azimuth lies within this many radians of a cone boundary
+#: are recomputed with the scalar kernel (see cone_scan).
+_LABEL_SLACK = 1e-6
+
 
 
 class SpannerGraph:
@@ -31,7 +40,8 @@ class SpannerGraph:
         self.kind = kind
         self.k = k
         self.points = points
-        self.edges = {_norm_edge(u, v) for (u, v) in edges}
+        # Frozen, so the lazily built adjacency can never go stale.
+        self.edges = frozenset(_norm_edge(u, v) for (u, v) in edges)
         for u, v in self.edges:
             if u not in points or v not in points:
                 raise InvalidParameter(f"edge ({u}, {v}) references unknown point id")
@@ -131,12 +141,99 @@ def _id_arrays(ps: PointSet):
     return ids, xs, ys
 
 
+def cone_scan(xs, ys, k: int, use_projection: bool, cone_mask: int) -> list[tuple[int, int, int]]:
+    """Closest-per-cone edge scan over numpy row blocks.
+
+    Same contract and output as kernels.cone_edges, which stays the reference:
+    for every vertex u and every cone i (restricted to cone_mask bits when
+    cone_mask is nonzero) return (u, i, v) where v minimises (projection,
+    squared distance, index) when use_projection is true, else (squared
+    distance, index); sorted by (u, i).
+
+    Bit identity with the scalar scan: dx, dy, d2 = dx*dx + dy*dy and the
+    projection dx*sin(i*theta) + dy*cos(i*theta) are each computed as separate
+    elementwise IEEE double operations in the same order as the kernels, with
+    sin/cos of the bisectors taken from math, so every key is the same double.
+    Only the cone label comes from np.arctan2, which may differ from libm's
+    atan2 by a few ulps; a label can only change where the azimuth is within
+    ANGLE_EPS plus those ulps of a cone boundary, so every label within
+    _LABEL_SLACK of one is recomputed with kernels.cone_index. Ties on the
+    first key are then broken exactly by (squared distance, index). Keys that
+    come out NaN (non-finite coordinates, or differences that overflow) make
+    the scalar scan's result depend on visiting order, so such inputs are
+    handed to kernels.cone_edges unchanged.
+    """
+    n = len(xs)
+    theta = math.tau / k
+    cones = [i for i in range(k) if not cone_mask or (cone_mask >> i) & 1]
+    best = np.full((n, k), -1, dtype=np.intp)
+    x = np.asarray(xs, dtype=np.float64)
+    y = np.asarray(ys, dtype=np.float64)
+    # Index k labels a pair the scan must skip: the point itself, or a cone
+    # outside cone_mask.
+    keep = np.zeros(k + 1, dtype=bool)
+    keep[cones] = True
+    sin_bis = np.array([math.sin(i * theta) for i in range(k)] + [0.0])
+    cos_bis = np.array([math.cos(i * theta) for i in range(k)] + [0.0])
+    step = max(1, _SCAN_BLOCK // max(n, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, step):
+            hi = min(n, lo + step)
+            rows = np.arange(hi - lo)
+            dx = x[None, :] - x[lo:hi, None]
+            dy = y[None, :] - y[lo:hi, None]
+            d2 = dx * dx + dy * dy
+            if np.isnan(d2).any():
+                return kernels.cone_edges(xs, ys, k, use_projection, cone_mask)
+            label = _cone_labels(dx, dy, k, theta)
+            label[rows, rows + lo] = k
+            label[~keep[label]] = k
+            key1 = d2
+            if use_projection:
+                key1 = dx * sin_bis[label] + dy * cos_bis[label]
+                if np.isnan(key1).any():
+                    return kernels.cone_edges(xs, ys, k, use_projection, cone_mask)
+            for i in cones:
+                member = label == i
+                # Membership, not an inf sentinel, marks empty cones: keys
+                # are legitimately inf once squared distances overflow.
+                occupied = member.any(axis=1)
+                if not occupied.any():
+                    continue
+                k1 = np.where(member, key1, np.inf)
+                tied = member & (k1 == k1.min(axis=1, keepdims=True))
+                if use_projection:
+                    k2 = np.where(tied, d2, np.inf)
+                    tied &= k2 == k2.min(axis=1, keepdims=True)
+                # argmax finds the first remaining candidate: the lowest index.
+                best[lo:hi, i] = np.where(occupied, tied.argmax(axis=1), -1)
+    us, cs = np.nonzero(best >= 0)
+    return list(zip(us.tolist(), cs.tolist(), best[us, cs].tolist()))
+
+
+def _cone_labels(dx, dy, k: int, theta: float):
+    """Cone index of every vector, as kernels.cone_index computes it."""
+    az = np.arctan2(dx, dy)
+    az = np.where(az < 0.0, az + math.tau, az)
+    t = (az - 0.5 * theta) / theta
+    floor_t = np.floor(t)
+    label = floor_t.astype(np.intp) + 1
+    label[label == k] = 0
+    frac = t - floor_t
+    slack = _LABEL_SLACK / theta
+    rs, cs = np.nonzero((frac <= slack) | (frac >= 1.0 - slack))
+    label[rs, cs] = [
+        kernels.cone_index(a, b, k) for a, b in zip(dx[rs, cs].tolist(), dy[rs, cs].tolist())
+    ]
+    return label
+
+
 def build_yao(ps: PointSet, k: int) -> SpannerGraph:
     """Yao graph: from every point, an edge to the Euclidean-closest point in
     each of its k cones."""
     ConeSystem(k)
     ids, xs, ys = _id_arrays(ps)
-    raw = kernels.cone_edges(xs, ys, k, False, 0)
+    raw = cone_scan(xs, ys, k, False, 0)
     return SpannerGraph("yao", k, ps, ((ids[u], ids[v]) for u, _, v in raw))
 
 
@@ -145,14 +242,14 @@ def build_theta(ps: PointSet, k: int) -> SpannerGraph:
     (onto the cone bisector) in each of its k cones."""
     ConeSystem(k)
     ids, xs, ys = _id_arrays(ps)
-    raw = kernels.cone_edges(xs, ys, k, True, 0)
+    raw = cone_scan(xs, ys, k, True, 0)
     return SpannerGraph("theta", k, ps, ((ids[u], ids[v]) for u, _, v in raw))
 
 
 def build_half_theta6(ps: PointSet) -> SpannerGraph:
     """Half-theta-6 graph: theta edges built only in the three even cones."""
     ids, xs, ys = _id_arrays(ps)
-    raw = kernels.cone_edges(xs, ys, 6, True, _POSITIVE_MASK_6)
+    raw = cone_scan(xs, ys, 6, True, _POSITIVE_MASK_6)
     return SpannerGraph("half_theta6", 6, ps, ((ids[u], ids[v]) for u, _, v in raw))
 
 
@@ -241,35 +338,25 @@ def build_g9(h: SpannerGraph) -> SpannerGraph:
     plus every edge between consecutive fan members, and store the per-vertex
     hints local routing needs (walk direction per positive cone, fan endpoint
     coordinates per negative cone)."""
-    fans = _fans(h)
     kept = set()
-    for (s, _j), members in fans.items():
-        kept.add(_norm_edge(s, _fan_closest(h, s, members)))
+    hints: dict[str, dict] = {}
+    for (s, j), members in _fans(h).items():
+        closest = _fan_closest(h, s, members)
+        ci = members.index(closest)
+        kept.add(_norm_edge(s, closest))
         for a, b in zip(members, members[1:]):
             if not h.has_edge(a, b):
                 raise InternalInvariantViolation(
                     f"consecutive fan members {a}, {b} of {s} are not adjacent"
                 )
             kept.add(_norm_edge(a, b))
-
-    hints: dict[str, dict] = {}
-    for (v, j), members in fans.items():
-        closest = _fan_closest(h, v, members)
-        pos_cone = {}
-        for idx, s in enumerate(members):
-            if s == closest:
-                d = "self"
-            elif members.index(closest) > idx:
-                d = "ccw"
-            else:
-                d = "cw"
-            c = (j + 3) % 6
-            pos_cone[(s, c)] = d
-        for (s, c), d in pos_cone.items():
-            hints.setdefault(str(s), {"dir": {}, "fan": {}})["dir"][str(c)] = d
+        c = str((j + 3) % 6)
+        for idx, v in enumerate(members):
+            d = "self" if idx == ci else ("ccw" if ci > idx else "cw")
+            hints.setdefault(str(v), {"dir": {}, "fan": {}})["dir"][c] = d
         first = h.points[members[0]]
         last = h.points[members[-1]]
-        hints.setdefault(str(v), {"dir": {}, "fan": {}})["fan"][str(j)] = {
+        hints.setdefault(str(s), {"dir": {}, "fan": {}})["fan"][str(j)] = {
             "first": [first.id, first.x, first.y],
             "last": [last.id, last.x, last.y],
         }
@@ -295,11 +382,18 @@ def build_rotated_union(ps: PointSet, m: int) -> SpannerGraph:
 def build_mst(ps: PointSet) -> SpannerGraph:
     """Euclidean minimum spanning tree (Kruskal, ties by (weight, id, id))."""
     pts = sorted(ps, key=lambda p: p.id)
+    # Kruskal needs only the Yao-6 edges, which contain this tree (A. C. Yao,
+    # SIAM J. Comput. 1982). Order all pairs by (d2, id, id); the tree is the
+    # set of pairs (p, q) joined by no path of smaller pairs. If (p, q) is not
+    # a Yao-6 edge, p's pick r in the cone holding q has (d2(p, r), r) <
+    # (d2(p, q), q), so the pair (p, r) precedes (p, q) also when the
+    # distances tie. A cone is half-open and 60 degrees wide, so the angle rpq
+    # is below 60 degrees and |rq|^2 < |pr|^2 + |pq|^2 - |pr||pq| <= |pq|^2:
+    # the path p-r-q uses only smaller pairs and (p, q) is not in the tree.
     cand = []
-    for i, p in enumerate(pts):
-        for q in pts[i + 1 :]:
-            d2 = (q.x - p.x) ** 2 + (q.y - p.y) ** 2
-            cand.append((d2, p.id, q.id))
+    for u, v in build_yao(ps, 6).edges:
+        p, q = ps[u], ps[v]
+        cand.append(((q.x - p.x) ** 2 + (q.y - p.y) ** 2, u, v))
     cand.sort()
     parent = {p.id: p.id for p in pts}
 

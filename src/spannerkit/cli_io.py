@@ -379,6 +379,8 @@ def _cmd_verify(args) -> int:
             raise InvalidParameter(
                 "verify over random trials requires --n and --trials"
             )
+        if args.trials < 1:
+            raise InvalidParameter(f"--trials must be >= 1, got {args.trials}")
         seed = _resolve_seed(args.seed, "verify over random trials")
         gen_k = args.k if args.graph in ("yao", "theta") else 6
         worst = None

@@ -133,3 +133,30 @@ def oracle_pair_bound(g, s, t):
     if alpha > math.pi:
         alpha = TWO_PI - alpha
     return (5.0 / math.sqrt(3.0) * math.cos(alpha) - math.sin(alpha)) * dist, False
+
+
+def oracle_mst(ps):
+    """Euclidean MST edge set by Kruskal over all n(n-1)/2 pairs, ordered by
+    (squared distance, id, id)."""
+    pts = sorted(ps, key=lambda p: p.id)
+    cand = []
+    for i, p in enumerate(pts):
+        for q in pts[i + 1 :]:
+            d2 = (q.x - p.x) ** 2 + (q.y - p.y) ** 2
+            cand.append((d2, p.id, q.id))
+    cand.sort()
+    parent = {p.id: p.id for p in pts}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    edges = set()
+    for _d2, u, v in cand:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            edges.add((u, v))
+    return edges

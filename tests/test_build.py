@@ -28,7 +28,11 @@ from spannerkit import (
     graph_to_json,
 )
 
-from oracles import oracle_azimuth, oracle_cone_edges
+from spannerkit import build as build_module
+from spannerkit import kernels
+from spannerkit.build import cone_scan
+
+from oracles import oracle_azimuth, oracle_cone_edges, oracle_mst
 
 
 def _as_coords(ps):
@@ -89,6 +93,84 @@ class TestYaoTheta:
                 oracle_azimuth(ps[q].x - p.x, ps[q].y - p.y) for q in g.neighbors(p.id)
             ]
             assert azs == sorted(azs)
+
+
+def _boundary_star(k):
+    # Origin plus points at radius 1 and 2 on every exact boundary direction
+    # of a k-cone system (where np.arctan2 and math.atan2 may disagree).
+    theta = 2 * math.pi / k
+    pts = [(0.0, 0.0)]
+    for i in range(k):
+        az = i * theta + theta / 2
+        pts += [(r * math.sin(az), r * math.cos(az)) for r in (1.0, 2.0)]
+    return pts
+
+
+def _uniform(n, seed, scale=1.0):
+    rng = random.Random(seed)
+    return [(rng.random() * scale, rng.random() * scale) for _ in range(n)]
+
+
+SCAN_SETS = {
+    "grid": [(float(i), float(j)) for i in range(6) for j in range(6)],
+    **{f"boundary_k{k}": _boundary_star(k) for k in (4, 5, 6, 7, 9, 12)},
+    "circle": _as_coords(gen_circle(24)),
+    "n1": _uniform(1, 1),
+    "n2": _uniform(2, 2),
+    "n3": _uniform(3, 3),
+    "huge_1e120": _uniform(20, 4, 1e120),
+    "huge_1e160": _uniform(20, 5, 1e160),
+    "random_a": _as_coords(gen_random(30, 6)),
+    "random_b": _as_coords(gen_random(30, 7)),
+}
+SCAN_CONFIGS = [(k, proj, 0) for k in range(2, 13) for proj in (True, False)] + [
+    (6, True, 0b010101),
+    (6, False, 0b010101),
+]
+
+
+class TestConeScan:
+    """The numpy scan behind every builder against the scalar kernel scan and
+    the exhaustive oracle."""
+
+    @pytest.mark.parametrize("name", sorted(SCAN_SETS))
+    def test_matches_kernel_and_oracle(self, name):
+        coords = SCAN_SETS[name]
+        xs = [x for x, _ in coords]
+        ys = [y for _, y in coords]
+        for k, proj, mask in SCAN_CONFIGS:
+            got = cone_scan(xs, ys, k, proj, mask)
+            assert got == kernels.cone_edges(xs, ys, k, proj, mask), (k, proj, mask)
+            edges = {(min(u, v), max(u, v)) for u, _i, v in got}
+            assert edges == oracle_cone_edges(coords, k, proj, cone_mask=mask), (k, proj, mask)
+
+    @pytest.mark.parametrize("block", [1, 40, 333])
+    def test_row_blocks(self, block, monkeypatch):
+        monkeypatch.setattr(build_module, "_SCAN_BLOCK", block)
+        coords = SCAN_SETS["random_a"] + SCAN_SETS["grid"]
+        xs = [x for x, _ in coords]
+        ys = [y for _, y in coords]
+        for k, proj, mask in [(6, True, 0b010101), (7, True, 0), (6, False, 0)]:
+            assert cone_scan(xs, ys, k, proj, mask) == kernels.cone_edges(xs, ys, k, proj, mask)
+
+    def test_overflowing_differences_follow_the_kernel(self):
+        # Coordinate differences overflow to inf and some keys become NaN
+        # (inf * 0); the scalar scan's visiting order then decides.
+        xs = [-1e308, 1e308, 0.0, 5e307, -3e307]
+        ys = [1e308, -1e308, 0.0, 7e307, 1e300]
+        for k, proj, mask in SCAN_CONFIGS:
+            assert cone_scan(xs, ys, k, proj, mask) == kernels.cone_edges(xs, ys, k, proj, mask)
+
+    def test_empty_input(self):
+        assert cone_scan([], [], 6, True, 0) == []
+
+    def test_overflowing_keys_still_pick_by_id(self):
+        # Squared distances overflow to inf, so the three candidates in cone 1
+        # of point 0 tie and the lowest index wins, though it is the farthest.
+        xs, ys = [0.0, 3e160, 2e160, 1e160], [0.0, -1e159, 1e159, 0.0]
+        got = cone_scan(xs, ys, 4, False, 0)
+        assert got == kernels.cone_edges(xs, ys, 4, False, 0)
+        assert (0, 1, 1) in got
 
 
 class TestHalfTheta6:
@@ -322,7 +404,61 @@ class TestMst:
         assert len(seen) == 20
 
 
+def _triangular_lattice(rows, cols):
+    return PointSet.from_pairs(
+        (i + 0.5 * (j % 2), j * math.sqrt(3) / 2) for i in range(cols) for j in range(rows)
+    )
+
+
+class TestMstMatchesAllPairsKruskal:
+    @pytest.mark.parametrize("side", [1, 2, 3, 5, 8])
+    def test_integer_grid(self, side):
+        ps = PointSet.from_pairs((i, j) for i in range(side) for j in range(side))
+        assert build_mst(ps).edges == oracle_mst(ps)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4, 4), (6, 9)])
+    def test_triangular_lattice(self, shape):
+        ps = _triangular_lattice(*shape)
+        assert build_mst(ps).edges == oracle_mst(ps)
+
+    @pytest.mark.parametrize("n", [3, 6, 7, 12, 24, 60])
+    def test_circle(self, n):
+        ps = gen_circle(n)
+        assert build_mst(ps).edges == oracle_mst(ps)
+
+    def test_set_whose_tree_leaves_yao4(self):
+        # Kruskal over this set's Yao-4 edges misses a tree edge, so a
+        # candidate graph with too few cones fails here.
+        ps = PointSet.from_pairs([(5.2, 7.6), (5.3, 2.6), (8.0, 0.0), (9.2, 5.3)])
+        assert build_mst(ps).edges == oracle_mst(ps)
+
+    def test_small_sets_on_a_coarse_lattice(self):
+        # Coordinates on a 0.1 lattice give many equal distances.
+        rng = random.Random(3)
+        for _ in range(300):
+            n = rng.randint(2, 9)
+            pts = {(rng.randint(0, 100) / 10, rng.randint(0, 100) / 10) for _ in range(n)}
+            ps = PointSet.from_pairs(sorted(pts))
+            assert build_mst(ps).edges == oracle_mst(ps)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random(self, seed):
+        ps = PointSet.from_pairs(_uniform(50, 100 + seed))
+        assert build_mst(ps).edges == oracle_mst(ps)
+        ps = gen_random(40, 200 + seed)
+        assert build_mst(ps).edges == oracle_mst(ps)
+
+
 class TestGraphContainer:
+    def test_edges_cannot_be_mutated(self):
+        # A mutable edge set would leave the cached adjacency stale.
+        h = build_half_theta6(gen_random(12, 4))
+        u, v = min(h.edges)
+        assert v in h.neighbors(u)
+        with pytest.raises(AttributeError):
+            h.edges.discard((u, v))
+        assert h.has_edge(u, v) and v in h.neighbors(u)
+
     def test_edge_with_unknown_id_rejected(self):
         ps = PointSet([Point(0, 0.0, 0.0), Point(1, 1.0, 1.0)])
         with pytest.raises(InvalidParameter):

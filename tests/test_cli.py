@@ -190,6 +190,12 @@ class TestVerify:
         assert main(["verify", "--graph", "half_theta6", "--seed", "7"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_generative_rejects_empty_trial_count(self, trials, capsys):
+        argv = ["verify", "--graph", "theta", "--k", "8", "--n", "10", "--seed", "7"]
+        assert main(argv + ["--trials", trials]) == 2
+        assert "--trials must be >= 1" in capsys.readouterr().err
+
     def test_file_mode(self, h6_file, capsys):
         path, _g = h6_file
         assert main(["verify", "--graph", path]) == 0
