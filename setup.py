@@ -1,4 +1,7 @@
-"""Build hook: compile the optional Cython kernel extension.
+"""Build hook: compile the optional kernel extension.
+
+With Cython installed the extension is cythonized from _kernels.pyx;
+without it the shipped, pre-generated _kernels.c is compiled.
 
 The package works without the extension (a pure-Python twin is selected at
 import time), so any failure here downgrades to a plain build instead of
@@ -30,11 +33,11 @@ def _extensions():
     try:
         from Cython.Build import cythonize
     except ImportError:
-        warnings.warn("Cython not available; building without compiled kernels", stacklevel=1)
-        return []
+        # _kernels.c ships as the cythonized _kernels.pyx; compile it as is.
+        cythonize = None
     ext = Extension(
         "spannerkit._kernels",
-        ["src/spannerkit/_kernels.pyx"],
+        ["src/spannerkit/_kernels.c" if cythonize is None else "src/spannerkit/_kernels.pyx"],
         # The pure-Python twin must agree bitwise. Two silent rewrites break
         # that: fused multiply-adds change the last ulp of dot products, and
         # gcc merges adjacent sin/cos calls into glibc sincos, whose results
@@ -45,7 +48,7 @@ def _extensions():
             "-fno-builtin-cos",
         ],
     )
-    return cythonize([ext], language_level="3")
+    return [ext] if cythonize is None else cythonize([ext], language_level="3")
 
 
 setup(ext_modules=_extensions(), cmdclass={"build_ext": optional_build_ext})

@@ -15,7 +15,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from . import kernels
-from .build import SpannerGraph, build_half_theta6, build_theta
+from .build import SpannerGraph, build_half_theta6, build_theta, canonical_path_info
 from .errors import InternalInvariantViolation, InvalidParameter
 from .geometry import (
     EPS,
@@ -185,19 +185,31 @@ def _default_bound(g: SpannerGraph):
     raise InvalidParameter(f"no registered ratio bound for graph kind {g.kind!r}")
 
 
-def _length_adjacency(g: SpannerGraph) -> dict[int, list[tuple[int, float]]]:
-    cache = getattr(g, "_len_adj", None)
-    if cache is None:
-        cache = {p.id: [] for p in g.points}
-        for u, v in g.edges:
-            p, q = g.points[u], g.points[v]
-            w = math.hypot(q.x - p.x, q.y - p.y)
-            cache[u].append((v, w))
-            cache[v].append((u, w))
-        for lst in cache.values():
-            lst.sort()
-        g._len_adj = cache
-    return cache
+def _dijkstra(adj, source: int, allowed=None, stop: int | None = None):
+    """Heap Dijkstra from source over adj (id -> (neighbour, length) pairs),
+    entering only vertices in allowed when given and halting once stop is
+    popped. Returns (dist, parent); parent keeps the first relaxation that
+    reached each vertex's final distance."""
+    dist = {source: 0.0}
+    parent: dict[int, int] = {}
+    heap = [(0.0, source)]
+    done = set()
+    while heap:
+        d, x = heapq.heappop(heap)
+        if x == stop:
+            break
+        if x in done:
+            continue
+        done.add(x)
+        for y, w in adj[x]:
+            if allowed is not None and y not in allowed:
+                continue
+            nd = d + w
+            if nd < dist.get(y, math.inf):
+                dist[y] = nd
+                parent[y] = x
+                heapq.heappush(heap, (nd, y))
+    return dist, parent
 
 
 def shortest_path(g: SpannerGraph, s: int, t: int) -> tuple[list[int], float]:
@@ -205,20 +217,8 @@ def shortest_path(g: SpannerGraph, s: int, t: int) -> tuple[list[int], float]:
 
     Returns (id sequence, length); raises if t is unreachable.
     """
-    adj = _length_adjacency(g)
-    dist = {t: 0.0}
-    heap = [(0.0, t)]
-    done = set()
-    while heap:
-        d, x = heapq.heappop(heap)
-        if x in done:
-            continue
-        done.add(x)
-        for y, w in adj[x]:
-            nd = d + w
-            if nd < dist.get(y, math.inf):
-                dist[y] = nd
-                heapq.heappush(heap, (nd, y))
+    adj = g.length_lists
+    dist, _ = _dijkstra(adj, t)
     if s not in dist:
         raise InternalInvariantViolation(f"no path from {s} to {t}")
     path = [s]
@@ -247,51 +247,39 @@ def restricted_pair_check(
     triangle of (u, w), compared against the per-pair bound
     (sqrt(3) cos(alpha) + sin(alpha)) * |uw| by default.
 
+    With 6 cones the pair's triangle has its apex at the endpoint that sees
+    the other in a positive cone, so a pair given negative end first is
+    certified from w and the path read backwards.
+
     Absence of such a path on a clean half-theta-6 input is a construction bug,
     so it raises rather than returning a failure.
     """
     cs = ConeSystem(h.k or 6)
-    pu, pw = h.points[u], h.points[w]
-    tri = canonical_triangle(cs, pu, pw)
+    flip = cs.k == 6 and cs.cone_of(h.points[u], h.points[w]) % 2 == 1
+    a, b = (w, u) if flip else (u, w)
+    pa, pb = h.points[a], h.points[b]
+    tri = canonical_triangle(cs, pa, pb)
     ax, ay = tri.apex
     cax, cay = tri.corner_a
     cbx, cby = tri.corner_b
-    allowed = {u, w}
+    allowed = {a, b}
     for p in h.points:
         if kernels.point_in_tri(p.x, p.y, ax, ay, cax, cay, cbx, cby, EPS):
             allowed.add(p.id)
-    adj = _length_adjacency(h)
-    dist = {u: 0.0}
-    parent: dict[int, int] = {}
-    heap = [(0.0, u)]
-    done = set()
-    while heap:
-        d, x = heapq.heappop(heap)
-        if x == w:
-            break
-        if x in done:
-            continue
-        done.add(x)
-        for y, wt in adj[x]:
-            if y not in allowed:
-                continue
-            nd = d + wt
-            if nd < dist.get(y, math.inf):
-                dist[y] = nd
-                parent[y] = x
-                heapq.heappush(heap, (nd, y))
-    if w not in dist:
+    dist, parent = _dijkstra(h.length_lists, a, allowed, b)
+    if b not in dist:
         raise InternalInvariantViolation(
             f"no path from {u} to {w} inside their canonical triangle"
         )
-    path = [w]
-    while path[-1] != u:
+    path = [b]
+    while path[-1] != a:
         path.append(parent[path[-1]])
-    path.reverse()
+    if not flip:
+        path.reverse()
     if bound is None:
-        alpha = angle_alpha(cs, pu, pw)
-        bound = bound_value("pair_alpha", alpha=alpha) * math.hypot(pw.x - pu.x, pw.y - pu.y)
-    length = dist[w]
+        alpha = angle_alpha(cs, pa, pb)
+        bound = bound_value("pair_alpha", alpha=alpha) * math.hypot(pb.x - pa.x, pb.y - pa.y)
+    length = dist[b]
     return {"path": path, "length": length, "bound": bound, "ok": length <= bound + tolerance}
 
 
@@ -300,14 +288,13 @@ def g9_approximation_check(h: SpannerGraph, g9: SpannerGraph, tolerance: float =
     the degree-9 subgraph keeps the approximation path (s -> fan-closest ->
     canonical path -> v), that its total length is at most 3|sv| and the
     canonical-path portion at most 2|sv|."""
-    from .build import _fan_closest, _fans
-
     records = []
     ok = True
-    fans = _fans(h)
-    for (s, _j), members in fans.items():
+    for fan in (canonical_path_info(h, p.id, j) for p in h.points for j in (1, 3, 5)):
+        if not fan.members:
+            continue
+        s, members, closest = fan.anchor, fan.members, fan.closest
         ps = h.points[s]
-        closest = _fan_closest(h, s, members)
         ci = members.index(closest)
         if not g9.has_edge(s, closest):
             raise InternalInvariantViolation(f"closest fan edge ({s}, {closest}) missing from g9")

@@ -11,12 +11,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import kernels
 from .errors import InternalInvariantViolation, InvalidParameter
-from .geometry import ConeSystem, Point, PointSet, theta_projection
+from .geometry import ConeSystem, Point, PointSet, _parse_json, _point_records, _points_from_records
 
 #: Bitmask of the even ("positive") cones of a 6-cone system.
 _POSITIVE_MASK_6 = 0b010101
@@ -28,25 +29,62 @@ _SCAN_BLOCK = 65536
 _LABEL_SLACK = 1e-6
 
 
-
 class SpannerGraph:
     """Undirected geometric graph over a PointSet.
 
     kind identifies the construction; k is the cone count (None for the MST);
     metadata carries construction-specific extras (rotation count, routing hints).
+
+    The edge set is frozen, so every table derived from it is built on first
+    use and kept for the life of the graph: the azimuth-sorted adjacency behind
+    neighbors(), ``length_lists``, and on half_theta6, g12 and g9 graphs
+    ``cone_table`` (plus ``hint_table`` on g9 graphs).
     """
 
     def __init__(self, kind: str, k, points: PointSet, edges, metadata=None):
         self.kind = kind
         self.k = k
         self.points = points
-        # Frozen, so the lazily built adjacency can never go stale.
         self.edges = frozenset(_norm_edge(u, v) for (u, v) in edges)
         for u, v in self.edges:
             if u not in points or v not in points:
                 raise InvalidParameter(f"edge ({u}, {v}) references unknown point id")
         self.metadata = metadata or {}
-        self._adj = None
+
+    @cached_property
+    def _adjacency(self) -> dict[int, list[tuple[float, int]]]:
+        """Id -> (azimuth, neighbour id) pairs in ascending order."""
+        adj = {p.id: [] for p in self.points}
+        for a, b in self.edges:
+            p, q = self.points[a], self.points[b]
+            adj[a].append((kernels.azimuth(q.x - p.x, q.y - p.y), b))
+            adj[b].append((kernels.azimuth(p.x - q.x, p.y - q.y), a))
+        for lst in adj.values():
+            lst.sort()
+        return adj
+
+    @cached_property
+    def length_lists(self) -> dict[int, list[tuple[int, float]]]:
+        """Id -> (neighbour id, edge length) pairs in ascending id order."""
+        adj = {p.id: [] for p in self.points}
+        for u, v in self.edges:
+            p, q = self.points[u], self.points[v]
+            w = math.hypot(q.x - p.x, q.y - p.y)
+            adj[u].append((v, w))
+            adj[v].append((u, w))
+        for lst in adj.values():
+            lst.sort()
+        return adj
+
+    @cached_property
+    def cone_table(self) -> "_ConeTable":
+        """Positive-cone edges and odd-cone fans; for half_theta6, g12 and g9 graphs."""
+        return _ConeTable(self)
+
+    @cached_property
+    def hint_table(self) -> "_HintTable":
+        """The routing hints build_g9 stored in the metadata, parsed."""
+        return _HintTable(self.metadata.get("hints"))
 
     def edge_list(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
@@ -56,19 +94,10 @@ class SpannerGraph:
 
     def neighbors(self, u: int) -> list[int]:
         """Neighbour ids sorted by ascending azimuth (clockwise from north) around u."""
-        if self._adj is None:
-            adj = {p.id: [] for p in self.points}
-            for a, b in self.edges:
-                adj[a].append(b)
-                adj[b].append(a)
-            for pid, nbrs in adj.items():
-                p = self.points[pid]
-                nbrs.sort(key=lambda q: (kernels.azimuth(self.points[q].x - p.x, self.points[q].y - p.y), q))
-            self._adj = adj
-        return self._adj[u]
+        return [q for _, q in self._adjacency[u]]
 
     def degree(self, u: int) -> int:
-        return len(self.neighbors(u))
+        return len(self._adjacency[u])
 
     def max_degree(self) -> int:
         if not len(self.points):
@@ -97,10 +126,7 @@ class SpannerGraph:
         obj = {
             "kind": self.kind,
             "k": self.k,
-            "points": [
-                {"id": p.id, "x": p.x, "y": p.y}
-                for p in sorted(self.points, key=lambda p: p.id)
-            ],
+            "points": _point_records(sorted(self.points, key=lambda p: p.id)),
             "edges": [[u, v] for (u, v) in self.edge_list()],
             "metadata": self.metadata,
         }
@@ -108,15 +134,100 @@ class SpannerGraph:
 
     @classmethod
     def from_json(cls, text: str) -> "SpannerGraph":
-        obj = json.loads(text)
+        obj = _parse_json(text, "graph")
         try:
-            pts = PointSet(Point(int(p["id"]), float(p["x"]), float(p["y"])) for p in obj["points"])
+            pts = _points_from_records(obj["points"], "graph")
             edges = [(int(u), int(v)) for u, v in obj["edges"]]
             kind = obj["kind"]
             k = obj["k"]
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidParameter(f"malformed graph JSON: {exc}") from exc
         return cls(kind, k, pts, edges, obj.get("metadata") or {})
+
+
+class _ConeTable:
+    """6-cone view of a half_theta6 graph or one of its subgraphs.
+
+    xy[u]        coordinates of u
+    rows[u]      (azimuth, v, |uv|, cone of v around u) per neighbour v, by azimuth
+    positive     (u, even cone c) -> (v, |uv|) for u's edge in cone c
+    fans         (u, odd cone j) -> u's neighbours in cone j, by azimuth; on
+                 half_theta6 these are the vertices whose cone edge targets u
+
+    Every edge must have exactly one endpoint that sees the other in an odd
+    cone, and no vertex may have two edges in one even cone.
+    """
+
+    def __init__(self, g: SpannerGraph):
+        self.xy = {p.id: (p.x, p.y) for p in g.points}
+        self.rows: dict[int, list[tuple[float, int, float, int]]] = {}
+        self.positive: dict[tuple[int, int], tuple[int, float]] = {}
+        self.fans: dict[tuple[int, int], list[int]] = {}
+        for p in g.points:
+            row = []
+            for az, v in g._adjacency[p.id]:
+                qx, qy = self.xy[v]
+                dx = qx - p.x
+                dy = qy - p.y
+                c = kernels.cone_index(dx, dy, 6)
+                ln = math.hypot(dx, dy)
+                row.append((az, v, ln, c))
+                if c % 2:
+                    self.fans.setdefault((p.id, c), []).append(v)
+                elif (p.id, c) in self.positive:
+                    raise InternalInvariantViolation(
+                        f"vertex {p.id} has two edges in positive cone {c}"
+                    )
+                else:
+                    self.positive[(p.id, c)] = (v, ln)
+            self.rows[p.id] = row
+        # An edge is well formed when one end sees the other in a positive
+        # cone and is, in turn, a member of that end's opposite fan.
+        paired = {_norm_edge(u, v) for (u, c), (v, _) in self.positive.items()
+                  if u in self.fans.get((v, (c + 3) % 6), ())}
+        if len(paired) != len(g.edges):
+            a, b = min(g.edges - paired)
+            raise InternalInvariantViolation(f"edge ({a}, {b}) lacks a unique negative-side endpoint")
+
+    def closest(self, u: int, j: int) -> int:
+        """Member of fan (u, j) with the smallest (projection onto cone j's
+        bisector, squared distance, id)."""
+        members = self.fans.get((u, j))
+        if not members:
+            raise InternalInvariantViolation("closest requested on an empty fan")
+        ux, uy = self.xy[u]
+        bis = j * (math.tau / 6)
+        sb, cb = math.sin(bis), math.cos(bis)
+
+        def key(v: int):
+            vx, vy = self.xy[v]
+            dx = vx - ux
+            dy = vy - uy
+            return (dx * sb + dy * cb, dx * dx + dy * dy, v)
+
+        return min(members, key=key)
+
+
+class _HintTable:
+    """Parsed g9 routing hints: walk direction per (vertex, positive cone) and
+    fan-end (id, x, y) pairs per (vertex, negative cone)."""
+
+    def __init__(self, raw):
+        if not isinstance(raw, dict):
+            raise InvalidParameter("graph lacks the construction hints required for g9 routing")
+        self.dir: dict[tuple[int, int], str] = {}
+        self.fan: dict[tuple[int, int], tuple[tuple[int, float, float], tuple[int, float, float]]] = {}
+        for sid, entry in raw.items():
+            u = int(sid)
+            for cs, d in entry.get("dir", {}).items():
+                self.dir[(u, int(cs))] = d
+            for cs, ends in entry.get("fan", {}).items():
+                f = ends["first"]
+                l = ends["last"]
+                self.fan[(u, int(cs))] = (
+                    (int(f[0]), float(f[1]), float(f[2])),
+                    (int(l[0]), float(l[1]), float(l[2])),
+                )
 
 
 def graph_to_json(g: SpannerGraph) -> str:
@@ -269,53 +380,24 @@ class CanonicalPathInfo:
         return [(self.members[i], self.members[i + 1]) for i in range(len(self.members) - 1)]
 
 
-def _fans(h: SpannerGraph) -> dict[tuple[int, int], list[int]]:
-    """(anchor id, odd cone index) -> fan member ids sorted by azimuth around the anchor."""
+def _half_theta6_cones(h: SpannerGraph) -> _ConeTable:
     if h.kind != "half_theta6":
         raise InvalidParameter(f"expected a half_theta6 graph, got kind {h.kind!r}")
-    cs = ConeSystem(6)
-    fans: dict[tuple[int, int], list[tuple[float, int]]] = {}
-    for a, b in h.edges:
-        pa, pb = h.points[a], h.points[b]
-        ja = cs.cone_of(pa, pb)
-        jb = cs.cone_of(pb, pa)
-        if (ja % 2 == 1) == (jb % 2 == 1):
-            raise InternalInvariantViolation(
-                f"edge ({a}, {b}) lacks a unique negative-side endpoint"
-            )
-        if ja % 2 == 1:
-            s, v, j = a, b, ja
-        else:
-            s, v, j = b, a, jb
-        p = h.points[s]
-        q = h.points[v]
-        fans.setdefault((s, j), []).append((kernels.azimuth(q.x - p.x, q.y - p.y), v))
-    return {key: [v for _, v in sorted(members)] for key, members in fans.items()}
-
-
-def _fan_closest(h: SpannerGraph, anchor: int, members: list[int]) -> int:
-    cs = ConeSystem(6)
-    p = h.points[anchor]
-
-    def key(v: int):
-        q = h.points[v]
-        d2 = (q.x - p.x) ** 2 + (q.y - p.y) ** 2
-        return (theta_projection(cs, p, q), d2, v)
-
-    return min(members, key=key)
+    return h.cone_table
 
 
 def canonical_path_info(h: SpannerGraph, anchor: int, cone: int) -> CanonicalPathInfo:
     if cone % 2 == 0:
         raise InvalidParameter(f"cone {cone} is positive; fans live in odd cones")
-    members = _fans(h).get((anchor, cone), [])
+    cones = _half_theta6_cones(h)
+    members = cones.fans.get((anchor, cone))
     if not members:
         return CanonicalPathInfo(anchor, cone, (), None, None, None)
     return CanonicalPathInfo(
         anchor,
         cone,
         tuple(members),
-        _fan_closest(h, anchor, members),
+        cones.closest(anchor, cone),
         members[0],
         members[-1],
     )
@@ -324,11 +406,10 @@ def canonical_path_info(h: SpannerGraph, anchor: int, cone: int) -> CanonicalPat
 def build_g12(h: SpannerGraph) -> SpannerGraph:
     """Degree-12 subgraph: in every negative cone of every vertex, keep only the
     first, last (by azimuth) and projection-closest fan edges."""
-    fans = _fans(h)
+    cones = _half_theta6_cones(h)
     kept = set()
-    for (s, _j), members in fans.items():
-        keep = {members[0], members[-1], _fan_closest(h, s, members)}
-        for v in keep:
+    for (s, j), members in cones.fans.items():
+        for v in (members[0], members[-1], cones.closest(s, j)):
             kept.add(_norm_edge(s, v))
     return SpannerGraph("g12", 6, h.points, kept)
 
@@ -338,10 +419,11 @@ def build_g9(h: SpannerGraph) -> SpannerGraph:
     plus every edge between consecutive fan members, and store the per-vertex
     hints local routing needs (walk direction per positive cone, fan endpoint
     coordinates per negative cone)."""
+    cones = _half_theta6_cones(h)
     kept = set()
     hints: dict[str, dict] = {}
-    for (s, j), members in _fans(h).items():
-        closest = _fan_closest(h, s, members)
+    for (s, j), members in cones.fans.items():
+        closest = cones.closest(s, j)
         ci = members.index(closest)
         kept.add(_norm_edge(s, closest))
         for a, b in zip(members, members[1:]):
@@ -383,7 +465,9 @@ def build_mst(ps: PointSet) -> SpannerGraph:
     """Euclidean minimum spanning tree (Kruskal, ties by (weight, id, id))."""
     pts = sorted(ps, key=lambda p: p.id)
     # Kruskal needs only the Yao-6 edges, which contain this tree (A. C. Yao,
-    # SIAM J. Comput. 1982). Order all pairs by (d2, id, id); the tree is the
+    # SIAM J. Comput. 1982). Order all pairs by (d2, id, id), with d2 = dx * dx
+    # + dy * dy, the same double cone_scan compares (x ** 2 can differ from
+    # x * x in the last ulp, and overflows with an error); the tree is the
     # set of pairs (p, q) joined by no path of smaller pairs. If (p, q) is not
     # a Yao-6 edge, p's pick r in the cone holding q has (d2(p, r), r) <
     # (d2(p, q), q), so the pair (p, r) precedes (p, q) also when the
@@ -393,7 +477,8 @@ def build_mst(ps: PointSet) -> SpannerGraph:
     cand = []
     for u, v in build_yao(ps, 6).edges:
         p, q = ps[u], ps[v]
-        cand.append(((q.x - p.x) ** 2 + (q.y - p.y) ** 2, u, v))
+        dx, dy = q.x - p.x, q.y - p.y
+        cand.append((dx * dx + dy * dy, u, v))
     cand.sort()
     parent = {p.id: p.id for p in pts}
 

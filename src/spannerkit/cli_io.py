@@ -11,7 +11,7 @@ Subcommands:
     render   draw a point set or graph as a deterministic SVG
 
 Exit codes: 0 on success, 1 when a checked bound fails, 2 on usage errors or
-rejected input.
+rejected input, 3 when an internal invariant fails (a bug in spannerkit).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import sys
 
 from . import analysis, build, kernels, routing
 from .build import SpannerGraph, graph_from_json, graph_to_json
-from .errors import DegenerateInput, InvalidParameter, SpannerKitError
+from .errors import DegenerateInput, InternalInvariantViolation, InvalidParameter, SpannerKitError
 from .geometry import PointSet, general_position_report, points_from_json, points_to_json
 
 SEED_ENV = "SPANNER_KIT_SEED"
@@ -469,6 +469,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except InternalInvariantViolation as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except SpannerKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

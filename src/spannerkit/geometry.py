@@ -30,13 +30,15 @@ class Point:
 
 
 class PointSet:
-    """Ordered collection of points with unique ids and unique coordinates."""
+    """Ordered collection of points with unique ids and unique finite coordinates."""
 
     def __init__(self, points):
         pts = list(points)
         ids = set()
         coords = set()
         for p in pts:
+            if not (math.isfinite(p.x) and math.isfinite(p.y)):
+                raise InvalidParameter(f"point {p.id} has a non-finite coordinate ({p.x}, {p.y})")
             if p.id in ids:
                 raise DegenerateInput(f"duplicate point id {p.id}")
             if (p.x, p.y) in coords:
@@ -246,17 +248,38 @@ def general_position_report(ps: PointSet, k: int) -> list[dict]:
 
 
 def points_to_json(ps: PointSet) -> str:
-    obj = {"points": [{"id": p.id, "x": p.x, "y": p.y} for p in ps]}
+    obj = {"points": _point_records(ps)}
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def points_from_json(text: str) -> PointSet:
-    obj = json.loads(text)
+    obj = _parse_json(text, "points")
     try:
-        pts = [Point(int(p["id"]), float(p["x"]), float(p["y"])) for p in obj["points"]]
+        records = obj["points"]
     except (KeyError, TypeError) as exc:
         raise InvalidParameter(f"malformed points JSON: {exc}") from exc
-    return PointSet(pts)
+    return _points_from_records(records, "points")
+
+
+def _parse_json(text: str, what: str):
+    """json.loads, with text that is not JSON reported as InvalidParameter."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise InvalidParameter(f"malformed {what} JSON: {exc}") from exc
+
+
+def _point_records(points) -> list[dict]:
+    """The {"id", "x", "y"} record of every point, in the given order."""
+    return [{"id": p.id, "x": p.x, "y": p.y} for p in points]
+
+
+def _points_from_records(records, what: str) -> PointSet:
+    """PointSet from _point_records output; malformed records raise InvalidParameter."""
+    try:
+        return PointSet(Point(int(r["id"]), float(r["x"]), float(r["y"])) for r in records)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InvalidParameter(f"malformed {what} JSON: {exc}") from exc
 
 
 def _xy(p) -> tuple[float, float]:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from . import kernels
 from .build import SpannerGraph
 from .errors import AlreadyArrived, InternalInvariantViolation, InvalidParameter
-from .geometry import ConeSystem, canonical_triangle
+from .geometry import ConeSystem, _parse_json, canonical_triangle
 
 _CS6 = ConeSystem(6)
 _SQ3 = math.sqrt(3.0)
@@ -114,7 +114,7 @@ class RoutingTrace:
 
     @classmethod
     def from_json(cls, text: str) -> "RoutingTrace":
-        obj = json.loads(text)
+        obj = _parse_json(text, "trace")
         try:
             steps = [
                 RoutingStep(
@@ -147,53 +147,6 @@ def trace_from_json(text: str) -> RoutingTrace:
     return RoutingTrace.from_json(text)
 
 
-class _Ctx:
-    """Per-graph routing tables: azimuth-sorted adjacency, positive-cone edges, negative fans."""
-
-    def __init__(self, g: SpannerGraph):
-        self.g = g
-        self.pts = {p.id: (p.x, p.y) for p in g.points}
-        self.n = len(g.points)
-        self.adj: dict[int, list[tuple[float, int, float, int]]] = {}
-        self.pos_edge: dict[tuple[int, int], tuple[int, float]] = {}
-        self.neg: dict[tuple[int, int], list[tuple[float, int]]] = {}
-        for p in g.points:
-            lst = []
-            for q in g.neighbors(p.id):
-                qx, qy = self.pts[q]
-                dx = qx - p.x
-                dy = qy - p.y
-                az = kernels.azimuth(dx, dy)
-                c = kernels.cone_index(dx, dy, 6)
-                ln = math.hypot(dx, dy)
-                lst.append((az, q, ln, c))
-                if c % 2 == 0:
-                    if (p.id, c) in self.pos_edge:
-                        raise InternalInvariantViolation(
-                            f"vertex {p.id} has two edges in positive cone {c}"
-                        )
-                    self.pos_edge[(p.id, c)] = (q, ln)
-                else:
-                    self.neg.setdefault((p.id, c), []).append((az, q))
-            lst.sort()
-            self.adj[p.id] = lst
-        for fan in self.neg.values():
-            fan.sort()
-
-    def dist(self, u: int, v: int) -> float:
-        ux, uy = self.pts[u]
-        vx, vy = self.pts[v]
-        return math.hypot(vx - ux, vy - uy)
-
-
-def _ctx(g: SpannerGraph) -> _Ctx:
-    ctx = getattr(g, "_routing_ctx", None)
-    if ctx is None:
-        ctx = _Ctx(g)
-        g._routing_ctx = ctx
-    return ctx
-
-
 def _d(p: tuple[float, float], q: tuple[float, float]) -> float:
     return math.hypot(q[0] - p[0], q[1] - p[1])
 
@@ -201,12 +154,12 @@ def _d(p: tuple[float, float], q: tuple[float, float]) -> float:
 class _NegFrame:
     """Geometry of one negative-case decision: s sees t in odd cone j."""
 
-    def __init__(self, ctx: _Ctx, s: int, t: int, j: int):
+    def __init__(self, ctx, s: int, t: int, j: int):
         self.s = s
         self.t = t
         self.j = j
-        self.s_xy = ctx.pts[s]
-        self.t_xy = ctx.pts[t]
+        self.s_xy = ctx.xy[s]
+        self.t_xy = ctx.xy[t]
         self.tri = canonical_triangle(_CS6, self.t_xy, self.s_xy)
         self.a = self.tri.corner_a
         self.b = self.tri.corner_b
@@ -244,20 +197,21 @@ def _beyond(apex, corner, interior_ref, p) -> bool:
     return cp * cr < 0.0
 
 
-def _check_graph(g: SpannerGraph, kinds: tuple[str, ...], source: int, target: int) -> _Ctx:
+def _check_graph(g: SpannerGraph, kinds: tuple[str, ...], source: int, target: int):
+    """The graph's cone table, once the graph and the endpoints are valid for routing."""
     if g.kind not in kinds:
         raise InvalidParameter(
             f"routing needs a graph of kind {kinds}, got {g.kind!r}"
         )
-    ctx = _ctx(g)
-    if source not in ctx.pts or target not in ctx.pts:
+    ctx = g.cone_table
+    if source not in ctx.xy or target not in ctx.xy:
         raise InvalidParameter("source or target id not in the graph")
     if source == target:
         raise AlreadyArrived(f"source equals target ({source})")
     return ctx
 
 
-def base_bound(ctx_or_graph, source: int, target: int) -> tuple[float, bool]:
+def base_bound(g: SpannerGraph, source: int, target: int) -> tuple[float, bool]:
     """Per-pair routing budget before any engine multiplier.
 
     Returns (value, started_negative).  Positive start pays
@@ -265,14 +219,9 @@ def base_bound(ctx_or_graph, source: int, target: int) -> tuple[float, bool]:
     negative start pays (5/sqrt(3) cos(alpha) - sin(alpha)) * |st| with alpha
     measured from t toward s.
     """
-    if isinstance(ctx_or_graph, SpannerGraph):
-        ctx = _ctx(ctx_or_graph)
-    else:
-        ctx = ctx_or_graph
-    s_xy = ctx.pts[source]
-    t_xy = ctx.pts[target]
-    dx = t_xy[0] - s_xy[0]
-    dy = t_xy[1] - s_xy[1]
+    sp, tp = g.points[source], g.points[target]
+    dx = tp.x - sp.x
+    dy = tp.y - sp.y
     dist = math.hypot(dx, dy)
     j = kernels.cone_index(dx, dy, 6)
     if j % 2 == 0:
@@ -306,70 +255,50 @@ class _Decision:
     phi: float
 
 
-def _region_edge(ctx: _Ctx, frame: _NegFrame, cone: int):
+def _region_edge(ctx, frame: _NegFrame, cone: int):
     """Positive-cone edge of s into `cone` if its endpoint lies in the triangle."""
-    e = ctx.pos_edge.get((frame.s, cone))
+    e = ctx.positive.get((frame.s, cone))
     if e is None:
         return None
-    if not frame.contains(ctx.pts[e[0]]):
+    if not frame.contains(ctx.xy[e[0]]):
         return None
     return e
 
 
-def _x0_members(ctx: _Ctx, frame: _NegFrame) -> tuple[list[tuple[float, int]], list[tuple[float, int]]]:
-    fan = ctx.neg.get((frame.s, frame.j), [])
-    inside = [(az, y) for az, y in fan if frame.contains(ctx.pts[y])]
+def _x0_members(ctx, frame: _NegFrame) -> tuple[list[int], list[int]]:
+    fan = ctx.fans.get((frame.s, frame.j), [])
+    inside = [y for y in fan if frame.contains(ctx.xy[y])]
     return fan, inside
 
 
-def _fan_closest_of(ctx: _Ctx, frame: _NegFrame, fan: list[tuple[float, int]]) -> int:
-    best = None
-    sx, sy = frame.s_xy
-    bis = frame.j * _CS6.theta
-    sb = math.sin(bis)
-    cb = math.cos(bis)
-    for _, y in fan:
-        yx, yy = ctx.pts[y]
-        dx = yx - sx
-        dy = yy - sy
-        key = (dx * sb + dy * cb, dx * dx + dy * dy, y)
-        if best is None or key < best[0]:
-            best = (key, y)
-    if best is None:
-        raise InternalInvariantViolation("closest requested on an empty fan")
-    return best[1]
-
-
-def _walk_fan_to_region(ctx: _Ctx, frame: _NegFrame, fan, inside, start: int) -> int:
+def _walk_fan_to_region(ctx, frame: _NegFrame, fan, inside, start: int) -> int:
     """First X0 member met when walking the fan from `start` toward the region."""
-    in_set = {y for _, y in inside}
+    in_set = set(inside)
     if start in in_set:
         return start
-    side = frame.sliver(ctx.pts[start])
-    order = [y for _, y in fan]
-    idx = order.index(start)
+    side = frame.sliver(ctx.xy[start])
     step = 1 if side == "S2" else -1
-    i = idx + step
-    while 0 <= i < len(order):
-        if order[i] in in_set:
-            return order[i]
+    i = fan.index(start) + step
+    while 0 <= i < len(fan):
+        if fan[i] in in_set:
+            return fan[i]
         i += step
     raise InternalInvariantViolation("fan walk ran past the region without entering it")
 
 
-def _initial_preferred(ctx: _Ctx, s: int, v: int, t: int) -> str | None:
+def _initial_preferred(ctx, s: int, v: int, t: int) -> str | None:
     """Side memorised after a positive step s->v when t is negative from v.
 
     The retained side is the one whose corner of the new triangle (apex t,
     containing v) lies inside the step triangle (apex s, containing v).
     """
     jv = kernels.cone_index(
-        ctx.pts[t][0] - ctx.pts[v][0], ctx.pts[t][1] - ctx.pts[v][1], 6
+        ctx.xy[t][0] - ctx.xy[v][0], ctx.xy[t][1] - ctx.xy[v][1], 6
     )
     if jv % 2 == 0:
         return None
-    tri_new = canonical_triangle(_CS6, ctx.pts[t], ctx.pts[v])
-    tri_step = canonical_triangle(_CS6, ctx.pts[s], ctx.pts[v])
+    tri_new = canonical_triangle(_CS6, ctx.xy[t], ctx.xy[v])
+    tri_step = canonical_triangle(_CS6, ctx.xy[s], ctx.xy[v])
     a_in = tri_step.contains(tri_new.corner_a)
     b_in = tri_step.contains(tri_new.corner_b)
     if a_in and not b_in:
@@ -385,7 +314,7 @@ def _initial_preferred(ctx: _Ctx, s: int, v: int, t: int) -> str | None:
 
 def _region_in_tri(ctx, v, t, jv, which, tri_new, tri_step) -> bool:
     cone = (jv + 1) % 6 if which == "X1" else (jv - 1) % 6
-    poly = _clip_wedge(tri_new.polygon(), ctx.pts[v], cone)
+    poly = _clip_wedge(tri_new.polygon(), ctx.xy[v], cone)
     if not poly:
         return True
     return all(tri_step.contains(p) for p in poly)
@@ -419,26 +348,26 @@ def _clip_wedge(poly, apex, cone):
     return poly
 
 
-def _phi_positive(ctx: _Ctx, s: int, t: int, j: int) -> float:
-    tri = canonical_triangle(_CS6, ctx.pts[s], ctx.pts[t])
-    da = _d(tri.corner_a, ctx.pts[t])
-    db = _d(ctx.pts[t], tri.corner_b)
+def _phi_positive(ctx, s: int, t: int, j: int) -> float:
+    tri = canonical_triangle(_CS6, ctx.xy[s], ctx.xy[t])
+    da = _d(tri.corner_a, ctx.xy[t])
+    db = _d(ctx.xy[t], tri.corner_b)
     return tri.size + max(da, db)
 
 
-def _decide_full(ctx: _Ctx, s: int, t: int, stateful: bool, preferred: str | None) -> _Decision:
-    sx, sy = ctx.pts[s]
-    tx, ty = ctx.pts[t]
+def _decide_full(ctx, s: int, t: int, stateful: bool, preferred: str | None) -> _Decision:
+    sx, sy = ctx.xy[s]
+    tx, ty = ctx.xy[t]
     j = kernels.cone_index(tx - sx, ty - sy, 6)
     if j % 2 == 0:
-        e = ctx.pos_edge.get((s, j))
+        e = ctx.positive.get((s, j))
         if e is None:
             raise InternalInvariantViolation(
                 f"no positive-cone edge at {s} toward cone {j} containing the target"
             )
         v = e[0]
-        tri = canonical_triangle(_CS6, ctx.pts[s], ctx.pts[t])
-        if not tri.contains(ctx.pts[v]):
+        tri = canonical_triangle(_CS6, ctx.xy[s], ctx.xy[t])
+        if not tri.contains(ctx.xy[v]):
             raise InternalInvariantViolation("positive-cone edge leaves the target triangle")
         new_pref = preferred
         if stateful and v != t:
@@ -456,29 +385,29 @@ def _decide_full(ctx: _Ctx, s: int, t: int, stateful: bool, preferred: str | Non
         if e1 is None and e2 is None:
             if not inside:
                 raise InternalInvariantViolation("all three regions empty before arrival")
-            pick = inside[-1][1] if frame.dist_sa >= frame.dist_sb else inside[0][1]
+            pick = inside[-1] if frame.dist_sa >= frame.dist_sb else inside[0]
             return _Decision("B", pick, None, lsize + min(frame.dist_sa, frame.dist_sb))
         if e1 is not None and e2 is not None:
             phi = lsize + dab + min(frame.dist_sa, frame.dist_sb)
             if inside:
-                return _Decision("D", inside[0][1], None, phi)
+                return _Decision("D", inside[0], None, phi)
             if frame.dist_sa < frame.dist_sb:
                 return _Decision("D", e1[0], None, phi)
             return _Decision("D", e2[0], None, phi)
         # exactly one side region is occupied
         if e1 is not None:
             x_corner = frame.a
-            pick = inside[0][1] if inside else e1[0]
+            pick = inside[0] if inside else e1[0]
         else:
             x_corner = frame.b
-            pick = inside[-1][1] if inside else e2[0]
+            pick = inside[-1] if inside else e2[0]
         return _Decision("C", pick, None, lsize + _d(frame.s_xy, x_corner))
 
     # stateful engine
     if preferred is None:
         phi = lsize + dab + min(frame.dist_sa, frame.dist_sb)
         if inside:
-            pick = _walk_fan_to_region(ctx, frame, fan, inside, _fan_closest_of(ctx, frame, fan))
+            pick = _walk_fan_to_region(ctx, frame, fan, inside, ctx.closest(s, j))
             return _Decision("B", pick, None, phi)
         smaller, larger = ("X1", "X2") if frame.dist_sa < frame.dist_sb else ("X2", "X1")
         e_small = e1 if smaller == "X1" else e2
@@ -492,7 +421,7 @@ def _decide_full(ctx: _Ctx, s: int, t: int, stateful: bool, preferred: str | Non
     x_corner = frame.b if preferred == "X1" else frame.a
     phi = lsize + _d(frame.s_xy, x_corner)
     if inside:
-        pick = inside[-1][1] if preferred == "X1" else inside[0][1]
+        pick = inside[-1] if preferred == "X1" else inside[0]
         return _Decision("C", pick, preferred, phi)
     e_np = e2 if preferred == "X1" else e1
     if e_np is None:
@@ -503,8 +432,8 @@ def _decide_full(ctx: _Ctx, s: int, t: int, stateful: bool, preferred: str | Non
 def classify_case(g: SpannerGraph, s: int, t: int) -> dict:
     """Describe the stateless decision at s toward t without moving."""
     ctx = _check_graph(g, ("half_theta6",), s, t)
-    sx, sy = ctx.pts[s]
-    tx, ty = ctx.pts[t]
+    sx, sy = ctx.xy[s]
+    tx, ty = ctx.xy[t]
     j = kernels.cone_index(tx - sx, ty - sy, 6)
     if j % 2 == 0:
         return {"case": "A", "cone": j, "positive": True}
@@ -541,8 +470,8 @@ def potential(
         raise InvalidParameter(f"unknown algorithm {algorithm!r}")
     if g.kind != "half_theta6":
         raise InvalidParameter("potential is defined on the half-theta-6 graph")
-    ctx = _ctx(g)
-    if s not in ctx.pts or t not in ctx.pts:
+    ctx = g.cone_table
+    if s not in ctx.xy or t not in ctx.xy:
         raise InvalidParameter("source or target id not in the graph")
     if s == t:
         return PotentialValue("arrived", 0.0)
@@ -553,7 +482,7 @@ def potential(
 def _route_full(g: SpannerGraph, source: int, target: int, stateful: bool) -> RoutingTrace:
     ctx = _check_graph(g, ("half_theta6",), source, target)
     name = "stateful" if stateful else "stateless"
-    base, _ = base_bound(ctx, source, target)
+    base, _ = base_bound(g, source, target)
     trace = RoutingTrace(algorithm=name, source=source, target=target,
                          bound=ROUTING_FACTORS[name] * base)
     visited = {source}
@@ -563,10 +492,10 @@ def _route_full(g: SpannerGraph, source: int, target: int, stateful: bool) -> Ro
     guard = 0
     while True:
         guard += 1
-        if guard > ctx.n:
+        if guard > len(ctx.xy):
             raise InternalInvariantViolation("routing exceeded the vertex-count step budget")
         nxt = dec.nxt
-        step_len = ctx.dist(s, nxt)
+        step_len = _d(ctx.xy[s], ctx.xy[nxt])
         if nxt == t:
             phi_after = 0.0
         else:
@@ -612,13 +541,13 @@ class _Arrived(Exception):
         self.exploration = exploration
 
 
-def _flank(ctx: _Ctx, u: int, cone: int, side: str):
+def _flank(ctx, u: int, cone: int, side: str):
     """Edge of u angularly closest to `cone` on the given side, excluding cone members."""
     theta = _CS6.theta
     lo = cone * theta - theta / 2.0
     hi = cone * theta + theta / 2.0
     best = None
-    for az, q, ln, c in ctx.adj[u]:
+    for az, q, ln, c in ctx.rows[u]:
         if c == cone:
             continue
         if side == "cw":
@@ -632,7 +561,7 @@ def _flank(ctx: _Ctx, u: int, cone: int, side: str):
     return best[1], best[2]
 
 
-def _walk_side(ctx: _Ctx, start: int, cone: int, side: str, budget: float, target: int):
+def _walk_side(ctx, start: int, cone: int, side: str, budget: float, target: int):
     """Walk flank edges on one side of `cone` until an edge into the cone appears.
 
     Returns (walked, hit, exhausted): `hit` is (x, v, |xv|) when vertex x with
@@ -656,7 +585,7 @@ def _walk_side(ctx: _Ctx, start: int, cone: int, side: str, budget: float, targe
         if cur in seen:
             return walked, None, True
         seen.add(cur)
-        e = ctx.pos_edge.get((cur, cone))
+        e = ctx.positive.get((cur, cone))
         # A cone edge pointing back at the search origin cannot witness
         # progress (the origin is never its own cone target or a region
         # member), so walk past it instead of stopping.
@@ -664,7 +593,7 @@ def _walk_side(ctx: _Ctx, start: int, cone: int, side: str, budget: float, targe
             return walked, (cur, e[0], e[1]), False
 
 
-def _search_cone_edge(ctx: _Ctx, s: int, cone: int, target: int, cap: float | None):
+def _search_cone_edge(ctx, s: int, cone: int, target: int, cap: float | None):
     """Alternating doubling search for some vertex with an edge into `cone`.
 
     Returns (hit, walk_to_x, exploration): hit is (x, v, |xv|) or None when the
@@ -690,7 +619,7 @@ def _search_cone_edge(ctx: _Ctx, s: int, cone: int, target: int, cap: float | No
     rounds = 0
     while True:
         rounds += 1
-        if rounds > 4 * ctx.n + 64:
+        if rounds > 4 * len(ctx.xy) + 64:
             raise InternalInvariantViolation("cone-edge search failed to terminate")
         eff = budget if cap is None else min(budget, cap)
         try:
@@ -714,37 +643,7 @@ def _search_cone_edge(ctx: _Ctx, s: int, cone: int, target: int, cap: float | No
         budget *= 2.0
 
 
-class _Hints:
-    """Parsed g9 construction hints: walk directions and fan-end coordinates."""
-
-    def __init__(self, g: SpannerGraph):
-        raw = g.metadata.get("hints")
-        if not isinstance(raw, dict):
-            raise InvalidParameter("graph lacks the construction hints required for g9 routing")
-        self.dir: dict[tuple[int, int], str] = {}
-        self.fan: dict[tuple[int, int], tuple[tuple[int, float, float], tuple[int, float, float]]] = {}
-        for sid, entry in raw.items():
-            u = int(sid)
-            for cs, d in entry.get("dir", {}).items():
-                self.dir[(u, int(cs))] = d
-            for cs, ends in entry.get("fan", {}).items():
-                f = ends["first"]
-                l = ends["last"]
-                self.fan[(u, int(cs))] = (
-                    (int(f[0]), float(f[1]), float(f[2])),
-                    (int(l[0]), float(l[1]), float(l[2])),
-                )
-
-
-def _hints(g: SpannerGraph) -> _Hints:
-    h = getattr(g, "_hint_cache", None)
-    if h is None:
-        h = _Hints(g)
-        g._hint_cache = h
-    return h
-
-
-def _g9_walk_to_cone_edge(ctx: _Ctx, hints: _Hints, s: int, cone: int, target: int,
+def _g9_walk_to_cone_edge(ctx, hints, s: int, cone: int, target: int,
                           cap: float | None):
     """Follow per-vertex direction hints until a vertex keeps its edge into `cone`.
 
@@ -756,9 +655,9 @@ def _g9_walk_to_cone_edge(ctx: _Ctx, hints: _Hints, s: int, cone: int, target: i
     guard = 0
     while True:
         guard += 1
-        if guard > ctx.n + 2:
+        if guard > len(ctx.xy) + 2:
             raise InternalInvariantViolation("hint walk failed to terminate")
-        e = ctx.pos_edge.get((cur, cone))
+        e = ctx.positive.get((cur, cone))
         if e is not None:
             return (cur, e[0], e[1]), walked
         d = hints.dir.get((cur, cone))
@@ -786,8 +685,8 @@ def _fan_dir_for_sliver(side: str) -> str:
 
 def _route_sub(g: SpannerGraph, source: int, target: int, flavor: str) -> RoutingTrace:
     ctx = _check_graph(g, (flavor,), source, target)
-    hints = _hints(g) if flavor == "g9" else None
-    base, _ = base_bound(ctx, source, target)
+    hints = g.hint_table if flavor == "g9" else None
+    base, _ = base_bound(g, source, target)
     trace = RoutingTrace(algorithm=flavor, source=source, target=target,
                          bound=ROUTING_FACTORS[flavor] * base)
     s = source
@@ -795,10 +694,10 @@ def _route_sub(g: SpannerGraph, source: int, target: int, flavor: str) -> Routin
     guard = 0
     while s != target:
         guard += 1
-        if guard > 3 * ctx.n:
+        if guard > 3 * len(ctx.xy):
             raise InternalInvariantViolation("subgraph routing exceeded its step budget")
-        sx, sy = ctx.pts[s]
-        tx, ty = ctx.pts[target]
+        sx, sy = ctx.xy[s]
+        tx, ty = ctx.xy[target]
         j = kernels.cone_index(tx - sx, ty - sy, 6)
         if j % 2 == 0:
             s, preferred = _sub_positive(ctx, hints, flavor, trace, s, target, j, preferred)
@@ -819,7 +718,7 @@ def _realize_positive(ctx, hints, flavor, s, cone, target):
     Returns (v, productive, exploration).  Raises _Arrived if the walk steps
     onto the destination.
     """
-    direct = ctx.pos_edge.get((s, cone))
+    direct = ctx.positive.get((s, cone))
     if direct is not None:
         return direct[0], direct[1], 0.0
     if flavor == "g9":
@@ -848,18 +747,12 @@ def _sub_positive(ctx, hints, flavor, trace, s, target, cone, preferred):
     return v, new_pref
 
 
-def _trio(ctx: _Ctx, frame: _NegFrame):
-    """s's subgraph neighbours inside cone j, azimuth-ascending (g12: exactly the kept trio)."""
-    return ctx.neg.get((frame.s, frame.j), [])
-
-
-def _x0_exists_g12(ctx: _Ctx, frame: _NegFrame) -> bool:
-    fan = _trio(ctx, frame)
+def _x0_exists_g12(ctx, frame: _NegFrame) -> bool:
+    # On g12, s's neighbours in cone j are exactly the kept first, closest and last.
+    fan = ctx.fans.get((frame.s, frame.j))
     if not fan:
         return False
-    first = fan[0][1]
-    last = fan[-1][1]
-    return _x0_exists_from_ends(ctx, frame, ctx.pts[first], ctx.pts[last])
+    return _x0_exists_from_ends(ctx, frame, ctx.xy[fan[0]], ctx.xy[fan[-1]])
 
 
 def _x0_exists_from_ends(ctx, frame, first_xy, last_xy) -> bool:
@@ -878,11 +771,6 @@ def _x0_exists_from_ends(ctx, frame, first_xy, last_xy) -> bool:
     raise InternalInvariantViolation("fan ends wrap around the region in the wrong order")
 
 
-def _closest_neighbor(ctx: _Ctx, frame: _NegFrame) -> int:
-    fan = _trio(ctx, frame)
-    return _fan_closest_of(ctx, frame, fan)
-
-
 def _walk_region_landing(ctx, frame, target, start, pref_dir: str | None):
     """Walk fan edges from s's closest fan member to the intended landing in X0.
 
@@ -896,7 +784,7 @@ def _walk_region_landing(ctx, frame, target, start, pref_dir: str | None):
     sx, sy = frame.s_xy
 
     def az_from_s(vid: int) -> float:
-        px, py = ctx.pts[vid]
+        px, py = ctx.xy[vid]
         return kernels.azimuth(px - sx, py - sy)
 
     # Fan members all sit in s's odd cone j, none of which straddles azimuth 0,
@@ -908,13 +796,13 @@ def _walk_region_landing(ctx, frame, target, start, pref_dir: str | None):
     cur_az = az_from_s(cur)
     walked = 0.0
     entered_via = None
-    if not frame.contains(ctx.pts[cur]):
-        side = _fan_dir_for_sliver(frame.sliver(ctx.pts[cur]))
+    if not frame.contains(ctx.xy[cur]):
+        side = _fan_dir_for_sliver(frame.sliver(ctx.xy[cur]))
         entered_via = side
         guard = 0
-        while not frame.contains(ctx.pts[cur]):
+        while not frame.contains(ctx.xy[cur]):
             guard += 1
-            if guard > ctx.n:
+            if guard > len(ctx.xy):
                 raise InternalInvariantViolation("region entry walk failed to terminate")
             fl = _flank(ctx, cur, anchor_cone, side)
             if fl is None:
@@ -933,12 +821,12 @@ def _walk_region_landing(ctx, frame, target, start, pref_dir: str | None):
     guard = 0
     while True:
         guard += 1
-        if guard > ctx.n:
+        if guard > len(ctx.xy):
             raise InternalInvariantViolation("region sweep failed to terminate")
         fl = _flank(ctx, cur, anchor_cone, pref_dir)
         if fl is None:
             return cur, walked
-        px, py = ctx.pts[fl[0]]
+        px, py = ctx.xy[fl[0]]
         nxt_az = az_from_s(fl[0])
         if (kernels.cone_index(px - sx, py - sy, 6) != frame.j
                 or not frame.contains((px, py))
@@ -962,7 +850,7 @@ def _x0_exists_sub(ctx, hints, flavor, frame: _NegFrame) -> bool:
 
 
 def _in_region(ctx, frame: _NegFrame, cone: int, v: int) -> bool:
-    vx, vy = ctx.pts[v]
+    vx, vy = ctx.xy[v]
     sx, sy = frame.s_xy
     return (kernels.cone_index(vx - sx, vy - sy, 6) == cone
             and frame.contains((vx, vy)))
@@ -977,8 +865,8 @@ def _record(trace, s, v, case, productive, expl=0.0):
 def _follow_region_walk(ctx, trace, frame, target, case, pref_dir):
     """Follow the closest fan edge, then walk within X0 to the landing vertex."""
     s = frame.s
-    closest = _closest_neighbor(ctx, frame)
-    hop = ctx.dist(s, closest)
+    closest = ctx.closest(s, frame.j)
+    hop = _d(ctx.xy[s], ctx.xy[closest])
     if closest == target:
         _record(trace, s, target, case, hop)
         return target
@@ -1003,7 +891,7 @@ def _probe_smaller_side(ctx, hints, flavor, trace, frame: _NegFrame, target,
     corner_dist = _d(frame.s_xy, corner_sm)
     cap = 2.0 * corner_dist
 
-    direct = ctx.pos_edge.get((s, c_sm))
+    direct = ctx.positive.get((s, c_sm))
     if direct is not None:
         v, vlen = direct
         if _in_region(ctx, frame, c_sm, v):
@@ -1070,7 +958,7 @@ def _sub_case_b(ctx, hints, flavor, trace, frame: _NegFrame, target):
     except _Arrived as arr:
         _record(trace, s, target, "B", arr.travelled, arr.exploration)
         return target, None
-    if v != target and not frame.contains(ctx.pts[v]):
+    if v != target and not frame.contains(ctx.xy[v]):
         raise InternalInvariantViolation("larger-side edge leaves the triangle")
     _record(trace, s, v, "B", productive, expl)
     return v, smaller
@@ -1087,7 +975,7 @@ def _sub_case_c(ctx, hints, flavor, trace, frame: _NegFrame, target, preferred):
     except _Arrived as arr:
         _record(trace, s, target, "C", arr.travelled, arr.exploration)
         return target
-    if v != target and not frame.contains(ctx.pts[v]):
+    if v != target and not frame.contains(ctx.xy[v]):
         raise InternalInvariantViolation("non-preferred edge leaves the triangle")
     _record(trace, s, v, "C", productive, expl)
     return v

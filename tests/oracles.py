@@ -137,12 +137,14 @@ def oracle_pair_bound(g, s, t):
 
 def oracle_mst(ps):
     """Euclidean MST edge set by Kruskal over all n(n-1)/2 pairs, ordered by
-    (squared distance, id, id)."""
+    (squared distance, id, id); squared distances are dx * dx + dy * dy, the
+    doubles the cone scan compares."""
     pts = sorted(ps, key=lambda p: p.id)
     cand = []
     for i, p in enumerate(pts):
         for q in pts[i + 1 :]:
-            d2 = (q.x - p.x) ** 2 + (q.y - p.y) ** 2
+            dx, dy = q.x - p.x, q.y - p.y
+            d2 = dx * dx + dy * dy
             cand.append((d2, p.id, q.id))
     cand.sort()
     parent = {p.id: p.id for p in pts}

@@ -191,6 +191,14 @@ class TestRestrictedPairCheck:
                 checked += 1
         assert checked > 30
 
+    def test_negative_end_first_is_certified_from_the_apex(self):
+        # 118 lies in negative cone 3 of 176: the pair's triangle has apex 118.
+        h = build_half_theta6(gen_random(256, 7))
+        got = restricted_pair_check(h, 176, 118)
+        ref = restricted_pair_check(h, 118, 176)
+        assert got["path"] == ref["path"][::-1]
+        assert (got["length"], got["bound"], got["ok"]) == (ref["length"], ref["bound"], ref["ok"])
+
     def test_explicit_bound_can_fail(self):
         ps = gen_random(20, 47)
         h = build_half_theta6(ps)

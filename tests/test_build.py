@@ -426,6 +426,13 @@ class TestMstMatchesAllPairsKruskal:
         ps = gen_circle(n)
         assert build_mst(ps).edges == oracle_mst(ps)
 
+    def test_coordinates_whose_squares_overflow(self):
+        # Every squared distance is inf, so the tree is chosen by ids alone.
+        ps = PointSet.from_pairs([(0.0, 0.0), (1e200, 0.0), (0.0, 2e200)])
+        mst = build_mst(ps)
+        assert len(mst.edges) == len(ps) - 1
+        assert mst.edges == oracle_mst(ps)
+
     def test_set_whose_tree_leaves_yao4(self):
         # Kruskal over this set's Yao-4 edges misses a tree edge, so a
         # candidate graph with too few cones fails here.
@@ -480,7 +487,8 @@ class TestGraphContainer:
             assert graph_to_json(back) == text
 
     def test_malformed_json_rejected(self):
-        for text in ('{"kind":"yao"}', "[]", '{"points":[],"edges":[[0]]}'):
+        coords = '{"kind":"yao","k":6,"edges":[],"points":[{"id":0,"x":"abc","y":0}]}'
+        for text in ('{"kind":"yao"}', "[]", '{"points":[],"edges":[[0]]}', "not json", coords):
             with pytest.raises(InvalidParameter):
                 graph_from_json(text)
 

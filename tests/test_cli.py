@@ -1,7 +1,7 @@
 """End-to-end command-line tests, run in process through main(argv).
 
 Exit-code contract: 0 success, 1 failed bound check, 2 usage errors or
-rejected input.
+rejected input, 3 a failed internal invariant.
 """
 
 import json
@@ -123,6 +123,26 @@ class TestBuild:
         assert main(["build", "--graph", "mst", "--points", "/nonexistent.json"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_coordinate_is_rejected_input(self, bad, tmp_path, capsys):
+        pts_file = tmp_path / "pts.json"
+        pts_file.write_text(f'{{"points":[{{"id":0,"x":0.0,"y":0.0}},{{"id":1,"x":{bad},"y":1.0}},'
+                            f'{{"id":2,"x":2.0,"y":0.5}}]}}')
+        assert main(["build", "--graph", "half_theta6", "--points", str(pts_file)]) == 2
+        capsys.readouterr()
+
+    def test_internal_invariant_violation_has_its_own_exit_code(self, tmp_path, capsys, monkeypatch):
+        from spannerkit import InternalInvariantViolation, build
+
+        def broken(ps):
+            raise InternalInvariantViolation("simulated construction bug")
+
+        monkeypatch.setattr(build, "build_half_theta6", broken)
+        pts_file = tmp_path / "pts.json"
+        pts_file.write_text(points_to_json(gen_random(8, 3)))
+        assert main(["build", "--graph", "half_theta6", "--points", str(pts_file)]) == 3
+        assert "simulated construction bug" in capsys.readouterr().err
+
 
 class TestAnalyze:
     def test_reports_ratio(self, h6_file, capsys):
@@ -161,8 +181,9 @@ class TestAnalyze:
 
     def test_malformed_graph_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text('{"nope": 1}')
-        assert main(["analyze", "--graph", str(bad)]) == 2
+        for text in ('{"nope": 1}', "not json {"):
+            bad.write_text(text)
+            assert main(["analyze", "--graph", str(bad)]) == 2
         capsys.readouterr()
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -213,8 +214,24 @@ class TestPointSet:
         assert points_to_json(again) == doc
 
     def test_malformed_json_rejected(self):
+        for text in (
+            '{"points":[{"id":0}]}',
+            "not json",
+            '{"points":[{"id":0,"x":"abc","y":0.0}]}',
+            '{"points":[{"id":0,"x":1' + "0" * 400 + ',"y":0.0}]}',
+        ):
+            with pytest.raises(InvalidParameter):
+                points_from_json(text)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinates_rejected(self, bad):
         with pytest.raises(InvalidParameter):
-            points_from_json('{"points":[{"id":0}]}')
+            PointSet([Point(0, 0.0, 0.0), Point(1, bad, 1.0)])
+        with pytest.raises(InvalidParameter):
+            PointSet([Point(0, 0.0, bad)])
+        doc = points_to_json(PointSet.from_pairs([(0.0, 0.0), (1.0, 1.0)]))
+        with pytest.raises(InvalidParameter):
+            points_from_json(doc.replace("1.0", json.dumps(bad), 1))
 
 
 class TestGeneralPositionReport:

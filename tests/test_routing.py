@@ -229,6 +229,9 @@ class TestTraceSerialization:
             assert back.to_json() == text
 
     def test_malformed_rejected(self):
-        for text in ("{}", '{"steps": "no"}', '{"algorithm":"x","steps":[{}]}'):
+        step = '{"from":0,"to":1,"case":"A","phi_before":"abc","phi_after":0,"len":1,"exploration":0}'
+        for text in ("{}", '{"steps": "no"}', '{"algorithm":"x","steps":[{}]}', "not json",
+                     '{"algorithm":"x","source":0,"target":1,"steps":[' + step + '],'
+                     '"total":1,"exploration":0,"bound":2,"pass":true}'):
             with pytest.raises(InvalidParameter):
                 trace_from_json(text)
