@@ -215,12 +215,16 @@ def _dijkstra(adj, source: int, allowed=None, stop: int | None = None):
 def shortest_path(g: SpannerGraph, s: int, t: int) -> tuple[list[int], float]:
     """One shortest path from s to t, preferring smaller ids on ties.
 
-    Returns (id sequence, length); raises if t is unreachable.
+    Returns (id sequence, length); raises InvalidParameter if s or t is not a
+    vertex or t is unreachable from s (the graph is disconnected).
     """
+    for v in (s, t):
+        if v not in g.points:
+            raise InvalidParameter(f"vertex {v} is not in the graph")
     adj = g.length_lists
     dist, _ = _dijkstra(adj, t)
     if s not in dist:
-        raise InternalInvariantViolation(f"no path from {s} to {t}")
+        raise InvalidParameter(f"no path from {s} to {t}: the graph does not connect them")
     path = [s]
     cur = s
     while cur != t:
@@ -628,7 +632,10 @@ def gen_theta5_lower_bound(nudge: float = 1e-4) -> PointSet:
     def replay(expected: list[int]):
         ps = PointSet.from_pairs(coords)
         g = build_theta(ps, 5)
-        got, _ = shortest_path(g, 0, 1)
+        try:
+            got, _ = shortest_path(g, 0, 1)
+        except InvalidParameter as exc:
+            raise InternalInvariantViolation(f"lower-bound replay: {exc}") from exc
         if got != expected:
             raise InternalInvariantViolation(
                 f"lower-bound replay mismatch after {len(coords)} vertices: "

@@ -217,17 +217,27 @@ class _HintTable:
             raise InvalidParameter("graph lacks the construction hints required for g9 routing")
         self.dir: dict[tuple[int, int], str] = {}
         self.fan: dict[tuple[int, int], tuple[tuple[int, float, float], tuple[int, float, float]]] = {}
-        for sid, entry in raw.items():
-            u = int(sid)
-            for cs, d in entry.get("dir", {}).items():
-                self.dir[(u, int(cs))] = d
-            for cs, ends in entry.get("fan", {}).items():
-                f = ends["first"]
-                l = ends["last"]
-                self.fan[(u, int(cs))] = (
-                    (int(f[0]), float(f[1]), float(f[2])),
-                    (int(l[0]), float(l[1]), float(l[2])),
-                )
+        try:
+            for sid, entry in raw.items():
+                u = int(sid)
+                for cs, d in entry.get("dir", {}).items():
+                    if d not in ("self", "ccw", "cw"):
+                        raise ValueError(f"walk direction {d!r} is not self, ccw or cw")
+                    self.dir[(u, int(cs))] = d
+                for cs, ends in entry.get("fan", {}).items():
+                    self.fan[(u, int(cs))] = (_fan_end(ends["first"]), _fan_end(ends["last"]))
+        except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise InvalidParameter(f"malformed g9 routing hints: {exc!r}") from exc
+
+
+def _fan_end(end) -> tuple[int, float, float]:
+    """A fan end's [id, x, y] list as a finite (int, float, float) triple."""
+    if not isinstance(end, list) or len(end) != 3:
+        raise ValueError(f"fan end {end!r} is not an [id, x, y] list")
+    pid, x, y = int(end[0]), float(end[1]), float(end[2])
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"fan end {end!r} has a non-finite coordinate")
+    return (pid, x, y)
 
 
 def graph_to_json(g: SpannerGraph) -> str:

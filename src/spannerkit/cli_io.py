@@ -17,17 +17,27 @@ rejected input, 3 when an internal invariant fails (a bug in spannerkit).
 from __future__ import annotations
 
 import argparse
-import bisect
 import json
 import math
 import os
 import random
 import sys
 
-from . import analysis, build, kernels, routing
+import numpy as np
+
+from . import analysis, build, routing
 from .build import SpannerGraph, graph_from_json, graph_to_json
 from .errors import DegenerateInput, InternalInvariantViolation, InvalidParameter, SpannerKitError
-from .geometry import PointSet, general_position_report, points_from_json, points_to_json
+from .geometry import (
+    _CHECK_BLOCK,
+    _CHECK_SLACK,
+    PointSet,
+    _aligned_direction,
+    _direction_gaps,
+    general_position_report,
+    points_from_json,
+    points_to_json,
+)
 
 SEED_ENV = "SPANNER_KIT_SEED"
 
@@ -52,30 +62,35 @@ def gen_random(n: int, seed: int, k: int = 6, retries: int = 100) -> PointSet:
     against the points already placed (at a tolerance well above the one the
     final report uses); the finished set must still produce an empty
     general-position report or the input is rejected.
+
+    The checks are exact and vectorized: distances are math.hypot values kept
+    in one n x n matrix, the distance and equidistance tests are elementwise
+    IEEE comparisons over it, and np.arctan2 azimuths only filter, with pairs
+    near the angular tolerance decided by the scalar test. Every seed gives the
+    same points as the per-pair scalar loops did.
     """
     if n < 1:
         raise InvalidParameter(f"need at least 1 point, got {n}")
     rng = random.Random(seed)
     bad_dirs = _avoided_directions(k)
-    placed: list[tuple[float, float]] = []
-    # Sorted distances seen from each placed point, for fast equidistance tests.
-    dist_lists: list[list[float]] = []
-    for _ in range(n):
+    xs = np.empty(n)
+    ys = np.empty(n)
+    # dist[i, j]: distance between placed points i and j; inf on the diagonal.
+    dist = np.full((n, n), np.inf)
+    for m in range(n):
         for _attempt in range(retries):
-            cand = (rng.random(), rng.random())
-            dists = _clears_degeneracies(placed, dist_lists, cand, bad_dirs)
-            if dists is not None:
-                for lst, d in zip(dist_lists, dists):
-                    bisect.insort(lst, d)
-                dist_lists.append(sorted(dists))
-                placed.append(cand)
+            cx, cy = rng.random(), rng.random()
+            d = _clears_degeneracies(xs[:m], ys[:m], dist[:m, :m], cx, cy, bad_dirs)
+            if d is not None:
+                dist[m, :m] = d
+                dist[:m, m] = d
+                xs[m], ys[m] = cx, cy
                 break
         else:
             raise DegenerateInput(
-                f"could not place point {len(placed)} in general position "
-                f"after {retries} attempts"
+                f"could not place point {m} in general position after {retries} attempts"
             )
-    ps = PointSet.from_pairs(placed)
+    ps = PointSet.from_pairs(zip(xs.tolist(), ys.tolist()))
     findings = general_position_report(ps, k)
     if findings:
         raise DegenerateInput(f"generated set is degenerate: {findings[0]}")
@@ -92,35 +107,42 @@ def _avoided_directions(k: int) -> list[float]:
     return sorted(bad)
 
 
-def _clears_degeneracies(placed, dist_lists, cand, bad_dirs, eps: float = 1e-7):
-    """Distances from cand to each placed point, or None if cand is degenerate."""
-    cx, cy = cand
-    dists = []
-    for i, (px, py) in enumerate(placed):
-        dx = cx - px
-        dy = cy - py
-        d = math.hypot(dx, dy)
-        if d <= eps:
+def _clears_degeneracies(xs, ys, dist, cx, cy, bad_dirs, eps: float = 1e-7):
+    """Distances from (cx, cy) to each placed point (xs, ys), or None if the
+    candidate is degenerate; dist holds the placed points' own distances.
+
+    The candidate is rejected if it lies within eps of a placed point, sees one
+    within eps of a bad direction (mod pi), ties two of its own distances, or
+    ties a distance already seen from a placed point (within eps * max(1, d)).
+    """
+    m = len(xs)
+    dx = cx - xs
+    dy = cy - ys
+    d = np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), dtype=np.float64, count=m)
+    if (d <= eps).any():
+        return None
+    ordered = np.sort(d)
+    if (ordered[1:] - ordered[:-1] <= eps * np.maximum(1.0, ordered[:-1])).any():
+        return None
+    margin = _direction_gaps(dx, dy, bad_dirs) - eps
+    if (margin < -_CHECK_SLACK).any():
+        return None
+    for i in np.nonzero(margin <= _CHECK_SLACK)[0].tolist():
+        if _aligned_direction(float(dx[i]), float(dy[i]), bad_dirs, eps) is not None:
             return None
-        az = kernels.azimuth(dx, dy) % math.pi
-        for b in bad_dirs:
-            diff = abs(az - b)
-            if min(diff, math.pi - diff) <= eps:
-                return None
-        # Would cand tie an existing distance from this apex?
-        lst = dist_lists[i]
-        at = bisect.bisect_left(lst, d)
-        tol = eps * max(1.0, d)
-        if at < len(lst) and lst[at] - d <= tol:
+    # Would the candidate tie a distance seen from a placed point? Comparing
+    # with every entry of a row equals comparing with its sorted neighbours.
+    tol = eps * np.maximum(1.0, d)
+    step = max(1, _CHECK_BLOCK // max(m, 1))
+    diff = np.empty((min(step, m), m))
+    for lo in range(0, m, step):
+        hi = min(m, lo + step)
+        block = diff[: hi - lo]
+        np.subtract(dist[lo:hi], d[lo:hi, None], out=block)
+        np.abs(block, out=block)
+        if (block <= tol[lo:hi, None]).any():
             return None
-        if at > 0 and d - lst[at - 1] <= tol:
-            return None
-        dists.append(d)
-    ordered = sorted(dists)
-    for d1, d2 in zip(ordered, ordered[1:]):
-        if d2 - d1 <= eps * max(1.0, d1):
-            return None
-    return dists
+    return d
 
 
 def render_svg(obj, overlay=None) -> str:

@@ -11,11 +11,19 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import kernels
 from .errors import DegenerateInput, InvalidParameter
 
 #: Distance/angle tolerance used for all boundary ownership decisions.
 EPS = 1e-9
+
+#: Elements per block of the vectorized general-position checks.
+_CHECK_BLOCK = 65536
+#: Vectorized general-position tests within this margin of their threshold
+#: (relative for distances above 1) are decided again by the scalar test.
+_CHECK_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -210,6 +218,14 @@ def general_position_report(ps: PointSet, k: int) -> list[dict]:
     Flags exact duplicates, pairs equidistant from a common apex, and pairs whose
     direction is within tolerance of a cone boundary direction or its
     perpendicular (mod pi).
+
+    Runs as numpy row blocks of at most _CHECK_BLOCK elements, so memory stays
+    O(n) beyond the points. Vectorized azimuths and sorted np.hypot rows only
+    filter; they may differ from libm atan2 and math.hypot by a few ulps. The
+    scalar tests (_aligned_direction, _equidistant_findings) decide every pair
+    whose direction is not clear of EPS, and every apex row with a gap not
+    clear of its threshold, by more than _CHECK_SLACK; so findings and their
+    order are exactly those of the all-pairs scalar loops.
     """
     cs = ConeSystem(k)
     findings = []
@@ -223,28 +239,73 @@ def general_position_report(ps: PointSet, k: int) -> list[dict]:
         bad.add((az + math.pi / 2) % math.pi)
     bad_dirs = sorted(bad)
 
-    for a in range(n):
-        for b in range(a + 1, n):
-            p, q = pts[a], pts[b]
-            az = kernels.azimuth(q.x - p.x, q.y - p.y) % math.pi
-            for d in bad_dirs:
-                diff = abs(az - d)
-                diff = min(diff, math.pi - diff)
-                if diff <= EPS:
+    x = np.array([p.x for p in pts], dtype=np.float64)
+    y = np.array([p.y for p in pts], dtype=np.float64)
+    step = max(1, _CHECK_BLOCK // max(n * len(bad_dirs), 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, step):
+            hi = min(n, lo + step)
+            # Row a = lo + r against columns b = lo + 1 + c; pairs need b > a.
+            dx = x[None, lo + 1 :] - x[lo:hi, None]
+            dy = y[None, lo + 1 :] - y[lo:hi, None]
+            unsure = ~(_direction_gaps(dx, dy, bad_dirs) > EPS + _CHECK_SLACK)
+            unsure &= np.arange(n - lo - 1)[None, :] >= np.arange(hi - lo)[:, None]
+            for r, c in zip(*(ix.tolist() for ix in np.nonzero(unsure))):
+                p, q = pts[lo + r], pts[lo + 1 + c]
+                d = _aligned_direction(q.x - p.x, q.y - p.y, bad_dirs, EPS)
+                if d is not None:
                     findings.append(
                         {"kind": "cone_boundary_aligned", "pair": [p.id, q.id], "direction": d}
                     )
-                    break
 
-    for apex in pts:
-        dists = sorted(
-            (math.hypot(p.x - apex.x, p.y - apex.y), p.id) for p in pts if p.id != apex.id
-        )
-        for (d1, i1), (d2, i2) in zip(dists, dists[1:]):
-            if abs(d2 - d1) <= EPS * max(1.0, d1):
-                findings.append({"kind": "equidistant", "apex": apex.id, "pair": [i1, i2]})
+        step = max(1, _CHECK_BLOCK // max(n, 1))
+        for lo in range(0, n, step):
+            hi = min(n, lo + step)
+            rows = np.arange(hi - lo)
+            dist = np.hypot(x[None, :] - x[lo:hi, None], y[None, :] - y[lo:hi, None])
+            # The apex's own entry sorts last and is dropped.
+            dist[rows, rows + lo] = np.inf
+            dist.sort(axis=1)
+            dist = dist[:, : n - 1]
+            low, high = dist[:, :-1], dist[:, 1:]
+            clear = high - low > EPS * np.maximum(1.0, low) + _CHECK_SLACK * np.maximum(1.0, high)
+            for r in np.nonzero(~clear.all(axis=1))[0].tolist():
+                findings.extend(_equidistant_findings(pts, pts[lo + r]))
 
     return findings
+
+
+def _direction_gaps(dx, dy, dirs):
+    """Angular distance, folded mod pi, from the azimuth of every vector
+    (dx, dy) to the nearest of dirs; within a few ulps of what
+    _aligned_direction computes per pair (np.arctan2 vs libm atan2). Holds a
+    temporary of len(dirs) elements per vector."""
+    az = np.arctan2(dx, dy)
+    az = np.remainder(np.where(az < 0.0, az + 2.0 * math.pi, az), math.pi)
+    diff = np.abs(az - np.reshape(dirs, (-1,) + (1,) * az.ndim))
+    return np.minimum(diff, math.pi - diff).min(axis=0)
+
+
+def _aligned_direction(dx: float, dy: float, dirs, eps: float):
+    """First of dirs within eps of the vector's azimuth folded mod pi, or None."""
+    az = kernels.azimuth(dx, dy) % math.pi
+    for d in dirs:
+        diff = abs(az - d)
+        if min(diff, math.pi - diff) <= eps:
+            return d
+    return None
+
+
+def _equidistant_findings(pts, apex) -> list[dict]:
+    """Pairs adjacent in apex's (distance, id) order whose distances tie within EPS."""
+    dists = sorted(
+        (math.hypot(p.x - apex.x, p.y - apex.y), p.id) for p in pts if p.id != apex.id
+    )
+    return [
+        {"kind": "equidistant", "apex": apex.id, "pair": [i1, i2]}
+        for (d1, i1), (d2, i2) in zip(dists, dists[1:])
+        if abs(d2 - d1) <= EPS * max(1.0, d1)
+    ]
 
 
 def points_to_json(ps: PointSet) -> str:

@@ -162,3 +162,129 @@ def oracle_mst(ps):
             parent[ru] = rv
             edges.add((u, v))
     return edges
+
+
+def oracle_gen_random(n, seed, k=6, retries=100):
+    """Point generation by the scalar per-pair loops that gen_random replaced:
+    equidistance tests against per-apex sorted distance lists (bisect/insort)
+    and the scalar general-position report at the end."""
+    import bisect
+    import random
+
+    from spannerkit.errors import DegenerateInput, InvalidParameter
+    from spannerkit.geometry import PointSet
+
+    if n < 1:
+        raise InvalidParameter(f"need at least 1 point, got {n}")
+    rng = random.Random(seed)
+    bad_dirs = _oracle_avoided_directions(k)
+    placed = []
+    # Sorted distances seen from each placed point, for fast equidistance tests.
+    dist_lists = []
+    for _ in range(n):
+        for _attempt in range(retries):
+            cand = (rng.random(), rng.random())
+            dists = _oracle_clears_degeneracies(placed, dist_lists, cand, bad_dirs)
+            if dists is not None:
+                for lst, d in zip(dist_lists, dists):
+                    bisect.insort(lst, d)
+                dist_lists.append(sorted(dists))
+                placed.append(cand)
+                break
+        else:
+            raise DegenerateInput(
+                f"could not place point {len(placed)} in general position "
+                f"after {retries} attempts"
+            )
+    ps = PointSet.from_pairs(placed)
+    findings = oracle_general_position_report(ps, k)
+    if findings:
+        raise DegenerateInput(f"generated set is degenerate: {findings[0]}")
+    return ps
+
+
+def _oracle_avoided_directions(k):
+    theta = 2.0 * math.pi / k
+    bad = set()
+    for i in range(k):
+        az = (i * theta + theta / 2.0) % math.pi
+        bad.add(az)
+        bad.add((az + math.pi / 2.0) % math.pi)
+    return sorted(bad)
+
+
+def _oracle_clears_degeneracies(placed, dist_lists, cand, bad_dirs, eps=1e-7):
+    """Distances from cand to each placed point, or None if cand is degenerate."""
+    import bisect
+
+    from spannerkit import kernels
+
+    cx, cy = cand
+    dists = []
+    for i, (px, py) in enumerate(placed):
+        dx = cx - px
+        dy = cy - py
+        d = math.hypot(dx, dy)
+        if d <= eps:
+            return None
+        az = kernels.azimuth(dx, dy) % math.pi
+        for b in bad_dirs:
+            diff = abs(az - b)
+            if min(diff, math.pi - diff) <= eps:
+                return None
+        # Would cand tie an existing distance from this apex?
+        lst = dist_lists[i]
+        at = bisect.bisect_left(lst, d)
+        tol = eps * max(1.0, d)
+        if at < len(lst) and lst[at] - d <= tol:
+            return None
+        if at > 0 and d - lst[at - 1] <= tol:
+            return None
+        dists.append(d)
+    ordered = sorted(dists)
+    for d1, d2 in zip(ordered, ordered[1:]):
+        if d2 - d1 <= eps * max(1.0, d1):
+            return None
+    return dists
+
+
+def oracle_general_position_report(ps, k):
+    """General-position findings by the scalar all-pairs loops that
+    general_position_report replaced; same findings in the same order."""
+    from spannerkit import kernels
+    from spannerkit.geometry import EPS, ConeSystem
+
+    cs = ConeSystem(k)
+    findings = []
+    pts = list(ps)
+    n = len(pts)
+
+    # Directions to avoid, folded mod pi.
+    bad = set()
+    for az in cs.boundary_azimuths():
+        bad.add(az % math.pi)
+        bad.add((az + math.pi / 2) % math.pi)
+    bad_dirs = sorted(bad)
+
+    for a in range(n):
+        for b in range(a + 1, n):
+            p, q = pts[a], pts[b]
+            az = kernels.azimuth(q.x - p.x, q.y - p.y) % math.pi
+            for d in bad_dirs:
+                diff = abs(az - d)
+                diff = min(diff, math.pi - diff)
+                if diff <= EPS:
+                    findings.append(
+                        {"kind": "cone_boundary_aligned", "pair": [p.id, q.id], "direction": d}
+                    )
+                    break
+
+    for apex in pts:
+        dists = sorted(
+            (math.hypot(p.x - apex.x, p.y - apex.y), p.id) for p in pts if p.id != apex.id
+        )
+        for (d1, i1), (d2, i2) in zip(dists, dists[1:]):
+            if abs(d2 - d1) <= EPS * max(1.0, d1):
+                findings.append({"kind": "equidistant", "apex": apex.id, "pair": [i1, i2]})
+
+    return findings

@@ -9,7 +9,6 @@ import pytest
 from spannerkit import (
     THETA5_WITNESS_FACTOR,
     ConeSystem,
-    InternalInvariantViolation,
     InvalidParameter,
     Point,
     PointSet,
@@ -163,8 +162,15 @@ class TestShortestPath:
     def test_unreachable_target_raises(self):
         ps = PointSet([Point(0, 0.0, 0.0), Point(1, 1.0, 0.0), Point(2, 2.0, 0.1)])
         g = SpannerGraph("x", None, ps, [(0, 1)])
-        with pytest.raises(InternalInvariantViolation):
+        with pytest.raises(InvalidParameter, match="no path from 0 to 2"):
             shortest_path(g, 0, 2)
+
+    def test_unknown_vertex_raises(self):
+        ps = PointSet([Point(0, 0.0, 0.0), Point(1, 1.0, 0.0)])
+        g = SpannerGraph("x", None, ps, [(0, 1)])
+        for s, t in ((0, 7), (7, 0)):
+            with pytest.raises(InvalidParameter, match="vertex 7 is not in the graph"):
+                shortest_path(g, s, t)
 
 
 class TestRestrictedPairCheck:

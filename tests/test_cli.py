@@ -6,10 +6,16 @@ rejected input, 3 a failed internal invariant.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spannerkit
 from spannerkit import (
+    build_g9,
     build_half_theta6,
     gen_random,
     graph_from_json,
@@ -86,6 +92,18 @@ class TestGen:
         assert main(["gen", "--kind", "theta5_lb", "--nudge", "0.5"]) == 2
         assert main(["gen", "--kind", "routing_lb_positive", "--alpha", "2.0"]) == 2
         capsys.readouterr()
+
+    def test_python_dash_m_runs_the_cli(self):
+        env = dict(os.environ)
+        src = str(Path(spannerkit.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        env.pop(SEED_ENV, None)
+        done = subprocess.run(
+            [sys.executable, "-m", "spannerkit", "gen", "--kind", "random", "--n", "5", "--seed", "1"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert points_from_json(done.stdout) == gen_random(5, 1)
 
 
 class TestBuild:
@@ -266,6 +284,31 @@ class TestRoute:
         assert main(["route", "--graph", path, "--algo", "stateless",
                      "--from", "1", "--to", "9", "--check"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"fan": {"1": {}}},
+            {"fan": {"1": {"first": [2, 0.1, 0.2]}}},
+            {"fan": {"1": {"first": 2, "last": [3, 0.1, 0.2]}}},
+            {"fan": {"1": {"first": [2, 0.1], "last": [3, 0.1, 0.2]}}},
+            {"fan": {"1": {"first": [2, "abc", 0.2], "last": [3, 0.1, 0.2]}}},
+            {"fan": {"1": {"first": ["two", 0.1, 0.2], "last": [3, 0.1, 0.2]}}},
+            {"fan": {"1": {"first": [2, None, 0.2], "last": [3, 0.1, 0.2]}}},
+            {"fan": {"1": {"first": [2, math.nan, 0.2], "last": [3, 0.1, 0.2]}}},
+            {"dir": {"0": "up"}},
+            {"dir": ["cw"]},
+            [],
+        ],
+    )
+    def test_malformed_g9_hints_are_rejected_input(self, tmp_path, capsys, entry):
+        doc = json.loads(graph_to_json(build_g9(build_half_theta6(gen_random(20, 11)))))
+        doc["metadata"]["hints"]["1"] = entry
+        path = tmp_path / "g9.json"
+        path.write_text(json.dumps(doc))
+        assert main(["route", "--graph", str(path), "--algo", "g9",
+                     "--from", "0", "--to", "13"]) == 2
+        assert "malformed g9 routing hints" in capsys.readouterr().err
 
 
 class TestRender:

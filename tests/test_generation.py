@@ -1,0 +1,263 @@
+"""Seeded generation and the general-position report against the scalar
+oracles they replaced: the same points for every seed, the same findings in
+the same order, also with tiny row blocks and for pairs whose margin to a
+threshold is small enough that the vectorized filter hands them to the
+scalar test."""
+
+import math
+
+import numpy as np
+import pytest
+
+from spannerkit import (
+    ConeSystem,
+    DegenerateInput,
+    PointSet,
+    cli_io,
+    gen_circle,
+    gen_random,
+    gen_routing_lb,
+    gen_theta5_lower_bound,
+    general_position_report,
+    geometry,
+)
+from spannerkit.geometry import EPS
+
+from oracles import (
+    _oracle_avoided_directions,
+    _oracle_clears_degeneracies,
+    oracle_gen_random,
+    oracle_general_position_report,
+)
+
+# (n, seed) pairs the rest of the suite and the benchmark's small sets use.
+SUITE_SETS = [(256, 7), (64, 2024), (48, 301), (40, 913), (40, 321), (35, 88), (64, 1000)]
+
+
+def _report_bad_dirs(k):
+    bad = set()
+    for az in ConeSystem(k).boundary_azimuths():
+        bad.add(az % math.pi)
+        bad.add((az + math.pi / 2) % math.pi)
+    return sorted(bad)
+
+
+def _at_boundary_pairs(k):
+    """The origin plus one point per (bad direction, offset): the offsets put
+    the pair's direction EPS (and EPS +/- 1 ulp) to either side of the bad
+    direction, where only the scalar test can decide, and clearly inside
+    (EPS / 2) and outside (2 * EPS) the tolerance."""
+    offsets = []
+    for e in (EPS, math.nextafter(EPS, 0.0), math.nextafter(EPS, 1.0), EPS / 2, 2 * EPS):
+        offsets += [e, -e]
+    pairs = [(0.0, 0.0)]
+    for b in _report_bad_dirs(k):
+        for off in offsets:
+            r = 0.5 + 0.01 * len(pairs)
+            pairs.append((r * math.sin(b + off), r * math.cos(b + off)))
+    return PointSet.from_pairs(pairs)
+
+
+def _near_tie_set():
+    """Apex at the origin and pairs of points whose distances from it differ
+    by EPS * max(1, d), nudged by a few ulps either way."""
+    pairs = [(0.0, 0.0)]
+    for base, az in ((0.4, 0.3), (2.5, 1.1), (0.9, 2.0)):
+        for i, nudge in enumerate((-4e-16, 0.0, 4e-16)):
+            r = base + 0.01 * i
+            r2 = r + EPS * max(1.0, r) + nudge * max(1.0, r)
+            pairs.append((r * math.sin(az + i), r * math.cos(az + i)))
+            pairs.append((r2 * math.sin(az + i + 0.7), r2 * math.cos(az + i + 0.7)))
+    return PointSet.from_pairs(pairs)
+
+
+REPORT_SETS = {
+    "grid": PointSet.from_pairs([(float(i), float(j)) for i in range(7) for j in range(7)]),
+    "half_grid": PointSet.from_pairs([(i / 2, j / 2) for i in range(8) for j in range(6)]),
+    "circle_12": gen_circle(12),
+    "circle_31": gen_circle(31),
+    "theta5_lb": gen_theta5_lower_bound(),
+    "routing_lb_positive": gen_routing_lb("positive"),
+    "routing_lb_negative_a": gen_routing_lb("negative_a"),
+    "routing_lb_negative_b": gen_routing_lb("negative_b"),
+    "near_ties": _near_tie_set(),
+    # From the origin, math.hypot puts the two points EPS apart (a finding)
+    # while np.hypot, one ulp larger on the first, puts them just over EPS.
+    "hypot_ulp_tie": PointSet.from_pairs(
+        [(0.0, 0.0), (0.47701009597226784, 0.4532443137824045), (0.5983211880957301, -0.2738262116658324)]
+    ),
+    "random": gen_random(60, 5),
+    "single": PointSet.from_pairs([(0.5, 0.5)]),
+    "empty": PointSet([]),
+}
+
+
+def _count_calls(monkeypatch, module):
+    """Wrap module._aligned_direction to count its calls."""
+    calls = []
+    scalar = module._aligned_direction
+
+    def counted(*args):
+        calls.append(args)
+        return scalar(*args)
+
+    monkeypatch.setattr(module, "_aligned_direction", counted)
+    return calls
+
+
+def _small_blocks(monkeypatch, block):
+    monkeypatch.setattr(geometry, "_CHECK_BLOCK", block)
+    monkeypatch.setattr(cli_io, "_CHECK_BLOCK", block)
+
+
+class TestGenRandomMatchesOracle:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 15, 24, 32, 48, 64])
+    def test_sizes_and_seeds(self, n):
+        for seed in range(40):
+            assert gen_random(n, seed) == oracle_gen_random(n, seed), seed
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 7, 8, 12])
+    def test_cone_counts(self, k):
+        for seed in range(6):
+            assert gen_random(32, seed, k=k) == oracle_gen_random(32, seed, k=k), seed
+
+    def test_seed_sweep(self):
+        for seed in range(200):
+            assert gen_random(32, seed) == oracle_gen_random(32, seed), seed
+
+    @pytest.mark.parametrize("n, seed", SUITE_SETS)
+    def test_suite_sets(self, n, seed):
+        assert gen_random(n, seed) == oracle_gen_random(n, seed)
+
+    @pytest.mark.parametrize("block", [1, 7, 100])
+    def test_small_blocks(self, block, monkeypatch):
+        _small_blocks(monkeypatch, block)
+        for n, seed in [(24, 0), (40, 913), (48, 3)]:
+            assert gen_random(n, seed) == oracle_gen_random(n, seed), (n, seed)
+        assert gen_random(20, 1, k=5) == oracle_gen_random(20, 1, k=5)
+
+    def test_retry_exhaustion_matches(self):
+        # With one draw per point, point 94 fails its checks.
+        with pytest.raises(DegenerateInput, match="point 94 ") as got:
+            gen_random(100, 0, retries=1)
+        with pytest.raises(DegenerateInput) as want:
+            oracle_gen_random(100, 0, retries=1)
+        assert str(got.value) == str(want.value)
+
+
+class TestCandidateChecks:
+    """The per-candidate test on hand-placed near-degenerate candidates."""
+
+    PLACED = [(0.31, 0.42), (0.77, 0.18), (0.12, 0.91), (0.55, 0.66)]
+
+    def _both(self, cand, k=6):
+        """(vectorized, oracle) verdicts for cand against PLACED."""
+        n = len(self.PLACED)
+        dist = [[math.inf] * n for _ in range(n)]
+        for j, (xj, yj) in enumerate(self.PLACED):
+            for i, (xi, yi) in enumerate(self.PLACED[:j]):
+                dist[i][j] = dist[j][i] = math.hypot(xj - xi, yj - yi)
+        lists = [sorted(d for d in row if d != math.inf) for row in dist]
+        bad = cli_io._avoided_directions(k)
+        assert bad == _oracle_avoided_directions(k)
+        xs = np.array([x for x, _ in self.PLACED])
+        ys = np.array([y for _, y in self.PLACED])
+        got = cli_io._clears_degeneracies(xs, ys, np.array(dist), cand[0], cand[1], bad)
+        want = _oracle_clears_degeneracies(self.PLACED, lists, cand, bad)
+        return (None if got is None else got.tolist()), want
+
+    def test_directions_at_the_tolerance(self, monkeypatch):
+        calls = _count_calls(monkeypatch, cli_io)
+        px, py = self.PLACED[0]
+        eps = 1e-7
+        verdicts = set()
+        for b in cli_io._avoided_directions(6):
+            for e in (eps, math.nextafter(eps, 0.0), math.nextafter(eps, 1.0), eps / 2, eps * 2):
+                for az in (b + e, b - e):
+                    cand = (px + 0.2 * math.sin(az), py + 0.2 * math.cos(az))
+                    got, want = self._both(cand)
+                    assert got == want, (b, e, az)
+                    verdicts.add(want is None)
+        assert calls, "no pair reached the scalar re-decision"
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("block", [65536, 1, 3])
+    def test_distances_at_the_tolerance(self, block, monkeypatch):
+        # Candidates about 1e-7 nearer or farther from placed point i than
+        # placed point j is, for every ordered pair (i, j).
+        _small_blocks(monkeypatch, block)
+        verdicts = set()
+        for i, (px, py) in enumerate(self.PLACED):
+            for j, (qx, qy) in enumerate(self.PLACED):
+                if i == j:
+                    continue
+                base = math.hypot(qx - px, qy - py)
+                for scale in (1.0 - 1e-6, 1.0, 1.0 + 1e-6, 1.0 + 1e-3):
+                    for sign in (1.0, -1.0):
+                        r = base + sign * 1e-7 * scale
+                        az = 0.4 + 1.3 * j
+                        cand = (px + r * math.sin(az), py + r * math.cos(az))
+                        got, want = self._both(cand)
+                        assert got == want, (i, j, scale, sign)
+                        verdicts.add(want is None)
+        assert verdicts == {True, False}
+
+    def test_own_distances_at_the_tolerance(self):
+        # Candidates near the perpendicular bisector of placed points 0 and 1
+        # see both at nearly the same distance.
+        (px, py), (qx, qy) = self.PLACED[0], self.PLACED[1]
+        mx, my = (px + qx) / 2, (py + qy) / 2
+        nx, ny = -(qy - py), qx - px
+        verdicts = set()
+        for t in (0.3, 0.45):
+            for shift in (0.0, 2e-8, 5e-8, 1e-6):
+                cand = (mx + t * nx + shift * (qx - px), my + t * ny + shift * (qy - py))
+                got, want = self._both(cand)
+                assert got == want, (t, shift)
+                verdicts.add(want is None)
+        assert verdicts == {True, False}
+
+
+class TestReportMatchesOracle:
+    @pytest.mark.parametrize("name", sorted(REPORT_SETS))
+    @pytest.mark.parametrize("k", [4, 5, 6, 7, 8])
+    def test_sets(self, name, k):
+        ps = REPORT_SETS[name]
+        assert general_position_report(ps, k) == oracle_general_position_report(ps, k)
+
+    @pytest.mark.parametrize("k", [4, 5, 6, 7, 8])
+    def test_pairs_at_the_angular_tolerance(self, k, monkeypatch):
+        calls = _count_calls(monkeypatch, geometry)
+        ps = _at_boundary_pairs(k)
+        got = general_position_report(ps, k)
+        assert got == oracle_general_position_report(ps, k)
+        # Every pair built at the tolerance went to the scalar test, and it
+        # put some on each side.
+        assert len(calls) >= len(ps) - 1
+        flagged = {tuple(f["pair"]) for f in got if f["kind"] == "cone_boundary_aligned"}
+        at_origin = {pair for pair in flagged if pair[0] == 0}
+        assert 0 < len(at_origin) < len(ps) - 1
+
+    def test_near_ties_are_decided_by_the_scalar_test(self):
+        report = general_position_report(REPORT_SETS["near_ties"], 6)
+        at_origin = [f for f in report if f["kind"] == "equidistant" and f["apex"] == 0]
+        assert 0 < len(at_origin) < 9
+        report = general_position_report(REPORT_SETS["hypot_ulp_tie"], 6)
+        assert {"kind": "equidistant", "apex": 0, "pair": [2, 1]} in report
+
+    @pytest.mark.parametrize("block", [1, 7, 100])
+    def test_small_blocks(self, block, monkeypatch):
+        _small_blocks(monkeypatch, block)
+        for name in ("grid", "circle_31", "near_ties", "random", "single"):
+            ps = REPORT_SETS[name]
+            for k in (5, 6):
+                assert general_position_report(ps, k) == oracle_general_position_report(ps, k)
+        ps = _at_boundary_pairs(7)
+        assert general_position_report(ps, 7) == oracle_general_position_report(ps, 7)
+
+    def test_overflowing_differences(self):
+        ps = PointSet.from_pairs(
+            [(-1e308, 1e308), (1e308, -1e308), (0.0, 0.0), (5e307, 7e307), (-3e307, 1e300)]
+        )
+        for k in (4, 6, 7):
+            assert general_position_report(ps, k) == oracle_general_position_report(ps, k)
