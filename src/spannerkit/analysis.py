@@ -8,6 +8,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,8 @@ from . import kernels
 from .build import SpannerGraph, build_half_theta6, build_theta, canonical_path_info
 from .errors import InternalInvariantViolation, InvalidParameter
 from .geometry import (
+    _CHECK_BLOCK,
+    _CHECK_SLACK,
     EPS,
     ConeSystem,
     Point,
@@ -95,72 +98,108 @@ class RatioReport:
         return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _distance_matrices(g: SpannerGraph):
-    """(sorted ids, graph shortest-path matrix, Euclidean matrix)."""
+def spanning_ratio(g: SpannerGraph, per_pair: bool = False) -> RatioReport:
+    """Exact spanning ratio: max over pairs of graph distance over Euclidean
+    distance, both from math.hypot lengths. A disconnected graph has ratio inf.
+
+    The witness is the first pair (u, v), u < v in id order, achieving the
+    maximum in row-major order, i.e. the lexicographically smallest by ids; a
+    NaN ratio (coordinate differences overflowing) outranks every number.
+
+    Streams row blocks of at most _CHECK_BLOCK (source, target) elements, so
+    memory beyond the graph is O(n * block), not O(n^2); with per_pair the
+    returned table itself holds n(n-1)/2 rows, in the same order.
+    """
+    if len(g.points) < 2:
+        return RatioReport(1.0, None)
     pts = sorted(g.points, key=lambda p: p.id)
     ids = [p.id for p in pts]
     index = {pid: i for i, pid in enumerate(ids)}
     n = len(ids)
-    xs = np.array([p.x for p in pts])
-    ys = np.array([p.y for p in pts])
-    rows, cols, data = [], [], []
-    for u, v in g.edges:
-        iu, iv = index[u], index[v]
-        w = math.hypot(xs[iv] - xs[iu], ys[iv] - ys[iu])
-        rows.extend((iu, iv))
-        cols.extend((iv, iu))
-        data.extend((w, w))
-    mat = csr_matrix((data, (rows, cols)), shape=(n, n))
-    dist = _csgraph_dijkstra(mat, directed=False)
-    # np.hypot rounds differently from math.hypot in the last ulp; the edge
-    # weights above use math.hypot, so the denominators must too or a direct
-    # edge's ratio lands a hair off 1.
-    euclid = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = math.hypot(xs[j] - xs[i], ys[j] - ys[i])
-            euclid[i, j] = euclid[j, i] = d
-    return ids, dist, euclid
-
-
-def spanning_ratio(g: SpannerGraph, per_pair: bool = False) -> RatioReport:
-    """Exact spanning ratio: max over pairs of graph distance over Euclidean
-    distance. Witness is the lexicographically smallest id pair achieving it;
-    a disconnected graph has ratio inf."""
-    if len(g.points) < 2:
-        return RatioReport(1.0, None)
-    ids, dist, euclid = _distance_matrices(g)
-    n = len(ids)
-    iu, iv = np.triu_indices(n, 1)
-    ratios = dist[iu, iv] / euclid[iu, iv]
-    best_at = int(np.argmax(ratios))
-    best = float(ratios[best_at])
-    witness = (ids[int(iu[best_at])], ids[int(iv[best_at])])
-    table = None
-    if per_pair:
-        table = [
-            {
-                "u": ids[int(a)],
-                "v": ids[int(b)],
-                "graph_distance": float(dist[a, b]),
-                "euclidean": float(euclid[a, b]),
-                "ratio": float(r),
-            }
-            for a, b, r in zip(iu, iv, ratios)
-        ]
+    x = np.array([p.x for p in pts])
+    y = np.array([p.y for p in pts])
+    mat = _length_matrix(g, index, x, y)
+    best = -math.inf
+    witness = None
+    table = [] if per_pair else None
+    step = max(1, _CHECK_BLOCK // n)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # The last row has no pair (j > i) left.
+        for lo in range(0, n - 1, step):
+            hi = min(n - 1, lo + step)
+            # Each vertex's final distance is the minimum of fl(d[u] + w) over
+            # its neighbours u: with positive weights a neighbour popped later
+            # cannot lower it, so relaxation order does not matter and these
+            # rows are bit-identical to an all-pairs run with directed=False.
+            dist = _csgraph_dijkstra(mat, directed=True, indices=np.arange(lo, hi))
+            # Pairs (i, j) with i = lo + r and j = c > i, in row-major order.
+            r, c = np.triu_indices(hi - lo, lo + 1, n)
+            d = dist[r, c]
+            dx = x[c] - x[lo + r]
+            dy = y[c] - y[lo + r]
+            if per_pair:
+                sel = np.arange(len(d))
+            else:
+                # np.hypot is within an ulp of math.hypot for normal results, so
+                # a pair whose approximate ratio is below the best exact ratio
+                # so far, or the block's best approximate one, by a relative
+                # _CHECK_SLACK cannot reach the exact maximum. Every other
+                # pair, every non-finite ratio and every subnormal denominator
+                # (where an ulp is a large relative error) is decided again
+                # with math.hypot.
+                near = np.hypot(dx, dy)
+                approx = d / near
+                finite = approx[np.isfinite(approx)]
+                top = max(best, float(finite.max())) if finite.size else best
+                unclear = ~(approx < top * (1.0 - _CHECK_SLACK))
+                sel = np.flatnonzero(unclear | (near < sys.float_info.min))
+            euclid = np.array(list(map(math.hypot, dx[sel].tolist(), dy[sel].tolist())), dtype=np.float64)
+            ratios = d[sel] / euclid
+            if sel.size:
+                # np.argmax takes the first NaN, else the first maximum.
+                at = int(np.argmax(ratios))
+                value = float(ratios[at])
+                if value > best or (math.isnan(value) and not math.isnan(best)):
+                    best = value
+                    witness = (ids[lo + int(r[sel[at]])], ids[int(c[sel[at]])])
+            if per_pair:
+                table.extend(
+                    {"u": ids[a], "v": ids[b], "graph_distance": gd, "euclidean": e, "ratio": q}
+                    for a, b, gd, e, q in zip(
+                        (lo + r).tolist(), c.tolist(), d.tolist(), euclid.tolist(), ratios.tolist()
+                    )
+                )
+            elif math.isnan(best):
+                break  # nothing later outranks the first NaN
     return RatioReport(best, witness, per_pair=table)
+
+
+def _length_matrix(g: SpannerGraph, index: dict, x, y) -> csr_matrix:
+    """Symmetric CSR of math.hypot edge lengths over sorted-id indices."""
+    ends = np.array([(index[u], index[v]) for u, v in g.edges], dtype=np.intp).reshape(-1, 2)
+    iu, iv = ends[:, 0], ends[:, 1]
+    w = list(map(math.hypot, (x[iv] - x[iu]).tolist(), (y[iv] - y[iu]).tolist()))
+    rows = np.stack((iu, iv), axis=1).ravel()
+    cols = np.stack((iv, iu), axis=1).ravel()
+    n = len(index)
+    return csr_matrix((np.repeat(np.array(w, dtype=np.float64), 2), (rows, cols)), shape=(n, n))
 
 
 def verify_bound(g: SpannerGraph, name: str | None = None, tolerance: float = 1e-9) -> RatioReport:
     """Measure the spanning ratio and compare against the named bound (default:
     the bound registered for the graph's kind)."""
+    return _verify_bound(g, name, tolerance, per_pair=False)
+
+
+def _verify_bound(g: SpannerGraph, name: str | None, tolerance: float, per_pair: bool) -> RatioReport:
+    """verify_bound over one spanning_ratio(g, per_pair) computation."""
     if name is None:
         name, kwargs = _default_bound(g)
     else:
         kwargs = {"k": g.k, "m": g.metadata.get("m")}
         kwargs = {k_: v for k_, v in kwargs.items() if v is not None}
     value = bound_value(name, **kwargs)
-    report = spanning_ratio(g)
+    report = spanning_ratio(g, per_pair=per_pair)
     report.bound = value
     report.bound_name = name
     report.passed = report.max_ratio <= value + tolerance
@@ -255,9 +294,13 @@ def restricted_pair_check(
     the other in a positive cone, so a pair given negative end first is
     certified from w and the path read backwards.
 
-    Absence of such a path on a clean half-theta-6 input is a construction bug,
-    so it raises rather than returning a failure.
+    Raises InvalidParameter if u or w is not a vertex. Absence of such a path
+    on a clean half-theta-6 input is a construction bug, so it raises
+    InternalInvariantViolation rather than returning a failure.
     """
+    for v in (u, w):
+        if v not in h.points:
+            raise InvalidParameter(f"vertex {v} is not in the graph")
     cs = ConeSystem(h.k or 6)
     flip = cs.k == 6 and cs.cone_of(h.points[u], h.points[w]) % 2 == 1
     a, b = (w, u) if flip else (u, w)

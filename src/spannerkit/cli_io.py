@@ -373,9 +373,7 @@ def _cmd_build(args) -> int:
 def _cmd_analyze(args) -> int:
     g = graph_from_json(_read(args.graph))
     if args.check:
-        report = analysis.verify_bound(g, tolerance=args.tolerance)
-        if args.per_pair:
-            report.per_pair = analysis.spanning_ratio(g, per_pair=True).per_pair
+        report = analysis._verify_bound(g, None, args.tolerance, per_pair=args.per_pair)
     else:
         report = analysis.spanning_ratio(g, per_pair=args.per_pair)
     if args.per_pair and args.out and args.out.endswith(".csv"):

@@ -19,10 +19,12 @@ from .errors import DegenerateInput, InvalidParameter
 #: Distance/angle tolerance used for all boundary ownership decisions.
 EPS = 1e-9
 
-#: Elements per block of the vectorized general-position checks.
+#: Elements per block of the row-blocked numpy passes: the general-position
+#: checks and the spanning ratio.
 _CHECK_BLOCK = 65536
 #: Vectorized general-position tests within this margin of their threshold
-#: (relative for distances above 1) are decided again by the scalar test.
+#: (relative for distances above 1), and approximate spanning ratios within
+#: this relative margin of the best, are decided again by the scalar test.
 _CHECK_SLACK = 1e-12
 
 

@@ -6,6 +6,8 @@ deliberately avoiding the package's own selection logic.
 
 import math
 
+import numpy as np
+
 TWO_PI = 2.0 * math.pi
 BOUNDARY_EPS = 1e-9
 
@@ -288,3 +290,64 @@ def oracle_general_position_report(ps, k):
                 findings.append({"kind": "equidistant", "apex": apex.id, "pair": [i1, i2]})
 
     return findings
+
+
+def oracle_spanning_ratio(g, per_pair=False):
+    """The exact spanning ratio as spanning_ratio computed it before streaming:
+    all-pairs scipy Dijkstra (directed=False), a full n x n math.hypot
+    Euclidean matrix and np.argmax over the upper triangle."""
+    from spannerkit.analysis import RatioReport
+
+    if len(g.points) < 2:
+        return RatioReport(1.0, None)
+    ids, dist, euclid = _oracle_distance_matrices(g)
+    n = len(ids)
+    iu, iv = np.triu_indices(n, 1)
+    ratios = dist[iu, iv] / euclid[iu, iv]
+    best_at = int(np.argmax(ratios))
+    best = float(ratios[best_at])
+    witness = (ids[int(iu[best_at])], ids[int(iv[best_at])])
+    table = None
+    if per_pair:
+        table = [
+            {
+                "u": ids[int(a)],
+                "v": ids[int(b)],
+                "graph_distance": float(dist[a, b]),
+                "euclidean": float(euclid[a, b]),
+                "ratio": float(r),
+            }
+            for a, b, r in zip(iu, iv, ratios)
+        ]
+    return RatioReport(best, witness, per_pair=table)
+
+
+def _oracle_distance_matrices(g):
+    """(sorted ids, graph shortest-path matrix, Euclidean matrix)."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
+
+    pts = sorted(g.points, key=lambda p: p.id)
+    ids = [p.id for p in pts]
+    index = {pid: i for i, pid in enumerate(ids)}
+    n = len(ids)
+    xs = np.array([p.x for p in pts])
+    ys = np.array([p.y for p in pts])
+    rows, cols, data = [], [], []
+    for u, v in g.edges:
+        iu, iv = index[u], index[v]
+        w = math.hypot(xs[iv] - xs[iu], ys[iv] - ys[iu])
+        rows.extend((iu, iv))
+        cols.extend((iv, iu))
+        data.extend((w, w))
+    mat = csr_matrix((data, (rows, cols)), shape=(n, n))
+    dist = _csgraph_dijkstra(mat, directed=False)
+    # np.hypot rounds differently from math.hypot in the last ulp; the edge
+    # weights above use math.hypot, so the denominators must too or a direct
+    # edge's ratio lands a hair off 1.
+    euclid = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = math.hypot(xs[j] - xs[i], ys[j] - ys[i])
+            euclid[i, j] = euclid[j, i] = d
+    return ids, dist, euclid

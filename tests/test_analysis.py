@@ -205,6 +205,12 @@ class TestRestrictedPairCheck:
         assert got["path"] == ref["path"][::-1]
         assert (got["length"], got["bound"], got["ok"]) == (ref["length"], ref["bound"], ref["ok"])
 
+    def test_unknown_vertex_raises(self):
+        h = build_half_theta6(gen_random(20, 1))
+        for u, w in ((0, 70), (70, 0)):
+            with pytest.raises(InvalidParameter, match="vertex 70 is not in the graph"):
+                restricted_pair_check(h, u, w)
+
     def test_explicit_bound_can_fail(self):
         ps = gen_random(20, 47)
         h = build_half_theta6(ps)

@@ -197,6 +197,36 @@ class TestAnalyze:
         n = len(list(g.points))
         assert len(doc["per_pair"]) == n * (n - 1) // 2
 
+    def test_check_with_per_pair_computes_the_ratio_once(self, h6_file, tmp_path, capsys, monkeypatch):
+        from spannerkit import analysis
+
+        path, g = h6_file
+        calls = []
+        ratio = analysis.spanning_ratio
+
+        def counted(graph, per_pair=False):
+            calls.append(per_pair)
+            return ratio(graph, per_pair=per_pair)
+
+        monkeypatch.setattr(analysis, "spanning_ratio", counted)
+        csv_path = tmp_path / "pairs.csv"
+        assert main(["analyze", "--graph", path, "--check", "--per-pair", "--out", str(csv_path)]) == 0
+        assert calls == [True]
+        rep = analysis.verify_bound(g)
+        rep.per_pair = ratio(g, per_pair=True).per_pair
+        rows = ["u,v,euclidean,graph_distance,ratio"] + [
+            f'{r["u"]},{r["v"]},{r["euclidean"]!r},{r["graph_distance"]!r},{r["ratio"]!r}'
+            for r in rep.per_pair
+        ]
+        assert csv_path.read_text() == "\n".join(rows) + "\n"
+        rep.per_pair = None
+        assert capsys.readouterr().out == rep.to_json()
+        calls.clear()
+        assert main(["analyze", "--graph", path, "--check", "--per-pair"]) == 0
+        assert calls == [True]
+        rep.per_pair = ratio(g, per_pair=True).per_pair
+        assert capsys.readouterr().out == rep.to_json()
+
     def test_malformed_graph_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         for text in ('{"nope": 1}', "not json {"):
