@@ -10,6 +10,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -187,12 +188,14 @@ def _length_matrix(g: SpannerGraph, index: dict, x, y) -> csr_matrix:
 
 def verify_bound(g: SpannerGraph, name: str | None = None, tolerance: float = 1e-9) -> RatioReport:
     """Measure the spanning ratio and compare against the named bound (default:
-    the bound registered for the graph's kind)."""
+    the bound registered for the graph's kind). Raises InvalidParameter if the
+    tolerance is not finite."""
     return _verify_bound(g, name, tolerance, per_pair=False)
 
 
 def _verify_bound(g: SpannerGraph, name: str | None, tolerance: float, per_pair: bool) -> RatioReport:
     """verify_bound over one spanning_ratio(g, per_pair) computation."""
+    _check_tolerance(tolerance)
     if name is None:
         name, kwargs = _default_bound(g)
     else:
@@ -204,6 +207,12 @@ def _verify_bound(g: SpannerGraph, name: str | None, tolerance: float, per_pair:
     report.bound_name = name
     report.passed = report.max_ratio <= value + tolerance
     return report
+
+
+def _check_tolerance(tolerance: float) -> None:
+    # A NaN tolerance fails every comparison, so every bound would "fail".
+    if not math.isfinite(tolerance):
+        raise InvalidParameter(f"tolerance must be finite, got {tolerance!r}")
 
 
 def _default_bound(g: SpannerGraph):
@@ -294,10 +303,12 @@ def restricted_pair_check(
     the other in a positive cone, so a pair given negative end first is
     certified from w and the path read backwards.
 
-    Raises InvalidParameter if u or w is not a vertex. Absence of such a path
-    on a clean half-theta-6 input is a construction bug, so it raises
-    InternalInvariantViolation rather than returning a failure.
+    Raises InvalidParameter if u or w is not a vertex or the tolerance is not
+    finite. Absence of such a path on a clean half-theta-6 input is a
+    construction bug, so it raises InternalInvariantViolation rather than
+    returning a failure.
     """
+    _check_tolerance(tolerance)
     for v in (u, w):
         if v not in h.points:
             raise InvalidParameter(f"vertex {v} is not in the graph")
@@ -309,10 +320,10 @@ def restricted_pair_check(
     ax, ay = tri.apex
     cax, cay = tri.corner_a
     cbx, cby = tri.corner_b
+    ids, xs, ys = h.point_arrays
+    inside = kernels.points_in_tri(xs, ys, ax, ay, cax, cay, cbx, cby, EPS)
     allowed = {a, b}
-    for p in h.points:
-        if kernels.point_in_tri(p.x, p.y, ax, ay, cax, cay, cbx, cby, EPS):
-            allowed.add(p.id)
+    allowed.update(compress(ids, inside.tolist()))
     dist, parent = _dijkstra(h.length_lists, a, allowed, b)
     if b not in dist:
         raise InternalInvariantViolation(

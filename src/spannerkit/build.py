@@ -37,8 +37,8 @@ class SpannerGraph:
 
     The edge set is frozen, so every table derived from it is built on first
     use and kept for the life of the graph: the azimuth-sorted adjacency behind
-    neighbors(), ``length_lists``, and on half_theta6, g12 and g9 graphs
-    ``cone_table`` (plus ``hint_table`` on g9 graphs).
+    neighbors(), ``length_lists``, ``point_arrays``, and on half_theta6, g12
+    and g9 graphs ``cone_table`` (plus ``hint_table`` on g9 graphs).
     """
 
     def __init__(self, kind: str, k, points: PointSet, edges, metadata=None):
@@ -75,6 +75,12 @@ class SpannerGraph:
         for lst in adj.values():
             lst.sort()
         return adj
+
+    @cached_property
+    def point_arrays(self) -> tuple[list[int], np.ndarray, np.ndarray]:
+        """Ids, x and y coordinates of the points, in point-set order."""
+        xs, ys = self.points.coords()
+        return self.points.ids, np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64)
 
     @cached_property
     def cone_table(self) -> "_ConeTable":

@@ -31,6 +31,7 @@ from .errors import DegenerateInput, InternalInvariantViolation, InvalidParamete
 from .geometry import (
     _CHECK_BLOCK,
     _CHECK_SLACK,
+    ConeSystem,
     PointSet,
     _aligned_direction,
     _direction_gaps,
@@ -68,9 +69,15 @@ def gen_random(n: int, seed: int, k: int = 6, retries: int = 100) -> PointSet:
     IEEE comparisons over it, and np.arctan2 azimuths only filter, with pairs
     near the angular tolerance decided by the scalar test. Every seed gives the
     same points as the per-pair scalar loops did.
+
+    Raises InvalidParameter before drawing any point unless n and retries are
+    integers >= 1 and k is a valid cone count.
     """
-    if n < 1:
-        raise InvalidParameter(f"need at least 1 point, got {n}")
+    if not isinstance(n, int) or n < 1:
+        raise InvalidParameter(f"need an integer number of points >= 1, got {n!r}")
+    ConeSystem(k)
+    if not isinstance(retries, int) or retries < 1:
+        raise InvalidParameter(f"retries must be an integer >= 1, got {retries!r}")
     rng = random.Random(seed)
     bad_dirs = _avoided_directions(k)
     xs = np.empty(n)
@@ -234,7 +241,7 @@ def _pair_triangle(g: SpannerGraph, su, tu):
     endpoint sees the other in a positive cone); otherwise it is taken from
     the source's side.
     """
-    from .geometry import ConeSystem, canonical_triangle
+    from .geometry import canonical_triangle
 
     k = g.k if g.kind in ("yao", "theta") else 6
     cs = ConeSystem(k)
@@ -347,10 +354,16 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _required_k(kind: str, k: int | None) -> int:
+    """The --k of a yao or theta graph, which has no default."""
+    if k is None:
+        raise InvalidParameter(f"--graph {kind} requires --k")
+    return k
+
+
 def _build_kind(kind: str, ps: PointSet, k: int | None) -> SpannerGraph:
     if kind == "yao" or kind == "theta":
-        if k is None:
-            raise InvalidParameter(f"build --graph {kind} requires --k")
+        k = _required_k(kind, k)
         return build.build_yao(ps, k) if kind == "yao" else build.build_theta(ps, k)
     if kind == "half_theta6":
         return build.build_half_theta6(ps)
@@ -371,6 +384,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    analysis._check_tolerance(args.tolerance)
     g = graph_from_json(_read(args.graph))
     if args.check:
         report = analysis._verify_bound(g, None, args.tolerance, per_pair=args.per_pair)
@@ -394,6 +408,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    analysis._check_tolerance(args.tolerance)
     if args.graph in BUILD_GRAPHS:
         if args.n is None or args.trials is None:
             raise InvalidParameter(
@@ -402,7 +417,7 @@ def _cmd_verify(args) -> int:
         if args.trials < 1:
             raise InvalidParameter(f"--trials must be >= 1, got {args.trials}")
         seed = _resolve_seed(args.seed, "verify over random trials")
-        gen_k = args.k if args.graph in ("yao", "theta") else 6
+        gen_k = _required_k(args.graph, args.k) if args.graph in ("yao", "theta") else 6
         worst = None
         passed = True
         for t in range(args.trials):

@@ -1,38 +1,157 @@
-"""Hot-path kernels: compiled extension when available, pure-Python twin otherwise."""
+"""Distance-critical kernels: azimuths, cone indices, bisector projections,
+point-in-triangle tests and the scalar closest-per-cone scan.
 
-import warnings
+These scalar functions define every boundary decision in the package. The
+numpy versions (points_in_tri here, build.cone_scan) repeat their IEEE double
+operations elementwise in the same order, so they return the same answers,
+and the scalar functions stay their reference.
+"""
 
-try:
-    from ._kernels import (
-        azimuth,
-        cone_edges,
-        cone_index,
-        point_in_tri,
-        theta_projection_len,
-    )
+from math import atan2, cos, floor, sin
 
-    USING_COMPILED = True
-except ImportError:  # pragma: no cover - depends on build environment
-    warnings.warn(
-        "spannerkit: compiled kernels unavailable, falling back to pure Python",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    from ._kernels_py import (
-        azimuth,
-        cone_edges,
-        cone_index,
-        point_in_tri,
-        theta_projection_len,
-    )
+import numpy as np
 
-    USING_COMPILED = False
+#: Always False: the kernels are plain Python and numpy. Kept because callers
+#: record the backend from it.
+USING_COMPILED = False
 
-__all__ = [
-    "USING_COMPILED",
-    "azimuth",
-    "cone_edges",
-    "cone_index",
-    "point_in_tri",
-    "theta_projection_len",
-]
+TWO_PI = 6.283185307179586
+# Angular slack for boundary ownership decisions, in radians.
+ANGLE_EPS = 1e-9
+
+
+def azimuth(dx, dy):
+    """Clockwise angle from the +y axis, in [0, 2*pi)."""
+    az = atan2(dx, dy)
+    if az < 0.0:
+        az += TWO_PI
+        # A negative angle below one ulp rounds back up to the full turn.
+        if az >= TWO_PI:
+            az = 0.0
+    return az
+
+
+def cone_index(dx, dy, k):
+    """Index of the cone (k equal wedges, cone 0 centred on +y, labels clockwise)
+    containing the vector. A vector within ANGLE_EPS of a boundary belongs to the
+    counter-clockwise (lower-index) cone."""
+    az = atan2(dx, dy)
+    if az < 0.0:
+        az += TWO_PI
+    theta = TWO_PI / k
+    t = (az - 0.5 * theta) / theta
+    m = floor(t + 0.5)
+    if abs(t - m) * theta <= ANGLE_EPS:
+        i = int(m)
+    else:
+        i = int(floor(t)) + 1
+    return i % k
+
+
+def theta_projection_len(dx, dy, k):
+    """Length of the vector's projection onto the bisector of its own cone."""
+    i = cone_index(dx, dy, k)
+    bis = i * (TWO_PI / k)
+    return dx * sin(bis) + dy * cos(bis)
+
+
+def point_in_tri(px, py, ax, ay, bx, by, cx, cy, eps):
+    """Closed point-in-triangle test with eps slack: points up to eps outside an
+    edge (true distance) still count as inside."""
+    area2 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    if area2 < 0.0:
+        bx, by, cx, cy = cx, cy, bx, by
+    if not _left_ok(px, py, ax, ay, bx, by, eps):
+        return False
+    if not _left_ok(px, py, bx, by, cx, cy, eps):
+        return False
+    if not _left_ok(px, py, cx, cy, ax, ay, eps):
+        return False
+    return True
+
+
+def _left_ok(px, py, x1, y1, x2, y2, eps):
+    ex = x2 - x1
+    ey = y2 - y1
+    cross = ex * (py - y1) - ey * (px - x1)
+    ln = (ex * ex + ey * ey) ** 0.5
+    return cross >= -eps * ln
+
+
+def points_in_tri(xs, ys, ax, ay, bx, by, cx, cy, eps):
+    """point_in_tri for every point (xs[i], ys[i]) of two float64 arrays, as a
+    boolean mask.
+
+    The orientation swap and each side's length are the scalar code's own; the
+    cross products are the same IEEE operations in the same order, elementwise,
+    so every entry equals point_in_tri's answer (NaN crosses fail both ways).
+    """
+    area2 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    if area2 < 0.0:
+        bx, by, cx, cy = cx, cy, bx, by
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (
+            _left_mask(xs, ys, ax, ay, bx, by, eps)
+            & _left_mask(xs, ys, bx, by, cx, cy, eps)
+            & _left_mask(xs, ys, cx, cy, ax, ay, eps)
+        )
+
+
+def _left_mask(xs, ys, x1, y1, x2, y2, eps):
+    ex = x2 - x1
+    ey = y2 - y1
+    ln = (ex * ex + ey * ey) ** 0.5
+    return ex * (ys - y1) - ey * (xs - x1) >= -eps * ln
+
+
+def cone_edges(xs, ys, k, use_projection, cone_mask):
+    """Closest-per-cone edge scan.
+
+    For every vertex u and every cone i (restricted to cone_mask bits when
+    cone_mask is nonzero) return (u, i, v) where v minimises
+    (projection, squared distance, index) when use_projection is true, else
+    (squared distance, index). Indices are positions in xs/ys.
+    """
+    n = len(xs)
+    theta = TWO_PI / k
+    size = n * k
+    bk1 = [0.0] * size
+    bk2 = [0.0] * size
+    bv = [-1] * size
+    for u in range(n):
+        xu = xs[u]
+        yu = ys[u]
+        for v in range(n):
+            if v == u:
+                continue
+            dx = xs[v] - xu
+            dy = ys[v] - yu
+            i = cone_index(dx, dy, k)
+            if cone_mask != 0 and not (cone_mask >> i) & 1:
+                continue
+            d2 = dx * dx + dy * dy
+            if use_projection:
+                bis = i * theta
+                k1 = dx * sin(bis) + dy * cos(bis)
+                k2 = d2
+            else:
+                k1 = d2
+                k2 = 0.0
+            idx = u * k + i
+            w = bv[idx]
+            if (
+                w < 0
+                or k1 < bk1[idx]
+                or (k1 == bk1[idx] and (k2 < bk2[idx] or (k2 == bk2[idx] and v < w)))
+            ):
+                bk1[idx] = k1
+                bk2[idx] = k2
+                bv[idx] = v
+    out = []
+    for u in range(n):
+        base = u * k
+        for i in range(k):
+            v = bv[base + i]
+            if v >= 0:
+                out.append((u, i, v))
+    return out

@@ -351,3 +351,43 @@ def _oracle_distance_matrices(g):
             d = math.hypot(xs[j] - xs[i], ys[j] - ys[i])
             euclid[i, j] = euclid[j, i] = d
     return ids, dist, euclid
+
+
+def oracle_restricted_pair_check(h, u, w, bound=None, tolerance=1e-9):
+    """restricted_pair_check as it was before the numpy sweep: one scalar
+    point_in_tri call per point of the graph."""
+    from spannerkit import kernels
+    from spannerkit.analysis import _dijkstra, bound_value
+    from spannerkit.errors import InternalInvariantViolation, InvalidParameter
+    from spannerkit.geometry import EPS, ConeSystem, angle_alpha, canonical_triangle
+
+    for v in (u, w):
+        if v not in h.points:
+            raise InvalidParameter(f"vertex {v} is not in the graph")
+    cs = ConeSystem(h.k or 6)
+    flip = cs.k == 6 and cs.cone_of(h.points[u], h.points[w]) % 2 == 1
+    a, b = (w, u) if flip else (u, w)
+    pa, pb = h.points[a], h.points[b]
+    tri = canonical_triangle(cs, pa, pb)
+    ax, ay = tri.apex
+    cax, cay = tri.corner_a
+    cbx, cby = tri.corner_b
+    allowed = {a, b}
+    for p in h.points:
+        if kernels.point_in_tri(p.x, p.y, ax, ay, cax, cay, cbx, cby, EPS):
+            allowed.add(p.id)
+    dist, parent = _dijkstra(h.length_lists, a, allowed, b)
+    if b not in dist:
+        raise InternalInvariantViolation(
+            f"no path from {u} to {w} inside their canonical triangle"
+        )
+    path = [b]
+    while path[-1] != a:
+        path.append(parent[path[-1]])
+    if not flip:
+        path.reverse()
+    if bound is None:
+        alpha = angle_alpha(cs, pa, pb)
+        bound = bound_value("pair_alpha", alpha=alpha) * math.hypot(pb.x - pa.x, pb.y - pa.y)
+    length = dist[b]
+    return {"path": path, "length": length, "bound": bound, "ok": length <= bound + tolerance}

@@ -126,6 +126,14 @@ class TestVerifyBound:
         rep = verify_bound(build_half_theta6(gen_random(40, 23)), tolerance=-1.5)
         assert rep.passed is False
 
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tolerance_rejected(self, tolerance):
+        h = build_half_theta6(gen_random(20, 1))
+        with pytest.raises(InvalidParameter, match="tolerance must be finite"):
+            verify_bound(h, tolerance=tolerance)
+        with pytest.raises(InvalidParameter, match="tolerance must be finite"):
+            restricted_pair_check(h, 0, 1, tolerance=tolerance)
+
     def test_explicit_name_overrides_kind(self):
         g = build_theta(gen_random(30, 11), 12)
         rep = verify_bound(g, name="theta")

@@ -164,6 +164,14 @@ class TestConeScan:
     def test_empty_input(self):
         assert cone_scan([], [], 6, True, 0) == []
 
+    def test_cone_edges_deterministic(self):
+        rng = random.Random(99)
+        xs = [rng.random() for _ in range(60)]
+        ys = [rng.random() for _ in range(60)]
+        a = kernels.cone_edges(xs, ys, 6, True, 0b010101)
+        b = kernels.cone_edges(xs, ys, 6, True, 0b010101)
+        assert a == b
+
     def test_overflowing_keys_still_pick_by_id(self):
         # Squared distances overflow to inf, so the three candidates in cone 1
         # of point 0 tie and the lowest index wins, though it is the farthest.

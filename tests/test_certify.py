@@ -1,0 +1,183 @@
+"""Pair certification with the numpy triangle sweep against the per-point
+scalar loop it replaced (tests/oracles.py::oracle_restricted_pair_check), and
+kernels.points_in_tri against kernels.point_in_tri on points placed at and one
+ulp around each triangle side's eps margin."""
+
+import math
+
+import numpy as np
+import pytest
+from oracles import oracle_restricted_pair_check
+from test_ratio import SUITE_SETS
+
+from spannerkit import (
+    ConeSystem,
+    Point,
+    PointSet,
+    SpannerKitError,
+    build_half_theta6,
+    build_theta,
+    canonical_triangle,
+    gen_circle,
+    gen_random,
+    gen_routing_lb,
+    kernels,
+    restricted_pair_check,
+)
+from spannerkit.geometry import EPS
+
+
+def outcome(check, h, u, w):
+    try:
+        return check(h, u, w)
+    except SpannerKitError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def assert_pairs_match(h):
+    """Every ordered pair, so each pair is certified in both orders."""
+    ids = h.points.ids
+    raised = 0
+    for u in ids:
+        for w in ids:
+            if u == w:
+                continue
+            got = outcome(restricted_pair_check, h, u, w)
+            assert got == outcome(oracle_restricted_pair_check, h, u, w), (h.kind, h.k, u, w)
+            raised += isinstance(got, tuple)
+    return raised
+
+
+@pytest.mark.parametrize("n,seed", SUITE_SETS)
+def test_suite_sets(n, seed):
+    assert assert_pairs_match(build_half_theta6(gen_random(n, seed))) == 0
+
+
+@pytest.mark.parametrize("k", [5, 7])
+def test_theta_graphs(k):
+    # Theta-5/7 triangles need not hold a path: the raises must agree too.
+    raised = sum(assert_pairs_match(build_theta(gen_random(n, seed), k))
+                 for n, seed in ((40, 23), (30, 17), (20, 11)))
+    if k == 5:
+        assert raised > 0
+
+
+def test_integer_grid():
+    ps = PointSet.from_pairs((x, y) for x in range(6) for y in range(5))
+    assert_pairs_match(build_half_theta6(ps))
+
+
+def test_circle():
+    assert_pairs_match(build_half_theta6(gen_circle(24)))
+
+
+@pytest.mark.parametrize("variant", ["positive", "negative_a", "negative_b"])
+def test_routing_lower_bound_instances(variant):
+    assert_pairs_match(build_half_theta6(gen_routing_lb(variant, math.pi / 12, 1e-4)))
+
+
+def test_huge_coordinates():
+    ps = PointSet(Point(p.id, p.x * 1e150, p.y * 1e150) for p in gen_random(30, 17))
+    assert assert_pairs_match(build_half_theta6(ps)) == 0
+
+
+def _sides(a, b, c):
+    return ((a, b), (b, c), (c, a))
+
+
+def boundary_points(a, b, c, eps):
+    """The corners, and points at 0, +-eps and +-2 eps from each side's
+    midpoint and quarter points along its normal, each also moved one ulp
+    either way in x and y."""
+    base = [a, b, c]
+    for (x1, y1), (x2, y2) in _sides(a, b, c):
+        ln = math.hypot(x2 - x1, y2 - y1)
+        nx, ny = (y2 - y1) / ln, -(x2 - x1) / ln
+        for t in (0.25, 0.5, 0.75):
+            mx, my = x1 + t * (x2 - x1), y1 + t * (y2 - y1)
+            for s in (-2.0, -1.0, 0.0, 1.0, 2.0):
+                base.append((mx + s * eps * nx, my + s * eps * ny))
+    pts = []
+    for x, y in base:
+        for px in (np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)):
+            for py in (np.nextafter(y, -np.inf), y, np.nextafter(y, np.inf)):
+                pts.append((float(px), float(py)))
+    return pts
+
+
+def triangles():
+    cs = ConeSystem(6)
+    yield (0.0, 0.0), (9.0, 1.0), (4.0, 8.0)
+    yield (0.125, 0.5), (0.75, 0.25), (0.5, 0.875)
+    ps = gen_random(20, 11)
+    for u, w in ((0, 5), (3, 17), (12, 1)):
+        tri = canonical_triangle(cs, ps[u], ps[w])
+        yield tri.apex, tri.corner_a, tri.corner_b
+    # Crosses that overflow to inf and NaN.
+    yield (-1e200, 0.0), (1e200, 1e200), (0.0, -1e200)
+
+
+@pytest.mark.parametrize("tri", list(triangles()))
+@pytest.mark.parametrize("eps", [EPS, 0.0, 1e-6])
+def test_points_in_tri_matches_point_in_tri(tri, eps):
+    a, b, c = tri
+    pts = boundary_points(a, b, c, max(eps, 1e-9 * math.dist(a, b)))
+    xs = np.array([p[0] for p in pts])
+    ys = np.array([p[1] for p in pts])
+    # Both orientations: points_in_tri must make the same swap.
+    for p, q, r in ((a, b, c), (a, c, b)):
+        got = kernels.points_in_tri(xs, ys, *p, *q, *r, eps)
+        want = [kernels.point_in_tri(x, y, *p, *q, *r, eps) for x, y in pts]
+        assert got.dtype == bool
+        assert got.tolist() == want
+        if math.dist(a, b) < 1e100:
+            assert any(want) and not all(want)
+
+
+def margin_triangles():
+    cs = ConeSystem(6)
+    ps = gen_random(20, 11)
+    yield (0.0, 0.0), (9.0, 1.0), (4.0, 8.0)
+    for u in range(0, 20, 4):
+        for w in (1, 7, 13, 19):
+            tri = canonical_triangle(cs, ps[u], ps[w])
+            yield tri.apex, tri.corner_a, tri.corner_b
+
+
+def test_points_in_tri_on_exact_margin():
+    # eps tuned so that a point's cross product equals -eps * ln exactly: the
+    # closed test keeps it, and the next smaller margin drops it, in both
+    # versions. Side lengths computed another way (np.hypot) break some ties.
+    ties = 0
+    for a, b, c in margin_triangles():
+        if (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]) < 0.0:
+            b, c = c, b
+        ties += _exact_margin_ties(a, b, c)
+    assert ties >= 500
+
+
+def _exact_margin_ties(a, b, c):
+    ties = 0
+    for (x1, y1), (x2, y2) in _sides(a, b, c):
+        ex, ey = x2 - x1, y2 - y1
+        ln = (ex * ex + ey * ey) ** 0.5
+        for t in (0.2 + 0.05 * i for i in range(13)):
+            px = x1 + t * ex + 1e-7 * ey
+            py = y1 + t * ey - 1e-7 * ex
+            cross = ex * (py - y1) - ey * (px - x1)
+            eps = -cross / ln
+            for _ in range(4):
+                if -eps * ln == cross:
+                    break
+                eps = float(np.nextafter(eps, np.inf if -eps * ln > cross else -np.inf))
+            if -eps * ln != cross:
+                continue
+            ties += 1
+            below = eps
+            while -below * ln == cross:
+                below = float(np.nextafter(below, 0.0))
+            for e, inside in ((eps, True), (below, False)):
+                want = kernels.point_in_tri(px, py, *a, *b, *c, e)
+                got = kernels.points_in_tri(np.array([px]), np.array([py]), *a, *b, *c, e)
+                assert want is inside and got.tolist() == [want]
+    return ties

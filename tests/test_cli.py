@@ -265,6 +265,29 @@ class TestVerify:
         assert main(argv + ["--trials", trials]) == 2
         assert "--trials must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["theta", "yao"])
+    def test_generative_cone_kinds_require_k(self, kind, tmp_path, capsys):
+        argv = ["verify", "--graph", kind, "--n", "10", "--trials", "1", "--seed", "1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"--graph {kind} requires --k" in err
+        pts_file = tmp_path / "pts.json"
+        pts_file.write_text(points_to_json(gen_random(8, 3)))
+        assert main(["build", "--graph", kind, "--points", str(pts_file)]) == 2
+        assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf"])
+    def test_non_finite_tolerance_is_a_usage_error(self, tolerance, h6_file, capsys):
+        path, _g = h6_file
+        for argv in (
+            ["analyze", "--graph", path],
+            ["analyze", "--graph", path, "--check"],
+            ["verify", "--graph", path],
+            ["verify", "--graph", "half_theta6", "--n", "10", "--trials", "1", "--seed", "1"],
+        ):
+            assert main(argv + [f"--tolerance={tolerance}"]) == 2, argv
+            assert "tolerance must be finite" in capsys.readouterr().err
+
     def test_file_mode(self, h6_file, capsys):
         path, _g = h6_file
         assert main(["verify", "--graph", path]) == 0

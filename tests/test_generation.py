@@ -12,6 +12,7 @@ import pytest
 from spannerkit import (
     ConeSystem,
     DegenerateInput,
+    InvalidParameter,
     PointSet,
     cli_io,
     gen_circle,
@@ -143,6 +144,30 @@ class TestGenRandomMatchesOracle:
         with pytest.raises(DegenerateInput) as want:
             oracle_gen_random(100, 0, retries=1)
         assert str(got.value) == str(want.value)
+
+
+class TestGenRandomArguments:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"n": 0},
+            {"n": -4},
+            {"n": 2.5},
+            {"n": "8"},
+            {"k": 0},
+            {"k": 1},
+            {"k": -6},
+            {"k": 2.5},
+            {"k": None},
+            {"retries": 0},
+            {"retries": -1},
+            {"retries": 1.5},
+        ],
+    )
+    def test_rejected_before_drawing(self, kwargs):
+        args = {"n": 8, "seed": 1, **kwargs}
+        with pytest.raises(InvalidParameter):
+            gen_random(**args)
 
 
 class TestCandidateChecks:

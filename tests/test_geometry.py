@@ -19,6 +19,7 @@ from spannerkit import (
     points_to_json,
     theta_projection,
 )
+from spannerkit import kernels
 from spannerkit.geometry import direction
 
 from oracles import oracle_cone_index
@@ -59,6 +60,14 @@ class TestConeSystem:
             cs = ConeSystem(k)
             for i, az in enumerate(cs.boundary_azimuths()):
                 assert cs.cone_of((0, 0), direction(az)) == i
+
+    def test_cone_index_on_exact_boundaries(self):
+        for k in (4, 5, 6, 7, 9, 12):
+            theta = 2 * math.pi / k
+            for i in range(k):
+                az = i * theta + theta / 2
+                dx, dy = math.sin(az), math.cos(az)
+                assert kernels.cone_index(dx, dy, k) == i
 
     def test_cone_of_identical_points_rejected(self):
         with pytest.raises(DegenerateInput):
