@@ -1,6 +1,8 @@
 """Routing engine tests: guards, per-pair budgets, potential accounting, case
-transitions, the bounded-degree engines, and trace serialization."""
+transitions, the bounded-degree engines, trace serialization, and a golden
+digest of every trace on fixed sets."""
 
+import hashlib
 import math
 import random
 
@@ -16,6 +18,7 @@ from spannerkit import (
     build_theta,
     classify_case,
     gen_random,
+    gen_routing_lb,
     potential,
     route_g9,
     route_g12,
@@ -212,6 +215,50 @@ class TestSubgraphEngines:
         a = route_g9(g9, 2, 30)
         b = route_g9(g9, 2, 30)
         assert a == b
+
+
+# SHA-256 of to_json() of all four routers over every ordered pair of the
+# golden sets, set by set, pairs in id order, routers in the order below.
+GOLDEN_TRACE_DIGEST = "546d26b9edcc573fac5713f80b1ab23d94bcbcb92514c764c6819f5f5657286f"
+
+
+def _golden_sets():
+    yield gen_random(24, 1)
+    yield gen_random(40, 2)
+    for variant in ("positive", "negative_a", "negative_b"):
+        for alpha in (0.0, 0.3):
+            yield gen_routing_lb(variant, alpha=alpha)
+
+
+class TestGoldenTraces:
+    def test_trace_bytes_pinned(self):
+        digest = hashlib.sha256()
+        traces = 0
+        slack_hits = {"g12": 0, "g9": 0}
+        for ps in _golden_sets():
+            h = build_half_theta6(ps)
+            g12, g9 = build_g12(h), build_g9(h)
+            routers = (
+                ("stateless", route_stateless, h),
+                ("stateful", route_stateful, h),
+                ("g12", route_g12, g12),
+                ("g9", route_g9, g9),
+            )
+            ids = sorted(p.id for p in ps)
+            for s in ids:
+                for t in ids:
+                    if s == t:
+                        continue
+                    for name, router, g in routers:
+                        tr = router(g, s, t)
+                        digest.update(tr.to_json().encode())
+                        traces += 1
+                        if name in slack_hits and tr.probe_slack > 0.0:
+                            slack_hits[name] += 1
+        assert traces == 8816
+        # The sets reach the capped probe that charges slack on both subgraphs.
+        assert slack_hits == {"g12": 128, "g9": 109}
+        assert digest.hexdigest() == GOLDEN_TRACE_DIGEST
 
 
 class TestTraceSerialization:
