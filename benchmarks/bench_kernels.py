@@ -10,10 +10,15 @@ agreement on its own workload before reporting the speedup.
 
 import argparse
 import math
+import os
 import random
+import sys
 import time
 
 import numpy as np
+
+# Import the package from this checkout's src/, installed or not.
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from spannerkit import kernels
 from spannerkit.build import cone_scan

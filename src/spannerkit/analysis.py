@@ -86,8 +86,11 @@ class RatioReport:
     per_pair: list[dict] | None = field(default=None, repr=False)
 
     def to_json(self) -> str:
+        ratio = self.max_ratio
+        if not math.isfinite(ratio):
+            ratio = "nan" if math.isnan(ratio) else "inf"
         obj: dict = {
-            "max_ratio": self.max_ratio if math.isfinite(self.max_ratio) else "inf",
+            "max_ratio": ratio,
             "witness": list(self.witness) if self.witness is not None else None,
         }
         if self.bound is not None:

@@ -196,11 +196,13 @@ def canonical_triangle(cs: ConeSystem, u, w) -> CanonicalTriangle:
     """Canonical triangle of the ordered pair (u, w): apex u, wedge = u's cone
     containing w, far side through w."""
     ux, uy = _xy(u)
+    wx, wy = _xy(w)
     i = cs.cone_of(u, w)
-    proj = theta_projection(cs, u, w)
+    bis = cs.bisector(i)
+    # theta_projection(cs, u, w), without finding the cone a second time.
+    proj = (wx - ux) * math.sin(bis) + (wy - uy) * math.cos(bis)
     half = cs.theta / 2
     size = proj / math.cos(half)
-    bis = cs.bisector(i)
     da = direction(bis - half)
     db = direction(bis + half)
     return CanonicalTriangle(

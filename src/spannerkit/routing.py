@@ -11,17 +11,24 @@ three regions it induces around s:
     X2  = cone (j-1) mod 6 of s intersected with the triangle.
 
 Corner ``a`` of the triangle falls on the X1 side, corner ``b`` on the X2
-side.  The stateless and stateful engines see the whole graph; the g12 and g9
-engines run on the degree-bounded subgraphs and must reconstruct the same
-decisions with local information only, paying extra travel that the trace
-records separately from productive progress.
+side.  The stateless and stateful engines see the whole graph.  The g12 and g9
+engines share one router on the degree-bounded subgraphs; it must reconstruct
+the same decisions with local information only, paying extra travel that the
+trace records separately from productive progress.  The two subgraphs differ
+only in a ``_Local`` value: how a vertex reaches a positive-cone edge it did
+not keep (a doubling search along flank edges on g12, a walk along the stored
+direction hints on g9), where it reads the two ends of its fan (its kept first
+and last neighbours on g12, the stored fan-end hints on g9), and the slack a
+failed capped probe grants (20 and 4 times the corner distance).
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import kernels
 from .build import SpannerGraph
@@ -265,12 +272,6 @@ def _region_edge(ctx, frame: _NegFrame, cone: int):
     return e
 
 
-def _x0_members(ctx, frame: _NegFrame) -> tuple[list[int], list[int]]:
-    fan = ctx.fans.get((frame.s, frame.j), [])
-    inside = [y for y in fan if frame.contains(ctx.xy[y])]
-    return fan, inside
-
-
 def _walk_fan_to_region(ctx, frame: _NegFrame, fan, inside, start: int) -> int:
     """First X0 member met when walking the fan from `start` toward the region."""
     in_set = set(inside)
@@ -348,11 +349,21 @@ def _clip_wedge(poly, apex, cone):
     return poly
 
 
-def _phi_positive(ctx, s: int, t: int, j: int) -> float:
-    tri = canonical_triangle(_CS6, ctx.xy[s], ctx.xy[t])
+def _phi_positive(ctx, tri, t: int) -> float:
     da = _d(tri.corner_a, ctx.xy[t])
     db = _d(ctx.xy[t], tri.corner_b)
     return tri.size + max(da, db)
+
+
+def _regions(ctx, s: int, t: int, j: int):
+    """Frame of the negative decision at s, s's cone-j fan, its X0 members, and
+    the positive edges of s into X1 and X2 (None where that region is empty)."""
+    frame = _NegFrame(ctx, s, t, j)
+    fan = ctx.fans.get((s, j), [])
+    inside = [y for y in fan if frame.contains(ctx.xy[y])]
+    e1 = _region_edge(ctx, frame, frame.cone_x1)
+    e2 = _region_edge(ctx, frame, frame.cone_x2)
+    return frame, fan, inside, e1, e2
 
 
 def _decide_full(ctx, s: int, t: int, stateful: bool, preferred: str | None) -> _Decision:
@@ -372,12 +383,9 @@ def _decide_full(ctx, s: int, t: int, stateful: bool, preferred: str | None) -> 
         new_pref = preferred
         if stateful and v != t:
             new_pref = _initial_preferred(ctx, s, v, t)
-        return _Decision("A", v, new_pref, _phi_positive(ctx, s, t, j))
+        return _Decision("A", v, new_pref, _phi_positive(ctx, tri, t))
 
-    frame = _NegFrame(ctx, s, t, j)
-    fan, inside = _x0_members(ctx, frame)
-    e1 = _region_edge(ctx, frame, frame.cone_x1)
-    e2 = _region_edge(ctx, frame, frame.cone_x2)
+    frame, fan, inside, e1, e2 = _regions(ctx, s, t, j)
     lsize = frame.tri.size
     dab = _d(frame.a, frame.b)
 
@@ -437,10 +445,7 @@ def classify_case(g: SpannerGraph, s: int, t: int) -> dict:
     j = kernels.cone_index(tx - sx, ty - sy, 6)
     if j % 2 == 0:
         return {"case": "A", "cone": j, "positive": True}
-    frame = _NegFrame(ctx, s, t, j)
-    _, inside = _x0_members(ctx, frame)
-    e1 = _region_edge(ctx, frame, frame.cone_x1)
-    e2 = _region_edge(ctx, frame, frame.cone_x2)
+    _, _, inside, e1, e2 = _regions(ctx, s, t, j)
     if e1 is None and e2 is None:
         case = "B"
     elif e1 is not None and e2 is not None:
@@ -643,13 +648,15 @@ def _search_cone_edge(ctx, s: int, cone: int, target: int, cap: float | None):
         budget *= 2.0
 
 
-def _g9_walk_to_cone_edge(ctx, hints, s: int, cone: int, target: int,
-                          cap: float | None):
+def _hint_walk(hints, ctx, s: int, cone: int, target: int, cap: float | None):
     """Follow per-vertex direction hints until a vertex keeps its edge into `cone`.
 
-    Returns (hit, walk_to_x) like the doubling search but with zero exploration;
-    with a cap it returns (None, walked) on failure.
+    Returns (hit, walk_to_x, 0.0) like the doubling search, with no exploration;
+    with a cap it returns (None, walked, 0.0) on failure, and None at once when
+    s has no hint toward `cone`.
     """
+    if cap is not None and (s, cone) not in hints.dir:
+        return None
     cur = s
     walked = 0.0
     guard = 0
@@ -659,7 +666,7 @@ def _g9_walk_to_cone_edge(ctx, hints, s: int, cone: int, target: int,
             raise InternalInvariantViolation("hint walk failed to terminate")
         e = ctx.positive.get((cur, cone))
         if e is not None:
-            return (cur, e[0], e[1]), walked
+            return (cur, e[0], e[1]), walked, 0.0
         d = hints.dir.get((cur, cone))
         if d is None or d == "self":
             raise InternalInvariantViolation(
@@ -671,21 +678,56 @@ def _g9_walk_to_cone_edge(ctx, hints, s: int, cone: int, target: int,
             raise InternalInvariantViolation("hint walk has no flank edge to follow")
         nbr, ln = fl
         if cap is not None and walked + ln > cap * (1.0 + 1e-12):
-            return None, walked
+            return None, walked, 0.0
         cur = nbr
         walked += ln
         if cur == target:
             raise _Arrived(walked)
 
 
-def _fan_dir_for_sliver(side: str) -> str:
-    # S2 members sit below the region in fan order, so ascend; S1 descends.
-    return "ccw" if side == "S2" else "cw"
+def _kept_fan_ends(ctx, s: int, j: int):
+    # On g12, s's neighbours in cone j are exactly the kept first, closest and last.
+    fan = ctx.fans.get((s, j))
+    if not fan:
+        return None
+    return ctx.xy[fan[0]], ctx.xy[fan[-1]]
+
+
+def _hint_fan_ends(hints, ctx, s: int, j: int):
+    ends = hints.fan.get((s, j))
+    if ends is None:
+        return None
+    (_, fx, fy), (_, lx, ly) = ends
+    return (fx, fy), (lx, ly)
+
+
+@dataclass(frozen=True)
+class _Local:
+    """What a subgraph router knows locally; everything else is shared.
+
+    find(ctx, s, cone, target, cap) reaches some vertex with an edge into the
+    positive `cone` and returns (hit, walked, exploration) like
+    _search_cone_edge, or None when a capped search cannot start.
+    fan_ends(ctx, s, j) gives the (x, y) of the first and last member of s's
+    half-theta-6 fan in odd cone j, or None for an empty fan.
+    probe_slack multiplies the corner distance granted once per failed probe.
+    """
+
+    find: Callable
+    fan_ends: Callable
+    probe_slack: float
+
+
+_G12_LOCAL = _Local(_search_cone_edge, _kept_fan_ends, 20.0)
+
+
+def _g9_local(hints) -> _Local:
+    return _Local(partial(_hint_walk, hints), partial(_hint_fan_ends, hints), 4.0)
 
 
 def _route_sub(g: SpannerGraph, source: int, target: int, flavor: str) -> RoutingTrace:
     ctx = _check_graph(g, (flavor,), source, target)
-    hints = g.hint_table if flavor == "g9" else None
+    local = _g9_local(g.hint_table) if flavor == "g9" else _G12_LOCAL
     base, _ = base_bound(g, source, target)
     trace = RoutingTrace(algorithm=flavor, source=source, target=target,
                          bound=ROUTING_FACTORS[flavor] * base)
@@ -699,20 +741,27 @@ def _route_sub(g: SpannerGraph, source: int, target: int, flavor: str) -> Routin
         sx, sy = ctx.xy[s]
         tx, ty = ctx.xy[target]
         j = kernels.cone_index(tx - sx, ty - sy, 6)
-        if j % 2 == 0:
-            s, preferred = _sub_positive(ctx, hints, flavor, trace, s, target, j, preferred)
-            continue
-        frame = _NegFrame(ctx, s, target, j)
-        if preferred is None:
-            s, preferred = _sub_case_b(ctx, hints, flavor, trace, frame, target)
-        else:
-            s = _sub_case_c(ctx, hints, flavor, trace, frame, target, preferred)
+        frame = _NegFrame(ctx, s, target, j) if j % 2 else None
+        try:
+            if frame is None:
+                case = "A"
+                s, preferred = _sub_positive(ctx, local, trace, s, target, j, preferred)
+            elif preferred is None:
+                case = "B"
+                s, preferred = _sub_case_b(ctx, local, trace, frame, target)
+            else:
+                case = "C"
+                s = _sub_case_c(ctx, local, trace, frame, target, preferred)
+        except _Arrived as arr:
+            # A walk stepped onto the target: the step from s ends the route.
+            _record(trace, s, target, case, arr.travelled, arr.exploration)
+            s = target
     trace.passed = (trace.total_path_length + trace.exploration_travel
                     <= trace.bound + _PAY_EPS)
     return trace
 
 
-def _realize_positive(ctx, hints, flavor, s, cone, target):
+def _realize_positive(ctx, local: _Local, s, cone, target):
     """Reach the half-theta-6 positive-cone target of s using subgraph edges only.
 
     Returns (v, productive, exploration).  Raises _Arrived if the walk steps
@@ -721,52 +770,32 @@ def _realize_positive(ctx, hints, flavor, s, cone, target):
     direct = ctx.positive.get((s, cone))
     if direct is not None:
         return direct[0], direct[1], 0.0
-    if flavor == "g9":
-        hit, walked = _g9_walk_to_cone_edge(ctx, hints, s, cone, target, None)
-        x, v, vlen = hit
-        return v, walked + vlen, 0.0
-    hit, walked, expl = _search_cone_edge(ctx, s, cone, target, None)
+    hit, walked, expl = local.find(ctx, s, cone, target, None)
     x, v, vlen = hit
     return v, walked + vlen, expl
 
 
-def _sub_positive(ctx, hints, flavor, trace, s, target, cone, preferred):
-    try:
-        v, productive, expl = _realize_positive(ctx, hints, flavor, s, cone, target)
-    except _Arrived as arr:
-        trace.steps.append(RoutingStep(s, target, "A", 0.0, 0.0, arr.travelled, arr.exploration))
-        trace.total_path_length += arr.travelled
-        trace.exploration_travel += arr.exploration
-        return target, preferred
-    new_pref = preferred
+def _sub_positive(ctx, local: _Local, trace, s, target, cone, preferred):
+    v, productive, expl = _realize_positive(ctx, local, s, cone, target)
+    _record(trace, s, v, "A", productive, expl)
     if v != target:
-        new_pref = _initial_preferred(ctx, s, v, target)
-    trace.steps.append(RoutingStep(s, v, "A", 0.0, 0.0, productive, expl))
-    trace.total_path_length += productive
-    trace.exploration_travel += expl
-    return v, new_pref
+        preferred = _initial_preferred(ctx, s, v, target)
+    return v, preferred
 
 
-def _x0_exists_g12(ctx, frame: _NegFrame) -> bool:
-    # On g12, s's neighbours in cone j are exactly the kept first, closest and last.
-    fan = ctx.fans.get((frame.s, frame.j))
-    if not fan:
+def _x0_exists(ctx, local: _Local, frame: _NegFrame) -> bool:
+    """Whether X0 holds a fan member, decided from the two ends of s's fan."""
+    ends = local.fan_ends(ctx, frame.s, frame.j)
+    if ends is None:
         return False
-    return _x0_exists_from_ends(ctx, frame, ctx.xy[fan[0]], ctx.xy[fan[-1]])
-
-
-def _x0_exists_from_ends(ctx, frame, first_xy, last_xy) -> bool:
-    fin = frame.contains(first_xy)
-    lin = frame.contains(last_xy)
-    if fin or lin:
+    first_xy, last_xy = ends
+    if frame.contains(first_xy) or frame.contains(last_xy):
         return True
     sf = frame.sliver(first_xy)
     sl = frame.sliver(last_xy)
     if sf == "S2" and sl == "S1":
         return True
-    if sf == "S2" and sl == "S2":
-        return False
-    if sf == "S1" and sl == "S1":
+    if sf == sl:
         return False
     raise InternalInvariantViolation("fan ends wrap around the region in the wrong order")
 
@@ -797,7 +826,8 @@ def _walk_region_landing(ctx, frame, target, start, pref_dir: str | None):
     walked = 0.0
     entered_via = None
     if not frame.contains(ctx.xy[cur]):
-        side = _fan_dir_for_sliver(frame.sliver(ctx.xy[cur]))
+        # S2 members sit below the region in fan order, so ascend; S1 descends.
+        side = "ccw" if frame.sliver(ctx.xy[cur]) == "S2" else "cw"
         entered_via = side
         guard = 0
         while not frame.contains(ctx.xy[cur]):
@@ -839,16 +869,6 @@ def _walk_region_landing(ctx, frame, target, start, pref_dir: str | None):
             raise _Arrived(walked)
 
 
-def _x0_exists_sub(ctx, hints, flavor, frame: _NegFrame) -> bool:
-    if flavor == "g9":
-        ends = hints.fan.get((frame.s, frame.j))
-        if ends is None:
-            return False
-        (_, fx, fy), (_, lx, ly) = ends
-        return _x0_exists_from_ends(ctx, frame, (fx, fy), (lx, ly))
-    return _x0_exists_g12(ctx, frame)
-
-
 def _in_region(ctx, frame: _NegFrame, cone: int, v: int) -> bool:
     vx, vy = ctx.xy[v]
     sx, sy = frame.s_xy
@@ -873,23 +893,22 @@ def _follow_region_walk(ctx, trace, frame, target, case, pref_dir):
     try:
         landing, walked = _walk_region_landing(ctx, frame, target, closest, pref_dir)
     except _Arrived as arr:
-        _record(trace, s, target, case, hop + arr.travelled)
-        return target
+        raise _Arrived(hop + arr.travelled)
     _record(trace, s, landing, case, hop + walked)
     return landing
 
 
-def _probe_smaller_side(ctx, hints, flavor, trace, frame: _NegFrame, target,
+def _probe_smaller_side(ctx, local: _Local, trace, frame: _NegFrame, target,
                         c_sm: int, corner_sm) -> int | None:
     """Rule-4 probe of the smaller empty-candidate side region.
 
-    Returns the next vertex when the region turned out nonempty (or the
-    walk hit the target), else None after charging exploration and the
-    one-time slack for a failed capped search.
+    Returns the next vertex when the region turned out nonempty, else None
+    after charging exploration and the one-time slack for a failed capped
+    search; a search that cannot start charges nothing.  Raises _Arrived if
+    the search steps onto the destination.
     """
     s = frame.s
     corner_dist = _d(frame.s_xy, corner_sm)
-    cap = 2.0 * corner_dist
 
     direct = ctx.positive.get((s, c_sm))
     if direct is not None:
@@ -899,46 +918,25 @@ def _probe_smaller_side(ctx, hints, flavor, trace, frame: _NegFrame, target,
             return v
         return None
 
-    if flavor == "g9":
-        if hints.dir.get((s, c_sm)) is None:
-            return None
-        try:
-            hit, walked = _g9_walk_to_cone_edge(ctx, hints, s, c_sm, target, cap)
-        except _Arrived as arr:
-            _record(trace, s, target, "B", arr.travelled)
-            return target
-        if hit is not None:
-            x, v, vlen = hit
-            if v != s and (v == target or _in_region(ctx, frame, c_sm, v)):
-                _record(trace, s, v, "B", walked + vlen)
-                return v
-        trace.exploration_travel += 2.0 * walked
-        slack = 4.0 * corner_dist
-        trace.probe_slack += slack
-        trace.bound += slack
+    found = local.find(ctx, s, c_sm, target, 2.0 * corner_dist)
+    if found is None:
         return None
-
-    try:
-        hit, walked, expl = _search_cone_edge(ctx, s, c_sm, target, cap)
-    except _Arrived as arr:
-        _record(trace, s, target, "B", arr.travelled, arr.exploration)
-        return target
+    hit, walked, expl = found
     if hit is not None:
         x, v, vlen = hit
         if v != s and (v == target or _in_region(ctx, frame, c_sm, v)):
             _record(trace, s, v, "B", walked + vlen, expl)
             return v
-        expl += 2.0 * walked
-    trace.exploration_travel += expl
-    slack = 20.0 * corner_dist
+    trace.exploration_travel += expl + 2.0 * walked
+    slack = local.probe_slack * corner_dist
     trace.probe_slack += slack
     trace.bound += slack
     return None
 
 
-def _sub_case_b(ctx, hints, flavor, trace, frame: _NegFrame, target):
+def _sub_case_b(ctx, local: _Local, trace, frame: _NegFrame, target):
     s = frame.s
-    if _x0_exists_sub(ctx, hints, flavor, frame):
+    if _x0_exists(ctx, local, frame):
         return _follow_region_walk(ctx, trace, frame, target, "B", None), None
 
     if frame.dist_sa < frame.dist_sb:
@@ -948,33 +946,25 @@ def _sub_case_b(ctx, hints, flavor, trace, frame: _NegFrame, target):
         smaller, c_sm, corner_sm = "X2", frame.cone_x2, frame.b
         c_lg = frame.cone_x1
 
-    nxt = _probe_smaller_side(ctx, hints, flavor, trace, frame, target, c_sm, corner_sm)
+    nxt = _probe_smaller_side(ctx, local, trace, frame, target, c_sm, corner_sm)
     if nxt is not None:
         return nxt, None
 
     # smaller side confirmed empty: take the larger side's edge, remember the smaller
-    try:
-        v, productive, expl = _realize_positive(ctx, hints, flavor, s, c_lg, target)
-    except _Arrived as arr:
-        _record(trace, s, target, "B", arr.travelled, arr.exploration)
-        return target, None
+    v, productive, expl = _realize_positive(ctx, local, s, c_lg, target)
     if v != target and not frame.contains(ctx.xy[v]):
         raise InternalInvariantViolation("larger-side edge leaves the triangle")
     _record(trace, s, v, "B", productive, expl)
     return v, smaller
 
 
-def _sub_case_c(ctx, hints, flavor, trace, frame: _NegFrame, target, preferred):
+def _sub_case_c(ctx, local: _Local, trace, frame: _NegFrame, target, preferred):
     s = frame.s
-    if _x0_exists_sub(ctx, hints, flavor, frame):
+    if _x0_exists(ctx, local, frame):
         pref_dir = "ccw" if preferred == "X1" else "cw"
         return _follow_region_walk(ctx, trace, frame, target, "C", pref_dir)
     c_np = frame.cone_x2 if preferred == "X1" else frame.cone_x1
-    try:
-        v, productive, expl = _realize_positive(ctx, hints, flavor, s, c_np, target)
-    except _Arrived as arr:
-        _record(trace, s, target, "C", arr.travelled, arr.exploration)
-        return target
+    v, productive, expl = _realize_positive(ctx, local, s, c_np, target)
     if v != target and not frame.contains(ctx.xy[v]):
         raise InternalInvariantViolation("non-preferred edge leaves the triangle")
     _record(trace, s, v, "C", productive, expl)

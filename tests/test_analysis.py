@@ -4,6 +4,7 @@ restricted-path and approximation checks, and the instance generators."""
 import json
 import math
 
+import numpy as np
 import pytest
 
 from spannerkit import (
@@ -96,6 +97,14 @@ class TestSpanningRatio:
         assert math.isinf(rep.max_ratio)
         assert rep.witness == (0, 2)
         assert json.loads(rep.to_json())["max_ratio"] == "inf"
+
+    def test_nan_ratio_reports_nan(self):
+        # Coordinate differences overflow, so the ratio of the pair (0, 1) is NaN.
+        ps = PointSet([Point(0, -1.5e308, 0.0), Point(1, 1.5e308, 0.0), Point(2, 0.0, 1.0)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = spanning_ratio(build_half_theta6(ps))
+        assert math.isnan(rep.max_ratio)
+        assert json.loads(rep.to_json())["max_ratio"] == "nan"
 
     def test_per_pair_table(self):
         g = build_half_theta6(gen_random(12, 3))

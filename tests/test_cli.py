@@ -11,10 +11,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spannerkit
 from spannerkit import (
+    Point,
+    PointSet,
     build_g9,
     build_half_theta6,
     gen_random,
@@ -176,6 +179,16 @@ class TestAnalyze:
         assert json.loads(capsys.readouterr().out)["pass"] is True
         assert main(["analyze", "--graph", path, "--check", "--tolerance", "-1.5"]) == 1
         assert json.loads(capsys.readouterr().out)["pass"] is False
+
+    def test_nan_ratio_is_reported_as_nan(self, tmp_path, capsys):
+        ps = PointSet([Point(0, -1.5e308, 0.0), Point(1, 1.5e308, 0.0), Point(2, 0.0, 1.0)])
+        path = tmp_path / "overflow.json"
+        path.write_text(graph_to_json(build_half_theta6(ps)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["analyze", "--graph", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["max_ratio"] == "nan"
+        assert doc["witness"] == [0, 1]
 
     def test_per_pair_csv(self, h6_file, tmp_path, capsys):
         path, g = h6_file

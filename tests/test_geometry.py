@@ -194,6 +194,21 @@ class TestCanonicalTriangle:
         assert t.contains(q)
         assert math.dist(t.apex, q) <= t.size * (1 + 1e-9)
 
+    @given(
+        u=st.tuples(st.floats(-1, 1), st.floats(-1, 1)),
+        w=st.tuples(st.floats(-1, 1), st.floats(-1, 1)),
+        scale=st.integers(-200, 200),
+        k=st.sampled_from([5, 6, 7, 9]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_projection_is_theta_projection_bitwise(self, u, w, scale, k):
+        cs = ConeSystem(k)
+        u = (u[0] * 10.0**scale, u[1] * 10.0**scale)
+        w = (w[0] * 10.0**scale, w[1] * 10.0**scale)
+        assume(u != w)
+        got = canonical_triangle(cs, u, w).projection
+        assert got.hex() == theta_projection(cs, u, w).hex()
+
     def test_frozen(self):
         t = self.tri()
         assert isinstance(t, CanonicalTriangle)

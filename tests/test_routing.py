@@ -210,6 +210,18 @@ class TestSubgraphEngines:
                 sum(s_.length + s_.exploration for s_ in tr.steps), abs=1e-12
             )
 
+    def test_arrival_keeps_exploration_spent_before_it(self):
+        # From 81 the doubling search turns back once before a flank walk
+        # steps onto the target; that round trip belongs to the final step.
+        g12 = build_g12(build_half_theta6(gen_random(128, 4)))
+        for t in (80, 107):
+            tr = route_g12(g12, 81, t)
+            assert tr.path() == [81, t]
+            assert tr.steps[0].case == "B"
+            assert tr.steps[0].exploration > 0.0
+            assert tr.exploration_travel == tr.steps[0].exploration
+            assert tr.passed
+
     def test_deterministic(self, world):
         _, _, g9 = world
         a = route_g9(g9, 2, 30)
