@@ -18,7 +18,8 @@ import time
 import numpy as np
 
 # Import the package from this checkout's src/, installed or not.
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from spannerkit import kernels
 from spannerkit.build import cone_scan
