@@ -378,7 +378,7 @@ def _decide_full(ctx, s: int, t: int, stateful: bool, preferred: str | None) -> 
             )
         v = e[0]
         tri = canonical_triangle(_CS6, ctx.xy[s], ctx.xy[t])
-        if not tri.contains(ctx.xy[v]):
+        if v != t and not tri.contains(ctx.xy[v]):
             raise InternalInvariantViolation("positive-cone edge leaves the target triangle")
         new_pref = preferred
         if stateful and v != t:

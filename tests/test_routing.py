@@ -12,6 +12,8 @@ from spannerkit import (
     ROUTING_FACTORS,
     AlreadyArrived,
     InvalidParameter,
+    Point,
+    PointSet,
     build_g9,
     build_g12,
     build_half_theta6,
@@ -180,6 +182,19 @@ class TestFullEngines:
             for prev, nxt in zip(labels, labels[1:]):
                 if prev in ("A", "B", "C"):
                     assert nxt != "D"
+
+    @pytest.mark.parametrize("scale", [1e6, 1e7, 1e8, 1e10, 1e12])
+    def test_large_coordinates_route_every_pair(self, scale):
+        # The positive step may land on the target itself, which can sit a
+        # rounding error outside its own canonical triangle at this scale.
+        ps = PointSet(Point(p.id, p.x * scale, p.y * scale) for p in gen_random(32, 5))
+        h = build_half_theta6(ps)
+        ids = sorted(p.id for p in ps)
+        for s in ids:
+            for t in ids:
+                if s != t:
+                    assert route_stateless(h, s, t).passed
+                    assert route_stateful(h, s, t).passed
 
     def test_deterministic(self, world):
         h, _, _ = world
