@@ -4,13 +4,24 @@ reproduce: the cone scan the builders use against kernels.cone_edges, and the
 certification sweep kernels.points_in_tri against one kernels.point_in_tri
 call per point.
 
-Both sides must return identical results, so each row also re-checks
-agreement on its own workload before reporting the speedup.
+The cone-scan table runs build.cone_scan on uniform points at each --sizes n
+for the four SCANS and counts the rows its grid certificates leave to the
+full row-block scan. Up to --full-max points it also times that full scan
+alone (every row forced through it), and up to --scalar-max points the
+scalar kernels.cone_edges; every side must return the same edges. The rows,
+with the commit, source hash and a hash of each scan's output, are written to
+--out (BENCH_cone_scan.json by default).
+
+Both sides of every comparison must return identical results, so each row
+re-checks agreement on its own workload before reporting the speedup.
 """
 
 import argparse
+import hashlib
+import json
 import math
 import os
+import platform
 import random
 import sys
 import time
@@ -21,9 +32,11 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from spannerkit import kernels
+from spannerkit import build, kernels
 from spannerkit.build import cone_scan
 from spannerkit.geometry import EPS, ConeSystem, canonical_triangle
+
+from bench_ratio import commit, source_sha256
 
 
 def best_of(fn, repeat):
@@ -44,19 +57,63 @@ SCANS = [
 ]
 
 
-def scan_table(n, repeat, rng):
-    xs = [rng.uniform(0.0, 100.0) for _ in range(n)]
-    ys = [rng.uniform(0.0, 100.0) for _ in range(n)]
-    print(f"{'cone scan':<26} {'workload':<16} {'scalar ms':>10} {'numpy ms':>9} "
-          f"{'speedup':>8}  agree")
-    for name, k, proj, mask in SCANS:
-        tp, rp = best_of(lambda: kernels.cone_edges(xs, ys, k, proj, mask), repeat)
-        tn, rn = best_of(lambda: cone_scan(xs, ys, k, proj, mask), repeat)
-        agree = rn == rp
-        print(f"{name:<26} {f'n={n} scan':<16} {tp * 1e3:>10.2f} {tn * 1e3:>9.2f} "
-              f"{tp / tn:>7.1f}x  {agree}")
-        if not agree:
-            raise SystemExit(f"cone scan divergence in {name}")
+def counted_scan(xs, ys, k, proj, mask):
+    """cone_scan's edges and the number of rows it left to the full scan."""
+    left = []
+    certify = build._certified_rows
+
+    def counted(*args):
+        rows = certify(*args)
+        left.append(len(rows))
+        return rows
+
+    build._certified_rows = counted
+    try:
+        edges = cone_scan(xs, ys, k, proj, mask)
+    finally:
+        build._certified_rows = certify
+    return edges, (left[0] if left else len(xs))
+
+
+def full_scan(xs, ys, k, proj, mask):
+    """cone_scan with every row forced through the full row-block scan."""
+    certify = build._certified_rows
+    build._certified_rows = lambda x, *_: np.arange(len(x))
+    try:
+        return cone_scan(xs, ys, k, proj, mask)
+    finally:
+        build._certified_rows = certify
+
+
+def scan_table(sizes, repeat, seed, full_max, scalar_max):
+    print(f"{'cone scan':<14} {'n':>6} {'grid ms':>9} {'fallback':>8} {'full ms':>9} "
+          f"{'speedup':>8} {'scalar ms':>10}  agree")
+    rows = []
+    for n in sizes:
+        rng = random.Random(seed)
+        xs = [rng.uniform(0.0, 100.0) for _ in range(n)]
+        ys = [rng.uniform(0.0, 100.0) for _ in range(n)]
+        for name, k, proj, mask in SCANS:
+            tg, (edges, fallback) = best_of(lambda: counted_scan(xs, ys, k, proj, mask), repeat)
+            row = {"scan": name, "k": k, "projection": proj, "cone_mask": mask, "n": n,
+                   "repeat": repeat, "grid_s": round(tg, 5), "fallback_rows": fallback,
+                   "full_s": None, "scalar_s": None,
+                   "edges_sha256": hashlib.sha256(repr(edges).encode()).hexdigest()}
+            if n <= full_max:
+                tf, ref = best_of(lambda: full_scan(xs, ys, k, proj, mask), repeat)
+                row["full_s"] = round(tf, 5)
+                if ref != edges:
+                    raise SystemExit(f"cone scan divergence from the full scan in {name}, n={n}")
+            if n <= scalar_max:
+                ts, ref = best_of(lambda: kernels.cone_edges(xs, ys, k, proj, mask), repeat)
+                row["scalar_s"] = round(ts, 5)
+                if ref != edges:
+                    raise SystemExit(f"cone scan divergence from the scalar scan in {name}, n={n}")
+            rows.append(row)
+            full = f"{row['full_s'] * 1e3:>9.2f} {row['full_s'] / tg:>7.1f}x" if row["full_s"] else f"{'-':>9} {'-':>8}"
+            scalar = f"{row['scalar_s'] * 1e3:>10.1f}" if row["scalar_s"] else f"{'-':>10}"
+            print(f"{name:<14} {n:>6} {tg * 1e3:>9.2f} {fallback:>8} {full} {scalar}  True")
+    return rows
 
 
 def sweep_table(sizes, repeat, rng):
@@ -91,13 +148,33 @@ def sweep_table(sizes, repeat, rng):
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--n", type=int, default=512, help="points in the cone-scan workload")
-    ap.add_argument("--repeat", type=int, default=5, help="best-of repetitions per cell")
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--sizes", default="768,4096,16384", help="comma-separated cone-scan point counts")
+    ap.add_argument("--full-max", type=int, default=4096,
+                    help="largest n that also times the full row-block scan")
+    ap.add_argument("--scalar-max", type=int, default=768,
+                    help="largest n that also times the scalar kernels.cone_edges")
+    ap.add_argument("--repeat", type=int, default=3, help="best-of repetitions per cell")
     ap.add_argument("--seed", type=int, default=2024)
+    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_cone_scan.json"))
     args = ap.parse_args()
 
-    scan_table(args.n, args.repeat, random.Random(args.seed))
+    sizes = [int(v) for v in args.sizes.split(",")]
+    rows = scan_table(sizes, args.repeat, args.seed, args.full_max, args.scalar_max)
+    doc = {
+        "bench": "build.cone_scan on uniform points in [0, 100)^2",
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "commit": commit(),
+        "source_sha256": source_sha256(),
+        "seed": args.seed,
+        "rows": rows,
+    }
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
     print()
     sweep_table((64, 512), args.repeat, random.Random(args.seed))
 

@@ -27,6 +27,12 @@ _SCAN_BLOCK = 65536
 #: Cone labels whose azimuth lies within this many radians of a cone boundary
 #: are recomputed with the scalar kernel (see cone_scan).
 _LABEL_SLACK = 1e-6
+#: Cells from a point's own cell to the edge of its candidate block, per pass
+#: of the grid scan (see cone_scan).
+_REACHES = (2, 4)
+#: Certificate bounds below this certify nothing: subnormal rounding errors are
+#: absolute, not relative.
+_TINY = 2.0 ** -1000
 
 
 class SpannerGraph:
@@ -269,7 +275,8 @@ def _id_arrays(ps: PointSet):
 
 
 def cone_scan(xs, ys, k: int, use_projection: bool, cone_mask: int) -> list[tuple[int, int, int]]:
-    """Closest-per-cone edge scan over numpy row blocks.
+    """Closest-per-cone edge scan: grid candidates with certificates, and a
+    numpy row-block scan for the rows they cannot settle.
 
     Same contract and output as kernels.cone_edges, which stays the reference:
     for every vertex u and every cone i (restricted to cone_mask bits when
@@ -285,57 +292,210 @@ def cone_scan(xs, ys, k: int, use_projection: bool, cone_mask: int) -> list[tupl
     atan2 by a few ulps; a label can only change where the azimuth is within
     ANGLE_EPS plus those ulps of a cone boundary, so every label within
     _LABEL_SLACK of one is recomputed with kernels.cone_index. Ties on the
-    first key are then broken exactly by (squared distance, index). Keys that
-    come out NaN (non-finite coordinates, or differences that overflow) make
-    the scalar scan's result depend on visiting order, so such inputs are
-    handed to kernels.cone_edges unchanged.
+    first key are then broken exactly by (squared distance, index).
+
+    Candidates (_certified_rows): the points go into a uniform grid over
+    their bounding box with max(2, k/3) points per square cell on average,
+    so that a cone's share of a block holds about as many points for every
+    k. A point's candidates are the points of the 5x5 block of cells around
+    its own; rows left uncertified get a second pass with the 9x9 block. Every
+    point outside the block lies at least rho away, rho being the distance to
+    the nearest block side that is not on the grid's edge, less a margin of
+    1e-9 of the grid's extent (the rounding of the cell offsets grows with
+    the extent, not with the cell). A cone's winner among the candidates is
+    its winner among all points when
+    - Yao: its squared distance is below rho**2 * (1 - 1e-12);
+    - Theta: its projection is below rho * cos(theta/2 + 1e-6) * (1 - 1e-12),
+      since a labelled point sits at most ANGLE_EPS plus the label slack
+      outside the geometric wedge. Theta cones of k = 2 are half-planes whose
+      projections no block bounds, so those scans skip the grid.
+    A cone without candidates is certified empty when, on the inward normals
+    of its two boundary rays, no other point reaches the point's own values
+    less a margin of 1e-8 of the span (_empty_cones: one sort and a running
+    maximum per cone). When the block is the whole grid, rho is infinite and
+    every cone is certified, so small inputs need no size threshold. Bounds
+    below _TINY certify nothing, because subnormal rounding is absolute.
+
+    Rows with an uncertified cone go through the full row-block scan, the
+    reference path. Inputs whose x or y span is not finite go there whole;
+    with finite spans no coordinate difference overflows and no key is NaN.
+    Keys that come out NaN (non-finite coordinates, or differences that
+    overflow) make the scalar scan's result depend on visiting order, so such
+    inputs are handed to kernels.cone_edges unchanged. Both phases work in
+    blocks of at most _SCAN_BLOCK pair elements.
+
+    No cKDTree: importing scipy.spatial alone raises the peak resident size
+    by about 5 MB over the package's own imports (63 to 68 MB), 6 % of a
+    construction run's 84 MB, and the grid answers the same queries.
     """
     n = len(xs)
-    theta = math.tau / k
     cones = [i for i in range(k) if not cone_mask or (cone_mask >> i) & 1]
     best = np.full((n, k), -1, dtype=np.intp)
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
-    # Index k labels a pair the scan must skip: the point itself, or a cone
-    # outside cone_mask.
-    keep = np.zeros(k + 1, dtype=bool)
-    keep[cones] = True
-    sin_bis = np.array([math.sin(i * theta) for i in range(k)] + [0.0])
-    cos_bis = np.array([math.cos(i * theta) for i in range(k)] + [0.0])
-    step = max(1, _SCAN_BLOCK // max(n, 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, n, step):
-            hi = min(n, lo + step)
-            rows = np.arange(hi - lo)
-            dx = x[None, :] - x[lo:hi, None]
-            dy = y[None, :] - y[lo:hi, None]
-            d2 = dx * dx + dy * dy
-            if np.isnan(d2).any():
+        rows = np.arange(n)
+        if n and np.isfinite(x.max() - x.min()) and np.isfinite(y.max() - y.min()):
+            rows = _certified_rows(x, y, k, use_projection, cones, best)
+        step = max(1, _SCAN_BLOCK // max(n, 1))
+        for lo in range(0, len(rows), step):
+            r = rows[lo:lo + step]
+            picked = _cone_picks(x, y, r, np.arange(n), k, use_projection, cones)
+            if picked is None:
                 return kernels.cone_edges(xs, ys, k, use_projection, cone_mask)
-            label = _cone_labels(dx, dy, k, theta)
-            label[rows, rows + lo] = k
-            label[~keep[label]] = k
-            key1 = d2
-            if use_projection:
-                key1 = dx * sin_bis[label] + dy * cos_bis[label]
-                if np.isnan(key1).any():
-                    return kernels.cone_edges(xs, ys, k, use_projection, cone_mask)
-            for i in cones:
-                member = label == i
-                # Membership, not an inf sentinel, marks empty cones: keys
-                # are legitimately inf once squared distances overflow.
-                occupied = member.any(axis=1)
-                if not occupied.any():
-                    continue
-                k1 = np.where(member, key1, np.inf)
-                tied = member & (k1 == k1.min(axis=1, keepdims=True))
-                if use_projection:
-                    k2 = np.where(tied, d2, np.inf)
-                    tied &= k2 == k2.min(axis=1, keepdims=True)
-                # argmax finds the first remaining candidate: the lowest index.
-                best[lo:hi, i] = np.where(occupied, tied.argmax(axis=1), -1)
+            best[np.ix_(r, cones)] = picked[0]
     us, cs = np.nonzero(best >= 0)
     return list(zip(us.tolist(), cs.tolist(), best[us, cs].tolist()))
+
+
+def _cone_picks(x, y, rows, cand, k: int, use_projection: bool, cones):
+    """Each cone's winner for every point of rows among its candidates, and
+    its first key; a winner of -1 marks an empty cone.
+
+    cand holds one row of candidate indices per point, or one row for all;
+    entries equal to the point itself are skipped. Returns None if a key is
+    NaN.
+    """
+    dx = x[cand] - x[rows, None]
+    dy = y[cand] - y[rows, None]
+    d2 = dx * dx + dy * dy
+    if np.isnan(d2).any():
+        return None
+    theta = math.tau / k
+    # Index k labels a pair the scan must skip: the point itself (which also
+    # pads candidate rows), or a cone outside the mask.
+    keep = np.zeros(k + 1, dtype=bool)
+    keep[cones] = True
+    label = _cone_labels(dx, dy, k, theta)
+    label[cand == rows[:, None]] = k
+    label[~keep[label]] = k
+    key1 = d2
+    if use_projection:
+        sin_bis = np.array([math.sin(i * theta) for i in range(k)] + [0.0])
+        cos_bis = np.array([math.cos(i * theta) for i in range(k)] + [0.0])
+        key1 = dx * sin_bis[label] + dy * cos_bis[label]
+        if np.isnan(key1).any():
+            return None
+    none = np.iinfo(np.intp).max
+    picks = np.full((len(dx), len(cones)), -1, dtype=np.intp)
+    keys = np.full((len(dx), len(cones)), np.inf)
+    for c, i in enumerate(cones):
+        member = label == i
+        # Membership, not an inf sentinel, marks empty cones: keys are
+        # legitimately inf once squared distances overflow.
+        occupied = member.any(axis=1)
+        if not occupied.any():
+            continue
+        k1 = np.where(member, key1, np.inf)
+        keys[:, c] = k1.min(axis=1)
+        tied = member & (k1 == keys[:, c, None])
+        if use_projection:
+            k2 = np.where(tied, d2, np.inf)
+            tied &= k2 == k2.min(axis=1, keepdims=True)
+        # The lowest index among the remaining candidates wins.
+        low = np.where(tied, cand, none).min(axis=1)
+        picks[:, c] = np.where(occupied, low, -1)
+    return picks, keys
+
+
+def _certified_rows(x, y, k: int, use_projection: bool, cones, best):
+    """Decide every row whose grid candidates certify all its cones (see
+    cone_scan), writing their winners into best; return the other rows."""
+    n = len(x)
+    if use_projection and k == 2:
+        return np.arange(n)
+    ox = x - x.min()
+    oy = y - y.min()
+    span_x, span_y = float(ox.max()), float(oy.max())
+    # max(2, k/3) points per square cell on average, and at most n / 2
+    # cells along a side.
+    per_cell = max(2.0, k / 3.0)
+    h = max(math.sqrt(per_cell / n) * math.sqrt(span_x) * math.sqrt(span_y),
+            2.0 * max(span_x, span_y) / n)
+    if not h > 0.0:  # all points coincide, or the spans are subnormal: one cell
+        h = 1.0
+    nx, ny = int(span_x / h) + 1, int(span_y / h) + 1
+    cx = (ox / h).astype(np.intp)
+    cy = (oy / h).astype(np.intp)
+    margin = 1e-9 * max(nx, ny) * h
+    empty = _empty_cones(ox, oy, k, cones)
+    # Sorted by cell id, each row of cells is one contiguous range of the order.
+    cell = cy * nx + cx
+    order = np.argsort(cell, kind="stable")
+    first = np.concatenate(([0], np.cumsum(np.bincount(cell, minlength=nx * ny))))
+
+    todo = order
+    for reach in _REACHES:
+        # Block of (2 * reach + 1)**2 cells around each row's own cell.
+        px, py = cx[todo], cy[todo]
+        rho = np.full(len(todo), np.inf)
+        for off, c, cells in ((ox[todo], px, nx), (oy[todo], py, ny)):
+            rho = np.where(c - reach > 0, np.minimum(rho, off - (c - reach) * h), rho)
+            rho = np.where(c + reach < cells - 1, np.minimum(rho, (c + reach + 1) * h - off), rho)
+        whole = np.isinf(rho)
+        rho -= margin
+        if use_projection:
+            bound = rho * math.cos(math.pi / k + 1e-6) * (1.0 - 1e-12)
+        else:
+            bound = rho * rho * (1.0 - 1e-12)
+        bound[bound < _TINY] = -np.inf
+        # Each cell row of a block is the range [start, start + size) of order.
+        r = py[:, None] + np.arange(-reach, reach + 1)
+        inside = (r >= 0) & (r < ny)
+        r = np.where(inside, r, 0) * nx
+        start = first[r + np.maximum(px - reach, 0)[:, None]]
+        size = np.where(inside, first[r + np.minimum(px + reach, nx - 1)[:, None] + 1] - start, 0)
+        total = size.sum(axis=1)
+
+        settled = np.zeros(len(todo), dtype=bool)
+        s0 = 0
+        while s0 < len(todo):
+            # The longest run of rows whose padded block holds at most
+            # _SCAN_BLOCK elements (at least one row).
+            width = np.maximum.accumulate(total[s0:s0 + _SCAN_BLOCK])
+            fits = np.searchsorted(width * np.arange(1, len(width) + 1), _SCAN_BLOCK, side="right")
+            s1 = s0 + max(1, int(fits))
+            u = todo[s0:s1]
+            sz = size[s0:s1].ravel()
+            at = np.arange(sz.sum()) + np.repeat(start[s0:s1].ravel() - (np.cumsum(sz) - sz), sz)
+            tot = total[s0:s1]
+            row = np.repeat(np.arange(s1 - s0), tot)
+            col = np.arange(len(at)) - np.repeat(np.cumsum(tot) - tot, tot)
+            # Padding repeats the row's own point, which is skipped anyway.
+            cand = np.repeat(u[:, None], tot.max(), axis=1)
+            cand[row, col] = order[at]
+            picks, keys = _cone_picks(x, y, u, cand, k, use_projection, cones)
+            sure = np.where(picks >= 0, keys < bound[s0:s1, None], empty[u])
+            settled[s0:s1] = (sure | whole[s0:s1, None]).all(axis=1)
+            best[np.ix_(u, cones)] = picks
+            s0 = s1
+        todo = todo[~settled]
+    return todo
+
+
+def _empty_cones(ox, oy, k: int, cones):
+    """(n, len(cones)) mask of the cones certified to hold no other point,
+    for points at non-negative offsets (ox, oy) from their bounding box.
+
+    Point q lies in cone i of p only if both inward normals of the cone's
+    boundary rays see q at least as far as p, up to a margin of 1e-8 of the
+    span (for k >= 2 the cone is convex). Sorted by the first projection, p
+    is certified when its predecessor is more than the margin below it and
+    every later point is more than the margin below it on the second.
+    """
+    theta = math.tau / k
+    margin = 1e-8 * max(float(ox.max()), float(oy.max())) + _TINY
+    out = np.empty((len(ox), len(cones)), dtype=bool)
+    for c, i in enumerate(cones):
+        lo, hi = i * theta - theta / 2, i * theta + theta / 2
+        a = ox * math.cos(lo) - oy * math.sin(lo)
+        b = oy * math.sin(hi) - ox * math.cos(hi)
+        order = np.argsort(a, kind="stable")
+        sa, sb = a[order], b[order]
+        gap = np.concatenate(([np.inf], np.diff(sa)))
+        later = np.concatenate((np.maximum.accumulate(sb[::-1])[::-1][1:], [-np.inf]))
+        out[order, c] = (gap > margin) & (later < sb - margin)
+    return out
 
 
 def _cone_labels(dx, dy, k: int, theta: float):
@@ -464,7 +624,7 @@ def build_g9(h: SpannerGraph) -> SpannerGraph:
 def build_rotated_union(ps: PointSet, m: int) -> SpannerGraph:
     """Union of m half-theta-6 graphs, the j-th built in a frame rotated by
     j*pi/(3m)."""
-    if not isinstance(m, int) or m < 1:
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise InvalidParameter(f"rotation count must be an integer >= 1, got {m!r}")
     edges = set()
     for j in range(m):

@@ -5,6 +5,7 @@ rotated union, and the MST."""
 import math
 import random
 
+import numpy as np
 import pytest
 
 from spannerkit import (
@@ -129,6 +130,29 @@ SCAN_CONFIGS = [(k, proj, 0) for k in range(2, 13) for proj in (True, False)] + 
 ]
 
 
+def _large_scan_sets():
+    rng = random.Random(8)
+    base = _uniform(600, 9)
+    return {
+        "random_768": _as_coords(gen_random(768, 8)),
+        "grid_30": [(float(i), float(j)) for i in range(30) for j in range(30)],
+        "cluster_far": [(rng.gauss(0.0, 1e-3), rng.gauss(0.0, 1e-3)) for _ in range(560)]
+        + [(rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0)) for _ in range(40)],
+        "collinear": [(0.37 * i, 3.0 + 0.185 * i) for i in range(600)],
+        "circle": _as_coords(gen_circle(640)),
+        "strip": [(rng.random(), rng.random() * 1e-6) for _ in range(700)],
+        "scaled_1e150": [(x * 1e150, y * 1e150) for x, y in base],
+        "scaled_1e-300": [(x * 1e-300, y * 1e-300) for x, y in base],
+    }
+
+
+LARGE_SCAN_SETS = _large_scan_sets()
+LARGE_SCAN_CONFIGS = [(k, proj, 0) for k in (2, 3, 4, 5, 7, 9, 12) for proj in (True, False)] + [
+    (6, True, 0b010101),
+    (6, False, 0),
+]
+
+
 class TestConeScan:
     """The numpy scan behind every builder against the scalar kernel scan and
     the exhaustive oracle."""
@@ -163,6 +187,49 @@ class TestConeScan:
 
     def test_empty_input(self):
         assert cone_scan([], [], 6, True, 0) == []
+
+    @pytest.mark.parametrize("name", sorted(LARGE_SCAN_SETS))
+    def test_certified_rows_match_the_full_scan(self, name, monkeypatch):
+        # kernels.cone_edges takes seconds at this size; the full row-block
+        # scan is its numpy twin, compared with it above.
+        coords = LARGE_SCAN_SETS[name]
+        xs = [x for x, _ in coords]
+        ys = [y for _, y in coords]
+        certified = [cone_scan(xs, ys, *cfg) for cfg in LARGE_SCAN_CONFIGS]
+        monkeypatch.setattr(build_module, "_certified_rows", lambda x, *_: np.arange(len(x)))
+        for cfg, got in zip(LARGE_SCAN_CONFIGS, certified):
+            assert got == cone_scan(xs, ys, *cfg), cfg
+
+    @pytest.mark.parametrize("k", [4, 5, 6, 7, 9, 12])
+    def test_empty_cone_mask_is_sound(self, k):
+        coords = SCAN_SETS[f"boundary_k{k}"]
+        x = np.array([p[0] for p in coords])
+        y = np.array([p[1] for p in coords])
+        mask = build_module._empty_cones(x - x.min(), y - y.min(), k, list(range(k)))
+        occupied = {
+            (u, kernels.cone_index(qx - px, qy - py, k))
+            for u, (px, py) in enumerate(coords)
+            for v, (qx, qy) in enumerate(coords)
+            if u != v
+        }
+        certified = {(u, i) for u, i in zip(*np.nonzero(mask))}
+        assert certified and not certified & occupied
+        # The outer points of the star see nothing in their outward cones.
+        assert sum(1 for u, i in certified if u > 0) >= k
+
+    def test_most_half_theta6_rows_are_certified(self, monkeypatch):
+        coords = LARGE_SCAN_SETS["random_768"]
+        fallback = []
+        certify = build_module._certified_rows
+
+        def counted(*args):
+            rows = certify(*args)
+            fallback.append(len(rows))
+            return rows
+
+        monkeypatch.setattr(build_module, "_certified_rows", counted)
+        cone_scan([x for x, _ in coords], [y for _, y in coords], 6, True, 0b010101)
+        assert fallback and fallback[0] <= len(coords) // 8
 
     def test_cone_edges_deterministic(self):
         rng = random.Random(99)
@@ -358,7 +425,7 @@ class TestDegreeBoundedSubgraphs:
 
 
 class TestRotatedUnion:
-    @pytest.mark.parametrize("bad_m", [0, -1, 1.5, "2"])
+    @pytest.mark.parametrize("bad_m", [0, -1, 1.5, "2", True])
     def test_rejects_bad_m(self, bad_m):
         with pytest.raises(InvalidParameter):
             build_rotated_union(gen_random(8, 1), bad_m)
