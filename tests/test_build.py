@@ -147,9 +147,8 @@ def _large_scan_sets():
 
 
 LARGE_SCAN_SETS = _large_scan_sets()
-LARGE_SCAN_CONFIGS = [(k, proj, 0) for k in (2, 3, 4, 5, 7, 9, 12) for proj in (True, False)] + [
+LARGE_SCAN_CONFIGS = [(k, proj, 0) for k in (2, 3, 4, 5, 6, 7, 9, 12) for proj in (True, False)] + [
     (6, True, 0b010101),
-    (6, False, 0),
 ]
 
 
