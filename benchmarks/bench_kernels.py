@@ -4,13 +4,14 @@ reproduce: the cone scan the builders use against kernels.cone_edges, and the
 certification sweep kernels.points_in_tri against one kernels.point_in_tri
 call per point.
 
-The cone-scan table runs build.cone_scan on uniform points at each --sizes n
-for the four SCANS and counts the rows its grid certificates leave to the
-full row-block scan. Up to --full-max points it also times that full scan
-alone (every row forced through it), and up to --scalar-max points the
-scalar kernels.cone_edges; every side must return the same edges. The rows,
-with the commit, source hash and a hash of each scan's output, are written to
---out (BENCH_cone_scan.json by default).
+The cone-scan table runs build.cone_scan at each --sizes n for the four SCANS
+and counts the rows its grid certificates leave to the full row-block scan.
+Uniform points run at every size; the sets the grid serves badly (a dense
+cluster plus far points, and a circle) run up to FULL_MAX points. Up to
+FULL_MAX points it also times that full scan alone (every row forced through
+it), and up to SCALAR_MAX points the scalar kernels.cone_edges; every side
+must return the same edges. The rows, with the commit, source hash and a hash
+of each scan's output, are written to --out (BENCH_cone_scan.json by default).
 
 Both sides of every comparison must return identical results, so each row
 re-checks agreement on its own workload before reporting the speedup.
@@ -32,7 +33,7 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from spannerkit import build, kernels
+from spannerkit import build, gen_circle, kernels
 from spannerkit.build import cone_scan
 from spannerkit.geometry import EPS, ConeSystem, canonical_triangle
 
@@ -55,6 +56,31 @@ SCANS = [
     ("yao k=6", 6, False, 0),
     ("yao k=12", 12, False, 0),
 ]
+#: Largest n that also times the full row-block scan, and the scalar scan.
+FULL_MAX = 4096
+SCALAR_MAX = 768
+
+
+def uniform(n, rng):
+    return [(rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)) for _ in range(n)]
+
+
+def cluster_far(n, rng):
+    """14/15 of the points in one Gaussian cluster of deviation 1e-3, the rest
+    uniform over [-50, 50)^2: the cluster shares one grid cell."""
+    m = n * 14 // 15
+    return [(rng.gauss(0.0, 1e-3), rng.gauss(0.0, 1e-3)) for _ in range(m)] + [
+        (rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0)) for _ in range(n - m)
+    ]
+
+
+def circle(n, rng):
+    """gen_circle(n): every cone facing inwards has its winner across the
+    circle, beyond any candidate block."""
+    return [(p.x, p.y) for p in sorted(gen_circle(n), key=lambda p: p.id)]
+
+
+POINT_SETS = [("uniform", uniform), ("cluster_far", cluster_far), ("circle", circle)]
 
 
 def counted_scan(xs, ys, k, proj, mask):
@@ -85,34 +111,38 @@ def full_scan(xs, ys, k, proj, mask):
         build._certified_rows = certify
 
 
-def scan_table(sizes, repeat, seed, full_max, scalar_max):
-    print(f"{'cone scan':<14} {'n':>6} {'grid ms':>9} {'fallback':>8} {'full ms':>9} "
-          f"{'speedup':>8} {'scalar ms':>10}  agree")
+def scan_table(sizes, repeat, seed):
+    print(f"{'points':<12} {'cone scan':<14} {'n':>6} {'grid ms':>9} {'fallback':>8} "
+          f"{'full ms':>9} {'speedup':>8} {'scalar ms':>10}  agree")
     rows = []
-    for n in sizes:
-        rng = random.Random(seed)
-        xs = [rng.uniform(0.0, 100.0) for _ in range(n)]
-        ys = [rng.uniform(0.0, 100.0) for _ in range(n)]
-        for name, k, proj, mask in SCANS:
-            tg, (edges, fallback) = best_of(lambda: counted_scan(xs, ys, k, proj, mask), repeat)
-            row = {"scan": name, "k": k, "projection": proj, "cone_mask": mask, "n": n,
-                   "repeat": repeat, "grid_s": round(tg, 5), "fallback_rows": fallback,
-                   "full_s": None, "scalar_s": None,
-                   "edges_sha256": hashlib.sha256(repr(edges).encode()).hexdigest()}
-            if n <= full_max:
-                tf, ref = best_of(lambda: full_scan(xs, ys, k, proj, mask), repeat)
-                row["full_s"] = round(tf, 5)
-                if ref != edges:
-                    raise SystemExit(f"cone scan divergence from the full scan in {name}, n={n}")
-            if n <= scalar_max:
-                ts, ref = best_of(lambda: kernels.cone_edges(xs, ys, k, proj, mask), repeat)
-                row["scalar_s"] = round(ts, 5)
-                if ref != edges:
-                    raise SystemExit(f"cone scan divergence from the scalar scan in {name}, n={n}")
-            rows.append(row)
-            full = f"{row['full_s'] * 1e3:>9.2f} {row['full_s'] / tg:>7.1f}x" if row["full_s"] else f"{'-':>9} {'-':>8}"
-            scalar = f"{row['scalar_s'] * 1e3:>10.1f}" if row["scalar_s"] else f"{'-':>10}"
-            print(f"{name:<14} {n:>6} {tg * 1e3:>9.2f} {fallback:>8} {full} {scalar}  True")
+    for points, gen in POINT_SETS:
+        for n in sizes:
+            if points != "uniform" and n > FULL_MAX:
+                continue
+            coords = gen(n, random.Random(seed))
+            xs = [x for x, _ in coords]
+            ys = [y for _, y in coords]
+            for name, k, proj, mask in SCANS:
+                tg, (edges, fallback) = best_of(lambda: counted_scan(xs, ys, k, proj, mask), repeat)
+                row = {"points": points, "scan": name, "k": k, "projection": proj,
+                       "cone_mask": mask, "n": n, "repeat": repeat, "grid_s": round(tg, 5),
+                       "fallback_rows": fallback, "full_s": None, "scalar_s": None,
+                       "edges_sha256": hashlib.sha256(repr(edges).encode()).hexdigest()}
+                if n <= FULL_MAX:
+                    tf, ref = best_of(lambda: full_scan(xs, ys, k, proj, mask), repeat)
+                    row["full_s"] = round(tf, 5)
+                    if ref != edges:
+                        raise SystemExit(f"cone scan divergence from the full scan in {name}, n={n}")
+                if n <= SCALAR_MAX:
+                    ts, ref = best_of(lambda: kernels.cone_edges(xs, ys, k, proj, mask), repeat)
+                    row["scalar_s"] = round(ts, 5)
+                    if ref != edges:
+                        raise SystemExit(f"cone scan divergence from the scalar scan in {name}, n={n}")
+                rows.append(row)
+                full = f"{row['full_s'] * 1e3:>9.2f} {row['full_s'] / tg:>7.2f}x" if row["full_s"] else f"{'-':>9} {'-':>8}"
+                scalar = f"{row['scalar_s'] * 1e3:>10.1f}" if row["scalar_s"] else f"{'-':>10}"
+                print(f"{points:<12} {name:<14} {n:>6} {tg * 1e3:>9.2f} {fallback:>8} {full} {scalar}  True",
+                      flush=True)
     return rows
 
 
@@ -150,19 +180,16 @@ def sweep_table(sizes, repeat, rng):
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--sizes", default="768,4096,16384", help="comma-separated cone-scan point counts")
-    ap.add_argument("--full-max", type=int, default=4096,
-                    help="largest n that also times the full row-block scan")
-    ap.add_argument("--scalar-max", type=int, default=768,
-                    help="largest n that also times the scalar kernels.cone_edges")
     ap.add_argument("--repeat", type=int, default=3, help="best-of repetitions per cell")
     ap.add_argument("--seed", type=int, default=2024)
     ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_cone_scan.json"))
     args = ap.parse_args()
 
     sizes = [int(v) for v in args.sizes.split(",")]
-    rows = scan_table(sizes, args.repeat, args.seed, args.full_max, args.scalar_max)
+    rows = scan_table(sizes, args.repeat, args.seed)
     doc = {
-        "bench": "build.cone_scan on uniform points in [0, 100)^2",
+        "bench": "build.cone_scan on uniform points in [0, 100)^2, a cluster plus far points, "
+                 "and a circle",
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),

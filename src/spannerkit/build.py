@@ -30,6 +30,12 @@ _LABEL_SLACK = 1e-6
 #: Cells from a point's own cell to the edge of its candidate block, per pass
 #: of the grid scan (see cone_scan).
 _REACHES = (2, 4)
+#: Inputs with fewer points skip the grid: its fixed cost of about 60 small
+#: numpy calls exceeds the full scan's (see cone_scan).
+_GRID_MIN_N = 200
+#: Rows whose candidate block holds more than this share of the points skip
+#: the grid pass (see cone_scan).
+_DENSE_SHARE = 0.25
 #: Certificate bounds below this certify nothing: subnormal rounding errors are
 #: absolute, not relative.
 _TINY = 2.0 ** -1000
@@ -313,8 +319,18 @@ def cone_scan(xs, ys, k: int, use_projection: bool, cone_mask: int) -> list[tupl
     of its two boundary rays, no other point reaches the point's own values
     less a margin of 1e-8 of the span (_empty_cones: one sort and a running
     maximum per cone). When the block is the whole grid, rho is infinite and
-    every cone is certified, so small inputs need no size threshold. Bounds
-    below _TINY certify nothing, because subnormal rounding is absolute.
+    every cone is certified. Bounds below _TINY certify nothing, because
+    subnormal rounding is absolute.
+
+    The grid pays only where certificates are cheap, and the scan decides
+    that from the input alone:
+    - inputs of fewer than _GRID_MIN_N points skip it: its fixed cost (k
+      sorts and about 60 small numpy calls, 0.4-1 ms) exceeds the full
+      scan's below n = 150-250 on uniform points;
+    - a row whose block holds more than _DENSE_SHARE of the points (it sits
+      in a cluster) skips the pass, which would cost about a full row;
+    - a pass that settles fewer than half of its rows ends the grid phase,
+      as on a circle, whose inward cones have their winners across it.
 
     Rows with an uncertified cone go through the full row-block scan, the
     reference path. Inputs whose x or y span is not finite go there whole;
@@ -335,7 +351,7 @@ def cone_scan(xs, ys, k: int, use_projection: bool, cone_mask: int) -> list[tupl
     y = np.asarray(ys, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         rows = np.arange(n)
-        if n and np.isfinite(x.max() - x.min()) and np.isfinite(y.max() - y.min()):
+        if n >= _GRID_MIN_N and np.isfinite(x.max() - x.min()) and np.isfinite(y.max() - y.min()):
             rows = _certified_rows(x, y, k, use_projection, cones, best)
         step = max(1, _SCAN_BLOCK // max(n, 1))
         for lo in range(0, len(rows), step):
@@ -424,10 +440,23 @@ def _certified_rows(x, y, k: int, use_projection: bool, cones, best):
     order = np.argsort(cell, kind="stable")
     first = np.concatenate(([0], np.cumsum(np.bincount(cell, minlength=nx * ny))))
 
-    todo = order
+    todo, dense = order, []
     for reach in _REACHES:
-        # Block of (2 * reach + 1)**2 cells around each row's own cell.
+        # Block of (2 * reach + 1)**2 cells around each row's own cell; each
+        # cell row of a block is the range [start, start + size) of order.
         px, py = cx[todo], cy[todo]
+        r = py[:, None] + np.arange(-reach, reach + 1)
+        inside = (r >= 0) & (r < ny)
+        r = np.where(inside, r, 0) * nx
+        start = first[r + np.maximum(px - reach, 0)[:, None]]
+        size = np.where(inside, first[r + np.minimum(px + reach, nx - 1)[:, None] + 1] - start, 0)
+        total = size.sum(axis=1)
+        # A row whose block holds more than _DENSE_SHARE of the points (it
+        # sits in a cluster) would pay about the full scan's cost before
+        # reaching it anyway: it goes there directly.
+        sparse = total <= _DENSE_SHARE * n
+        dense.append(todo[~sparse])
+        todo, px, py, start, size, total = (a[sparse] for a in (todo, px, py, start, size, total))
         rho = np.full(len(todo), np.inf)
         for off, c, cells in ((ox[todo], px, nx), (oy[todo], py, ny)):
             rho = np.where(c - reach > 0, np.minimum(rho, off - (c - reach) * h), rho)
@@ -439,13 +468,6 @@ def _certified_rows(x, y, k: int, use_projection: bool, cones, best):
         else:
             bound = rho * rho * (1.0 - 1e-12)
         bound[bound < _TINY] = -np.inf
-        # Each cell row of a block is the range [start, start + size) of order.
-        r = py[:, None] + np.arange(-reach, reach + 1)
-        inside = (r >= 0) & (r < ny)
-        r = np.where(inside, r, 0) * nx
-        start = first[r + np.maximum(px - reach, 0)[:, None]]
-        size = np.where(inside, first[r + np.minimum(px + reach, nx - 1)[:, None] + 1] - start, 0)
-        total = size.sum(axis=1)
 
         settled = np.zeros(len(todo), dtype=bool)
         s0 = 0
@@ -470,7 +492,11 @@ def _certified_rows(x, y, k: int, use_projection: bool, cones, best):
             best[np.ix_(u, cones)] = picks
             s0 = s1
         todo = todo[~settled]
-    return todo
+        # When most rows fail, their winners lie far away (the inward cones
+        # of a circle): a wider block would mostly fail too, at a higher cost.
+        if 2 * settled.sum() < len(settled):
+            break
+    return np.concatenate(dense + [todo])
 
 
 def _empty_cones(ox, oy, k: int, cones):

@@ -176,6 +176,65 @@ class TestConeScan:
         for k, proj, mask in [(6, True, 0b010101), (7, True, 0), (6, False, 0)]:
             assert cone_scan(xs, ys, k, proj, mask) == kernels.cone_edges(xs, ys, k, proj, mask)
 
+    @pytest.mark.parametrize("name", sorted(SCAN_SETS))
+    def test_grid_on_small_sets_matches_kernel(self, name, monkeypatch):
+        # Small inputs skip the grid; forced through it, the certificates must
+        # still give the kernel's edges (boundary stars, ties, huge spans).
+        monkeypatch.setattr(build_module, "_GRID_MIN_N", 0)
+        xs = [x for x, _ in SCAN_SETS[name]]
+        ys = [y for _, y in SCAN_SETS[name]]
+        for k, proj, mask in SCAN_CONFIGS:
+            assert cone_scan(xs, ys, k, proj, mask) == kernels.cone_edges(xs, ys, k, proj, mask)
+
+    @pytest.mark.parametrize("block", [1, 40, 333])
+    def test_grid_row_blocks(self, block, monkeypatch):
+        monkeypatch.setattr(build_module, "_GRID_MIN_N", 0)
+        monkeypatch.setattr(build_module, "_SCAN_BLOCK", block)
+        coords = SCAN_SETS["random_a"] + SCAN_SETS["grid"]
+        xs = [x for x, _ in coords]
+        ys = [y for _, y in coords]
+        for k, proj, mask in [(6, True, 0b010101), (7, True, 0), (6, False, 0)]:
+            assert cone_scan(xs, ys, k, proj, mask) == kernels.cone_edges(xs, ys, k, proj, mask)
+
+    def test_small_inputs_skip_the_grid(self, monkeypatch):
+        def fail(*_):
+            raise AssertionError("grid pass on a small input")
+
+        monkeypatch.setattr(build_module, "_certified_rows", fail)
+        xs = [x for x, _ in SCAN_SETS["random_a"]]
+        ys = [y for _, y in SCAN_SETS["random_a"]]
+        assert cone_scan(xs, ys, 6, True, 0b010101) == kernels.cone_edges(xs, ys, 6, True, 0b010101)
+
+    @staticmethod
+    def _gridded_rows(coords, monkeypatch):
+        # The rows of every grid pass, in order, once per pass.
+        gridded = []
+        picks = build_module._cone_picks
+
+        def counted(x, y, rows, cand, *args):
+            if cand.ndim == 2:
+                gridded.extend(rows.tolist())
+            return picks(x, y, rows, cand, *args)
+
+        monkeypatch.setattr(build_module, "_cone_picks", counted)
+        cone_scan([x for x, _ in coords], [y for _, y in coords], 6, True, 0b010101)
+        return gridded
+
+    def test_cluster_rows_skip_the_grid_pass(self, monkeypatch):
+        # The 560 clustered points share one cell: their blocks hold most of
+        # the input, so only the 40 far points are scanned on the grid.
+        gridded = self._gridded_rows(LARGE_SCAN_SETS["cluster_far"], monkeypatch)
+        assert gridded and set(gridded) <= set(range(560, 600))
+
+    def test_a_failed_pass_ends_the_grid_phase(self, monkeypatch):
+        # On a circle the first pass certifies almost no row; none gets the
+        # second, wider pass.
+        gridded = self._gridded_rows(LARGE_SCAN_SETS["circle"], monkeypatch)
+        assert len(gridded) == len(set(gridded)) == len(LARGE_SCAN_SETS["circle"])
+        # Uniform points do get it.
+        gridded = self._gridded_rows(LARGE_SCAN_SETS["random_768"], monkeypatch)
+        assert len(set(gridded)) == 768 < len(gridded)
+
     def test_overflowing_differences_follow_the_kernel(self):
         # Coordinate differences overflow to inf and some keys become NaN
         # (inf * 0); the scalar scan's visiting order then decides.
