@@ -326,7 +326,7 @@ def cone_scan(xs, ys, k: int, use_projection: bool, cone_mask: int) -> list[tupl
     that from the input alone:
     - inputs of fewer than _GRID_MIN_N points skip it: its fixed cost (k
       sorts and about 60 small numpy calls, 0.4-1 ms) exceeds the full
-      scan's below n = 150-250 on uniform points;
+      scan's below about n = 200 on uniform points (300 for k = 12);
     - a row whose block holds more than _DENSE_SHARE of the points (it sits
       in a cluster) skips the pass, which would cost about a full row;
     - a pass that settles fewer than half of its rows ends the grid phase,
