@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time the numpy versions of the kernels against the scalar kernels they
-reproduce: the cone scan the builders use against kernels.cone_edges, and the
+"""Time the numpy kernels against the slower paths they must agree with: the
+cone scan the builders use against its own full row-block scan, and the
 certification sweep kernels.points_in_tri against one kernels.point_in_tri
 call per point.
 
@@ -9,9 +9,9 @@ and counts the rows its grid certificates leave to the full row-block scan.
 Uniform points run at every size; the sets the grid serves badly (a dense
 cluster plus far points, and a circle) run up to FULL_MAX points. Up to
 FULL_MAX points it also times that full scan alone (every row forced through
-it), and up to SCALAR_MAX points the scalar kernels.cone_edges; every side
-must return the same edges. The rows, with the commit, source hash and a hash
-of each scan's output, are written to --out (BENCH_cone_scan.json by default).
+it), which must return the same edges. The rows, with the commit, source hash
+and a hash of each scan's output, are written to --out (BENCH_cone_scan.json
+by default).
 
 Both sides of every comparison must return identical results, so each row
 re-checks agreement on its own workload before reporting the speedup.
@@ -56,9 +56,8 @@ SCANS = [
     ("yao k=6", 6, False, 0),
     ("yao k=12", 12, False, 0),
 ]
-#: Largest n that also times the full row-block scan, and the scalar scan.
+#: Largest n that also times the full row-block scan.
 FULL_MAX = 4096
-SCALAR_MAX = 768
 
 
 def uniform(n, rng):
@@ -113,7 +112,7 @@ def full_scan(xs, ys, k, proj, mask):
 
 def scan_table(sizes, repeat, seed):
     print(f"{'points':<12} {'cone scan':<14} {'n':>6} {'grid ms':>9} {'fallback':>8} "
-          f"{'full ms':>9} {'speedup':>8} {'scalar ms':>10}  agree")
+          f"{'full ms':>9} {'speedup':>8}  agree")
     rows = []
     for points, gen in POINT_SETS:
         for n in sizes:
@@ -126,22 +125,16 @@ def scan_table(sizes, repeat, seed):
                 tg, (edges, fallback) = best_of(lambda: counted_scan(xs, ys, k, proj, mask), repeat)
                 row = {"points": points, "scan": name, "k": k, "projection": proj,
                        "cone_mask": mask, "n": n, "repeat": repeat, "grid_s": round(tg, 5),
-                       "fallback_rows": fallback, "full_s": None, "scalar_s": None,
+                       "fallback_rows": fallback, "full_s": None,
                        "edges_sha256": hashlib.sha256(repr(edges).encode()).hexdigest()}
                 if n <= FULL_MAX:
                     tf, ref = best_of(lambda: full_scan(xs, ys, k, proj, mask), repeat)
                     row["full_s"] = round(tf, 5)
                     if ref != edges:
                         raise SystemExit(f"cone scan divergence from the full scan in {name}, n={n}")
-                if n <= SCALAR_MAX:
-                    ts, ref = best_of(lambda: kernels.cone_edges(xs, ys, k, proj, mask), repeat)
-                    row["scalar_s"] = round(ts, 5)
-                    if ref != edges:
-                        raise SystemExit(f"cone scan divergence from the scalar scan in {name}, n={n}")
                 rows.append(row)
                 full = f"{row['full_s'] * 1e3:>9.2f} {row['full_s'] / tg:>7.2f}x" if row["full_s"] else f"{'-':>9} {'-':>8}"
-                scalar = f"{row['scalar_s'] * 1e3:>10.1f}" if row["scalar_s"] else f"{'-':>10}"
-                print(f"{points:<12} {name:<14} {n:>6} {tg * 1e3:>9.2f} {fallback:>8} {full} {scalar}  True",
+                print(f"{points:<12} {name:<14} {n:>6} {tg * 1e3:>9.2f} {fallback:>8} {full}  True",
                       flush=True)
     return rows
 

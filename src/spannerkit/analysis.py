@@ -8,6 +8,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from itertools import compress
@@ -538,10 +539,10 @@ def path_length(ps: PointSet, path: list[int]) -> float:
 
 def gen_circle(n: int, radius: float = 1.0) -> PointSet:
     """n points equally spaced on a circle, ids in angular order."""
-    if n < 2:
-        raise InvalidParameter(f"circle needs at least 2 points, got {n}")
-    if radius <= 0:
-        raise InvalidParameter(f"radius must be positive, got {radius}")
+    if not isinstance(n, int) or n < 2:
+        raise InvalidParameter(f"circle needs an integer number of points >= 2, got {n!r}")
+    if isinstance(radius, bool) or not isinstance(radius, numbers.Real) or not radius > 0:
+        raise InvalidParameter(f"radius must be a positive real number, got {radius!r}")
     pts = []
     for i in range(n):
         ang = 2.0 * math.pi * i / n

@@ -17,13 +17,20 @@ import numpy as np
 
 from . import kernels
 from .errors import InternalInvariantViolation, InvalidParameter
-from .geometry import ConeSystem, Point, PointSet, _parse_json, _point_records, _points_from_records
+from .geometry import (
+    _CHECK_BLOCK,
+    ConeSystem,
+    Point,
+    PointSet,
+    _json_id,
+    _parse_json,
+    _point_records,
+    _points_from_records,
+)
 
 #: Bitmask of the even ("positive") cones of a 6-cone system.
 _POSITIVE_MASK_6 = 0b010101
 
-#: Pair elements per row block of the cone scan (a block holds at least one row).
-_SCAN_BLOCK = 65536
 #: Cone labels whose azimuth lies within this many radians of a cone boundary
 #: are recomputed with the scalar kernel (see cone_scan).
 _LABEL_SLACK = 1e-6
@@ -155,7 +162,7 @@ class SpannerGraph:
         obj = _parse_json(text, "graph")
         try:
             pts = _points_from_records(obj["points"], "graph")
-            edges = [(int(u), int(v)) for u, v in obj["edges"]]
+            edges = [(_json_id(u), _json_id(v)) for u, v in obj["edges"]]
             kind = obj["kind"]
             k = obj["k"]
         except (KeyError, TypeError, ValueError) as exc:
@@ -284,11 +291,12 @@ def cone_scan(xs, ys, k: int, use_projection: bool, cone_mask: int) -> list[tupl
     """Closest-per-cone edge scan: grid candidates with certificates, and a
     numpy row-block scan for the rows they cannot settle.
 
-    Same contract and output as kernels.cone_edges, which stays the reference:
-    for every vertex u and every cone i (restricted to cone_mask bits when
+    For every vertex u and every cone i (restricted to cone_mask bits when
     cone_mask is nonzero) return (u, i, v) where v minimises (projection,
     squared distance, index) when use_projection is true, else (squared
-    distance, index); sorted by (u, i).
+    distance, index); sorted by (u, i). Coordinates must be finite, as
+    PointSet guarantees. The reference is the scalar scan that visits every
+    v in index order (oracle_cone_picks in tests/oracles.py).
 
     Bit identity with the scalar scan: dx, dy, d2 = dx*dx + dy*dy and the
     projection dx*sin(i*theta) + dy*cos(i*theta) are each computed as separate
@@ -335,10 +343,12 @@ def cone_scan(xs, ys, k: int, use_projection: bool, cone_mask: int) -> list[tupl
     Rows with an uncertified cone go through the full row-block scan, the
     reference path. Inputs whose x or y span is not finite go there whole;
     with finite spans no coordinate difference overflows and no key is NaN.
-    Keys that come out NaN (non-finite coordinates, or differences that
-    overflow) make the scalar scan's result depend on visiting order, so such
-    inputs are handed to kernels.cone_edges unchanged. Both phases work in
-    blocks of at most _SCAN_BLOCK pair elements.
+    Differences that overflow are +-inf, never NaN, so d2 is never NaN; only
+    a projection can be (inf * 0, or inf - inf). A NaN compares false both
+    ways, so the scalar scan keeps a cone's first member by index when that
+    member's key is NaN, and otherwise a NaN key never wins; the full scan
+    applies the same rule. Both phases work in blocks of at most _CHECK_BLOCK
+    pair elements.
 
     No cKDTree: importing scipy.spatial alone raises the peak resident size
     by about 5 MB over the package's own imports (63 to 68 MB), 6 % of a
@@ -353,13 +363,10 @@ def cone_scan(xs, ys, k: int, use_projection: bool, cone_mask: int) -> list[tupl
         rows = np.arange(n)
         if n >= _GRID_MIN_N and np.isfinite(x.max() - x.min()) and np.isfinite(y.max() - y.min()):
             rows = _certified_rows(x, y, k, use_projection, cones, best)
-        step = max(1, _SCAN_BLOCK // max(n, 1))
+        step = max(1, _CHECK_BLOCK // max(n, 1))
         for lo in range(0, len(rows), step):
             r = rows[lo:lo + step]
-            picked = _cone_picks(x, y, r, np.arange(n), k, use_projection, cones)
-            if picked is None:
-                return kernels.cone_edges(xs, ys, k, use_projection, cone_mask)
-            best[np.ix_(r, cones)] = picked[0]
+            best[np.ix_(r, cones)] = _cone_picks(x, y, r, np.arange(n), k, use_projection, cones)[0]
     us, cs = np.nonzero(best >= 0)
     return list(zip(us.tolist(), cs.tolist(), best[us, cs].tolist()))
 
@@ -369,14 +376,12 @@ def _cone_picks(x, y, rows, cand, k: int, use_projection: bool, cones):
     its first key; a winner of -1 marks an empty cone.
 
     cand holds one row of candidate indices per point, or one row for all;
-    entries equal to the point itself are skipped. Returns None if a key is
-    NaN.
+    entries equal to the point itself are skipped. NaN keys follow the scalar
+    scan's rule (see cone_scan).
     """
     dx = x[cand] - x[rows, None]
     dy = y[cand] - y[rows, None]
     d2 = dx * dx + dy * dy
-    if np.isnan(d2).any():
-        return None
     theta = math.tau / k
     # Index k labels a pair the scan must skip: the point itself (which also
     # pads candidate rows), or a cone outside the mask.
@@ -390,8 +395,8 @@ def _cone_picks(x, y, rows, cand, k: int, use_projection: bool, cones):
         sin_bis = np.array([math.sin(i * theta) for i in range(k)] + [0.0])
         cos_bis = np.array([math.cos(i * theta) for i in range(k)] + [0.0])
         key1 = dx * sin_bis[label] + dy * cos_bis[label]
-        if np.isnan(key1).any():
-            return None
+    nan = np.isnan(key1)
+    nan = nan if nan.any() else None
     none = np.iinfo(np.intp).max
     picks = np.full((len(dx), len(cones)), -1, dtype=np.intp)
     keys = np.full((len(dx), len(cones)), np.inf)
@@ -402,6 +407,14 @@ def _cone_picks(x, y, rows, cand, k: int, use_projection: bool, cones):
         occupied = member.any(axis=1)
         if not occupied.any():
             continue
+        if nan is not None:
+            # A NaN compares false both ways: a cone's first member by index
+            # stays when its key is NaN, and otherwise a NaN key never wins.
+            idx = np.where(member, cand, none)
+            at = idx.argmin(axis=1)[:, None]
+            first = np.take_along_axis(idx, at, axis=1)[:, 0]
+            stuck = np.take_along_axis(nan & member, at, axis=1)[:, 0]
+            member &= ~nan
         k1 = np.where(member, key1, np.inf)
         keys[:, c] = k1.min(axis=1)
         tied = member & (k1 == keys[:, c, None])
@@ -410,6 +423,8 @@ def _cone_picks(x, y, rows, cand, k: int, use_projection: bool, cones):
             tied &= k2 == k2.min(axis=1, keepdims=True)
         # The lowest index among the remaining candidates wins.
         low = np.where(tied, cand, none).min(axis=1)
+        if nan is not None:
+            low = np.where(stuck, first, low)
         picks[:, c] = np.where(occupied, low, -1)
     return picks, keys
 
@@ -473,9 +488,9 @@ def _certified_rows(x, y, k: int, use_projection: bool, cones, best):
         s0 = 0
         while s0 < len(todo):
             # The longest run of rows whose padded block holds at most
-            # _SCAN_BLOCK elements (at least one row).
-            width = np.maximum.accumulate(total[s0:s0 + _SCAN_BLOCK])
-            fits = np.searchsorted(width * np.arange(1, len(width) + 1), _SCAN_BLOCK, side="right")
+            # _CHECK_BLOCK elements (at least one row).
+            width = np.maximum.accumulate(total[s0:s0 + _CHECK_BLOCK])
+            fits = np.searchsorted(width * np.arange(1, len(width) + 1), _CHECK_BLOCK, side="right")
             s1 = s0 + max(1, int(fits))
             u = todo[s0:s1]
             sz = size[s0:s1].ravel()

@@ -20,7 +20,7 @@ from .errors import DegenerateInput, InvalidParameter
 EPS = 1e-9
 
 #: Elements per block of the row-blocked numpy passes: the general-position
-#: checks and the spanning ratio.
+#: checks, the cone scan and the spanning ratio (a block holds at least one row).
 _CHECK_BLOCK = 65536
 #: Vectorized general-position tests within this margin of their threshold
 #: (relative for distances above 1), and approximate spanning ratios within
@@ -342,9 +342,17 @@ def _point_records(points) -> list[dict]:
 def _points_from_records(records, what: str) -> PointSet:
     """PointSet from _point_records output; malformed records raise InvalidParameter."""
     try:
-        return PointSet(Point(int(r["id"]), float(r["x"]), float(r["y"])) for r in records)
+        return PointSet(Point(_json_id(r["id"]), float(r["x"]), float(r["y"])) for r in records)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidParameter(f"malformed {what} JSON: {exc}") from exc
+
+
+def _json_id(value) -> int:
+    """A point id read from JSON, as int. Bools and numbers with a fractional
+    part raise ValueError instead of truncating to another id."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"id must be an integer, got {value!r}")
+    return int(value)
 
 
 def _xy(p) -> tuple[float, float]:

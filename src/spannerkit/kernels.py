@@ -1,10 +1,12 @@
-"""Distance-critical kernels: azimuths, cone indices, bisector projections,
-point-in-triangle tests and the scalar closest-per-cone scan.
+"""Distance-critical kernels: azimuths, cone indices, bisector projections and
+point-in-triangle tests.
 
 These scalar functions define every boundary decision in the package. The
 numpy versions (points_in_tri here, build.cone_scan) repeat their IEEE double
-operations elementwise in the same order, so they return the same answers,
-and the scalar functions stay their reference.
+operations elementwise in the same order, so they return the same answers.
+points_in_tri's reference is point_in_tri; the closest-per-cone scan has no
+scalar twin in the package, and its reference is the scalar scan in
+tests/oracles.py.
 """
 
 from math import atan2, cos, floor, sin
@@ -103,55 +105,3 @@ def _left_mask(xs, ys, x1, y1, x2, y2, eps):
     ln = (ex * ex + ey * ey) ** 0.5
     return ex * (ys - y1) - ey * (xs - x1) >= -eps * ln
 
-
-def cone_edges(xs, ys, k, use_projection, cone_mask):
-    """Closest-per-cone edge scan.
-
-    For every vertex u and every cone i (restricted to cone_mask bits when
-    cone_mask is nonzero) return (u, i, v) where v minimises
-    (projection, squared distance, index) when use_projection is true, else
-    (squared distance, index). Indices are positions in xs/ys.
-    """
-    n = len(xs)
-    theta = TWO_PI / k
-    size = n * k
-    bk1 = [0.0] * size
-    bk2 = [0.0] * size
-    bv = [-1] * size
-    for u in range(n):
-        xu = xs[u]
-        yu = ys[u]
-        for v in range(n):
-            if v == u:
-                continue
-            dx = xs[v] - xu
-            dy = ys[v] - yu
-            i = cone_index(dx, dy, k)
-            if cone_mask != 0 and not (cone_mask >> i) & 1:
-                continue
-            d2 = dx * dx + dy * dy
-            if use_projection:
-                bis = i * theta
-                k1 = dx * sin(bis) + dy * cos(bis)
-                k2 = d2
-            else:
-                k1 = d2
-                k2 = 0.0
-            idx = u * k + i
-            w = bv[idx]
-            if (
-                w < 0
-                or k1 < bk1[idx]
-                or (k1 == bk1[idx] and (k2 < bk2[idx] or (k2 == bk2[idx] and v < w)))
-            ):
-                bk1[idx] = k1
-                bk2[idx] = k2
-                bv[idx] = v
-    out = []
-    for u in range(n):
-        base = u * k
-        for i in range(k):
-            v = bv[base + i]
-            if v >= 0:
-                out.append((u, i, v))
-    return out

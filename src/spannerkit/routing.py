@@ -31,12 +31,12 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from . import kernels
+from .analysis import bound_value
 from .build import SpannerGraph
 from .errors import AlreadyArrived, InternalInvariantViolation, InvalidParameter
 from .geometry import ConeSystem, _parse_json, canonical_triangle
 
 _CS6 = ConeSystem(6)
-_SQ3 = math.sqrt(3.0)
 
 # Multiplier applied to the per-pair base bound for each engine.
 ROUTING_FACTORS = {
@@ -234,11 +234,11 @@ def base_bound(g: SpannerGraph, source: int, target: int) -> tuple[float, bool]:
     if j % 2 == 0:
         bis = j * _CS6.theta
         alpha = _wrap_abs(kernels.azimuth(dx, dy) - bis)
-        return (_SQ3 * math.cos(alpha) + math.sin(alpha)) * dist, False
+        return bound_value("pair_alpha", alpha=alpha) * dist, False
     jt = (j + 3) % 6
     bis = jt * _CS6.theta
     alpha = _wrap_abs(kernels.azimuth(-dx, -dy) - bis)
-    return (5.0 / _SQ3 * math.cos(alpha) - math.sin(alpha)) * dist, True
+    return bound_value("routing_negative", alpha=alpha) * dist, True
 
 
 def _wrap_abs(a: float) -> float:
@@ -473,6 +473,8 @@ def potential(
     """Potential of the current routing state; drops to zero exactly at arrival."""
     if algorithm not in ("stateless", "stateful"):
         raise InvalidParameter(f"unknown algorithm {algorithm!r}")
+    if preferred not in (None, "X1", "X2"):
+        raise InvalidParameter(f"preferred must be None, 'X1' or 'X2', got {preferred!r}")
     if g.kind != "half_theta6":
         raise InvalidParameter("potential is defined on the half-theta-6 graph")
     ctx = g.cone_table

@@ -47,13 +47,16 @@ def oracle_projection(dx, dy, k):
     return dx * math.sin(bis) + dy * math.cos(bis)
 
 
-def oracle_cone_edges(coords, k, use_projection, cone_mask=0):
-    """Nearest-vertex-per-cone edge set by exhaustive scan.
+def oracle_cone_picks(coords, k, use_projection, cone_mask=0):
+    """Nearest vertex per cone by exhaustive scan, as sorted (u, cone, v).
 
     coords is a list of (x, y); vertex ids are list indices.  Ties break on
     squared distance then id (Yao) or projection, squared distance, id (theta).
+    Every v is visited in index order and replaces the cone's pick only when
+    its key is smaller, so a NaN key (which compares false both ways) never
+    wins, and a first member with a NaN key is never replaced.
     """
-    edges = set()
+    picks = []
     for i, (xi, yi) in enumerate(coords):
         best = {}
         for j, (xj, yj) in enumerate(coords):
@@ -70,9 +73,13 @@ def oracle_cone_edges(coords, k, use_projection, cone_mask=0):
                 key = (d2, 0.0, j)
             if c not in best or key < best[c][0]:
                 best[c] = (key, j)
-        for _key, j in best.values():
-            edges.add((min(i, j), max(i, j)))
-    return edges
+        picks += [(i, c, j) for c, (_key, j) in best.items()]
+    return sorted(picks)
+
+
+def oracle_cone_edges(coords, k, use_projection, cone_mask=0):
+    """Undirected edge set of oracle_cone_picks."""
+    return {(min(u, v), max(u, v)) for u, _c, v in oracle_cone_picks(coords, k, use_projection, cone_mask)}
 
 
 def oracle_all_paths_spanning_ratio(g):

@@ -299,6 +299,12 @@ class TestGenerators:
             gen_circle(1)
         with pytest.raises(InvalidParameter):
             gen_circle(10, radius=0.0)
+        for n in (2.5, "4", None):
+            with pytest.raises(InvalidParameter):
+                gen_circle(n)
+        for radius in ("1", None, math.nan, True):
+            with pytest.raises(InvalidParameter):
+                gen_circle(10, radius=radius)
 
     def test_routing_lb_variants(self):
         pos = gen_routing_lb("positive")

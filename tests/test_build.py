@@ -33,7 +33,7 @@ from spannerkit import build as build_module
 from spannerkit import kernels
 from spannerkit.build import cone_scan
 
-from oracles import oracle_azimuth, oracle_cone_edges, oracle_mst
+from oracles import oracle_azimuth, oracle_cone_edges, oracle_cone_picks, oracle_mst
 
 
 def _as_coords(ps):
@@ -153,8 +153,8 @@ LARGE_SCAN_CONFIGS = [(k, proj, 0) for k in (2, 3, 4, 5, 6, 7, 9, 12) for proj i
 
 
 class TestConeScan:
-    """The numpy scan behind every builder against the scalar kernel scan and
-    the exhaustive oracle."""
+    """The numpy scan behind every builder against the exhaustive scalar scan
+    of the oracle."""
 
     @pytest.mark.parametrize("name", sorted(SCAN_SETS))
     def test_matches_kernel_and_oracle(self, name):
@@ -163,47 +163,47 @@ class TestConeScan:
         ys = [y for _, y in coords]
         for k, proj, mask in SCAN_CONFIGS:
             got = cone_scan(xs, ys, k, proj, mask)
-            assert got == kernels.cone_edges(xs, ys, k, proj, mask), (k, proj, mask)
-            edges = {(min(u, v), max(u, v)) for u, _i, v in got}
-            assert edges == oracle_cone_edges(coords, k, proj, cone_mask=mask), (k, proj, mask)
+            assert got == oracle_cone_picks(coords, k, proj, mask), (k, proj, mask)
 
     @pytest.mark.parametrize("block", [1, 40, 333])
     def test_row_blocks(self, block, monkeypatch):
-        monkeypatch.setattr(build_module, "_SCAN_BLOCK", block)
+        monkeypatch.setattr(build_module, "_CHECK_BLOCK", block)
         coords = SCAN_SETS["random_a"] + SCAN_SETS["grid"]
         xs = [x for x, _ in coords]
         ys = [y for _, y in coords]
         for k, proj, mask in [(6, True, 0b010101), (7, True, 0), (6, False, 0)]:
-            assert cone_scan(xs, ys, k, proj, mask) == kernels.cone_edges(xs, ys, k, proj, mask)
+            assert cone_scan(xs, ys, k, proj, mask) == oracle_cone_picks(coords, k, proj, mask)
 
     @pytest.mark.parametrize("name", sorted(SCAN_SETS))
     def test_grid_on_small_sets_matches_kernel(self, name, monkeypatch):
         # Small inputs skip the grid; forced through it, the certificates must
-        # still give the kernel's edges (boundary stars, ties, huge spans).
+        # still give the oracle's picks (boundary stars, ties, huge spans).
         monkeypatch.setattr(build_module, "_GRID_MIN_N", 0)
-        xs = [x for x, _ in SCAN_SETS[name]]
-        ys = [y for _, y in SCAN_SETS[name]]
+        coords = SCAN_SETS[name]
+        xs = [x for x, _ in coords]
+        ys = [y for _, y in coords]
         for k, proj, mask in SCAN_CONFIGS:
-            assert cone_scan(xs, ys, k, proj, mask) == kernels.cone_edges(xs, ys, k, proj, mask)
+            assert cone_scan(xs, ys, k, proj, mask) == oracle_cone_picks(coords, k, proj, mask)
 
     @pytest.mark.parametrize("block", [1, 40, 333])
     def test_grid_row_blocks(self, block, monkeypatch):
         monkeypatch.setattr(build_module, "_GRID_MIN_N", 0)
-        monkeypatch.setattr(build_module, "_SCAN_BLOCK", block)
+        monkeypatch.setattr(build_module, "_CHECK_BLOCK", block)
         coords = SCAN_SETS["random_a"] + SCAN_SETS["grid"]
         xs = [x for x, _ in coords]
         ys = [y for _, y in coords]
         for k, proj, mask in [(6, True, 0b010101), (7, True, 0), (6, False, 0)]:
-            assert cone_scan(xs, ys, k, proj, mask) == kernels.cone_edges(xs, ys, k, proj, mask)
+            assert cone_scan(xs, ys, k, proj, mask) == oracle_cone_picks(coords, k, proj, mask)
 
     def test_small_inputs_skip_the_grid(self, monkeypatch):
         def fail(*_):
             raise AssertionError("grid pass on a small input")
 
         monkeypatch.setattr(build_module, "_certified_rows", fail)
-        xs = [x for x, _ in SCAN_SETS["random_a"]]
-        ys = [y for _, y in SCAN_SETS["random_a"]]
-        assert cone_scan(xs, ys, 6, True, 0b010101) == kernels.cone_edges(xs, ys, 6, True, 0b010101)
+        coords = SCAN_SETS["random_a"]
+        xs = [x for x, _ in coords]
+        ys = [y for _, y in coords]
+        assert cone_scan(xs, ys, 6, True, 0b010101) == oracle_cone_picks(coords, 6, True, 0b010101)
 
     @staticmethod
     def _gridded_rows(coords, monkeypatch):
@@ -237,19 +237,30 @@ class TestConeScan:
 
     def test_overflowing_differences_follow_the_kernel(self):
         # Coordinate differences overflow to inf and some keys become NaN
-        # (inf * 0); the scalar scan's visiting order then decides.
-        xs = [-1e308, 1e308, 0.0, 5e307, -3e307]
-        ys = [1e308, -1e308, 0.0, 7e307, 1e300]
-        for k, proj, mask in SCAN_CONFIGS:
-            assert cone_scan(xs, ys, k, proj, mask) == kernels.cone_edges(xs, ys, k, proj, mask)
+        # (inf * 0, inf - inf); the scalar scan's visiting order then decides.
+        # The 240 points reach the grid phase, whose infinite span sends every
+        # row to the full row-block scan, with NaN keys in many rows at once.
+        small = [(-1e308, 1e308), (1e308, -1e308), (0.0, 0.0), (5e307, 7e307), (-3e307, 1e300)]
+        rng = random.Random(240)
+        large = [(1.7e308 * (2 * rng.random() - 1), 1.7e308 * (2 * rng.random() - 1))
+                 for _ in range(240)]
+        assert len(large) >= build_module._GRID_MIN_N
+        for coords, configs in (
+            (small, SCAN_CONFIGS),
+            (large, [(6, True, 0b010101), (7, True, 0), (6, False, 0), (2, True, 0)]),
+        ):
+            xs = [x for x, _ in coords]
+            ys = [y for _, y in coords]
+            for k, proj, mask in configs:
+                assert cone_scan(xs, ys, k, proj, mask) == oracle_cone_picks(coords, k, proj, mask)
 
     def test_empty_input(self):
         assert cone_scan([], [], 6, True, 0) == []
 
     @pytest.mark.parametrize("name", sorted(LARGE_SCAN_SETS))
     def test_certified_rows_match_the_full_scan(self, name, monkeypatch):
-        # kernels.cone_edges takes seconds at this size; the full row-block
-        # scan is its numpy twin, compared with it above.
+        # The oracle takes seconds at this size; the full row-block scan is
+        # compared with it above.
         coords = LARGE_SCAN_SETS[name]
         xs = [x for x, _ in coords]
         ys = [y for _, y in coords]
@@ -293,8 +304,8 @@ class TestConeScan:
         rng = random.Random(99)
         xs = [rng.random() for _ in range(60)]
         ys = [rng.random() for _ in range(60)]
-        a = kernels.cone_edges(xs, ys, 6, True, 0b010101)
-        b = kernels.cone_edges(xs, ys, 6, True, 0b010101)
+        a = cone_scan(xs, ys, 6, True, 0b010101)
+        b = cone_scan(xs, ys, 6, True, 0b010101)
         assert a == b
 
     def test_overflowing_keys_still_pick_by_id(self):
@@ -302,7 +313,7 @@ class TestConeScan:
         # of point 0 tie and the lowest index wins, though it is the farthest.
         xs, ys = [0.0, 3e160, 2e160, 1e160], [0.0, -1e159, 1e159, 0.0]
         got = cone_scan(xs, ys, 4, False, 0)
-        assert got == kernels.cone_edges(xs, ys, 4, False, 0)
+        assert got == oracle_cone_picks(list(zip(xs, ys)), 4, False, 0)
         assert (0, 1, 1) in got
 
 
@@ -624,6 +635,15 @@ class TestGraphContainer:
         for text in ('{"kind":"yao"}', "[]", '{"points":[],"edges":[[0]]}', "not json", coords):
             with pytest.raises(InvalidParameter):
                 graph_from_json(text)
+        # Ids and edge ends that int() would truncate to other ids.
+        points = '[{"id":0,"x":0.0,"y":0.0},{"id":1,"x":1.0,"y":0.0},{"id":2,"x":0.0,"y":1.0}]'
+        for points_, edges in ((points, "[[0.9,2.2]]"), (points, "[[true,2]]"),
+                               (points.replace('"id":1,', '"id":1.5,'), "[]")):
+            text = '{"kind":"yao","k":6,"metadata":{},"points":%s,"edges":%s}' % (points_, edges)
+            with pytest.raises(InvalidParameter):
+                graph_from_json(text)
+        ok = '{"kind":"yao","k":6,"metadata":{},"points":%s,"edges":[[0,2.0]]}' % points
+        assert graph_from_json(ok).edge_list() == [(0, 2)]
 
     def test_equality_ignores_edge_insertion_order(self):
         ps = gen_random(12, 4)

@@ -243,6 +243,9 @@ class TestPointSet:
             "not json",
             '{"points":[{"id":0,"x":"abc","y":0.0}]}',
             '{"points":[{"id":0,"x":1' + "0" * 400 + ',"y":0.0}]}',
+            # Ids that int() would truncate to another id.
+            '{"points":[{"id":1.7,"x":0.0,"y":0.0}]}',
+            '{"points":[{"id":true,"x":0.0,"y":0.0}]}',
         ):
             with pytest.raises(InvalidParameter):
                 points_from_json(text)

@@ -149,6 +149,8 @@ class TestPotential:
             potential(g12, 0, 1)
         with pytest.raises(InvalidParameter):
             potential(h, 0, 999)
+        with pytest.raises(InvalidParameter):
+            potential(h, 0, 1, algorithm="stateful", preferred="bogus")
 
 
 class TestFullEngines:
