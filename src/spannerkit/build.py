@@ -340,15 +340,14 @@ def cone_scan(xs, ys, k: int, use_projection: bool, cone_mask: int) -> list[tupl
     - a pass that settles fewer than half of its rows ends the grid phase,
       as on a circle, whose inward cones have their winners across it.
 
-    Rows with an uncertified cone go through the full row-block scan, the
-    reference path. Inputs whose x or y span is not finite go there whole;
-    with finite spans no coordinate difference overflows and no key is NaN.
-    Differences that overflow are +-inf, never NaN, so d2 is never NaN; only
-    a projection can be (inf * 0, or inf - inf). A NaN compares false both
-    ways, so the scalar scan keeps a cone's first member by index when that
-    member's key is NaN, and otherwise a NaN key never wins; the full scan
-    applies the same rule. Both phases work in blocks of at most _CHECK_BLOCK
-    pair elements.
+    Rows with an uncertified cone go through the full row-block scan. Inputs
+    whose x or y span is not finite go there whole; with finite spans no
+    coordinate difference overflows and no key is NaN. Differences that
+    overflow are +-inf, never NaN, so d2 is never NaN; only a projection can
+    be (inf * 0, or inf - inf). A NaN compares false both ways, so the scalar
+    scan keeps a cone's first member by index when that member's key is NaN,
+    and otherwise a NaN key never wins; the full scan applies the same rule.
+    Both phases work in blocks of at most _CHECK_BLOCK pair elements.
 
     No cKDTree: importing scipy.spatial alone raises the peak resident size
     by about 5 MB over the package's own imports (63 to 68 MB), 6 % of a
