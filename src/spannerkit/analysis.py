@@ -6,7 +6,6 @@ generators for the adversarial lower-bound instances.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 import numbers
 import sys
@@ -27,6 +26,7 @@ from .geometry import (
     ConeSystem,
     Point,
     PointSet,
+    _dump_json,
     angle_alpha,
     canonical_triangle,
     direction,
@@ -47,7 +47,13 @@ def bound_value(name: str, *, k: int | None = None, m: int | None = None, alpha:
     rotated_union     sqrt(3) cos(pi/(6m)) + sin(pi/(6m))
     pair_alpha        sqrt(3) cos(alpha) + sin(alpha)
     routing_negative  (5/sqrt(3)) cos(alpha) - sin(alpha)
+
+    k and m, when given, must be integers (not bools).
     """
+    for label, value in (("k", k), ("m", m)):
+        if value is not None and (isinstance(value, bool)
+                                  or not isinstance(value, numbers.Integral)):
+            raise InvalidParameter(f"bound {name!r}: {label} must be an integer, got {value!r}")
     if name in ("theta", "yao"):
         if k is None or k < 7:
             raise InvalidParameter(f"bound {name!r} requires k >= 7, got {k!r}")
@@ -100,7 +106,7 @@ class RatioReport:
             obj["pass"] = self.passed
         if self.per_pair is not None:
             obj["per_pair"] = self.per_pair
-        return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+        return _dump_json(obj)
 
 
 def spanning_ratio(g: SpannerGraph, per_pair: bool = False) -> RatioReport:
@@ -117,12 +123,9 @@ def spanning_ratio(g: SpannerGraph, per_pair: bool = False) -> RatioReport:
     """
     if len(g.points) < 2:
         return RatioReport(1.0, None)
-    pts = sorted(g.points, key=lambda p: p.id)
-    ids = [p.id for p in pts]
+    ids, x, y = g.points.arrays
     index = {pid: i for i, pid in enumerate(ids)}
     n = len(ids)
-    x = np.array([p.x for p in pts])
-    y = np.array([p.y for p in pts])
     mat = _length_matrix(g, index, x, y)
     best = -math.inf
     witness = None
@@ -324,7 +327,7 @@ def restricted_pair_check(
     ax, ay = tri.apex
     cax, cay = tri.corner_a
     cbx, cby = tri.corner_b
-    ids, xs, ys = h.point_arrays
+    ids, xs, ys = h.points.arrays
     inside = kernels.points_in_tri(xs, ys, ax, ay, cax, cay, cbx, cby, EPS)
     allowed = {a, b}
     allowed.update(compress(ids, inside.tolist()))

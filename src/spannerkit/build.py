@@ -8,7 +8,6 @@ All constructions break ties deterministically: theta-style choices by
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -22,7 +21,9 @@ from .geometry import (
     ConeSystem,
     Point,
     PointSet,
+    _dump_json,
     _json_id,
+    _json_real,
     _parse_json,
     _point_records,
     _points_from_records,
@@ -56,8 +57,9 @@ class SpannerGraph:
 
     The edge set is frozen, so every table derived from it is built on first
     use and kept for the life of the graph: the azimuth-sorted adjacency behind
-    neighbors(), ``length_lists``, ``point_arrays``, and on half_theta6, g12
-    and g9 graphs ``cone_table`` (plus ``hint_table`` on g9 graphs).
+    neighbors(), ``length_lists``, and on half_theta6, g12 and g9 graphs
+    ``cone_table`` (plus ``hint_table`` on g9 graphs). The coordinate arrays
+    are the point set's own (``PointSet.arrays``).
     """
 
     def __init__(self, kind: str, k, points: PointSet, edges, metadata=None):
@@ -94,12 +96,6 @@ class SpannerGraph:
         for lst in adj.values():
             lst.sort()
         return adj
-
-    @cached_property
-    def point_arrays(self) -> tuple[list[int], np.ndarray, np.ndarray]:
-        """Ids, x and y coordinates of the points, in point-set order."""
-        xs, ys = self.points.coords()
-        return self.points.ids, np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64)
 
     @cached_property
     def cone_table(self) -> "_ConeTable":
@@ -155,7 +151,7 @@ class SpannerGraph:
             "edges": [[u, v] for (u, v) in self.edge_list()],
             "metadata": self.metadata,
         }
-        return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+        return _dump_json(obj)
 
     @classmethod
     def from_json(cls, text: str) -> "SpannerGraph":
@@ -163,11 +159,16 @@ class SpannerGraph:
         try:
             pts = _points_from_records(obj["points"], "graph")
             edges = [(_json_id(u), _json_id(v)) for u, v in obj["edges"]]
-            kind = obj["kind"]
-            k = obj["k"]
-        except (KeyError, TypeError, ValueError) as exc:
+            kind, k, metadata = obj["kind"], obj["k"], obj.get("metadata", {})
+            if not isinstance(kind, str):
+                raise ValueError(f"kind must be a string, got {kind!r}")
+            if not isinstance(metadata, dict):
+                raise ValueError(f"metadata must be an object, got {metadata!r}")
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InvalidParameter(f"malformed graph JSON: {exc}") from exc
-        return cls(kind, k, pts, edges, obj.get("metadata") or {})
+        if k is not None:
+            ConeSystem(k)
+        return cls(kind, k, pts, edges, metadata)
 
 
 class _ConeTable:
@@ -259,7 +260,7 @@ def _fan_end(end) -> tuple[int, float, float]:
     """A fan end's [id, x, y] list as a finite (int, float, float) triple."""
     if not isinstance(end, list) or len(end) != 3:
         raise ValueError(f"fan end {end!r} is not an [id, x, y] list")
-    pid, x, y = int(end[0]), float(end[1]), float(end[2])
+    pid, x, y = _json_id(end[0]), _json_real(end[1]), _json_real(end[2])
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"fan end {end!r} has a non-finite coordinate")
     return (pid, x, y)
@@ -277,14 +278,6 @@ def _norm_edge(u: int, v: int) -> tuple[int, int]:
     if u == v:
         raise InvalidParameter(f"self loop at {u}")
     return (u, v) if u < v else (v, u)
-
-
-def _id_arrays(ps: PointSet):
-    pts = sorted(ps, key=lambda p: p.id)
-    ids = [p.id for p in pts]
-    xs = [p.x for p in pts]
-    ys = [p.y for p in pts]
-    return ids, xs, ys
 
 
 def cone_scan(xs, ys, k: int, use_projection: bool, cone_mask: int) -> list[tuple[int, int, int]]:
@@ -559,7 +552,7 @@ def build_yao(ps: PointSet, k: int) -> SpannerGraph:
     """Yao graph: from every point, an edge to the Euclidean-closest point in
     each of its k cones."""
     ConeSystem(k)
-    ids, xs, ys = _id_arrays(ps)
+    ids, xs, ys = ps.arrays
     raw = cone_scan(xs, ys, k, False, 0)
     return SpannerGraph("yao", k, ps, ((ids[u], ids[v]) for u, _, v in raw))
 
@@ -568,14 +561,14 @@ def build_theta(ps: PointSet, k: int) -> SpannerGraph:
     """Theta graph: from every point, an edge to the projection-closest point
     (onto the cone bisector) in each of its k cones."""
     ConeSystem(k)
-    ids, xs, ys = _id_arrays(ps)
+    ids, xs, ys = ps.arrays
     raw = cone_scan(xs, ys, k, True, 0)
     return SpannerGraph("theta", k, ps, ((ids[u], ids[v]) for u, _, v in raw))
 
 
 def build_half_theta6(ps: PointSet) -> SpannerGraph:
     """Half-theta-6 graph: theta edges built only in the three even cones."""
-    ids, xs, ys = _id_arrays(ps)
+    ids, xs, ys = ps.arrays
     raw = cone_scan(xs, ys, 6, True, _POSITIVE_MASK_6)
     return SpannerGraph("half_theta6", 6, ps, ((ids[u], ids[v]) for u, _, v in raw))
 

@@ -17,7 +17,6 @@ rejected input, 3 when an internal invariant fails (a bug in spannerkit).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import random
@@ -35,6 +34,7 @@ from .geometry import (
     PointSet,
     _aligned_direction,
     _direction_gaps,
+    _dump_json,
     general_position_report,
     points_from_json,
     points_to_json,
@@ -437,7 +437,7 @@ def _cmd_verify(args) -> int:
             "worst_ratio": worst.max_ratio,
             "pass": passed,
         }
-        _emit(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", args.out)
+        _emit(_dump_json(doc), args.out)
         return 0 if passed else 1
     g = graph_from_json(_read(args.graph))
     report = analysis.verify_bound(g, tolerance=args.tolerance)
@@ -460,20 +460,16 @@ def _cmd_route(args) -> int:
     if args.trace:
         doc = trace.to_json()
     else:
-        doc = json.dumps(
-            {
-                "algorithm": trace.algorithm,
-                "source": trace.source,
-                "target": trace.target,
-                "steps": len(trace.steps),
-                "total": trace.total_path_length,
-                "exploration": trace.exploration_travel,
-                "bound": trace.bound,
-                "pass": trace.passed,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        ) + "\n"
+        doc = _dump_json({
+            "algorithm": trace.algorithm,
+            "source": trace.source,
+            "target": trace.target,
+            "steps": len(trace.steps),
+            "total": trace.total_path_length,
+            "exploration": trace.exploration_travel,
+            "bound": trace.bound,
+            "pass": trace.passed,
+        })
     _emit(doc, args.out)
     if args.check and not trace.passed:
         return 1

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -83,8 +84,17 @@ class PointSet:
     def ids(self) -> list[int]:
         return [p.id for p in self._points]
 
-    def coords(self) -> tuple[list[float], list[float]]:
-        return [p.x for p in self._points], [p.y for p in self._points]
+    @cached_property
+    def arrays(self) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+        """Ids in ascending order, and the x and y coordinates as float64
+        arrays in that order. The arrays are read-only: every build, ratio and
+        certification of the set shares them."""
+        pts = sorted(self._points, key=lambda p: p.id)
+        x = np.array([p.x for p in pts], dtype=np.float64)
+        y = np.array([p.y for p in pts], dtype=np.float64)
+        x.flags.writeable = False
+        y.flags.writeable = False
+        return tuple(p.id for p in pts), x, y
 
 
 def direction(az: float) -> tuple[float, float]:
@@ -313,8 +323,7 @@ def _equidistant_findings(pts, apex) -> list[dict]:
 
 
 def points_to_json(ps: PointSet) -> str:
-    obj = {"points": _point_records(ps)}
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return _dump_json({"points": _point_records(ps)})
 
 
 def points_from_json(text: str) -> PointSet:
@@ -324,6 +333,12 @@ def points_from_json(text: str) -> PointSet:
     except (KeyError, TypeError) as exc:
         raise InvalidParameter(f"malformed points JSON: {exc}") from exc
     return _points_from_records(records, "points")
+
+
+def _dump_json(obj) -> str:
+    """obj as JSON with sorted keys, no spaces and one trailing newline: the
+    form of every document spannerkit writes."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _parse_json(text: str, what: str):
@@ -342,17 +357,29 @@ def _point_records(points) -> list[dict]:
 def _points_from_records(records, what: str) -> PointSet:
     """PointSet from _point_records output; malformed records raise InvalidParameter."""
     try:
-        return PointSet(Point(_json_id(r["id"]), float(r["x"]), float(r["y"])) for r in records)
+        return PointSet(
+            Point(_json_id(r["id"]), _json_real(r["x"]), _json_real(r["y"])) for r in records
+        )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidParameter(f"malformed {what} JSON: {exc}") from exc
 
 
 def _json_id(value) -> int:
-    """A point id read from JSON, as int. Bools and numbers with a fractional
-    part raise ValueError instead of truncating to another id."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"id must be an integer, got {value!r}")
-    return int(value)
+    """A point id read from JSON, as int. Anything but an int or an integral
+    float (bools and strings included) raises ValueError instead of loading
+    as another id."""
+    if (isinstance(value, int) and not isinstance(value, bool)) or (
+            isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ValueError(f"id must be an integer, got {value!r}")
+
+
+def _json_real(value) -> float:
+    """A coordinate or length read from JSON, as float. Anything but an int
+    or a float (bools and strings included) raises ValueError."""
+    if isinstance(value, float) or (isinstance(value, int) and not isinstance(value, bool)):
+        return float(value)
+    raise ValueError(f"expected a number, got {value!r}")
 
 
 def _xy(p) -> tuple[float, float]:

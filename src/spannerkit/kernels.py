@@ -4,9 +4,11 @@ point-in-triangle tests.
 These scalar functions define every boundary decision in the package. The
 numpy versions (points_in_tri here, build.cone_scan) repeat their IEEE double
 operations elementwise in the same order, so they return the same answers.
-points_in_tri's reference is point_in_tri; the closest-per-cone scan has no
-scalar twin in the package, and its reference is the scalar scan in
-tests/oracles.py.
+points_in_tri's reference is point_in_tri. The closest-per-cone scan that
+builds edges has no scalar twin in the package, and its reference is the
+scalar scan in tests/oracles.py; the theta-5 witness search
+(analysis.theta5_witness_path) runs its own scalar search of one cone in a
+rotated frame and checks each pick against the graph's edges.
 """
 
 from math import atan2, cos, floor, sin

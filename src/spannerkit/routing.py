@@ -24,7 +24,6 @@ failed capped probe grants (20 and 4 times the corner distance).
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -34,7 +33,15 @@ from . import kernels
 from .analysis import bound_value
 from .build import SpannerGraph
 from .errors import AlreadyArrived, InternalInvariantViolation, InvalidParameter
-from .geometry import ConeSystem, _parse_json, canonical_triangle
+from .geometry import (
+    ConeSystem,
+    _dump_json,
+    _json_id,
+    _json_real,
+    _parse_json,
+    angle_alpha,
+    canonical_triangle,
+)
 
 _CS6 = ConeSystem(6)
 
@@ -117,7 +124,7 @@ class RoutingTrace:
             "probe_slack": self.probe_slack,
             "pass": self.passed,
         }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        return _dump_json(doc)
 
     @classmethod
     def from_json(cls, text: str) -> "RoutingTrace":
@@ -125,29 +132,41 @@ class RoutingTrace:
         try:
             steps = [
                 RoutingStep(
-                    int(s["from"]),
-                    int(s["to"]),
-                    str(s["case"]),
-                    float(s["phi_before"]),
-                    float(s["phi_after"]),
-                    float(s["len"]),
-                    float(s["exploration"]),
+                    _json_id(s["from"]),
+                    _json_id(s["to"]),
+                    _trace_case(s["case"]),
+                    _json_real(s["phi_before"]),
+                    _json_real(s["phi_after"]),
+                    _json_real(s["len"]),
+                    _json_real(s["exploration"]),
                 )
                 for s in obj["steps"]
             ]
+            algorithm, passed = obj["algorithm"], obj["pass"]
+            if algorithm not in ROUTING_FACTORS:
+                raise ValueError(f"unknown algorithm {algorithm!r}")
+            if not isinstance(passed, bool):
+                raise ValueError(f"pass must be true or false, got {passed!r}")
             return cls(
-                algorithm=str(obj["algorithm"]),
-                source=int(obj["source"]),
-                target=int(obj["target"]),
+                algorithm=algorithm,
+                source=_json_id(obj["source"]),
+                target=_json_id(obj["target"]),
                 steps=steps,
-                total_path_length=float(obj["total"]),
-                exploration_travel=float(obj["exploration"]),
-                bound=float(obj["bound"]),
-                probe_slack=float(obj.get("probe_slack", 0.0)),
-                passed=bool(obj["pass"]),
+                total_path_length=_json_real(obj["total"]),
+                exploration_travel=_json_real(obj["exploration"]),
+                bound=_json_real(obj["bound"]),
+                probe_slack=_json_real(obj.get("probe_slack", 0.0)),
+                passed=passed,
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidParameter(f"malformed trace JSON: {exc}") from exc
+
+
+def _trace_case(case) -> str:
+    """A step's case label read from JSON; anything but A-D raises ValueError."""
+    if case not in ("A", "B", "C", "D"):
+        raise ValueError(f"step case must be one of A-D, got {case!r}")
+    return case
 
 
 def trace_from_json(text: str) -> RoutingTrace:
@@ -227,26 +246,10 @@ def base_bound(g: SpannerGraph, source: int, target: int) -> tuple[float, bool]:
     measured from t toward s.
     """
     sp, tp = g.points[source], g.points[target]
-    dx = tp.x - sp.x
-    dy = tp.y - sp.y
-    dist = math.hypot(dx, dy)
-    j = kernels.cone_index(dx, dy, 6)
-    if j % 2 == 0:
-        bis = j * _CS6.theta
-        alpha = _wrap_abs(kernels.azimuth(dx, dy) - bis)
-        return bound_value("pair_alpha", alpha=alpha) * dist, False
-    jt = (j + 3) % 6
-    bis = jt * _CS6.theta
-    alpha = _wrap_abs(kernels.azimuth(-dx, -dy) - bis)
-    return bound_value("routing_negative", alpha=alpha) * dist, True
-
-
-def _wrap_abs(a: float) -> float:
-    while a > math.pi:
-        a -= 2.0 * math.pi
-    while a < -math.pi:
-        a += 2.0 * math.pi
-    return abs(a)
+    dist = math.hypot(tp.x - sp.x, tp.y - sp.y)
+    if _CS6.cone_of(sp, tp) % 2 == 0:
+        return bound_value("pair_alpha", alpha=angle_alpha(_CS6, sp, tp)) * dist, False
+    return bound_value("routing_negative", alpha=angle_alpha(_CS6, tp, sp)) * dist, True
 
 
 # ---------------------------------------------------------------------------

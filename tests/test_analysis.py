@@ -68,6 +68,11 @@ class TestBoundValue:
             ("pair_alpha", {}),
             ("routing_negative", {}),
             ("no_such_bound", {}),
+            ("theta", {"k": "six"}),
+            ("theta", {"k": 7.5}),
+            ("rotated_union", {"m": "two"}),
+            ("rotated_union", {"m": 2.5}),
+            ("rotated_union", {"m": True}),
         ],
     )
     def test_rejects_bad_parameters(self, name, kwargs):

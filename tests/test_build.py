@@ -638,10 +638,17 @@ class TestGraphContainer:
         # Ids and edge ends that int() would truncate to other ids.
         points = '[{"id":0,"x":0.0,"y":0.0},{"id":1,"x":1.0,"y":0.0},{"id":2,"x":0.0,"y":1.0}]'
         for points_, edges in ((points, "[[0.9,2.2]]"), (points, "[[true,2]]"),
-                               (points.replace('"id":1,', '"id":1.5,'), "[]")):
+                               (points.replace('"id":1,', '"id":1.5,'), "[]"),
+                               (points, '[["0",2]]'),
+                               (points.replace('"x":1.0', '"x":"1.0"'), "[]")):
             text = '{"kind":"yao","k":6,"metadata":{},"points":%s,"edges":%s}' % (points_, edges)
             with pytest.raises(InvalidParameter):
                 graph_from_json(text)
+        # Headers that would load as a graph no analysis can use.
+        for header in ('"kind":"yao","k":"six","metadata":{}', '"kind":5,"k":6,"metadata":{}',
+                       '"kind":"rotated_union","k":6,"metadata":[1]', '"kind":"yao","k":1,"metadata":{}'):
+            with pytest.raises(InvalidParameter):
+                graph_from_json('{%s,"points":%s,"edges":[]}' % (header, points))
         ok = '{"kind":"yao","k":6,"metadata":{},"points":%s,"edges":[[0,2.0]]}' % points
         assert graph_from_json(ok).edge_list() == [(0, 2)]
 

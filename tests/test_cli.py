@@ -245,6 +245,11 @@ class TestAnalyze:
         for text in ('{"nope": 1}', "not json {"):
             bad.write_text(text)
             assert main(["analyze", "--graph", str(bad)]) == 2
+        # A rotated-union file whose header --check cannot use.
+        doc = json.loads(graph_to_json(spannerkit.build_rotated_union(gen_random(12, 3), 2)))
+        for key, value in (("metadata", [1]), ("metadata", {"m": "two"}), ("k", "six")):
+            bad.write_text(json.dumps({**doc, key: value}))
+            assert main(["analyze", "--graph", str(bad), "--check"]) == 2
         capsys.readouterr()
 
 
@@ -365,6 +370,9 @@ class TestRoute:
             {"dir": {"0": "up"}},
             {"dir": ["cw"]},
             [],
+            {"fan": {"1": {"first": [True, "1", "2"], "last": [3, 0.1, 0.2]}}},
+            {"fan": {"1": {"first": ["2", 0.1, 0.2], "last": [3, 0.1, 0.2]}}},
+            {"fan": {"1": {"first": [2, 0.1, "0.2"], "last": [3, 0.1, 0.2]}}},
         ],
     )
     def test_malformed_g9_hints_are_rejected_input(self, tmp_path, capsys, entry):

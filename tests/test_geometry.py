@@ -246,6 +246,10 @@ class TestPointSet:
             # Ids that int() would truncate to another id.
             '{"points":[{"id":1.7,"x":0.0,"y":0.0}]}',
             '{"points":[{"id":true,"x":0.0,"y":0.0}]}',
+            # Strings and bools that int() and float() would coerce.
+            '{"points":[{"id":"3","x":0.0,"y":0.0}]}',
+            '{"points":[{"id":3,"x":true,"y":0.0}]}',
+            '{"points":[{"id":3,"x":0.0,"y":"1.5"}]}',
         ):
             with pytest.raises(InvalidParameter):
                 points_from_json(text)

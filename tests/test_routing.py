@@ -3,6 +3,7 @@ transitions, the bounded-degree engines, trace serialization, and a golden
 digest of every trace on fixed sets."""
 
 import hashlib
+import json
 import math
 import random
 
@@ -311,3 +312,15 @@ class TestTraceSerialization:
                      '"total":1,"exploration":0,"bound":2,"pass":true}'):
             with pytest.raises(InvalidParameter):
                 trace_from_json(text)
+        # Values that int(), float(), str() and bool() would coerce.
+        step = {"from": 0, "to": 1, "case": "A", "phi_before": 0.0, "phi_after": 0.0,
+                "len": 1.0, "exploration": 0.0}
+        doc = {"algorithm": "stateless", "source": 0, "target": 1, "steps": [step],
+               "total": 1.0, "exploration": 0.0, "bound": 2.0, "probe_slack": 0.0, "pass": True}
+        assert trace_from_json(json.dumps(doc)).passed is True
+        for key, bad in (("source", 0.7), ("total", "1e3"), ("pass", "false"), ("algorithm", "x")):
+            with pytest.raises(InvalidParameter):
+                trace_from_json(json.dumps({**doc, key: bad}))
+        for key, bad in (("from", True), ("case", 7), ("case", "E")):
+            with pytest.raises(InvalidParameter):
+                trace_from_json(json.dumps({**doc, "steps": [{**step, key: bad}]}))
