@@ -37,7 +37,7 @@ from spannerkit import build, gen_circle, kernels
 from spannerkit.build import cone_scan
 from spannerkit.geometry import EPS, ConeSystem, canonical_triangle
 
-from bench_ratio import commit, source_sha256
+from bench_layers import commit, source_sha256
 
 
 def best_of(fn, repeat):

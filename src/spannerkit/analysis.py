@@ -124,9 +124,8 @@ def spanning_ratio(g: SpannerGraph, per_pair: bool = False) -> RatioReport:
     if len(g.points) < 2:
         return RatioReport(1.0, None)
     ids, x, y = g.points.arrays
-    index = {pid: i for i, pid in enumerate(ids)}
     n = len(ids)
-    mat = _length_matrix(g, index, x, y)
+    mat = _length_matrix(g)
     best = -math.inf
     witness = None
     table = [] if per_pair else None
@@ -182,15 +181,13 @@ def spanning_ratio(g: SpannerGraph, per_pair: bool = False) -> RatioReport:
     return RatioReport(best, witness, per_pair=table)
 
 
-def _length_matrix(g: SpannerGraph, index: dict, x, y) -> csr_matrix:
-    """Symmetric CSR of math.hypot edge lengths over sorted-id indices."""
-    ends = np.array([(index[u], index[v]) for u, v in g.edges], dtype=np.intp).reshape(-1, 2)
-    iu, iv = ends[:, 0], ends[:, 1]
-    w = list(map(math.hypot, (x[iv] - x[iu]).tolist(), (y[iv] - y[iu]).tolist()))
-    rows = np.stack((iu, iv), axis=1).ravel()
-    cols = np.stack((iv, iu), axis=1).ravel()
-    n = len(index)
-    return csr_matrix((np.repeat(np.array(w, dtype=np.float64), 2), (rows, cols)), shape=(n, n))
+def _length_matrix(g: SpannerGraph) -> csr_matrix:
+    """Symmetric CSR of math.hypot edge lengths over sorted-id indices: the
+    graph's own CSR. Its rows are in azimuth order, which Dijkstra's
+    distances do not depend on (see spanning_ratio)."""
+    t = g._csr
+    n = len(g.points)
+    return csr_matrix((t.length, t.nbr, t.indptr), shape=(n, n))
 
 
 def verify_bound(g: SpannerGraph, name: str | None = None, tolerance: float = 1e-9) -> RatioReport:

@@ -11,26 +11,28 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels
-from .errors import InternalInvariantViolation, InvalidParameter
+from .errors import DegenerateInput, InternalInvariantViolation, InvalidParameter
 from .geometry import (
     _CHECK_BLOCK,
     ConeSystem,
-    Point,
     PointSet,
-    _dump_json,
     _json_id,
+    _json_ids,
     _json_real,
+    _json_text,
     _parse_json,
-    _point_records,
     _points_from_records,
 )
 
 #: Bitmask of the even ("positive") cones of a 6-cone system.
 _POSITIVE_MASK_6 = 0b010101
+#: Kinds built in the 6-cone system; a graph file of one must have k = 6.
+_SIX_CONE_KINDS = frozenset({"half_theta6", "g12", "g9", "rotated_union"})
 
 #: Cone labels whose azimuth lies within this many radians of a cone boundary
 #: are recomputed with the scalar kernel (see cone_scan).
@@ -55,47 +57,87 @@ class SpannerGraph:
     kind identifies the construction; k is the cone count (None for the MST);
     metadata carries construction-specific extras (rotation count, routing hints).
 
-    The edge set is frozen, so every table derived from it is built on first
-    use and kept for the life of the graph: the azimuth-sorted adjacency behind
-    neighbors(), ``length_lists``, and on half_theta6, g12 and g9 graphs
-    ``cone_table`` (plus ``hint_table`` on g9 graphs). The coordinate arrays
-    are the point set's own (``PointSet.arrays``).
+    The graph stores its edges once: a sorted, duplicate-free (m, 2) array of
+    index pairs (i < j) into the point set's ``arrays`` order. Only indices
+    enter arrays, so ids may be any Python ints. The edge set is frozen, and
+    every view of it is built on first use and kept for the life of the graph:
+    - ``edges`` (a frozenset of id pairs) and edge_list();
+    - one CSR of the edge ends in (source, azimuth, neighbour id) order, with
+      each end's neighbour, azimuth (kernels.azimuths) and math.hypot length,
+      behind neighbors(), degree(), ``length_lists`` and the spanning ratio;
+    - on half_theta6, g12 and g9 graphs ``cone_table``, read from the CSR,
+      plus ``hint_table`` on g9 graphs.
+    max_degree() counts the array's entries and builds no view.
     """
 
     def __init__(self, kind: str, k, points: PointSet, edges, metadata=None):
+        ends = _index_ends(points, [w for u, v in edges for w in (u, v)])
+        self._setup(kind, k, points, ends, metadata)
+
+    @classmethod
+    def _indexed(cls, kind: str, k, points: PointSet, ends, metadata=None) -> "SpannerGraph":
+        """Graph whose edges are given as pairs of indices into
+        ``points.arrays`` order, in any order and orientation."""
+        g = cls.__new__(cls)
+        g._setup(kind, k, points, ends, metadata)
+        return g
+
+    def _setup(self, kind, k, points, ends, metadata) -> None:
         self.kind = kind
         self.k = k
         self.points = points
-        self.edges = frozenset(_norm_edge(u, v) for (u, v) in edges)
-        for u, v in self.edges:
-            if u not in points or v not in points:
-                raise InvalidParameter(f"edge ({u}, {v}) references unknown point id")
+        self._ends = _edge_array(points, ends)
         self.metadata = metadata or {}
 
     @cached_property
-    def _adjacency(self) -> dict[int, list[tuple[float, int]]]:
-        """Id -> (azimuth, neighbour id) pairs in ascending order."""
-        adj = {p.id: [] for p in self.points}
-        for a, b in self.edges:
-            p, q = self.points[a], self.points[b]
-            adj[a].append((kernels.azimuth(q.x - p.x, q.y - p.y), b))
-            adj[b].append((kernels.azimuth(p.x - q.x, p.y - q.y), a))
-        for lst in adj.values():
-            lst.sort()
-        return adj
+    def _id_pairs(self) -> tuple[tuple[int, int], ...]:
+        """The edges as id pairs (u < v), in ascending order."""
+        ids = self.points.arrays[0]
+        a, b = self._ends.T.tolist()
+        return tuple(zip(map(ids.__getitem__, a), map(ids.__getitem__, b)))
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self._id_pairs)
+
+    @cached_property
+    def _lengths(self) -> np.ndarray:
+        """math.hypot length of every edge, in edge array order."""
+        _, x, y = self.points.arrays
+        a, b = self._ends.T
+        with np.errstate(over="ignore"):
+            dx, dy = x[b] - x[a], y[b] - y[a]
+        return np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), np.float64, len(a))
+
+    @cached_property
+    def _csr(self) -> "_Csr":
+        """Both ends of every edge, rows by source in (azimuth, neighbour id)
+        order."""
+        ids, x, y = self.points.arrays
+        n, m = len(ids), len(self._ends)
+        a, b = self._ends.T
+        src = np.concatenate((a, b))
+        nbr = np.concatenate((b, a))
+        with np.errstate(over="ignore"):
+            dx, dy = x[nbr] - x[src], y[nbr] - y[src]
+        az = kernels.azimuths(dx, dy)
+        order = np.lexsort((nbr, az, src))
+        indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        edge = np.concatenate((np.arange(m), np.arange(m)))[order]
+        csr = _Csr(indptr, src[order], nbr[order], edge, az[order], self._lengths[edge])
+        for column in csr:
+            column.flags.writeable = False
+        return csr
 
     @cached_property
     def length_lists(self) -> dict[int, list[tuple[int, float]]]:
         """Id -> (neighbour id, edge length) pairs in ascending id order."""
-        adj = {p.id: [] for p in self.points}
-        for u, v in self.edges:
-            p, q = self.points[u], self.points[v]
-            w = math.hypot(q.x - p.x, q.y - p.y)
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        for lst in adj.values():
-            lst.sort()
-        return adj
+        t = self._csr
+        ids = self.points.arrays[0]
+        order = np.lexsort((t.nbr, t.src))
+        pairs = list(zip(map(ids.__getitem__, t.nbr[order].tolist()), t.length[order].tolist()))
+        return _by_source(ids, t.indptr, pairs)
 
     @cached_property
     def cone_table(self) -> "_ConeTable":
@@ -108,28 +150,31 @@ class SpannerGraph:
         return _HintTable(self.metadata.get("hints"))
 
     def edge_list(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        return list(self._id_pairs)
 
     def has_edge(self, u: int, v: int) -> bool:
         return _norm_edge(u, v) in self.edges
 
     def neighbors(self, u: int) -> list[int]:
         """Neighbour ids sorted by ascending azimuth (clockwise from north) around u."""
-        return [q for _, q in self._adjacency[u]]
+        t = self._csr
+        i = self.points.index[u]
+        ids = self.points.arrays[0]
+        return list(map(ids.__getitem__, t.nbr[t.indptr[i]:t.indptr[i + 1]].tolist()))
 
     def degree(self, u: int) -> int:
-        return len(self._adjacency[u])
+        i = self.points.index[u]
+        return int(self._csr.indptr[i + 1] - self._csr.indptr[i])
 
     def max_degree(self) -> int:
         if not len(self.points):
             return 0
-        return max(self.degree(p.id) for p in self.points)
+        return int(np.bincount(self._ends.ravel(), minlength=len(self.points)).max())
 
     def total_weight(self) -> float:
         total = 0.0
-        for u, v in self.edge_list():
-            p, q = self.points[u], self.points[v]
-            total += math.hypot(q.x - p.x, q.y - p.y)
+        for w in self._lengths.tolist():
+            total += w
         return total
 
     def __eq__(self, other) -> bool:
@@ -139,26 +184,27 @@ class SpannerGraph:
             self.kind == other.kind
             and self.k == other.k
             and self.points == other.points
-            and self.edges == other.edges
+            and np.array_equal(self._ends, other._ends)
             and self.metadata == other.metadata
         )
 
     def to_json(self) -> str:
-        obj = {
-            "kind": self.kind,
-            "k": self.k,
-            "points": _point_records(sorted(self.points, key=lambda p: p.id)),
-            "edges": [[u, v] for (u, v) in self.edge_list()],
-            "metadata": self.metadata,
-        }
-        return _dump_json(obj)
+        # The top-level keys in sorted order, as _dump_json writes them; the
+        # points' text is the point set's own.
+        return '{"edges":%s,"k":%s,"kind":%s,"metadata":%s,"points":%s}\n' % (
+            _json_text(self._id_pairs),
+            _json_text(self.k),
+            _json_text(self.kind),
+            _json_text(self.metadata),
+            self.points._records_json,
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "SpannerGraph":
         obj = _parse_json(text, "graph")
         try:
             pts = _points_from_records(obj["points"], "graph")
-            edges = [(_json_id(u), _json_id(v)) for u, v in obj["edges"]]
+            ends = _json_ids([w for u, v in obj["edges"] for w in (u, v)])
             kind, k, metadata = obj["kind"], obj["k"], obj.get("metadata", {})
             if not isinstance(kind, str):
                 raise ValueError(f"kind must be a string, got {kind!r}")
@@ -168,11 +214,83 @@ class SpannerGraph:
             raise InvalidParameter(f"malformed graph JSON: {exc}") from exc
         if k is not None:
             ConeSystem(k)
-        return cls(kind, k, pts, edges, metadata)
+        if kind in _SIX_CONE_KINDS:
+            wrong = k != 6
+        elif kind == "mst":
+            wrong = k is not None
+        else:
+            wrong = k is None and kind in ("theta", "yao")
+        if wrong:
+            raise InvalidParameter(f"malformed graph JSON: a {kind} graph cannot have k = {k!r}")
+        return cls._indexed(kind, k, pts, _index_ends(pts, ends), metadata)
+
+
+class _Csr(NamedTuple):
+    """Both ends of every edge of a graph, by source: row i holds entries
+    indptr[i]:indptr[i + 1]. Indices are in PointSet.arrays order."""
+
+    indptr: np.ndarray
+    src: np.ndarray
+    nbr: np.ndarray
+    #: Position of the entry's edge in the graph's edge array.
+    edge: np.ndarray
+    az: np.ndarray
+    length: np.ndarray
+
+
+def _by_source(ids, indptr, items) -> dict:
+    """Id -> its row's slice of items, which hold one entry per CSR entry."""
+    bounds = indptr.tolist()
+    return {pid: items[bounds[i]:bounds[i + 1]] for i, pid in enumerate(ids)}
+
+
+def _index_ends(points: PointSet, ends: list) -> np.ndarray:
+    """The indices in points.arrays order of edge ends given as ids
+    [u0, v0, u1, v1, ...], as an (m, 2) array. A self loop, then an unknown
+    id, raises InvalidParameter naming the smallest such edge."""
+    index = points.index
+    try:
+        return np.fromiter(map(index.__getitem__, ends), np.intp, len(ends)).reshape(-1, 2)
+    except KeyError:
+        pass
+    pairs = list(zip(ends[0::2], ends[1::2]))
+    loops = [u for u, v in pairs if u == v]
+    if loops:
+        raise InvalidParameter(f"self loop at {min(loops)}")
+    u, v = min(_norm_edge(u, v) for u, v in pairs if u not in index or v not in index)
+    raise InvalidParameter(f"edge ({u}, {v}) references unknown point id")
+
+
+def _edge_array(points: PointSet, ends) -> np.ndarray:
+    """Index pairs as a read-only, sorted, duplicate-free (m, 2) array with
+    i < j per row; a self loop raises InvalidParameter naming its point."""
+    ends = np.asarray(ends, dtype=np.intp).reshape(-1, 2)
+    n = len(points)
+    lo = ends.min(axis=1)
+    hi = ends.max(axis=1)
+    loops = lo == hi
+    if loops.any():
+        raise InvalidParameter(f"self loop at {points.arrays[0][int(lo[loops].min())]}")
+    if len(ends) and (lo.min() < 0 or hi.max() >= n):
+        raise InternalInvariantViolation(f"edge index outside [0, {n})")
+    # Sort and drop repeats; np.unique hashes first and costs 10x more here.
+    key = np.sort(lo * n + hi)
+    key = key[_run_starts(key)]
+    out = np.stack((key // n, key % n), axis=1) if n else ends
+    out.flags.writeable = False
+    return out
+
+
+def _run_starts(key) -> np.ndarray:
+    """Mask of the positions where a sorted array's runs of equal values start."""
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    return first
 
 
 class _ConeTable:
-    """6-cone view of a half_theta6 graph or one of its subgraphs.
+    """6-cone view of a half_theta6 graph or one of its subgraphs, read in
+    bulk from the graph's CSR.
 
     xy[u]        coordinates of u
     rows[u]      (azimuth, v, |uv|, cone of v around u) per neighbour v, by azimuth
@@ -180,58 +298,89 @@ class _ConeTable:
     fans         (u, odd cone j) -> u's neighbours in cone j, by azimuth; on
                  half_theta6 these are the vertices whose cone edge targets u
 
+    The fans also stay as arrays, for build_g12 and build_g9: the members'
+    indices (fan_nbr) and edge positions (fan_edge) grouped by (anchor, cone)
+    with azimuth order inside a group, and per group its anchor index, cone,
+    range [fan_start, fan_stop) and the position of its closest member.
+
     Every edge must have exactly one endpoint that sees the other in an odd
     cone, and no vertex may have two edges in one even cone.
     """
 
     def __init__(self, g: SpannerGraph):
+        ids, x, y = g.points.arrays
+        t = g._csr
         self.xy = {p.id: (p.x, p.y) for p in g.points}
-        self.rows: dict[int, list[tuple[float, int, float, int]]] = {}
-        self.positive: dict[tuple[int, int], tuple[int, float]] = {}
-        self.fans: dict[tuple[int, int], list[int]] = {}
-        for p in g.points:
-            row = []
-            for az, v in g._adjacency[p.id]:
-                qx, qy = self.xy[v]
-                dx = qx - p.x
-                dy = qy - p.y
-                c = kernels.cone_index(dx, dy, 6)
-                ln = math.hypot(dx, dy)
-                row.append((az, v, ln, c))
-                if c % 2:
-                    self.fans.setdefault((p.id, c), []).append(v)
-                elif (p.id, c) in self.positive:
-                    raise InternalInvariantViolation(
-                        f"vertex {p.id} has two edges in positive cone {c}"
-                    )
-                else:
-                    self.positive[(p.id, c)] = (v, ln)
-            self.rows[p.id] = row
+        with np.errstate(over="ignore"):
+            dx, dy = x[t.nbr] - x[t.src], y[t.nbr] - y[t.src]
+        cone = _cone_labels(dx[None, :], dy[None, :], 6, math.tau / 6)[0]
+        nbr_ids = list(map(ids.__getitem__, t.nbr.tolist()))
+        lengths = t.length.tolist()
+        self.rows = _by_source(ids, t.indptr, list(zip(t.az.tolist(), nbr_ids, lengths, cone.tolist())))
+
+        even = np.flatnonzero(cone % 2 == 0)
+        key = np.sort(t.src[even] * 6 + cone[even])
+        twice = np.flatnonzero(~_run_starts(key))
+        if twice.size:
+            u, c = divmod(int(key[twice[0]]), 6)
+            raise InternalInvariantViolation(f"vertex {ids[u]} has two edges in positive cone {c}")
+        at = even.tolist()
+        self.positive = dict(zip(
+            zip(map(ids.__getitem__, t.src[even].tolist()), cone[even].tolist()),
+            zip(map(nbr_ids.__getitem__, at), map(lengths.__getitem__, at)),
+        ))
         # An edge is well formed when one end sees the other in a positive
         # cone and is, in turn, a member of that end's opposite fan.
-        paired = {_norm_edge(u, v) for (u, c), (v, _) in self.positive.items()
-                  if u in self.fans.get((v, (c + 3) % 6), ())}
-        if len(paired) != len(g.edges):
-            a, b = min(g.edges - paired)
-            raise InternalInvariantViolation(f"edge ({a}, {b}) lacks a unique negative-side endpoint")
+        forward = t.src == g._ends[t.edge, 0]
+        fwd = np.empty(len(g._ends), dtype=np.intp)
+        rev = np.empty(len(g._ends), dtype=np.intp)
+        fwd[t.edge[forward]] = cone[forward]
+        rev[t.edge[~forward]] = cone[~forward]
+        paired = ((fwd % 2 == 0) & (rev == (fwd + 3) % 6)) | ((rev % 2 == 0) & (fwd == (rev + 3) % 6))
+        if not paired.all():
+            a, b = g._ends[int(np.argmin(paired))].tolist()
+            raise InternalInvariantViolation(
+                f"edge ({ids[a]}, {ids[b]}) lacks a unique negative-side endpoint"
+            )
+
+        odd = np.flatnonzero(cone % 2 == 1)
+        key = t.src[odd] * 6 + cone[odd]
+        at = np.argsort(key, kind="stable")
+        odd, key = odd[at], key[at]
+        start = np.flatnonzero(_run_starts(key))
+        stop = np.append(start, len(odd))[1:]
+        self.fan_src, self.fan_cone = key[start] // 6, key[start] % 6
+        self.fan_start, self.fan_stop = start, stop
+        self.fan_nbr, self.fan_edge = t.nbr[odd], t.edge[odd]
+        # The closest member minimizes (projection onto the cone's bisector,
+        # squared distance, id), from the same doubles as closest()'s key in
+        # the scalar form: dx * sin(bis) + dy * cos(bis), with math's sin and
+        # cos. A NaN projection compares false both ways, so a group keeps its
+        # first member when that one's is NaN, and otherwise a NaN never wins;
+        # lexsort puts NaNs last.
+        c = cone[odd]
+        sin_bis = np.array([math.sin(j * (math.tau / 6)) for j in range(6)])
+        cos_bis = np.array([math.cos(j * (math.tau / 6)) for j in range(6)])
+        fdx, fdy = dx[odd], dy[odd]
+        with np.errstate(over="ignore", invalid="ignore"):
+            proj = fdx * sin_bis[c] + fdy * cos_bis[c]
+            d2 = fdx * fdx + fdy * fdy
+        group = np.repeat(np.arange(len(start)), stop - start)
+        best = np.lexsort((self.fan_nbr, d2, proj, group))[start]
+        self.fan_closest = np.where(np.isnan(proj[start]), start, best)
+
+        members = list(map(ids.__getitem__, self.fan_nbr.tolist()))
+        keys = list(zip(map(ids.__getitem__, self.fan_src.tolist()), self.fan_cone.tolist()))
+        self.fans = {f: members[a:b] for f, a, b in zip(keys, start.tolist(), stop.tolist())}
+        self._closest = dict(zip(keys, map(members.__getitem__, self.fan_closest.tolist())))
 
     def closest(self, u: int, j: int) -> int:
         """Member of fan (u, j) with the smallest (projection onto cone j's
         bisector, squared distance, id)."""
-        members = self.fans.get((u, j))
-        if not members:
-            raise InternalInvariantViolation("closest requested on an empty fan")
-        ux, uy = self.xy[u]
-        bis = j * (math.tau / 6)
-        sb, cb = math.sin(bis), math.cos(bis)
-
-        def key(v: int):
-            vx, vy = self.xy[v]
-            dx = vx - ux
-            dy = vy - uy
-            return (dx * sb + dy * cb, dx * dx + dy * dy, v)
-
-        return min(members, key=key)
+        try:
+            return self._closest[(u, j)]
+        except KeyError:
+            raise InternalInvariantViolation("closest requested on an empty fan") from None
 
 
 class _HintTable:
@@ -346,6 +495,12 @@ def cone_scan(xs, ys, k: int, use_projection: bool, cone_mask: int) -> list[tupl
     by about 5 MB over the package's own imports (63 to 68 MB), 6 % of a
     construction run's 84 MB, and the grid answers the same queries.
     """
+    us, cs, vs = _scan(xs, ys, k, use_projection, cone_mask)
+    return list(zip(us.tolist(), cs.tolist(), vs.tolist()))
+
+
+def _scan(xs, ys, k: int, use_projection: bool, cone_mask: int):
+    """cone_scan's (u, i, v) triples, as three index arrays."""
     n = len(xs)
     cones = [i for i in range(k) if not cone_mask or (cone_mask >> i) & 1]
     best = np.full((n, k), -1, dtype=np.intp)
@@ -360,7 +515,13 @@ def cone_scan(xs, ys, k: int, use_projection: bool, cone_mask: int) -> list[tupl
             r = rows[lo:lo + step]
             best[np.ix_(r, cones)] = _cone_picks(x, y, r, np.arange(n), k, use_projection, cones)[0]
     us, cs = np.nonzero(best >= 0)
-    return list(zip(us.tolist(), cs.tolist(), best[us, cs].tolist()))
+    return us, cs, best[us, cs]
+
+
+def _scan_ends(xs, ys, k: int, use_projection: bool, cone_mask: int) -> np.ndarray:
+    """The scan's (u, v) index pairs, as an (m, 2) array."""
+    us, _, vs = _scan(xs, ys, k, use_projection, cone_mask)
+    return np.stack((us, vs), axis=1)
 
 
 def _cone_picks(x, y, rows, cand, k: int, use_projection: bool, cones):
@@ -552,25 +713,22 @@ def build_yao(ps: PointSet, k: int) -> SpannerGraph:
     """Yao graph: from every point, an edge to the Euclidean-closest point in
     each of its k cones."""
     ConeSystem(k)
-    ids, xs, ys = ps.arrays
-    raw = cone_scan(xs, ys, k, False, 0)
-    return SpannerGraph("yao", k, ps, ((ids[u], ids[v]) for u, _, v in raw))
+    _, xs, ys = ps.arrays
+    return SpannerGraph._indexed("yao", k, ps, _scan_ends(xs, ys, k, False, 0))
 
 
 def build_theta(ps: PointSet, k: int) -> SpannerGraph:
     """Theta graph: from every point, an edge to the projection-closest point
     (onto the cone bisector) in each of its k cones."""
     ConeSystem(k)
-    ids, xs, ys = ps.arrays
-    raw = cone_scan(xs, ys, k, True, 0)
-    return SpannerGraph("theta", k, ps, ((ids[u], ids[v]) for u, _, v in raw))
+    _, xs, ys = ps.arrays
+    return SpannerGraph._indexed("theta", k, ps, _scan_ends(xs, ys, k, True, 0))
 
 
 def build_half_theta6(ps: PointSet) -> SpannerGraph:
     """Half-theta-6 graph: theta edges built only in the three even cones."""
-    ids, xs, ys = ps.arrays
-    raw = cone_scan(xs, ys, 6, True, _POSITIVE_MASK_6)
-    return SpannerGraph("half_theta6", 6, ps, ((ids[u], ids[v]) for u, _, v in raw))
+    _, xs, ys = ps.arrays
+    return SpannerGraph._indexed("half_theta6", 6, ps, _scan_ends(xs, ys, 6, True, _POSITIVE_MASK_6))
 
 
 @dataclass(frozen=True)
@@ -616,11 +774,9 @@ def build_g12(h: SpannerGraph) -> SpannerGraph:
     """Degree-12 subgraph: in every negative cone of every vertex, keep only the
     first, last (by azimuth) and projection-closest fan edges."""
     cones = _half_theta6_cones(h)
-    kept = set()
-    for (s, j), members in cones.fans.items():
-        for v in (members[0], members[-1], cones.closest(s, j)):
-            kept.add(_norm_edge(s, v))
-    return SpannerGraph("g12", 6, h.points, kept)
+    e = cones.fan_edge
+    kept = np.concatenate((e[cones.fan_start], e[cones.fan_stop - 1], e[cones.fan_closest]))
+    return SpannerGraph._indexed("g12", 6, h.points, h._ends[kept])
 
 
 def build_g9(h: SpannerGraph) -> SpannerGraph:
@@ -629,29 +785,41 @@ def build_g9(h: SpannerGraph) -> SpannerGraph:
     hints local routing needs (walk direction per positive cone, fan endpoint
     coordinates per negative cone)."""
     cones = _half_theta6_cones(h)
-    kept = set()
-    hints: dict[str, dict] = {}
-    for (s, j), members in cones.fans.items():
-        closest = cones.closest(s, j)
-        ci = members.index(closest)
-        kept.add(_norm_edge(s, closest))
-        for a, b in zip(members, members[1:]):
-            if not h.has_edge(a, b):
-                raise InternalInvariantViolation(
-                    f"consecutive fan members {a}, {b} of {s} are not adjacent"
-                )
-            kept.add(_norm_edge(a, b))
-        c = str((j + 3) % 6)
-        for idx, v in enumerate(members):
-            d = "self" if idx == ci else ("ccw" if ci > idx else "cw")
-            hints.setdefault(str(v), {"dir": {}, "fan": {}})["dir"][c] = d
-        first = h.points[members[0]]
-        last = h.points[members[-1]]
-        hints.setdefault(str(s), {"dir": {}, "fan": {}})["fan"][str(j)] = {
-            "first": [first.id, first.x, first.y],
-            "last": [last.id, last.x, last.y],
-        }
-    return SpannerGraph("g9", 6, h.points, kept, {"hints": hints})
+    ids = h.points.arrays[0]
+    n = len(ids)
+    start, stop, member = cones.fan_start, cones.fan_stop, cones.fan_nbr
+    group = np.repeat(np.arange(len(start)), stop - start)
+    # Consecutive members (member[i], member[i + 1]) of one fan must be
+    # joined by an edge of h: look their keys up among h's sorted edge keys.
+    i = np.flatnonzero(group[1:] == group[:-1])
+    a, b = member[i], member[i + 1]
+    pair_key = np.minimum(a, b) * n + np.maximum(a, b)
+    edge_key = h._ends[:, 0] * n + h._ends[:, 1]
+    at = np.minimum(np.searchsorted(edge_key, pair_key), max(len(edge_key) - 1, 0))
+    found = edge_key[at] == pair_key if len(edge_key) else np.zeros(len(i), dtype=bool)
+    if not found.all():
+        bad = int(np.argmin(found))
+        s = cones.fan_src[group[i[bad]]]
+        raise InternalInvariantViolation(
+            f"consecutive fan members {ids[a[bad]]}, {ids[b[bad]]} of {ids[s]} are not adjacent"
+        )
+    kept = np.concatenate((cones.fan_edge[cones.fan_closest], at))
+
+    # Every fan member and anchor has an entry; a member walks ccw to the
+    # closest member before it and cw to one after it.
+    entry = {i: {"dir": {}, "fan": {}} for i in np.union1d(member, cones.fan_src).tolist()}
+    cone_name = np.array(["0", "1", "2", "3", "4", "5"])
+    side = np.sign(np.arange(len(member)) - cones.fan_closest[group]) + 1
+    walk = np.array(["ccw", "self", "cw"])[side].tolist()
+    for i, c, d in zip(member.tolist(), cone_name[(cones.fan_cone[group] + 3) % 6].tolist(), walk):
+        entry[i]["dir"][c] = d
+    pts = h.points._id_order
+    for s, j, f, l in zip(cones.fan_src.tolist(), cone_name[cones.fan_cone].tolist(),
+                          member[start].tolist(), member[stop - 1].tolist()):
+        first, last = pts[f], pts[l]
+        entry[s]["fan"][j] = {"first": [first.id, first.x, first.y], "last": [last.id, last.x, last.y]}
+    hints = {str(ids[i]): e for i, e in entry.items()}
+    return SpannerGraph._indexed("g9", 6, h.points, h._ends[kept], {"hints": hints})
 
 
 def build_rotated_union(ps: PointSet, m: int) -> SpannerGraph:
@@ -659,20 +827,30 @@ def build_rotated_union(ps: PointSet, m: int) -> SpannerGraph:
     j*pi/(3m)."""
     if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise InvalidParameter(f"rotation count must be an integer >= 1, got {m!r}")
-    edges = set()
+    ids, x, y = ps.arrays
+    ends = []
     for j in range(m):
         phi = j * math.pi / (3 * m)
         c, s = math.cos(phi), math.sin(phi)
-        rotated = PointSet(
-            Point(p.id, p.x * c - p.y * s, p.x * s + p.y * c) for p in ps
-        )
-        edges |= build_half_theta6(rotated).edges
-    return SpannerGraph("rotated_union", 6, ps, edges, {"m": m})
+        with np.errstate(over="ignore", invalid="ignore"):
+            rx = x * c - y * s
+            ry = x * s + y * c
+        # The rotated frame must be a valid point set, as PointSet checks.
+        bad = ~(np.isfinite(rx) & np.isfinite(ry))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise InvalidParameter(f"point {ids[i]} has a non-finite coordinate ({rx[i]}, {ry[i]})")
+        order = np.lexsort((ry, rx))
+        same = (np.diff(rx[order]) == 0.0) & (np.diff(ry[order]) == 0.0)
+        if same.any():
+            raise DegenerateInput(f"duplicate coordinates for point {ids[order[1:][same][0]]}")
+        ends.append(_scan_ends(rx, ry, 6, True, _POSITIVE_MASK_6))
+    return SpannerGraph._indexed("rotated_union", 6, ps, np.concatenate(ends), {"m": m})
 
 
 def build_mst(ps: PointSet) -> SpannerGraph:
     """Euclidean minimum spanning tree (Kruskal, ties by (weight, id, id))."""
-    pts = sorted(ps, key=lambda p: p.id)
+    _, x, y = ps.arrays
     # Kruskal needs only the Yao-6 edges, which contain this tree (A. C. Yao,
     # SIAM J. Comput. 1982). Order all pairs by (d2, id, id), with d2 = dx * dx
     # + dy * dy, the same double cone_scan compares (x ** 2 can differ from
@@ -683,13 +861,13 @@ def build_mst(ps: PointSet) -> SpannerGraph:
     # distances tie. A cone is half-open and 60 degrees wide, so the angle rpq
     # is below 60 degrees and |rq|^2 < |pr|^2 + |pq|^2 - |pr||pq| <= |pq|^2:
     # the path p-r-q uses only smaller pairs and (p, q) is not in the tree.
-    cand = []
-    for u, v in build_yao(ps, 6).edges:
-        p, q = ps[u], ps[v]
-        dx, dy = q.x - p.x, q.y - p.y
-        cand.append((dx * dx + dy * dy, u, v))
-    cand.sort()
-    parent = {p.id: p.id for p in pts}
+    # Indices follow id order, so (d2, index, index) is the same order.
+    cand = _edge_array(ps, _scan_ends(x, y, 6, False, 0))
+    a, b = cand.T
+    with np.errstate(over="ignore"):
+        dx, dy = x[b] - x[a], y[b] - y[a]
+        order = np.lexsort((b, a, dx * dx + dy * dy))
+    parent = list(range(len(ps)))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -698,11 +876,11 @@ def build_mst(ps: PointSet) -> SpannerGraph:
         return x
 
     edges = []
-    for _d2, u, v in cand:
+    for u, v in zip(a[order].tolist(), b[order].tolist()):
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
             edges.append((u, v))
-            if len(edges) == len(pts) - 1:
+            if len(edges) == len(ps) - 1:
                 break
-    return SpannerGraph("mst", None, ps, edges)
+    return SpannerGraph._indexed("mst", None, ps, edges)

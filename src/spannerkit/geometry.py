@@ -85,16 +85,32 @@ class PointSet:
         return [p.id for p in self._points]
 
     @cached_property
+    def _id_order(self) -> list[Point]:
+        """The points in ascending id order."""
+        return sorted(self._points, key=lambda p: p.id)
+
+    @cached_property
     def arrays(self) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
         """Ids in ascending order, and the x and y coordinates as float64
         arrays in that order. The arrays are read-only: every build, ratio and
         certification of the set shares them."""
-        pts = sorted(self._points, key=lambda p: p.id)
+        pts = self._id_order
         x = np.array([p.x for p in pts], dtype=np.float64)
         y = np.array([p.y for p in pts], dtype=np.float64)
         x.flags.writeable = False
         y.flags.writeable = False
         return tuple(p.id for p in pts), x, y
+
+    @cached_property
+    def index(self) -> dict[int, int]:
+        """Id -> position in ``arrays`` order."""
+        return {pid: i for i, pid in enumerate(self.arrays[0])}
+
+    @cached_property
+    def _records_json(self) -> str:
+        """JSON text of the point records in ascending id order: the "points"
+        value of every graph file of the set, written once."""
+        return _json_text(_point_records(self._id_order))
 
 
 def direction(az: float) -> tuple[float, float]:
@@ -323,6 +339,8 @@ def _equidistant_findings(pts, apex) -> list[dict]:
 
 
 def points_to_json(ps: PointSet) -> str:
+    if ps.arrays[0] == tuple(ps.ids):
+        return '{"points":%s}\n' % ps._records_json
     return _dump_json({"points": _point_records(ps)})
 
 
@@ -338,7 +356,12 @@ def points_from_json(text: str) -> PointSet:
 def _dump_json(obj) -> str:
     """obj as JSON with sorted keys, no spaces and one trailing newline: the
     form of every document spannerkit writes."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return _json_text(obj) + "\n"
+
+
+def _json_text(obj) -> str:
+    """obj as JSON with sorted keys and no spaces."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _parse_json(text: str, what: str):
@@ -357,9 +380,10 @@ def _point_records(points) -> list[dict]:
 def _points_from_records(records, what: str) -> PointSet:
     """PointSet from _point_records output; malformed records raise InvalidParameter."""
     try:
-        return PointSet(
-            Point(_json_id(r["id"]), _json_real(r["x"]), _json_real(r["y"])) for r in records
-        )
+        ids = _json_ids([r["id"] for r in records])
+        xs = _json_reals([r["x"] for r in records])
+        ys = _json_reals([r["y"] for r in records])
+        return PointSet(map(Point, ids, xs, ys))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidParameter(f"malformed {what} JSON: {exc}") from exc
 
@@ -372,6 +396,20 @@ def _json_id(value) -> int:
             isinstance(value, float) and value.is_integer()):
         return int(value)
     raise ValueError(f"id must be an integer, got {value!r}")
+
+
+def _json_ids(values: list) -> list[int]:
+    """_json_id of every value; a list of ints passes as it is."""
+    if set(map(type, values)) <= {int}:
+        return values
+    return [_json_id(v) for v in values]
+
+
+def _json_reals(values: list) -> list[float]:
+    """_json_real of every value; a list of floats passes as it is."""
+    if set(map(type, values)) <= {float}:
+        return values
+    return [_json_real(v) for v in values]
 
 
 def _json_real(value) -> float:

@@ -398,3 +398,87 @@ def oracle_restricted_pair_check(h, u, w, bound=None, tolerance=1e-9):
         bound = bound_value("pair_alpha", alpha=alpha) * math.hypot(pb.x - pa.x, pb.y - pa.y)
     length = dist[b]
     return {"path": path, "length": length, "bound": bound, "ok": length <= bound + tolerance}
+
+
+def oracle_adjacency(g):
+    """Id -> (azimuth, neighbour id) pairs in ascending order: one
+    kernels.azimuth call per edge end, as the per-edge adjacency loop made
+    them before the graph's edge table."""
+    from spannerkit import kernels
+
+    adj = {p.id: [] for p in g.points}
+    for a, b in g.edges:
+        p, q = g.points[a], g.points[b]
+        adj[a].append((kernels.azimuth(q.x - p.x, q.y - p.y), b))
+        adj[b].append((kernels.azimuth(p.x - q.x, p.y - q.y), a))
+    for lst in adj.values():
+        lst.sort()
+    return adj
+
+
+def oracle_length_lists(g):
+    """Id -> (neighbour id, math.hypot edge length) pairs in ascending id order."""
+    adj = {p.id: [] for p in g.points}
+    for u, v in g.edges:
+        p, q = g.points[u], g.points[v]
+        w = math.hypot(q.x - p.x, q.y - p.y)
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    for lst in adj.values():
+        lst.sort()
+    return adj
+
+
+class oracle_cone_table:
+    """The 6-cone table of a half_theta6 graph or one of its subgraphs, made
+    by one scalar kernels.cone_index and math.hypot call per edge end:
+    xy, rows, positive, fans and closest(u, j), as graph.cone_table holds them."""
+
+    def __init__(self, g):
+        from spannerkit import kernels
+        from spannerkit.errors import InternalInvariantViolation
+
+        adjacency = oracle_adjacency(g)
+        self.xy = {p.id: (p.x, p.y) for p in g.points}
+        self.rows = {}
+        self.positive = {}
+        self.fans = {}
+        for p in g.points:
+            row = []
+            for az, v in adjacency[p.id]:
+                qx, qy = self.xy[v]
+                dx = qx - p.x
+                dy = qy - p.y
+                c = kernels.cone_index(dx, dy, 6)
+                ln = math.hypot(dx, dy)
+                row.append((az, v, ln, c))
+                if c % 2:
+                    self.fans.setdefault((p.id, c), []).append(v)
+                elif (p.id, c) in self.positive:
+                    raise InternalInvariantViolation(
+                        f"vertex {p.id} has two edges in positive cone {c}"
+                    )
+                else:
+                    self.positive[(p.id, c)] = (v, ln)
+            self.rows[p.id] = row
+        paired = {(min(u, v), max(u, v)) for (u, c), (v, _) in self.positive.items()
+                  if u in self.fans.get((v, (c + 3) % 6), ())}
+        if len(paired) != len(g.edges):
+            a, b = min(g.edges - paired)
+            raise InternalInvariantViolation(f"edge ({a}, {b}) lacks a unique negative-side endpoint")
+
+    def closest(self, u, j):
+        """Member of fan (u, j) with the smallest (projection onto cone j's
+        bisector, squared distance, id), by Python's min over key tuples."""
+        members = self.fans[(u, j)]
+        ux, uy = self.xy[u]
+        bis = j * (math.tau / 6)
+        sb, cb = math.sin(bis), math.cos(bis)
+
+        def key(v):
+            vx, vy = self.xy[v]
+            dx = vx - ux
+            dy = vy - uy
+            return (dx * sb + dy * cb, dx * dx + dy * dy, v)
+
+        return min(members, key=key)

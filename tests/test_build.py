@@ -2,6 +2,7 @@
 half-theta-6 graph's structural properties, its degree-bounded subgraphs, the
 rotated union, and the MST."""
 
+import hashlib
 import math
 import random
 
@@ -10,6 +11,8 @@ import pytest
 
 from spannerkit import (
     ConeSystem,
+    DegenerateInput,
+    InternalInvariantViolation,
     InvalidParameter,
     Point,
     PointSet,
@@ -25,6 +28,7 @@ from spannerkit import (
     canonical_triangle,
     gen_circle,
     gen_random,
+    gen_routing_lb,
     graph_from_json,
     graph_to_json,
 )
@@ -33,7 +37,15 @@ from spannerkit import build as build_module
 from spannerkit import kernels
 from spannerkit.build import cone_scan
 
-from oracles import oracle_azimuth, oracle_cone_edges, oracle_cone_picks, oracle_mst
+from oracles import (
+    oracle_adjacency,
+    oracle_azimuth,
+    oracle_cone_edges,
+    oracle_cone_picks,
+    oracle_cone_table,
+    oracle_length_lists,
+    oracle_mst,
+)
 
 
 def _as_coords(ps):
@@ -513,6 +525,17 @@ class TestRotatedUnion:
         g = build_rotated_union(gen_random(8, 1), 3)
         assert g.metadata == {"m": 3}
 
+    def test_rotated_coordinates_keep_the_point_set_checks(self):
+        # Frame 1 of m = 2 turns by pi/6: x * sin + y * cos overflows here,
+        big = PointSet([Point(0, 1.5e308, 1.5e308), Point(1, 0.0, 0.0), Point(2, 1.0, -2.0)])
+        with pytest.raises(InvalidParameter):
+            build_rotated_union(big, 2)
+        # and rounds these two subnormal points to the same coordinates.
+        tiny = PointSet([Point(0, -4 * 5e-324, -2 * 5e-324), Point(1, -3 * 5e-324, -3 * 5e-324)])
+        assert build_rotated_union(tiny, 1).edge_list() == [(0, 1)]
+        with pytest.raises(DegenerateInput):
+            build_rotated_union(tiny, 2)
+
 
 class TestMst:
     def test_tree_shape_and_weight(self):
@@ -600,7 +623,114 @@ class TestMstMatchesAllPairsKruskal:
         assert build_mst(ps).edges == oracle_mst(ps)
 
 
+def _scaled(ps, factor):
+    return PointSet(Point(p.id, p.x * factor, p.y * factor) for p in ps)
+
+
+def _grid(cols, rows):
+    return PointSet.from_pairs((float(i), float(j)) for j in range(rows) for i in range(cols))
+
+
+def _derived(h):
+    """h and the G12 and G9 graphs derived from it, by kind."""
+    return {"half_theta6": h, "g12": build_g12(h), "g9": build_g9(h)}
+
+
+@pytest.fixture(scope="module")
+def golden_graphs():
+    """Graphs by set and kind: all seven kinds on a set large enough for the
+    grid scan, and half-theta-6, G12 and G9 on the routing lower-bound
+    instances, a set scaled by 1e150 and an integer grid."""
+    ps = gen_random(240, 8)
+    h = build_half_theta6(ps)
+    out = {"random": {**_derived(h), "theta": build_theta(ps, 7), "yao": build_yao(ps, 6),
+                      "rotated_union": build_rotated_union(ps, 2), "mst": build_mst(ps)}}
+    for variant in ("positive", "negative_a", "negative_b"):
+        out[variant] = _derived(build_half_theta6(gen_routing_lb(variant)))
+    out["x1e150"] = _derived(build_half_theta6(_scaled(gen_random(40, 3), 1e150)))
+    out["grid6x5"] = _derived(build_half_theta6(_grid(6, 5)))
+    return out
+
+
+#: First 16 hex digits of the sha256 of each golden graph's to_json() text.
+GRAPH_JSON_SHA256 = {
+    "random/half_theta6": "7e2457a06cdaa08b",
+    "random/g12": "d19f483798de796c",
+    "random/g9": "70a70a26610272e3",
+    "random/theta": "ca7cd1aa099fe50e",
+    "random/yao": "18c32e28a54e60a0",
+    "random/rotated_union": "a78b0b037fda247f",
+    "random/mst": "3453703df74caf79",
+    "positive/half_theta6": "a4c0518f55c05bb8",
+    "positive/g12": "3d2743c56e02946c",
+    "positive/g9": "ddce8eea7440f8bc",
+    "negative_a/half_theta6": "8338e47b8881e6fa",
+    "negative_a/g12": "0f86ddbb15b22c53",
+    "negative_a/g9": "07759e4e5d3e0adf",
+    "negative_b/half_theta6": "204753683ebb638b",
+    "negative_b/g12": "c622045d99bfce57",
+    "negative_b/g9": "45ffa45cf5fe4309",
+    "x1e150/half_theta6": "10fc5c2f3243e4a7",
+    "x1e150/g12": "1f627669558aee62",
+    "x1e150/g9": "1ca86361da1dcb02",
+    "grid6x5/half_theta6": "9c8e78bf6b0caded",
+    "grid6x5/g12": "b82c3a1fd60a2691",
+    "grid6x5/g9": "158fbc6bab1659f9",
+}
+
+
+def _assert_tables_match(g):
+    """g's adjacency, degrees, length lists and cone table equal the per-edge
+    loops of tests/oracles.py, or raise InternalInvariantViolation where
+    those do."""
+    adj = oracle_adjacency(g)
+    assert {u: g.neighbors(u) for u in adj} == {u: [v for _, v in row] for u, row in adj.items()}
+    assert [g.degree(u) for u in adj] == [len(row) for row in adj.values()]
+    assert g.max_degree() == max(len(row) for row in adj.values())
+    assert g.length_lists == oracle_length_lists(g)
+    if g.kind not in ("half_theta6", "g12", "g9"):
+        return
+    try:
+        ref = oracle_cone_table(g)
+    except InternalInvariantViolation:
+        with pytest.raises(InternalInvariantViolation):
+            g.cone_table
+        return
+    ct = g.cone_table
+    assert ct.xy == ref.xy
+    assert ct.rows == ref.rows
+    assert ct.positive == ref.positive
+    assert ct.fans == ref.fans
+    assert {f: ct.closest(*f) for f in ref.fans} == {f: ref.closest(*f) for f in ref.fans}
+
+
 class TestGraphContainer:
+    def test_graph_json_bytes_are_pinned(self, golden_graphs):
+        got = {}
+        for name, graphs in golden_graphs.items():
+            for kind, g in graphs.items():
+                text = g.to_json()
+                got[f"{name}/{kind}"] = hashlib.sha256(text.encode()).hexdigest()[:16]
+                back = graph_from_json(text)
+                assert back == g
+                assert back.to_json() == text
+        assert got == GRAPH_JSON_SHA256
+
+    def test_tables_match_the_per_edge_loops(self, golden_graphs):
+        for graphs in golden_graphs.values():
+            for g in graphs.values():
+                _assert_tables_match(g)
+
+    def test_g9_on_a_grid_subset_still_raises(self):
+        # Integer-grid sets break the fan structure G9 relies on (points on
+        # one cone boundary from the same apex); until such inputs are
+        # rejected up front, G9 reports them as an internal invariant.
+        h = build_half_theta6(PointSet.from_pairs([(4.0, 1.0), (5.0, 3.0), (5.0, 0.0), (3.0, 3.0)]))
+        _assert_tables_match(h)
+        _assert_tables_match(build_g12(h))
+        with pytest.raises(InternalInvariantViolation):
+            build_g9(h)
+
     def test_edges_cannot_be_mutated(self):
         # A mutable edge set would leave the cached adjacency stale.
         h = build_half_theta6(gen_random(12, 4))
@@ -649,8 +779,44 @@ class TestGraphContainer:
                        '"kind":"rotated_union","k":6,"metadata":[1]', '"kind":"yao","k":1,"metadata":{}'):
             with pytest.raises(InvalidParameter):
                 graph_from_json('{%s,"points":%s,"edges":[]}' % (header, points))
+        # Edge lists that are not lists of [id, id] pairs.
+        for edges in ("[[0,1,2]]", "[0,1]", '"ab"', '{"0":1}', "[[true,1]]", "[[0,true]]"):
+            text = '{"kind":"yao","k":6,"metadata":{},"points":%s,"edges":%s}' % (points, edges)
+            with pytest.raises(InvalidParameter):
+                graph_from_json(text)
+        # A cone count that does not fit the kind: 6-cone kinds need k = 6,
+        # the MST none, and Theta and Yao graphs some k.
+        for kind, k in (("half_theta6", 7), ("g12", 5), ("g9", "null"), ("rotated_union", 7),
+                        ("mst", 6), ("theta", "null"), ("yao", "null")):
+            text = '{"kind":"%s","k":%s,"metadata":{},"points":%s,"edges":[]}' % (kind, k, points)
+            with pytest.raises(InvalidParameter):
+                graph_from_json(text)
         ok = '{"kind":"yao","k":6,"metadata":{},"points":%s,"edges":[[0,2.0]]}' % points
         assert graph_from_json(ok).edge_list() == [(0, 2)]
+        # A dict iterates over its keys: an empty one is an empty edge list.
+        assert graph_from_json(ok.replace("[[0,2.0]]", "{}")).edge_list() == []
+        # Unknown kinds keep any valid k.
+        assert graph_from_json(ok.replace('"yao","k":6', '"custom","k":null')).k is None
+
+    def test_unknown_id_message_names_the_smallest_bad_edge(self):
+        ps = PointSet([Point(0, 0.0, 0.0), Point(1, 1.0, 0.0), Point(2, 0.0, 1.0)])
+        for edges in ([(9, 2), (1, 2), (7, 0)], [(7, 0), (9, 2)]):
+            with pytest.raises(InvalidParameter, match=r"edge \(0, 7\) references unknown point id"):
+                SpannerGraph("yao", 6, ps, edges)
+        with pytest.raises(InvalidParameter, match="self loop at 1"):
+            SpannerGraph("yao", 6, ps, [(2, 2), (9, 3), (1, 1)])
+
+    def test_ids_beyond_int64_and_negative_ids_round_trip(self):
+        # Built in id order: PointSet equality follows insertion order, and
+        # graph files list the points by id.
+        ps = PointSet([Point(-5, 0.25, -1.0), Point(3, 2.0, 0.5), Point(2**64 + 1, 1.0, 3.0),
+                       Point(2**70, -1.5, 0.75)])
+        for g in (build_half_theta6(ps), build_mst(ps), SpannerGraph("x", None, ps, [(2**70, -5)])):
+            text = g.to_json()
+            back = graph_from_json(text)
+            assert back == g
+            assert back.to_json() == text
+        assert SpannerGraph("x", None, ps, [(2**70, -5)]).edge_list() == [(-5, 2**70)]
 
     def test_equality_ignores_edge_insertion_order(self):
         ps = gen_random(12, 4)

@@ -250,6 +250,11 @@ class TestAnalyze:
         for key, value in (("metadata", [1]), ("metadata", {"m": "two"}), ("k", "six")):
             bad.write_text(json.dumps({**doc, key: value}))
             assert main(["analyze", "--graph", str(bad), "--check"]) == 2
+        # A half-theta-6 file with 7 cones would certify 7-cone triangles
+        # over 6-cone edges.
+        h6 = json.loads(graph_to_json(build_half_theta6(gen_random(12, 3))))
+        bad.write_text(json.dumps({**h6, "k": 7}))
+        assert main(["analyze", "--graph", str(bad)]) == 2
         capsys.readouterr()
 
 
