@@ -316,7 +316,8 @@ class _ConeTable:
         cone = _cone_labels(dx[None, :], dy[None, :], 6, math.tau / 6)[0]
         nbr_ids = list(map(ids.__getitem__, t.nbr.tolist()))
         lengths = t.length.tolist()
-        self.rows = _by_source(ids, t.indptr, list(zip(t.az.tolist(), nbr_ids, lengths, cone.tolist())))
+        rows = list(zip(t.az.tolist(), nbr_ids, lengths, cone.tolist()))
+        self.rows = _by_source(ids, t.indptr, rows)
 
         even = np.flatnonzero(cone % 2 == 0)
         key = np.sort(t.src[even] * 6 + cone[even])
@@ -353,21 +354,20 @@ class _ConeTable:
         self.fan_start, self.fan_stop = start, stop
         self.fan_nbr, self.fan_edge = t.nbr[odd], t.edge[odd]
         # The closest member minimizes (projection onto the cone's bisector,
-        # squared distance, id), from the same doubles as closest()'s key in
-        # the scalar form: dx * sin(bis) + dy * cos(bis), with math's sin and
-        # cos. A NaN projection compares false both ways, so a group keeps its
-        # first member when that one's is NaN, and otherwise a NaN never wins;
-        # lexsort puts NaNs last.
+        # squared distance, id): dx * sin(bis) + dy * cos(bis) with math's
+        # sin and cos, the doubles of the scalar key. No projection is NaN:
+        # both products are infinite only at azimuths of 45, 135, 225 and 315
+        # degrees, and the two in odd cones (45 in cone 1, 315 in cone 5)
+        # give products of one sign.
         c = cone[odd]
         sin_bis = np.array([math.sin(j * (math.tau / 6)) for j in range(6)])
         cos_bis = np.array([math.cos(j * (math.tau / 6)) for j in range(6)])
         fdx, fdy = dx[odd], dy[odd]
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore"):
             proj = fdx * sin_bis[c] + fdy * cos_bis[c]
             d2 = fdx * fdx + fdy * fdy
         group = np.repeat(np.arange(len(start)), stop - start)
-        best = np.lexsort((self.fan_nbr, d2, proj, group))[start]
-        self.fan_closest = np.where(np.isnan(proj[start]), start, best)
+        self.fan_closest = np.lexsort((self.fan_nbr, d2, proj, group))[start]
 
         members = list(map(ids.__getitem__, self.fan_nbr.tolist()))
         keys = list(zip(map(ids.__getitem__, self.fan_src.tolist()), self.fan_cone.tolist()))

@@ -339,7 +339,7 @@ def _equidistant_findings(pts, apex) -> list[dict]:
 
 
 def points_to_json(ps: PointSet) -> str:
-    if ps.arrays[0] == tuple(ps.ids):
+    if ps._id_order == ps._points:
         return '{"points":%s}\n' % ps._records_json
     return _dump_json({"points": _point_records(ps)})
 

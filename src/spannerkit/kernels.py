@@ -4,9 +4,9 @@ point-in-triangle tests.
 These scalar functions define every boundary decision in the package. The
 numpy versions (azimuths and points_in_tri here, build.cone_scan) repeat their
 IEEE double operations elementwise in the same order, so they return the same
-answers. azimuths' reference is azimuth, points_in_tri's is point_in_tri. The closest-per-cone scan that
-builds edges has no scalar twin in the package, and its reference is the
-scalar scan in tests/oracles.py; the theta-5 witness search
+answers. azimuths' reference is azimuth, points_in_tri's is point_in_tri. The
+closest-per-cone scan that builds edges has no scalar twin in the package, and
+its reference is the scalar scan in tests/oracles.py; the theta-5 witness search
 (analysis.theta5_witness_path) runs its own scalar search of one cone in a
 rotated frame and checks each pick against the graph's edges.
 """

@@ -252,11 +252,14 @@ class TestPointSet:
         assert ps[1].xy == (1.0, 0.5)
 
     def test_json_roundtrip_identity_and_stability(self):
-        ps = PointSet.from_pairs([(0.0, 0.0), (0.25, 1.0), (-3.125, 2.5)])
-        doc = points_to_json(ps)
-        again = points_from_json(doc)
-        assert again == ps
-        assert points_to_json(again) == doc
+        # In id order, and out of it: a points file keeps insertion order.
+        for ps in (PointSet.from_pairs([(0.0, 0.0), (0.25, 1.0), (-3.125, 2.5)]),
+                   PointSet([Point(7, 0.0, 0.0), Point(-2, 0.25, 1.0), Point(3, -3.125, 2.5)])):
+            doc = points_to_json(ps)
+            assert [r["id"] for r in json.loads(doc)["points"]] == ps.ids
+            again = points_from_json(doc)
+            assert again == ps
+            assert points_to_json(again) == doc
 
     def test_malformed_json_rejected(self):
         for text in (
