@@ -206,8 +206,10 @@ def sizes(text):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--ratio-sizes", default="768,2048,4096,8192", help="comma-separated point counts")
-    ap.add_argument("--table-sizes", default="4096,65536", help="comma-separated point counts")
+    ap.add_argument("--ratio-sizes", default="768,2048,4096,8192",
+                    help="comma-separated point counts of the ratio rows")
+    ap.add_argument("--table-sizes", default="4096,65536",
+                    help="comma-separated point counts of the graph-table rows")
     ap.add_argument("--repeat", type=int, default=3, help="best-of repetitions per size")
     ap.add_argument("--seed", type=int, default=2024, help="seed of the uniform points")
     ap.add_argument("--reference-max", type=int, default=2048,

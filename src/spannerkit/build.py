@@ -337,7 +337,8 @@ class _ConeTable:
         rev = np.empty(len(g._ends), dtype=np.intp)
         fwd[t.edge[forward]] = cone[forward]
         rev[t.edge[~forward]] = cone[~forward]
-        paired = ((fwd % 2 == 0) & (rev == (fwd + 3) % 6)) | ((rev % 2 == 0) & (fwd == (rev + 3) % 6))
+        paired = (fwd % 2 == 0) & (rev == (fwd + 3) % 6)
+        paired |= (rev % 2 == 0) & (fwd == (rev + 3) % 6)
         if not paired.all():
             a, b = g._ends[int(np.argmin(paired))].tolist()
             raise InternalInvariantViolation(
@@ -728,7 +729,8 @@ def build_theta(ps: PointSet, k: int) -> SpannerGraph:
 def build_half_theta6(ps: PointSet) -> SpannerGraph:
     """Half-theta-6 graph: theta edges built only in the three even cones."""
     _, xs, ys = ps.arrays
-    return SpannerGraph._indexed("half_theta6", 6, ps, _scan_ends(xs, ys, 6, True, _POSITIVE_MASK_6))
+    ends = _scan_ends(xs, ys, 6, True, _POSITIVE_MASK_6)
+    return SpannerGraph._indexed("half_theta6", 6, ps, ends)
 
 
 @dataclass(frozen=True)
@@ -795,8 +797,8 @@ def build_g9(h: SpannerGraph) -> SpannerGraph:
     a, b = member[i], member[i + 1]
     pair_key = np.minimum(a, b) * n + np.maximum(a, b)
     edge_key = h._ends[:, 0] * n + h._ends[:, 1]
-    at = np.minimum(np.searchsorted(edge_key, pair_key), max(len(edge_key) - 1, 0))
-    found = edge_key[at] == pair_key if len(edge_key) else np.zeros(len(i), dtype=bool)
+    at = np.minimum(np.searchsorted(edge_key, pair_key), len(edge_key) - 1)
+    found = edge_key[at] == pair_key
     if not found.all():
         bad = int(np.argmin(found))
         s = cones.fan_src[group[i[bad]]]
@@ -807,18 +809,22 @@ def build_g9(h: SpannerGraph) -> SpannerGraph:
 
     # Every fan member and anchor has an entry; a member walks ccw to the
     # closest member before it and cw to one after it.
-    entry = {i: {"dir": {}, "fan": {}} for i in np.union1d(member, cones.fan_src).tolist()}
+    entry = {v: {"dir": {}, "fan": {}} for v in np.union1d(member, cones.fan_src).tolist()}
     cone_name = np.array(["0", "1", "2", "3", "4", "5"])
     side = np.sign(np.arange(len(member)) - cones.fan_closest[group]) + 1
     walk = np.array(["ccw", "self", "cw"])[side].tolist()
-    for i, c, d in zip(member.tolist(), cone_name[(cones.fan_cone[group] + 3) % 6].tolist(), walk):
-        entry[i]["dir"][c] = d
+    opposite = cone_name[(cones.fan_cone[group] + 3) % 6].tolist()
+    for v, c, d in zip(member.tolist(), opposite, walk):
+        entry[v]["dir"][c] = d
     pts = h.points._id_order
     for s, j, f, l in zip(cones.fan_src.tolist(), cone_name[cones.fan_cone].tolist(),
                           member[start].tolist(), member[stop - 1].tolist()):
         first, last = pts[f], pts[l]
-        entry[s]["fan"][j] = {"first": [first.id, first.x, first.y], "last": [last.id, last.x, last.y]}
-    hints = {str(ids[i]): e for i, e in entry.items()}
+        entry[s]["fan"][j] = {
+            "first": [first.id, first.x, first.y],
+            "last": [last.id, last.x, last.y],
+        }
+    hints = {str(ids[v]): e for v, e in entry.items()}
     return SpannerGraph._indexed("g9", 6, h.points, h._ends[kept], {"hints": hints})
 
 
