@@ -721,6 +721,20 @@ class TestGraphContainer:
             for g in graphs.values():
                 _assert_tables_match(g)
 
+    def test_tables_break_ties_as_the_loops_do(self):
+        # Neighbours 1 and 2 of point 0 share one azimuth: id order decides.
+        line = PointSet.from_pairs([(0.0, 0.0), (0.0, 2.0), (0.0, 1.0)])
+        _assert_tables_match(SpannerGraph("x", None, line, [(0, 1), (0, 2)]))
+        # Point 3's cone-3 fan {0, 1, 2}: all three projections round to
+        # 10.0, points 1 and 2 tie on d2 too, so the closest is 1 by id.
+        fan = PointSet.from_pairs([(3.0, -10.0), (1.0, -10.0), (-1.0, -10.0), (0.0, 0.0)])
+        h = build_half_theta6(fan)
+        assert h.cone_table.fans[(3, 3)] == [0, 1, 2]
+        assert h.cone_table.closest(3, 3) == 1
+        _assert_tables_match(h)
+        # Two edges in one positive cone of point 0: no cone table.
+        _assert_tables_match(SpannerGraph("g12", 6, line, [(0, 1), (0, 2)]))
+
     def test_g9_on_a_grid_subset_still_raises(self):
         # Integer-grid sets break the fan structure G9 relies on (points on
         # one cone boundary from the same apex); until such inputs are
