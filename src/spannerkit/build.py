@@ -63,7 +63,7 @@ class SpannerGraph:
     every view of it is built on first use and kept for the life of the graph:
     - ``edges`` (a frozenset of id pairs) and edge_list();
     - one CSR of the edge ends in (source, azimuth, neighbour id) order, with
-      each end's neighbour, azimuth (kernels.azimuths) and math.hypot length,
+      each end's neighbour, azimuth (kernels.azimuth) and math.hypot length,
       behind neighbors(), degree(), ``length_lists`` and the spanning ratio;
     - on half_theta6, g12 and g9 graphs ``cone_table``, read from the CSR,
       plus ``hint_table`` on g9 graphs.
@@ -120,7 +120,7 @@ class SpannerGraph:
         nbr = np.concatenate((b, a))
         with np.errstate(over="ignore"):
             dx, dy = x[nbr] - x[src], y[nbr] - y[src]
-        az = kernels.azimuths(dx, dy)
+        az = np.fromiter(map(kernels.azimuth, dx.tolist(), dy.tolist()), np.float64, 2 * m)
         order = np.lexsort((nbr, az, src))
         indptr = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
@@ -271,8 +271,6 @@ def _edge_array(points: PointSet, ends) -> np.ndarray:
     loops = lo == hi
     if loops.any():
         raise InvalidParameter(f"self loop at {points.arrays[0][int(lo[loops].min())]}")
-    if len(ends) and (lo.min() < 0 or hi.max() >= n):
-        raise InternalInvariantViolation(f"edge index outside [0, {n})")
     # Sort and drop repeats; np.unique hashes first and costs 10x more here.
     key = np.sort(lo * n + hi)
     key = key[_run_starts(key)]

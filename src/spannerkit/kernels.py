@@ -2,11 +2,11 @@
 point-in-triangle tests.
 
 These scalar functions define every boundary decision in the package. The
-numpy versions (azimuths and points_in_tri here, build.cone_scan) repeat their
-IEEE double operations elementwise in the same order, so they return the same
-answers. azimuths' reference is azimuth, points_in_tri's is point_in_tri. The
-closest-per-cone scan that builds edges has no scalar twin in the package, and
-its reference is the scalar scan in tests/oracles.py; the theta-5 witness search
+numpy versions (points_in_tri here, build.cone_scan) repeat their IEEE double
+operations elementwise in the same order, so they return the same answers.
+points_in_tri's reference is point_in_tri. The closest-per-cone scan that
+builds edges has no scalar twin in the package, and its reference is the
+scalar scan in tests/oracles.py; the theta-5 witness search
 (analysis.theta5_witness_path) runs its own scalar search of one cone in a
 rotated frame and checks each pick against the graph's edges.
 """
@@ -32,17 +32,6 @@ def azimuth(dx, dy):
         # A negative angle below one ulp rounds back up to the full turn.
         if az >= TWO_PI:
             az = 0.0
-    return az
-
-
-def azimuths(dx, dy):
-    """azimuth of every vector (dx[i], dy[i]) of two float64 arrays, as a
-    float64 array: libm's atan2 per element (math.atan2, as azimuth calls
-    it), then azimuth's wrap as the same IEEE addition and comparisons."""
-    az = np.fromiter(map(atan2, dx.tolist(), dy.tolist()), np.float64, len(dx))
-    neg = az < 0.0
-    az[neg] += TWO_PI
-    az[neg & (az >= TWO_PI)] = 0.0
     return az
 
 

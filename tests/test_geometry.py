@@ -1,8 +1,5 @@
 import json
 import math
-import random
-
-import numpy as np
 
 import pytest
 from hypothesis import assume, given, settings
@@ -108,24 +105,6 @@ class TestConeSystem:
         n = math.hypot(*v)
         assert math.isclose(ux, v[0] / n, abs_tol=1e-9)
         assert math.isclose(uy, v[1] / n, abs_tol=1e-9)
-
-
-def test_azimuths_match_the_scalar_kernel():
-    # Axis directions with both zero signs, angles one ulp either side of
-    # the wrap (atan2 of a tiny negative dx rounds to a full turn, which
-    # azimuth maps to 0), infinities, NaN and random vectors.
-    tiny = [5e-324, 1e-300, 1e-17, 1e-16]
-    vecs = [(dx, dy) for dx in (0.0, -0.0, 1.0, -1.0) for dy in (0.0, -0.0, 1.0, -1.0)]
-    vecs += [(-t, 1.0) for t in tiny] + [(t, 1.0) for t in tiny] + [(-t, -1.0) for t in tiny]
-    vecs += [(math.inf, 1.0), (-math.inf, -math.inf), (1.0, -math.inf), (math.nan, 1.0)]
-    rng = random.Random(5)
-    vecs += [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(500)]
-    dx, dy = (np.array(c, dtype=np.float64) for c in zip(*vecs))
-    got = kernels.azimuths(dx, dy).tolist()
-    want = [kernels.azimuth(a, b) for a, b in vecs]
-    # Bitwise, with the sign of zero: repr tells -0.0 and NaN apart.
-    assert list(map(repr, got)) == list(map(repr, want))
-    assert 0.0 in want and kernels.azimuth(-1e-17, 1.0) == 0.0
 
 
 class TestProjectionAndAlpha:
