@@ -32,7 +32,16 @@ PointSet, so every cached view is built again:
 - peak_rss_mb: the process's peak RSS after all repetitions;
 - sha256: the first 16 hex digits of the h, G12 and G9 graph files.
 
-Writes both tables with the backend, Python/numpy/scipy versions, commit and
+Route rows (one per router at each --table-sizes n, one process per n) route
+on the same points: stateless and stateful on h, the others on G12 and G9.
+
+- warm_us: best-of-k mean time of one route over --route-pairs ordered pairs
+  drawn with random.Random(seed), on graphs whose tables are built;
+- first_route_s: best-of-k time of the first route (the sample's first pair)
+  on a graph just read from its file, which builds the CSR and cone table;
+- traces_sha256: the first 16 hex digits of the sample's trace JSON.
+
+Writes the three tables with the Python/numpy/scipy versions, commit and
 source hash to --out (BENCH_layers.json by default) and prints them.
 """
 
@@ -42,6 +51,7 @@ import hashlib
 import json
 import os
 import platform
+import random
 import resource
 import subprocess
 import sys
@@ -54,6 +64,8 @@ ROOT = os.path.dirname(HERE)
 #: Table-row stages, in the order one repetition runs them.
 TABLE_STAGES = ("build", "max_degree", "cone_table", "g12", "g9",
                 "to_json", "to_json_g9", "from_json", "from_json_g9")
+#: Routers of the route rows, with the graph each routes on.
+ROUTERS = (("stateless", "half_theta6"), ("stateful", "half_theta6"), ("g12", "g12"), ("g9", "g9"))
 
 
 def peak_rss_mb():
@@ -168,6 +180,44 @@ def table_row(n, repeat, seed):
     }
 
 
+def route_rows(n, repeat, seed, count):
+    """Time the four routers at one size in this process; returns their rows."""
+    import spannerkit as sk
+
+    h = sk.build_half_theta6(sk.PointSet.from_pairs(uniform_pairs(n, seed)))
+    graphs = {"half_theta6": h, "g12": sk.build_g12(h), "g9": sk.build_g9(h)}
+    texts = {kind: g.to_json() for kind, g in graphs.items()}
+    rng = random.Random(seed)
+    pairs = [tuple(rng.sample(range(n), 2)) for _ in range(count)]
+    rows = []
+    for name, kind in ROUTERS:
+        route = getattr(sk, "route_" + name)
+        g = graphs[kind]
+        traces = [route(g, s, t) for s, t in pairs]
+        if not all(tr.passed for tr in traces):
+            raise SystemExit(f"n={n}: a {name} route did not pass its bound")
+        warm_s, _ = best_of(lambda: [route(g, s, t) for s, t in pairs], repeat)
+        first_s = float("inf")
+        for _ in range(repeat):
+            fresh = sk.graph_from_json(texts[kind])
+            gc.collect()
+            t0 = time.perf_counter()
+            route(fresh, *pairs[0])
+            first_s = min(first_s, time.perf_counter() - t0)
+        digest = hashlib.sha256("".join(tr.to_json() for tr in traces).encode())
+        rows.append({
+            "n": n,
+            "router": name,
+            "repeat": repeat,
+            "pairs": count,
+            "steps": sum(len(tr.steps) for tr in traces),
+            "warm_us": round(warm_s / count * 1e6, 1),
+            "first_route_s": round(first_s, 4),
+            "traces_sha256": digest.hexdigest()[:16],
+        })
+    return rows
+
+
 def commit():
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"],
@@ -193,7 +243,7 @@ def child(table, n, args):
     """Run one (table, n) row in a fresh process and return it."""
     cmd = [sys.executable, os.path.abspath(__file__), "--child", f"{table}:{n}",
            "--repeat", str(args.repeat), "--seed", str(args.seed),
-           "--reference-max", str(args.reference_max)]
+           "--reference-max", str(args.reference_max), "--route-pairs", str(args.route_pairs)]
     out = subprocess.run(cmd, capture_output=True, text=True)
     if out.returncode != 0:
         raise SystemExit(f"{table} n={n} failed:\n{out.stderr}")
@@ -211,6 +261,8 @@ def main():
     ap.add_argument("--table-sizes", default="4096,65536",
                     help="comma-separated point counts of the graph-table rows")
     ap.add_argument("--repeat", type=int, default=3, help="best-of repetitions per size")
+    ap.add_argument("--route-pairs", type=int, default=200,
+                    help="ordered pairs per router in the warm route rows")
     ap.add_argument("--seed", type=int, default=2024, help="seed of the uniform points")
     ap.add_argument("--reference-max", type=int, default=2048,
                     help="largest n whose ratio row also runs the all-pairs reference")
@@ -224,6 +276,8 @@ def main():
         n = int(n)
         if table == "ratio":
             row = ratio_row(n, args.repeat, args.seed, n <= args.reference_max)
+        elif table == "routes":
+            row = route_rows(n, args.repeat, args.seed, args.route_pairs)
         else:
             row = table_row(n, args.repeat, args.seed)
         print(json.dumps(row))
@@ -231,8 +285,6 @@ def main():
 
     import numpy
     import scipy
-
-    from spannerkit import kernels
 
     ratio_rows = []
     print(f"{'n':>6} {'edges':>7} {'ratio s':>9} {'rss +MB':>8} {'traced MB':>10} "
@@ -253,10 +305,17 @@ def main():
         print(f"{n:>6} " + " ".join(f"{row[name + '_s'] * 1e3:>10.1f}ms" for name in TABLE_STAGES)
               + f" {row['peak_rss_mb']:>8.1f}")
 
+    route_table = []
+    print(f"\n{'n':>6} {'router':>10} {'steps':>7} {'warm us':>9} {'first ms':>9} {'traces':>17}")
+    for n in sizes(args.table_sizes):
+        for row in child("routes", n, args):
+            route_table.append(row)
+            print(f"{n:>6} {row['router']:>10} {row['steps']:>7} {row['warm_us']:>9.1f} "
+                  f"{row['first_route_s'] * 1e3:>9.1f} {row['traces_sha256']:>17}")
+
     doc = {
-        "bench": "spannerkit layers over uniform points: spanning_ratio(build_half_theta6) "
-                 "and the half-theta-6 graph tables",
-        "backend": "compiled" if kernels.USING_COMPILED else "pure",
+        "bench": "spannerkit layers over uniform points: spanning_ratio(build_half_theta6), "
+                 "the half-theta-6 graph tables and the four routers",
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
@@ -267,6 +326,7 @@ def main():
         "seed": args.seed,
         "ratio_rows": ratio_rows,
         "table_rows": table_rows,
+        "route_rows": route_table,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)

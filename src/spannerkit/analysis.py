@@ -10,14 +10,14 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, product
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from . import kernels
-from .build import SpannerGraph, build_half_theta6, build_theta, canonical_path_info
+from .build import SpannerGraph, _half_theta6_cones, build_half_theta6, build_theta
 from .errors import InternalInvariantViolation, InvalidParameter
 from .geometry import (
     _CHECK_BLOCK,
@@ -215,8 +215,8 @@ def _verify_bound(g: SpannerGraph, name: str | None, tolerance: float, per_pair:
 
 def _check_tolerance(tolerance: float) -> None:
     # A NaN tolerance fails every comparison, so every bound would "fail".
-    if not math.isfinite(tolerance):
-        raise InvalidParameter(f"tolerance must be finite, got {tolerance!r}")
+    if not isinstance(tolerance, numbers.Real) or not math.isfinite(tolerance):
+        raise InvalidParameter(f"tolerance must be finite (a real number), got {tolerance!r}")
 
 
 def _default_bound(g: SpannerGraph):
@@ -350,31 +350,33 @@ def g9_approximation_check(h: SpannerGraph, g9: SpannerGraph, tolerance: float =
     the degree-9 subgraph keeps the approximation path (s -> fan-closest ->
     canonical path -> v), that its total length is at most 3|sv| and the
     canonical-path portion at most 2|sv|."""
+    _check_tolerance(tolerance)
+    cones = _half_theta6_cones(h)
+    ids, xy = cones.ids, cones.coords
     records = []
     ok = True
-    for fan in (canonical_path_info(h, p.id, j) for p in h.points for j in (1, 3, 5)):
-        if not fan.members:
+    for s, j in product(map(h.points.index.__getitem__, h.points.ids), (1, 3, 5)):
+        members = cones.fan(s, j)
+        if not members:
             continue
-        s, members, closest = fan.anchor, fan.members, fan.closest
-        ps = h.points[s]
+        closest = cones.fan_nearest(s, j)
+        for a, b in [(s, closest)] + list(zip(members, members[1:])):
+            if not g9.has_edge(ids[a], ids[b]):
+                what = "closest fan edge" if a == s else "fan path edge"
+                raise InternalInvariantViolation(f"{what} ({ids[a]}, {ids[b]}) missing from g9")
+        (sx, sy), (cx, cy) = xy[s], xy[closest]
+        entry = math.hypot(cx - sx, cy - sy)
         ci = members.index(closest)
-        if not g9.has_edge(s, closest):
-            raise InternalInvariantViolation(f"closest fan edge ({s}, {closest}) missing from g9")
-        entry = math.hypot(h.points[closest].x - ps.x, h.points[closest].y - ps.y)
-        # Prefix path lengths along the fan in both directions from the closest.
+        # Path lengths along the fan in both directions from the closest.
         for vi, v in enumerate(members):
             lo, hi = (ci, vi) if ci <= vi else (vi, ci)
             walk = 0.0
             for a, b in zip(members[lo:hi], members[lo + 1 : hi + 1]):
-                if not g9.has_edge(a, b):
-                    raise InternalInvariantViolation(f"fan path edge ({a}, {b}) missing from g9")
-                pa, pb = h.points[a], h.points[b]
-                walk += math.hypot(pb.x - pa.x, pb.y - pa.y)
-            pv = h.points[v]
-            edge_len = math.hypot(pv.x - ps.x, pv.y - ps.y)
+                walk += math.hypot(xy[b][0] - xy[a][0], xy[b][1] - xy[a][1])
+            edge_len = math.hypot(xy[v][0] - sx, xy[v][1] - sy)
             rec = {
-                "s": s,
-                "v": v,
+                "s": ids[s],
+                "v": ids[v],
                 "edge": edge_len,
                 "path": entry + walk,
                 "canonical_portion": walk,
@@ -526,6 +528,9 @@ def theta5_witness_path(g: SpannerGraph, u: int, w: int) -> list[int]:
 
 
 def path_length(ps: PointSet, path: list[int]) -> float:
+    missing = [v for v in path if v not in ps]
+    if missing:
+        raise InvalidParameter(f"path vertex {missing[0]!r} is not in the point set")
     total = 0.0
     for a, b in zip(path, path[1:]):
         pa, pb = ps[a], ps[b]
@@ -565,9 +570,9 @@ def gen_routing_lb(variant: str, alpha: float = 0.0, nudge: float = 1e-4) -> Poi
     """
     if variant not in ("positive", "negative_a", "negative_b"):
         raise InvalidParameter(f"unknown routing lower-bound variant {variant!r}")
-    if not 0.0 <= alpha <= math.pi / 6:
-        raise InvalidParameter(f"alpha must be within [0, pi/6], got {alpha}")
-    if not 0.0 < nudge <= 1e-2:
+    if not isinstance(alpha, numbers.Real) or not 0.0 <= alpha <= math.pi / 6:
+        raise InvalidParameter(f"alpha must be within [0, pi/6], got {alpha!r}")
+    if not isinstance(nudge, numbers.Real) or not 0.0 < nudge <= 1e-2:
         raise InvalidParameter(f"nudge must be in (0, 1e-2], got {nudge}")
     if variant != "positive" and alpha > math.pi / 6 - 10.0 * nudge:
         # Within O(nudge) of pi/6 the apex slides onto the right blocker and

@@ -65,8 +65,9 @@ class SpannerGraph:
     - one CSR of the edge ends in (source, azimuth, neighbour id) order, with
       each end's neighbour, azimuth (kernels.azimuth) and math.hypot length,
       behind neighbors(), degree(), ``length_lists`` and the spanning ratio;
-    - on half_theta6, g12 and g9 graphs ``cone_table``, read from the CSR,
-      plus ``hint_table`` on g9 graphs.
+    - on half_theta6, g12 and g9 graphs ``cone_table``, the one index-based
+      fan table of the routers and of build_g12 and build_g9, plus
+      ``hint_table`` on g9 graphs.
     max_degree() counts the array's entries and builds no view.
     """
 
@@ -137,7 +138,8 @@ class SpannerGraph:
         ids = self.points.arrays[0]
         order = np.lexsort((t.nbr, t.src))
         pairs = list(zip(map(ids.__getitem__, t.nbr[order].tolist()), t.length[order].tolist()))
-        return _by_source(ids, t.indptr, pairs)
+        bounds = t.indptr.tolist()
+        return {pid: pairs[bounds[i]:bounds[i + 1]] for i, pid in enumerate(ids)}
 
     @cached_property
     def cone_table(self) -> "_ConeTable":
@@ -180,10 +182,12 @@ class SpannerGraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpannerGraph):
             return NotImplemented
+        a, b = self.points.arrays, other.points.arrays
         return (
             self.kind == other.kind
             and self.k == other.k
-            and self.points == other.points
+            # Points compare in id order, as the edge array and the file hold them.
+            and a[0] == b[0] and np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])
             and np.array_equal(self._ends, other._ends)
             and self.metadata == other.metadata
         )
@@ -238,12 +242,6 @@ class _Csr(NamedTuple):
     length: np.ndarray
 
 
-def _by_source(ids, indptr, items) -> dict:
-    """Id -> its row's slice of items, which hold one entry per CSR entry."""
-    bounds = indptr.tolist()
-    return {pid: items[bounds[i]:bounds[i + 1]] for i, pid in enumerate(ids)}
-
-
 def _index_ends(points: PointSet, ends: list) -> np.ndarray:
     """The indices in points.arrays order of edge ends given as ids
     [u0, v0, u1, v1, ...], as an (m, 2) array. A self loop, then an unknown
@@ -288,18 +286,22 @@ def _run_starts(key) -> np.ndarray:
 
 class _ConeTable:
     """6-cone view of a half_theta6 graph or one of its subgraphs, read in
-    bulk from the graph's CSR.
+    bulk from the graph's CSR. Vertex i is index i of PointSet.arrays; the
+    routers read lists, one entry per lookup:
 
-    xy[u]        coordinates of u
-    rows[u]      (azimuth, v, |uv|, cone of v around u) per neighbour v, by azimuth
-    positive     (u, even cone c) -> (v, |uv|) for u's edge in cone c
-    fans         (u, odd cone j) -> u's neighbours in cone j, by azimuth; on
-                 half_theta6 these are the vertices whose cone edge targets u
+    ids[i], coords[i]     id and (x, y) of vertex i
+    indptr, nbr, az, length
+                          the CSR: i's edge ends are entries indptr[i]:indptr[i + 1]
+    cone_edge[6 * i + c]  entry of i's edge in even cone c, or -1
+    cone_fan[6 * i + c]   i's fan group in odd cone c, or -1 (see fan(i, c))
 
-    The fans also stay as arrays, for build_g12 and build_g9: the members'
-    indices (fan_nbr) and edge positions (fan_edge) grouped by (anchor, cone)
-    with azimuth order inside a group, and per group its anchor index, cone,
-    range [fan_start, fan_stop) and the position of its closest member.
+    Fan group g holds i's neighbours in odd cone c (on half_theta6, the
+    vertices whose cone edge targets i). Cone labels grow with azimuth and
+    only cone 0 wraps past north, so a group is a range of i's row, entries
+    fan_start[g]:fan_stop[g]; fan_closest[g] is its closest member's entry.
+    These numpy arrays, with fan_src and fan_cone (the group's vertex and
+    cone) and fan_entry (all members' entries), are what build_g12 and
+    build_g9 read.
 
     Every edge must have exactly one endpoint that sees the other in an odd
     cone, and no vertex may have two edges in one even cone.
@@ -308,26 +310,16 @@ class _ConeTable:
     def __init__(self, g: SpannerGraph):
         ids, x, y = g.points.arrays
         t = g._csr
-        self.xy = {p.id: (p.x, p.y) for p in g.points}
         with np.errstate(over="ignore"):
             dx, dy = x[t.nbr] - x[t.src], y[t.nbr] - y[t.src]
         cone = _cone_labels(dx[None, :], dy[None, :], 6, math.tau / 6)[0]
-        nbr_ids = list(map(ids.__getitem__, t.nbr.tolist()))
-        lengths = t.length.tolist()
-        rows = list(zip(t.az.tolist(), nbr_ids, lengths, cone.tolist()))
-        self.rows = _by_source(ids, t.indptr, rows)
+        slot = t.src * 6 + cone
 
         even = np.flatnonzero(cone % 2 == 0)
-        key = np.sort(t.src[even] * 6 + cone[even])
-        twice = np.flatnonzero(~_run_starts(key))
+        twice = np.flatnonzero(np.bincount(slot[even], minlength=6 * len(ids)) > 1)
         if twice.size:
-            u, c = divmod(int(key[twice[0]]), 6)
+            u, c = divmod(int(twice[0]), 6)
             raise InternalInvariantViolation(f"vertex {ids[u]} has two edges in positive cone {c}")
-        at = even.tolist()
-        self.positive = dict(zip(
-            zip(map(ids.__getitem__, t.src[even].tolist()), cone[even].tolist()),
-            zip(map(nbr_ids.__getitem__, at), map(lengths.__getitem__, at)),
-        ))
         # An edge is well formed when one end sees the other in a positive
         # cone and is, in turn, a member of that end's opposite fan.
         forward = t.src == g._ends[t.edge, 0]
@@ -343,17 +335,13 @@ class _ConeTable:
                 f"edge ({ids[a]}, {ids[b]}) lacks a unique negative-side endpoint"
             )
 
+        # In CSR order the odd entries are already grouped by (vertex, cone).
         odd = np.flatnonzero(cone % 2 == 1)
-        key = t.src[odd] * 6 + cone[odd]
-        at = np.argsort(key, kind="stable")
-        odd, key = odd[at], key[at]
-        start = np.flatnonzero(_run_starts(key))
-        stop = np.append(start, len(odd))[1:]
-        self.fan_src, self.fan_cone = key[start] // 6, key[start] % 6
-        self.fan_start, self.fan_stop = start, stop
-        self.fan_nbr, self.fan_edge = t.nbr[odd], t.edge[odd]
+        key = slot[odd]
+        first = np.flatnonzero(_run_starts(key))
+        size = np.diff(np.append(first, len(odd)))
         # The closest member minimizes (projection onto the cone's bisector,
-        # squared distance, id): dx * sin(bis) + dy * cos(bis) with math's
+        # squared distance, index): dx * sin(bis) + dy * cos(bis) with math's
         # sin and cos, the doubles of the scalar key. No projection is NaN:
         # both products are infinite only at azimuths of 45, 135, 225 and 315
         # degrees, and the two in odd cones (45 in cone 1, 315 in cone 5)
@@ -365,21 +353,34 @@ class _ConeTable:
         with np.errstate(over="ignore"):
             proj = fdx * sin_bis[c] + fdy * cos_bis[c]
             d2 = fdx * fdx + fdy * fdy
-        group = np.repeat(np.arange(len(start)), stop - start)
-        self.fan_closest = np.lexsort((self.fan_nbr, d2, proj, group))[start]
+        group = np.repeat(np.arange(len(first)), size)
+        closest = np.lexsort((t.nbr[odd], d2, proj, group))[first]
+        self.fan_src, self.fan_cone = key[first] // 6, key[first] % 6
+        self.fan_start, self.fan_stop = odd[first], odd[first] + size
+        self.fan_closest, self.fan_entry = odd[closest], odd
 
-        members = list(map(ids.__getitem__, self.fan_nbr.tolist()))
-        keys = list(zip(map(ids.__getitem__, self.fan_src.tolist()), self.fan_cone.tolist()))
-        self.fans = {f: members[a:b] for f, a, b in zip(keys, start.tolist(), stop.tolist())}
-        self._closest = dict(zip(keys, map(members.__getitem__, self.fan_closest.tolist())))
+        slots = np.full((2, 6 * len(ids)), -1, dtype=np.intp)
+        slots[0, slot[even]] = even
+        slots[1, key[first]] = np.arange(len(first))
+        self.ids = ids
+        self.coords = list(zip(x.tolist(), y.tolist()))
+        self.indptr, self.nbr = t.indptr.tolist(), t.nbr.tolist()
+        self.az, self.length = t.az.tolist(), t.length.tolist()
+        self.cone_edge, self.cone_fan = slots.tolist()
+        self._start, self._stop = self.fan_start.tolist(), self.fan_stop.tolist()
+        self._closest = self.fan_closest.tolist()
 
-    def closest(self, u: int, j: int) -> int:
-        """Member of fan (u, j) with the smallest (projection onto cone j's
-        bisector, squared distance, id)."""
-        try:
-            return self._closest[(u, j)]
-        except KeyError:
-            raise InternalInvariantViolation("closest requested on an empty fan") from None
+    def fan(self, i: int, c: int) -> list[int]:
+        """Vertex i's fan in odd cone c, by azimuth; empty when it has none."""
+        g = self.cone_fan[6 * i + c]
+        return self.nbr[self._start[g]:self._stop[g]] if g >= 0 else []
+
+    def fan_nearest(self, i: int, c: int) -> int:
+        """The closest member of vertex i's fan in odd cone c (see __init__)."""
+        g = self.cone_fan[6 * i + c]
+        if g < 0:
+            raise InternalInvariantViolation("closest requested on an empty fan")
+        return self.nbr[self._closest[g]]
 
 
 class _HintTable:
@@ -754,27 +755,24 @@ def _half_theta6_cones(h: SpannerGraph) -> _ConeTable:
 
 
 def canonical_path_info(h: SpannerGraph, anchor: int, cone: int) -> CanonicalPathInfo:
-    if cone % 2 == 0:
-        raise InvalidParameter(f"cone {cone} is positive; fans live in odd cones")
+    if isinstance(cone, bool) or not isinstance(cone, int) or cone not in (1, 3, 5):
+        raise InvalidParameter(f"fans live in the odd cones 1, 3 and 5, got cone {cone!r}")
     cones = _half_theta6_cones(h)
-    members = cones.fans.get((anchor, cone))
+    if anchor not in h.points:
+        raise InvalidParameter(f"anchor {anchor!r} is not a vertex of the graph")
+    i = h.points.index[anchor]
+    members = tuple(map(cones.ids.__getitem__, cones.fan(i, cone)))
     if not members:
         return CanonicalPathInfo(anchor, cone, (), None, None, None)
-    return CanonicalPathInfo(
-        anchor,
-        cone,
-        tuple(members),
-        cones.closest(anchor, cone),
-        members[0],
-        members[-1],
-    )
+    closest = cones.ids[cones.fan_nearest(i, cone)]
+    return CanonicalPathInfo(anchor, cone, members, closest, members[0], members[-1])
 
 
 def build_g12(h: SpannerGraph) -> SpannerGraph:
     """Degree-12 subgraph: in every negative cone of every vertex, keep only the
     first, last (by azimuth) and projection-closest fan edges."""
     cones = _half_theta6_cones(h)
-    e = cones.fan_edge
+    e = h._csr.edge
     kept = np.concatenate((e[cones.fan_start], e[cones.fan_stop - 1], e[cones.fan_closest]))
     return SpannerGraph._indexed("g12", 6, h.points, h._ends[kept])
 
@@ -785,10 +783,11 @@ def build_g9(h: SpannerGraph) -> SpannerGraph:
     hints local routing needs (walk direction per positive cone, fan endpoint
     coordinates per negative cone)."""
     cones = _half_theta6_cones(h)
+    t = h._csr
     ids = h.points.arrays[0]
     n = len(ids)
-    start, stop, member = cones.fan_start, cones.fan_stop, cones.fan_nbr
-    group = np.repeat(np.arange(len(start)), stop - start)
+    group = np.repeat(np.arange(len(cones.fan_start)), cones.fan_stop - cones.fan_start)
+    member = t.nbr[cones.fan_entry]
     # Consecutive members (member[i], member[i + 1]) of one fan must be
     # joined by an edge of h: look their keys up among h's sorted edge keys.
     i = np.flatnonzero(group[1:] == group[:-1])
@@ -803,20 +802,20 @@ def build_g9(h: SpannerGraph) -> SpannerGraph:
         raise InternalInvariantViolation(
             f"consecutive fan members {ids[a[bad]]}, {ids[b[bad]]} of {ids[s]} are not adjacent"
         )
-    kept = np.concatenate((cones.fan_edge[cones.fan_closest], at))
+    kept = np.concatenate((t.edge[cones.fan_closest], at))
 
     # Every fan member and anchor has an entry; a member walks ccw to the
     # closest member before it and cw to one after it.
     entry = {v: {"dir": {}, "fan": {}} for v in np.union1d(member, cones.fan_src).tolist()}
     cone_name = np.array(["0", "1", "2", "3", "4", "5"])
-    side = np.sign(np.arange(len(member)) - cones.fan_closest[group]) + 1
+    side = np.sign(cones.fan_entry - cones.fan_closest[group]) + 1
     walk = np.array(["ccw", "self", "cw"])[side].tolist()
     opposite = cone_name[(cones.fan_cone[group] + 3) % 6].tolist()
     for v, c, d in zip(member.tolist(), opposite, walk):
         entry[v]["dir"][c] = d
     pts = h.points._id_order
     for s, j, f, l in zip(cones.fan_src.tolist(), cone_name[cones.fan_cone].tolist(),
-                          member[start].tolist(), member[stop - 1].tolist()):
+                          t.nbr[cones.fan_start].tolist(), t.nbr[cones.fan_stop - 1].tolist()):
         first, last = pts[f], pts[l]
         entry[s]["fan"][j] = {
             "first": [first.id, first.x, first.y],

@@ -54,6 +54,7 @@ ROUTING_FACTORS = {
 }
 
 _PAY_EPS = 1e-9
+_TAU = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -184,8 +185,8 @@ class _NegFrame:
         self.s = s
         self.t = t
         self.j = j
-        self.s_xy = ctx.xy[s]
-        self.t_xy = ctx.xy[t]
+        self.s_xy = ctx.coords[s]
+        self.t_xy = ctx.coords[t]
         self.tri = canonical_triangle(_CS6, self.t_xy, self.s_xy)
         self.a = self.tri.corner_a
         self.b = self.tri.corner_b
@@ -224,17 +225,18 @@ def _beyond(apex, corner, interior_ref, p) -> bool:
 
 
 def _check_graph(g: SpannerGraph, kinds: tuple[str, ...], source: int, target: int):
-    """The graph's cone table, once the graph and the endpoints are valid for routing."""
+    """The graph's cone table and the endpoints' indices, once both are valid for routing."""
     if g.kind not in kinds:
         raise InvalidParameter(
             f"routing needs a graph of kind {kinds}, got {g.kind!r}"
         )
     ctx = g.cone_table
-    if source not in ctx.xy or target not in ctx.xy:
+    index = g.points.index
+    if source not in index or target not in index:
         raise InvalidParameter("source or target id not in the graph")
     if source == target:
         raise AlreadyArrived(f"source equals target ({source})")
-    return ctx
+    return ctx, index[source], index[target]
 
 
 def base_bound(g: SpannerGraph, source: int, target: int) -> tuple[float, bool]:
@@ -265,14 +267,12 @@ class _Decision:
     phi: float
 
 
-def _region_edge(ctx, frame: _NegFrame, cone: int):
-    """Positive-cone edge of s into `cone` if its endpoint lies in the triangle."""
-    e = ctx.positive.get((frame.s, cone))
-    if e is None:
-        return None
-    if not frame.contains(ctx.xy[e[0]]):
-        return None
-    return e
+def _region_edge(ctx, frame: _NegFrame, cone: int) -> int | None:
+    """Endpoint of s's positive-cone edge into `cone` if it lies in the triangle."""
+    e = ctx.cone_edge[6 * frame.s + cone]
+    if e >= 0 and frame.contains(ctx.coords[ctx.nbr[e]]):
+        return ctx.nbr[e]
+    return None
 
 
 def _walk_fan_to_region(ctx, frame: _NegFrame, fan, inside, start: int) -> int:
@@ -280,7 +280,7 @@ def _walk_fan_to_region(ctx, frame: _NegFrame, fan, inside, start: int) -> int:
     in_set = set(inside)
     if start in in_set:
         return start
-    side = frame.sliver(ctx.xy[start])
+    side = frame.sliver(ctx.coords[start])
     step = 1 if side == "S2" else -1
     i = fan.index(start) + step
     while 0 <= i < len(fan):
@@ -296,13 +296,12 @@ def _initial_preferred(ctx, s: int, v: int, t: int) -> str | None:
     The retained side is the one whose corner of the new triangle (apex t,
     containing v) lies inside the step triangle (apex s, containing v).
     """
-    jv = kernels.cone_index(
-        ctx.xy[t][0] - ctx.xy[v][0], ctx.xy[t][1] - ctx.xy[v][1], 6
-    )
+    (vx, vy), (tx, ty) = ctx.coords[v], ctx.coords[t]
+    jv = kernels.cone_index(tx - vx, ty - vy, 6)
     if jv % 2 == 0:
         return None
-    tri_new = canonical_triangle(_CS6, ctx.xy[t], ctx.xy[v])
-    tri_step = canonical_triangle(_CS6, ctx.xy[s], ctx.xy[v])
+    tri_new = canonical_triangle(_CS6, (tx, ty), (vx, vy))
+    tri_step = canonical_triangle(_CS6, ctx.coords[s], (vx, vy))
     a_in = tri_step.contains(tri_new.corner_a)
     b_in = tri_step.contains(tri_new.corner_b)
     if a_in and not b_in:
@@ -318,7 +317,7 @@ def _initial_preferred(ctx, s: int, v: int, t: int) -> str | None:
 
 def _region_in_tri(ctx, v, t, jv, which, tri_new, tri_step) -> bool:
     cone = (jv + 1) % 6 if which == "X1" else (jv - 1) % 6
-    poly = _clip_wedge(tri_new.polygon(), ctx.xy[v], cone)
+    poly = _clip_wedge(tri_new.polygon(), ctx.coords[v], cone)
     if not poly:
         return True
     return all(tri_step.contains(p) for p in poly)
@@ -353,8 +352,8 @@ def _clip_wedge(poly, apex, cone):
 
 
 def _phi_positive(ctx, tri, t: int) -> float:
-    da = _d(tri.corner_a, ctx.xy[t])
-    db = _d(ctx.xy[t], tri.corner_b)
+    da = _d(tri.corner_a, ctx.coords[t])
+    db = _d(ctx.coords[t], tri.corner_b)
     return tri.size + max(da, db)
 
 
@@ -362,26 +361,26 @@ def _regions(ctx, s: int, t: int, j: int):
     """Frame of the negative decision at s, s's cone-j fan, its X0 members, and
     the positive edges of s into X1 and X2 (None where that region is empty)."""
     frame = _NegFrame(ctx, s, t, j)
-    fan = ctx.fans.get((s, j), [])
-    inside = [y for y in fan if frame.contains(ctx.xy[y])]
+    fan = ctx.fan(s, j)
+    inside = [y for y in fan if frame.contains(ctx.coords[y])]
     e1 = _region_edge(ctx, frame, frame.cone_x1)
     e2 = _region_edge(ctx, frame, frame.cone_x2)
     return frame, fan, inside, e1, e2
 
 
 def _decide_full(ctx, s: int, t: int, stateful: bool, preferred: str | None) -> _Decision:
-    sx, sy = ctx.xy[s]
-    tx, ty = ctx.xy[t]
+    sx, sy = ctx.coords[s]
+    tx, ty = ctx.coords[t]
     j = kernels.cone_index(tx - sx, ty - sy, 6)
     if j % 2 == 0:
-        e = ctx.positive.get((s, j))
-        if e is None:
+        e = ctx.cone_edge[6 * s + j]
+        if e < 0:
             raise InternalInvariantViolation(
-                f"no positive-cone edge at {s} toward cone {j} containing the target"
+                f"no positive-cone edge at {ctx.ids[s]} toward cone {j} containing the target"
             )
-        v = e[0]
-        tri = canonical_triangle(_CS6, ctx.xy[s], ctx.xy[t])
-        if v != t and not tri.contains(ctx.xy[v]):
+        v = ctx.nbr[e]
+        tri = canonical_triangle(_CS6, (sx, sy), (tx, ty))
+        if v != t and not tri.contains(ctx.coords[v]):
             raise InternalInvariantViolation("positive-cone edge leaves the target triangle")
         new_pref = preferred
         if stateful and v != t:
@@ -403,31 +402,31 @@ def _decide_full(ctx, s: int, t: int, stateful: bool, preferred: str | None) -> 
             if inside:
                 return _Decision("D", inside[0], None, phi)
             if frame.dist_sa < frame.dist_sb:
-                return _Decision("D", e1[0], None, phi)
-            return _Decision("D", e2[0], None, phi)
+                return _Decision("D", e1, None, phi)
+            return _Decision("D", e2, None, phi)
         # exactly one side region is occupied
         if e1 is not None:
             x_corner = frame.a
-            pick = inside[0] if inside else e1[0]
+            pick = inside[0] if inside else e1
         else:
             x_corner = frame.b
-            pick = inside[-1] if inside else e2[0]
+            pick = inside[-1] if inside else e2
         return _Decision("C", pick, None, lsize + _d(frame.s_xy, x_corner))
 
     # stateful engine
     if preferred is None:
         phi = lsize + dab + min(frame.dist_sa, frame.dist_sb)
         if inside:
-            pick = _walk_fan_to_region(ctx, frame, fan, inside, ctx.closest(s, j))
+            pick = _walk_fan_to_region(ctx, frame, fan, inside, ctx.fan_nearest(s, j))
             return _Decision("B", pick, None, phi)
         smaller, larger = ("X1", "X2") if frame.dist_sa < frame.dist_sb else ("X2", "X1")
         e_small = e1 if smaller == "X1" else e2
         if e_small is not None:
-            return _Decision("B", e_small[0], None, phi)
+            return _Decision("B", e_small, None, phi)
         e_large = e1 if larger == "X1" else e2
         if e_large is None:
             raise InternalInvariantViolation("both side regions empty with no members behind the target")
-        return _Decision("B", e_large[0], smaller, phi)
+        return _Decision("B", e_large, smaller, phi)
 
     x_corner = frame.b if preferred == "X1" else frame.a
     phi = lsize + _d(frame.s_xy, x_corner)
@@ -437,18 +436,18 @@ def _decide_full(ctx, s: int, t: int, stateful: bool, preferred: str | None) -> 
     e_np = e2 if preferred == "X1" else e1
     if e_np is None:
         raise InternalInvariantViolation("non-preferred region empty in the memorising case")
-    return _Decision("C", e_np[0], preferred, phi)
+    return _Decision("C", e_np, preferred, phi)
 
 
 def classify_case(g: SpannerGraph, s: int, t: int) -> dict:
     """Describe the stateless decision at s toward t without moving."""
-    ctx = _check_graph(g, ("half_theta6",), s, t)
-    sx, sy = ctx.xy[s]
-    tx, ty = ctx.xy[t]
+    ctx, si, ti = _check_graph(g, ("half_theta6",), s, t)
+    sx, sy = ctx.coords[si]
+    tx, ty = ctx.coords[ti]
     j = kernels.cone_index(tx - sx, ty - sy, 6)
     if j % 2 == 0:
         return {"case": "A", "cone": j, "positive": True}
-    _, _, inside, e1, e2 = _regions(ctx, s, t, j)
+    _, _, inside, e1, e2 = _regions(ctx, si, ti, j)
     if e1 is None and e2 is None:
         case = "B"
     elif e1 is not None and e2 is not None:
@@ -478,42 +477,38 @@ def potential(
         raise InvalidParameter(f"unknown algorithm {algorithm!r}")
     if preferred not in (None, "X1", "X2"):
         raise InvalidParameter(f"preferred must be None, 'X1' or 'X2', got {preferred!r}")
-    if g.kind != "half_theta6":
-        raise InvalidParameter("potential is defined on the half-theta-6 graph")
-    ctx = g.cone_table
-    if s not in ctx.xy or t not in ctx.xy:
-        raise InvalidParameter("source or target id not in the graph")
-    if s == t:
+    try:
+        ctx, si, ti = _check_graph(g, ("half_theta6",), s, t)
+    except AlreadyArrived:
         return PotentialValue("arrived", 0.0)
-    d = _decide_full(ctx, s, t, algorithm == "stateful", preferred)
+    d = _decide_full(ctx, si, ti, algorithm == "stateful", preferred)
     return PotentialValue(d.case, d.phi)
 
 
 def _route_full(g: SpannerGraph, source: int, target: int, stateful: bool) -> RoutingTrace:
-    ctx = _check_graph(g, ("half_theta6",), source, target)
+    ctx, s, t = _check_graph(g, ("half_theta6",), source, target)
+    ids = ctx.ids
     name = "stateful" if stateful else "stateless"
     base, _ = base_bound(g, source, target)
     trace = RoutingTrace(algorithm=name, source=source, target=target,
                          bound=ROUTING_FACTORS[name] * base)
-    visited = {source}
-    s = source
-    t = target
+    visited = {s}
     dec = _decide_full(ctx, s, t, stateful, None)
     guard = 0
     while True:
         guard += 1
-        if guard > len(ctx.xy):
+        if guard > len(ids):
             raise InternalInvariantViolation("routing exceeded the vertex-count step budget")
         nxt = dec.nxt
-        step_len = _d(ctx.xy[s], ctx.xy[nxt])
+        step_len = _d(ctx.coords[s], ctx.coords[nxt])
         if nxt == t:
             phi_after = 0.0
         else:
             if nxt in visited:
-                raise InternalInvariantViolation(f"routing revisited vertex {nxt}")
+                raise InternalInvariantViolation(f"routing revisited vertex {ids[nxt]}")
             nd = _decide_full(ctx, nxt, t, stateful, dec.preferred)
             phi_after = nd.phi
-        trace.steps.append(RoutingStep(s, nxt, dec.case, dec.phi, phi_after, step_len))
+        trace.steps.append(RoutingStep(ids[s], ids[nxt], dec.case, dec.phi, phi_after, step_len))
         trace.total_path_length += step_len
         if nxt == t:
             break
@@ -552,23 +547,26 @@ class _Arrived(Exception):
 
 
 def _flank(ctx, u: int, cone: int, side: str):
-    """Edge of u angularly closest to `cone` on the given side, excluding cone members."""
+    """Edge of u angularly closest to positive `cone` on the given side, other
+    than u's own edge in that cone, as (neighbour, length); None if u has none."""
     theta = _CS6.theta
     lo = cone * theta - theta / 2.0
     hi = cone * theta + theta / 2.0
-    best = None
-    for az, q, ln, c in ctx.rows[u]:
-        if c == cone:
+    own = ctx.cone_edge[6 * u + cone]
+    az = ctx.az
+    best, best_gap = -1, math.inf
+    for p in range(ctx.indptr[u], ctx.indptr[u + 1]):
+        if p == own:
             continue
         if side == "cw":
-            gap = (az - hi) % (2.0 * math.pi)
+            gap = (az[p] - hi) % _TAU
         else:
-            gap = (lo - az) % (2.0 * math.pi)
-        if best is None or gap < best[0]:
-            best = (gap, q, ln)
-    if best is None:
+            gap = (lo - az[p]) % _TAU
+        if gap < best_gap:
+            best, best_gap = p, gap
+    if best < 0:
         return None
-    return best[1], best[2]
+    return ctx.nbr[best], ctx.length[best]
 
 
 def _walk_side(ctx, start: int, cone: int, side: str, budget: float, target: int):
@@ -595,12 +593,12 @@ def _walk_side(ctx, start: int, cone: int, side: str, budget: float, target: int
         if cur in seen:
             return walked, None, True
         seen.add(cur)
-        e = ctx.positive.get((cur, cone))
+        e = ctx.cone_edge[6 * cur + cone]
         # A cone edge pointing back at the search origin cannot witness
         # progress (the origin is never its own cone target or a region
         # member), so walk past it instead of stopping.
-        if e is not None and e[0] != start:
-            return walked, (cur, e[0], e[1]), False
+        if e >= 0 and ctx.nbr[e] != start:
+            return walked, (cur, ctx.nbr[e], ctx.length[e]), False
 
 
 def _search_cone_edge(ctx, s: int, cone: int, target: int, cap: float | None):
@@ -629,7 +627,7 @@ def _search_cone_edge(ctx, s: int, cone: int, target: int, cap: float | None):
     rounds = 0
     while True:
         rounds += 1
-        if rounds > 4 * len(ctx.xy) + 64:
+        if rounds > 4 * len(ctx.ids) + 64:
             raise InternalInvariantViolation("cone-edge search failed to terminate")
         eff = budget if cap is None else min(budget, cap)
         try:
@@ -660,22 +658,22 @@ def _hint_walk(hints, ctx, s: int, cone: int, target: int, cap: float | None):
     with a cap it returns (None, walked, 0.0) on failure, and None at once when
     s has no hint toward `cone`.
     """
-    if cap is not None and (s, cone) not in hints.dir:
+    if cap is not None and (ctx.ids[s], cone) not in hints.dir:
         return None
     cur = s
     walked = 0.0
     guard = 0
     while True:
         guard += 1
-        if guard > len(ctx.xy) + 2:
+        if guard > len(ctx.ids) + 2:
             raise InternalInvariantViolation("hint walk failed to terminate")
-        e = ctx.positive.get((cur, cone))
-        if e is not None:
-            return (cur, e[0], e[1]), walked, 0.0
-        d = hints.dir.get((cur, cone))
+        e = ctx.cone_edge[6 * cur + cone]
+        if e >= 0:
+            return (cur, ctx.nbr[e], ctx.length[e]), walked, 0.0
+        d = hints.dir.get((ctx.ids[cur], cone))
         if d is None or d == "self":
             raise InternalInvariantViolation(
-                f"hint walk stranded at {cur}: direction missing and no cone-{cone} edge"
+                f"hint walk stranded at {ctx.ids[cur]}: direction missing and no cone-{cone} edge"
             )
         side = "ccw" if d == "ccw" else "cw"
         fl = _flank(ctx, cur, cone, side)
@@ -692,14 +690,12 @@ def _hint_walk(hints, ctx, s: int, cone: int, target: int, cap: float | None):
 
 def _kept_fan_ends(ctx, s: int, j: int):
     # On g12, s's neighbours in cone j are exactly the kept first, closest and last.
-    fan = ctx.fans.get((s, j))
-    if not fan:
-        return None
-    return ctx.xy[fan[0]], ctx.xy[fan[-1]]
+    fan = ctx.fan(s, j)
+    return (ctx.coords[fan[0]], ctx.coords[fan[-1]]) if fan else None
 
 
 def _hint_fan_ends(hints, ctx, s: int, j: int):
-    ends = hints.fan.get((s, j))
+    ends = hints.fan.get((ctx.ids[s], j))
     if ends is None:
         return None
     (_, fx, fy), (_, lx, ly) = ends
@@ -731,36 +727,35 @@ def _g9_local(hints) -> _Local:
 
 
 def _route_sub(g: SpannerGraph, source: int, target: int, flavor: str) -> RoutingTrace:
-    ctx = _check_graph(g, (flavor,), source, target)
+    ctx, s, t = _check_graph(g, (flavor,), source, target)
     local = _g9_local(g.hint_table) if flavor == "g9" else _G12_LOCAL
     base, _ = base_bound(g, source, target)
     trace = RoutingTrace(algorithm=flavor, source=source, target=target,
                          bound=ROUTING_FACTORS[flavor] * base)
-    s = source
     preferred: str | None = None
     guard = 0
-    while s != target:
+    while s != t:
         guard += 1
-        if guard > 3 * len(ctx.xy):
+        if guard > 3 * len(ctx.ids):
             raise InternalInvariantViolation("subgraph routing exceeded its step budget")
-        sx, sy = ctx.xy[s]
-        tx, ty = ctx.xy[target]
+        sx, sy = ctx.coords[s]
+        tx, ty = ctx.coords[t]
         j = kernels.cone_index(tx - sx, ty - sy, 6)
-        frame = _NegFrame(ctx, s, target, j) if j % 2 else None
+        frame = _NegFrame(ctx, s, t, j) if j % 2 else None
         try:
             if frame is None:
                 case = "A"
-                s, preferred = _sub_positive(ctx, local, trace, s, target, j, preferred)
+                s, preferred = _sub_positive(ctx, local, trace, s, t, j, preferred)
             elif preferred is None:
                 case = "B"
-                s, preferred = _sub_case_b(ctx, local, trace, frame, target)
+                s, preferred = _sub_case_b(ctx, local, trace, frame, t)
             else:
                 case = "C"
-                s = _sub_case_c(ctx, local, trace, frame, target, preferred)
+                s = _sub_case_c(ctx, local, trace, frame, t, preferred)
         except _Arrived as arr:
             # A walk stepped onto the target: the step from s ends the route.
-            _record(trace, s, target, case, arr.travelled, arr.exploration)
-            s = target
+            _record(ctx, trace, s, t, case, arr.travelled, arr.exploration)
+            s = t
     trace.passed = (trace.total_path_length + trace.exploration_travel
                     <= trace.bound + _PAY_EPS)
     return trace
@@ -772,9 +767,9 @@ def _realize_positive(ctx, local: _Local, s, cone, target):
     Returns (v, productive, exploration).  Raises _Arrived if the walk steps
     onto the destination.
     """
-    direct = ctx.positive.get((s, cone))
-    if direct is not None:
-        return direct[0], direct[1], 0.0
+    direct = ctx.cone_edge[6 * s + cone]
+    if direct >= 0:
+        return ctx.nbr[direct], ctx.length[direct], 0.0
     hit, walked, expl = local.find(ctx, s, cone, target, None)
     x, v, vlen = hit
     return v, walked + vlen, expl
@@ -782,7 +777,7 @@ def _realize_positive(ctx, local: _Local, s, cone, target):
 
 def _sub_positive(ctx, local: _Local, trace, s, target, cone, preferred):
     v, productive, expl = _realize_positive(ctx, local, s, cone, target)
-    _record(trace, s, v, "A", productive, expl)
+    _record(ctx, trace, s, v, "A", productive, expl)
     if v != target:
         preferred = _initial_preferred(ctx, s, v, target)
     return v, preferred
@@ -818,7 +813,7 @@ def _walk_region_landing(ctx, frame, target, start, pref_dir: str | None):
     sx, sy = frame.s_xy
 
     def az_from_s(vid: int) -> float:
-        px, py = ctx.xy[vid]
+        px, py = ctx.coords[vid]
         return kernels.azimuth(px - sx, py - sy)
 
     # Fan members all sit in s's odd cone j, none of which straddles azimuth 0,
@@ -830,14 +825,14 @@ def _walk_region_landing(ctx, frame, target, start, pref_dir: str | None):
     cur_az = az_from_s(cur)
     walked = 0.0
     entered_via = None
-    if not frame.contains(ctx.xy[cur]):
+    if not frame.contains(ctx.coords[cur]):
         # S2 members sit below the region in fan order, so ascend; S1 descends.
-        side = "ccw" if frame.sliver(ctx.xy[cur]) == "S2" else "cw"
+        side = "ccw" if frame.sliver(ctx.coords[cur]) == "S2" else "cw"
         entered_via = side
         guard = 0
-        while not frame.contains(ctx.xy[cur]):
+        while not frame.contains(ctx.coords[cur]):
             guard += 1
-            if guard > len(ctx.xy):
+            if guard > len(ctx.ids):
                 raise InternalInvariantViolation("region entry walk failed to terminate")
             fl = _flank(ctx, cur, anchor_cone, side)
             if fl is None:
@@ -856,12 +851,12 @@ def _walk_region_landing(ctx, frame, target, start, pref_dir: str | None):
     guard = 0
     while True:
         guard += 1
-        if guard > len(ctx.xy):
+        if guard > len(ctx.ids):
             raise InternalInvariantViolation("region sweep failed to terminate")
         fl = _flank(ctx, cur, anchor_cone, pref_dir)
         if fl is None:
             return cur, walked
-        px, py = ctx.xy[fl[0]]
+        px, py = ctx.coords[fl[0]]
         nxt_az = az_from_s(fl[0])
         if (kernels.cone_index(px - sx, py - sy, 6) != frame.j
                 or not frame.contains((px, py))
@@ -875,14 +870,14 @@ def _walk_region_landing(ctx, frame, target, start, pref_dir: str | None):
 
 
 def _in_region(ctx, frame: _NegFrame, cone: int, v: int) -> bool:
-    vx, vy = ctx.xy[v]
+    vx, vy = ctx.coords[v]
     sx, sy = frame.s_xy
     return (kernels.cone_index(vx - sx, vy - sy, 6) == cone
             and frame.contains((vx, vy)))
 
 
-def _record(trace, s, v, case, productive, expl=0.0):
-    trace.steps.append(RoutingStep(s, v, case, 0.0, 0.0, productive, expl))
+def _record(ctx, trace, s, v, case, productive, expl=0.0):
+    trace.steps.append(RoutingStep(ctx.ids[s], ctx.ids[v], case, 0.0, 0.0, productive, expl))
     trace.total_path_length += productive
     trace.exploration_travel += expl
 
@@ -890,16 +885,16 @@ def _record(trace, s, v, case, productive, expl=0.0):
 def _follow_region_walk(ctx, trace, frame, target, case, pref_dir):
     """Follow the closest fan edge, then walk within X0 to the landing vertex."""
     s = frame.s
-    closest = ctx.closest(s, frame.j)
-    hop = _d(ctx.xy[s], ctx.xy[closest])
+    closest = ctx.fan_nearest(s, frame.j)
+    hop = _d(ctx.coords[s], ctx.coords[closest])
     if closest == target:
-        _record(trace, s, target, case, hop)
+        _record(ctx, trace, s, target, case, hop)
         return target
     try:
         landing, walked = _walk_region_landing(ctx, frame, target, closest, pref_dir)
     except _Arrived as arr:
         raise _Arrived(hop + arr.travelled)
-    _record(trace, s, landing, case, hop + walked)
+    _record(ctx, trace, s, landing, case, hop + walked)
     return landing
 
 
@@ -915,11 +910,11 @@ def _probe_smaller_side(ctx, local: _Local, trace, frame: _NegFrame, target,
     s = frame.s
     corner_dist = _d(frame.s_xy, corner_sm)
 
-    direct = ctx.positive.get((s, c_sm))
-    if direct is not None:
-        v, vlen = direct
+    direct = ctx.cone_edge[6 * s + c_sm]
+    if direct >= 0:
+        v = ctx.nbr[direct]
         if _in_region(ctx, frame, c_sm, v):
-            _record(trace, s, v, "B", vlen)
+            _record(ctx, trace, s, v, "B", ctx.length[direct])
             return v
         return None
 
@@ -930,7 +925,7 @@ def _probe_smaller_side(ctx, local: _Local, trace, frame: _NegFrame, target,
     if hit is not None:
         x, v, vlen = hit
         if v != s and (v == target or _in_region(ctx, frame, c_sm, v)):
-            _record(trace, s, v, "B", walked + vlen, expl)
+            _record(ctx, trace, s, v, "B", walked + vlen, expl)
             return v
     trace.exploration_travel += expl + 2.0 * walked
     slack = local.probe_slack * corner_dist
@@ -957,9 +952,9 @@ def _sub_case_b(ctx, local: _Local, trace, frame: _NegFrame, target):
 
     # smaller side confirmed empty: take the larger side's edge, remember the smaller
     v, productive, expl = _realize_positive(ctx, local, s, c_lg, target)
-    if v != target and not frame.contains(ctx.xy[v]):
+    if v != target and not frame.contains(ctx.coords[v]):
         raise InternalInvariantViolation("larger-side edge leaves the triangle")
-    _record(trace, s, v, "B", productive, expl)
+    _record(ctx, trace, s, v, "B", productive, expl)
     return v, smaller
 
 
@@ -970,9 +965,9 @@ def _sub_case_c(ctx, local: _Local, trace, frame: _NegFrame, target, preferred):
         return _follow_region_walk(ctx, trace, frame, target, "C", pref_dir)
     c_np = frame.cone_x2 if preferred == "X1" else frame.cone_x1
     v, productive, expl = _realize_positive(ctx, local, s, c_np, target)
-    if v != target and not frame.contains(ctx.xy[v]):
+    if v != target and not frame.contains(ctx.coords[v]):
         raise InternalInvariantViolation("non-preferred edge leaves the triangle")
-    _record(trace, s, v, "C", productive, expl)
+    _record(ctx, trace, s, v, "C", productive, expl)
     return v
 
 

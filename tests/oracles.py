@@ -431,8 +431,9 @@ def oracle_length_lists(g):
 
 class oracle_cone_table:
     """The 6-cone table of a half_theta6 graph or one of its subgraphs, made
-    by one scalar kernels.cone_index and math.hypot call per edge end:
-    xy, rows, positive, fans and closest(u, j), as graph.cone_table holds them."""
+    by one scalar kernels.cone_index and math.hypot call per edge end, keyed
+    by id: xy, rows, positive, fans and closest(u, j). The tests read
+    graph.cone_table's index-based lists back into this form to compare."""
 
     def __init__(self, g):
         from spannerkit import kernels

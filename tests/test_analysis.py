@@ -140,13 +140,15 @@ class TestVerifyBound:
         rep = verify_bound(build_half_theta6(gen_random(40, 23)), tolerance=-1.5)
         assert rep.passed is False
 
-    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, "x"])
     def test_non_finite_tolerance_rejected(self, tolerance):
         h = build_half_theta6(gen_random(20, 1))
         with pytest.raises(InvalidParameter, match="tolerance must be finite"):
             verify_bound(h, tolerance=tolerance)
         with pytest.raises(InvalidParameter, match="tolerance must be finite"):
             restricted_pair_check(h, 0, 1, tolerance=tolerance)
+        with pytest.raises(InvalidParameter, match="tolerance must be finite"):
+            g9_approximation_check(h, build_g9(h), tolerance=tolerance)
 
     def test_explicit_name_overrides_kind(self):
         g = build_theta(gen_random(30, 11), 12)
@@ -334,8 +336,12 @@ class TestGenerators:
             gen_routing_lb("positive", nudge=0.0)
         with pytest.raises(InvalidParameter):
             gen_routing_lb("negative_a", alpha=math.pi / 6)
+        with pytest.raises(InvalidParameter):
+            gen_routing_lb("positive", alpha="x")
 
     def test_path_length_sums_segments(self):
         ps = PointSet([Point(0, 0.0, 0.0), Point(1, 3.0, 4.0), Point(2, 3.0, 0.0)])
         assert path_length(ps, [0, 1, 2]) == pytest.approx(9.0)
         assert path_length(ps, [0]) == 0.0
+        with pytest.raises(InvalidParameter):
+            path_length(ps, [0, 99])

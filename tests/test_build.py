@@ -406,6 +406,13 @@ class TestCanonicalPathInfo:
         with pytest.raises(InvalidParameter):
             canonical_path_info(g, 0, 1)
 
+    @pytest.mark.parametrize("anchor,cone", [(12345, 1), (0, 7), (0, -1), (0, 1.0)])
+    def test_rejects_non_vertex_anchor_and_cones_outside_1_3_5(self, anchor, cone):
+        # The first three used to return an empty fan; a float is no cone index.
+        h = build_half_theta6(gen_random(10, 3))
+        with pytest.raises(InvalidParameter):
+            canonical_path_info(h, anchor, cone)
+
     def test_fan_structure(self):
         ps = gen_random(40, 913)
         h = build_half_theta6(ps)
@@ -696,12 +703,36 @@ def _assert_tables_match(g):
         with pytest.raises(InternalInvariantViolation):
             g.cone_table
         return
+    # The index-based table, read back into the oracle's id-keyed form; the
+    # slots must give every CSR entry exactly one cone label.
     ct = g.cone_table
-    assert ct.xy == ref.xy
-    assert ct.rows == ref.rows
-    assert ct.positive == ref.positive
-    assert ct.fans == ref.fans
-    assert {f: ct.closest(*f) for f in ref.fans} == {f: ref.closest(*f) for f in ref.fans}
+    ids = g.points.arrays[0]
+    assert ct.ids == ids and dict(zip(ids, ct.coords)) == ref.xy
+    label = [None] * len(ct.nbr)
+    positive, fans, closest = {}, {}, {}
+    for slot, (e, f) in enumerate(zip(ct.cone_edge, ct.cone_fan)):
+        i, c = divmod(slot, 6)
+        if e >= 0:
+            assert c % 2 == 0 and label[e] is None
+            label[e] = c
+            positive[(ids[i], c)] = (ids[ct.nbr[e]], ct.length[e])
+        if f >= 0:
+            assert c % 2 == 1 and (ct.fan_src[f], ct.fan_cone[f]) == (i, c)
+            for p in range(ct.fan_start[f], ct.fan_stop[f]):
+                assert label[p] is None
+                label[p] = c
+            fans[(ids[i], c)] = [ids[v] for v in ct.fan(i, c)]
+            closest[(ids[i], c)] = ids[ct.fan_nearest(i, c)]
+    rows = {u: [(ct.az[p], ids[ct.nbr[p]], ct.length[p], label[p])
+                for p in range(ct.indptr[i], ct.indptr[i + 1])] for i, u in enumerate(ids)}
+    assert rows == ref.rows
+    assert positive == ref.positive
+    assert fans == ref.fans
+    assert closest == {f: ref.closest(*f) for f in ref.fans}
+    assert len(ct.fan_src) == len(fans)
+    assert ct.fan_entry.tolist() == [
+        p for a, b in zip(ct.fan_start.tolist(), ct.fan_stop.tolist()) for p in range(a, b)
+    ]
 
 
 class TestGraphContainer:
@@ -716,6 +747,17 @@ class TestGraphContainer:
                 assert back.to_json() == text
         assert got == GRAPH_JSON_SHA256
 
+    def test_graph_over_a_shuffled_point_set_equals_its_file(self):
+        # The file lists the points in id order; equality must too.
+        base = gen_random(30, 4)
+        pts = list(base)
+        random.Random(1).shuffle(pts)
+        ps = PointSet(pts)
+        for g in (build_half_theta6(ps), build_g9(build_half_theta6(ps)), build_mst(ps)):
+            back = graph_from_json(g.to_json())
+            assert back == g and g == back
+        assert build_half_theta6(ps) == build_half_theta6(base)
+
     def test_tables_match_the_per_edge_loops(self, golden_graphs):
         for graphs in golden_graphs.values():
             for g in graphs.values():
@@ -729,8 +771,9 @@ class TestGraphContainer:
         # 10.0, points 1 and 2 tie on d2 too, so the closest is 1 by id.
         fan = PointSet.from_pairs([(3.0, -10.0), (1.0, -10.0), (-1.0, -10.0), (0.0, 0.0)])
         h = build_half_theta6(fan)
-        assert h.cone_table.fans[(3, 3)] == [0, 1, 2]
-        assert h.cone_table.closest(3, 3) == 1
+        info = canonical_path_info(h, 3, 3)
+        assert info.members == (0, 1, 2)
+        assert info.closest == 1
         _assert_tables_match(h)
         # Two edges in one positive cone of point 0: no cone table.
         _assert_tables_match(SpannerGraph("g12", 6, line, [(0, 1), (0, 2)]))

@@ -291,6 +291,38 @@ class TestGoldenTraces:
         assert digest.hexdigest() == GOLDEN_TRACE_DIGEST
 
 
+class TestRelabelledIds:
+    def test_routes_follow_an_id_map(self):
+        # Ids mapped by a decreasing map and points inserted out of order:
+        # routers work on indices, so every trace must map onto the base one.
+        base = gen_random(40, 2)
+        relabel = {p.id: 1000 - 7 * p.id for p in base}
+        pts = [Point(relabel[p.id], p.x, p.y) for p in base]
+        random.Random(5).shuffle(pts)
+        graphs = []
+        for ps in (base, PointSet(pts)):
+            h = build_half_theta6(ps)
+            graphs.append({"stateless": h, "stateful": h, "g12": build_g12(h), "g9": build_g9(h)})
+        routers = {"stateless": route_stateless, "stateful": route_stateful,
+                   "g12": route_g12, "g9": route_g9}
+
+        def shape(tr):
+            steps = [(s.case, s.phi_before, s.phi_after, s.length, s.exploration) for s in tr.steps]
+            return (steps, tr.total_path_length, tr.exploration_travel, tr.bound,
+                    tr.probe_slack, tr.passed)
+
+        ids = sorted(relabel)
+        for name, router in routers.items():
+            for s in ids:
+                for t in ids:
+                    if s == t:
+                        continue
+                    a = router(graphs[0][name], s, t)
+                    b = router(graphs[1][name], relabel[s], relabel[t])
+                    assert b.path() == [relabel[v] for v in a.path()]
+                    assert shape(b) == shape(a)
+
+
 class TestTraceSerialization:
     def test_round_trip(self, world):
         h, g12, g9 = world
