@@ -35,7 +35,7 @@ PointSet, so every cached view is built again:
 Route rows (one per router at each --table-sizes n, one process per n) route
 on the same points: stateless and stateful on h, the others on G12 and G9.
 
-- warm_us: best-of-k mean time of one route over --route-pairs ordered pairs
+- warm_us: best-of-k mean time of one route over ROUTE_PAIRS ordered pairs
   drawn with random.Random(seed), on graphs whose tables are built;
 - first_route_s: best-of-k time of the first route (the sample's first pair)
   on a graph just read from its file, which builds the CSR and cone table;
@@ -66,6 +66,8 @@ TABLE_STAGES = ("build", "max_degree", "cone_table", "g12", "g9",
                 "to_json", "to_json_g9", "from_json", "from_json_g9")
 #: Routers of the route rows, with the graph each routes on.
 ROUTERS = (("stateless", "half_theta6"), ("stateful", "half_theta6"), ("g12", "g12"), ("g9", "g9"))
+#: Ordered pairs per router in the warm route rows.
+ROUTE_PAIRS = 200
 
 
 def peak_rss_mb():
@@ -180,7 +182,7 @@ def table_row(n, repeat, seed):
     }
 
 
-def route_rows(n, repeat, seed, count):
+def route_rows(n, repeat, seed):
     """Time the four routers at one size in this process; returns their rows."""
     import spannerkit as sk
 
@@ -188,7 +190,7 @@ def route_rows(n, repeat, seed, count):
     graphs = {"half_theta6": h, "g12": sk.build_g12(h), "g9": sk.build_g9(h)}
     texts = {kind: g.to_json() for kind, g in graphs.items()}
     rng = random.Random(seed)
-    pairs = [tuple(rng.sample(range(n), 2)) for _ in range(count)]
+    pairs = [tuple(rng.sample(range(n), 2)) for _ in range(ROUTE_PAIRS)]
     rows = []
     for name, kind in ROUTERS:
         route = getattr(sk, "route_" + name)
@@ -209,9 +211,9 @@ def route_rows(n, repeat, seed, count):
             "n": n,
             "router": name,
             "repeat": repeat,
-            "pairs": count,
+            "pairs": ROUTE_PAIRS,
             "steps": sum(len(tr.steps) for tr in traces),
-            "warm_us": round(warm_s / count * 1e6, 1),
+            "warm_us": round(warm_s / ROUTE_PAIRS * 1e6, 1),
             "first_route_s": round(first_s, 4),
             "traces_sha256": digest.hexdigest()[:16],
         })
@@ -243,7 +245,7 @@ def child(table, n, args):
     """Run one (table, n) row in a fresh process and return it."""
     cmd = [sys.executable, os.path.abspath(__file__), "--child", f"{table}:{n}",
            "--repeat", str(args.repeat), "--seed", str(args.seed),
-           "--reference-max", str(args.reference_max), "--route-pairs", str(args.route_pairs)]
+           "--reference-max", str(args.reference_max)]
     out = subprocess.run(cmd, capture_output=True, text=True)
     if out.returncode != 0:
         raise SystemExit(f"{table} n={n} failed:\n{out.stderr}")
@@ -261,8 +263,6 @@ def main():
     ap.add_argument("--table-sizes", default="4096,65536",
                     help="comma-separated point counts of the graph-table rows")
     ap.add_argument("--repeat", type=int, default=3, help="best-of repetitions per size")
-    ap.add_argument("--route-pairs", type=int, default=200,
-                    help="ordered pairs per router in the warm route rows")
     ap.add_argument("--seed", type=int, default=2024, help="seed of the uniform points")
     ap.add_argument("--reference-max", type=int, default=2048,
                     help="largest n whose ratio row also runs the all-pairs reference")
@@ -277,7 +277,7 @@ def main():
         if table == "ratio":
             row = ratio_row(n, args.repeat, args.seed, n <= args.reference_max)
         elif table == "routes":
-            row = route_rows(n, args.repeat, args.seed, args.route_pairs)
+            row = route_rows(n, args.repeat, args.seed)
         else:
             row = table_row(n, args.repeat, args.seed)
         print(json.dumps(row))

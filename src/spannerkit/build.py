@@ -755,12 +755,12 @@ def _half_theta6_cones(h: SpannerGraph) -> _ConeTable:
 
 
 def canonical_path_info(h: SpannerGraph, anchor: int, cone: int) -> CanonicalPathInfo:
-    if isinstance(cone, bool) or not isinstance(cone, int) or cone not in (1, 3, 5):
+    if isinstance(cone, bool) or not isinstance(cone, (int, np.integer)) or cone not in (1, 3, 5):
         raise InvalidParameter(f"fans live in the odd cones 1, 3 and 5, got cone {cone!r}")
     cones = _half_theta6_cones(h)
     if anchor not in h.points:
         raise InvalidParameter(f"anchor {anchor!r} is not a vertex of the graph")
-    i = h.points.index[anchor]
+    i, cone = h.points.index[anchor], int(cone)
     members = tuple(map(cones.ids.__getitem__, cones.fan(i, cone)))
     if not members:
         return CanonicalPathInfo(anchor, cone, (), None, None, None)

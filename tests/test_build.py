@@ -413,6 +413,11 @@ class TestCanonicalPathInfo:
         with pytest.raises(InvalidParameter):
             canonical_path_info(h, anchor, cone)
 
+    def test_accepts_numpy_integer_cones(self):
+        h = build_half_theta6(gen_random(10, 3))
+        for cone in (1, 3, 5):
+            assert canonical_path_info(h, 0, np.int64(cone)) == canonical_path_info(h, 0, cone)
+
     def test_fan_structure(self):
         ps = gen_random(40, 913)
         h = build_half_theta6(ps)
