@@ -1,9 +1,18 @@
 #!/usr/bin/env python3
-"""Time spannerkit's layers on seeded uniform points and record their memory.
+"""Time spannerkit's layers and record their memory.
 
-gen_random is cubic in n, so every row builds on n uniform numpy points
-(np.random.default_rng(seed)), and each (table, n) runs in one fresh process.
-Times are best of --repeat.
+Generation rows time gen_random(n, seed) itself at n in GEN_SIZES. Every
+other row builds on n uniform numpy points (np.random.default_rng(seed)):
+gen_random's acceptance collapses as n^2 times its tolerance grows (with
+seed 1 it gives up at point 2,927 of 3,000), so it cannot make the large
+sets. Each (table, n) runs in one fresh process. Times are best of --repeat.
+
+Generation rows:
+
+- gen_s: best-of-k wall time of gen_random(n, seed);
+- traced_peak_mb: tracemalloc's peak over one more call;
+- peak_rss_mb: the process's peak RSS after all calls;
+- sha256: the first 16 hex digits of the points' JSON (points_to_json).
 
 Ratio rows (--ratio-sizes; the fields of BENCH_ratio.json, which the former
 bench_ratio.py wrote) time the exact spanning ratio of build_half_theta6:
@@ -41,7 +50,7 @@ on the same points: stateless and stateful on h, the others on G12 and G9.
   on a graph just read from its file, which builds the CSR and cone table;
 - traces_sha256: the first 16 hex digits of the sample's trace JSON.
 
-Writes the three tables with the Python/numpy/scipy versions, commit and
+Writes the four tables with the Python/numpy/scipy versions, commit and
 source hash to --out (BENCH_layers.json by default) and prints them.
 """
 
@@ -68,6 +77,8 @@ TABLE_STAGES = ("build", "max_degree", "cone_table", "g12", "g9",
 ROUTERS = (("stateless", "half_theta6"), ("stateful", "half_theta6"), ("g12", "g12"), ("g9", "g9"))
 #: Ordered pairs per router in the warm route rows.
 ROUTE_PAIRS = 200
+#: Point counts of the generation rows.
+GEN_SIZES = (384, 768, 2048)
 
 
 def peak_rss_mb():
@@ -99,6 +110,21 @@ def uniform_pairs(n, seed):
     import numpy as np
 
     return np.random.default_rng(seed).random((n, 2)).tolist()
+
+
+def gen_row(n, repeat, seed):
+    """Time gen_random at one size in this process; returns the row."""
+    from spannerkit import gen_random, points_to_json
+
+    gen_s, ps = best_of(lambda: gen_random(n, seed), repeat)
+    return {
+        "n": n,
+        "repeat": repeat,
+        "gen_s": round(gen_s, 4),
+        "traced_peak_mb": round(traced_peak_mb(lambda: gen_random(n, seed)), 2),
+        "peak_rss_mb": round(peak_rss_mb(), 1),
+        "sha256": hashlib.sha256(points_to_json(ps).encode()).hexdigest()[:16],
+    }
 
 
 def ratio_row(n, repeat, seed, reference):
@@ -274,7 +300,9 @@ def main():
     if args.child is not None:
         table, n = args.child.split(":")
         n = int(n)
-        if table == "ratio":
+        if table == "gen":
+            row = gen_row(n, args.repeat, args.seed)
+        elif table == "ratio":
             row = ratio_row(n, args.repeat, args.seed, n <= args.reference_max)
         elif table == "routes":
             row = route_rows(n, args.repeat, args.seed)
@@ -286,8 +314,16 @@ def main():
     import numpy
     import scipy
 
+    gen_rows = []
+    print(f"{'n':>6} {'gen s':>9} {'traced MB':>10} {'peak MB':>8} {'points':>17}")
+    for n in GEN_SIZES:
+        row = child("gen", n, args)
+        gen_rows.append(row)
+        print(f"{n:>6} {row['gen_s']:>9.3f} {row['traced_peak_mb']:>10.2f} "
+              f"{row['peak_rss_mb']:>8.1f} {row['sha256']:>17}")
+
     ratio_rows = []
-    print(f"{'n':>6} {'edges':>7} {'ratio s':>9} {'rss +MB':>8} {'traced MB':>10} "
+    print(f"\n{'n':>6} {'edges':>7} {'ratio s':>9} {'rss +MB':>8} {'traced MB':>10} "
           f"{'all-pairs s':>12} {'rss +MB':>8}")
     for n in sizes(args.ratio_sizes):
         row = child("ratio", n, args)
@@ -314,8 +350,8 @@ def main():
                   f"{row['first_route_s'] * 1e3:>9.1f} {row['traces_sha256']:>17}")
 
     doc = {
-        "bench": "spannerkit layers over uniform points: spanning_ratio(build_half_theta6), "
-                 "the half-theta-6 graph tables and the four routers",
+        "bench": "spannerkit layers: gen_random, and over uniform points "
+                 "spanning_ratio(build_half_theta6), the half-theta-6 graph tables and the four routers",
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
@@ -324,6 +360,7 @@ def main():
         "commit": commit(),
         "source_sha256": source_sha256(),
         "seed": args.seed,
+        "gen_rows": gen_rows,
         "ratio_rows": ratio_rows,
         "table_rows": table_rows,
         "route_rows": route_table,

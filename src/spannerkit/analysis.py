@@ -41,6 +41,10 @@ def bound_value(name: str, *, k: int | None = None, m: int | None = None, alpha:
 
     theta, yao        1/(1 - 2 sin(pi/k)) for k >= 7
     yao_odd           1/(1 - 2 sin(3 pi/(4k))) for odd k >= 5
+    yao5              2 + sqrt(3) (Barba et al., "New and improved spanning
+                      ratios for Yao graphs", JoCG 2015)
+    theta4            17 (Barba, Bose, De Carufel, van Renssen & Verdonschot,
+                      "On the stretch factor of the Theta-4 graph", WADS 2013)
     half_theta6       2
     theta5            sqrt(50 + 22 sqrt(5))
     theta5_lower      (11 sqrt(5) - 17)/2
@@ -62,6 +66,10 @@ def bound_value(name: str, *, k: int | None = None, m: int | None = None, alpha:
         if k is None or k < 5 or k % 2 == 0:
             raise InvalidParameter(f"bound 'yao_odd' requires odd k >= 5, got {k!r}")
         return 1.0 / (1.0 - 2.0 * math.sin(3.0 * math.pi / (4.0 * k)))
+    if name == "yao5":
+        return 2.0 + math.sqrt(3.0)
+    if name == "theta4":
+        return 17.0
     if name == "half_theta6":
         return 2.0
     if name == "theta5":
@@ -219,21 +227,25 @@ def _check_tolerance(tolerance: float) -> None:
         raise InvalidParameter(f"tolerance must be finite (a real number), got {tolerance!r}")
 
 
+#: Bounds of the Theta and Yao graphs with k < 7 that have one.
+_SMALL_K_BOUNDS = {("theta", 4): "theta4", ("theta", 5): "theta5", ("theta", 6): "half_theta6",
+                   ("yao", 5): "yao5"}
+
+
 def _default_bound(g: SpannerGraph):
     if g.kind == "half_theta6":
         return "half_theta6", {}
     if g.kind == "rotated_union":
         return "rotated_union", {"m": g.metadata.get("m")}
-    if g.kind == "theta":
-        if g.k == 5:
-            return "theta5", {}
-        if g.k == 6:
-            return "half_theta6", {}
-        return "theta", {"k": g.k}
-    if g.kind == "yao":
-        if g.k is not None and g.k % 2 == 1 and g.k < 7:
-            return "yao_odd", {"k": g.k}
-        return "yao", {"k": g.k}
+    if g.kind in ("theta", "yao"):
+        if (g.kind, g.k) in _SMALL_K_BOUNDS:
+            return _SMALL_K_BOUNDS[g.kind, g.k], {}
+        if isinstance(g.k, int) and g.k < 7:
+            raise InvalidParameter(
+                f"no registered ratio bound for {g.kind} graphs with k = {g.k}: "
+                f"bound '{g.kind}{g.k}' is missing"
+            )
+        return g.kind, {"k": g.k}
     raise InvalidParameter(f"no registered ratio bound for graph kind {g.kind!r}")
 
 
@@ -274,7 +286,12 @@ def shortest_path(g: SpannerGraph, s: int, t: int) -> tuple[list[int], float]:
         if v not in g.points:
             raise InvalidParameter(f"vertex {v} is not in the graph")
     adj = g.length_lists
-    dist, _ = _dijkstra(adj, t)
+    # Stop once s is popped: a vertex y not yet popped then has dist[y] >=
+    # dist[s] >= dist[cur], tentative or final, so it passes the test
+    # w + dist[y] == dist[cur] below only if w + dist[s] == dist[s] in floats
+    # (an edge between near-duplicate points); otherwise the path is the one
+    # a run over every vertex gives.
+    dist, _ = _dijkstra(adj, t, stop=s)
     if s not in dist:
         raise InvalidParameter(f"no path from {s} to {t}: the graph does not connect them")
     path = [s]

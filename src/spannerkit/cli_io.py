@@ -17,6 +17,7 @@ rejected input, 3 when an internal invariant fails (a bug in spannerkit).
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import random
@@ -56,6 +57,10 @@ BUILD_GRAPHS = ("yao", "theta", "half_theta6", "g12", "g9", "rotated_union", "ms
 ROUTE_ALGOS = ("stateless", "stateful", "g12", "g9")
 
 
+#: The first round of gen_random draws n + n * _STREAM_MARGIN candidates.
+_STREAM_MARGIN = 0.125
+
+
 def gen_random(n: int, seed: int, k: int = 6, retries: int = 100) -> PointSet:
     """n points uniform in the unit square, resampled into general position.
 
@@ -64,11 +69,14 @@ def gen_random(n: int, seed: int, k: int = 6, retries: int = 100) -> PointSet:
     final report uses); the finished set must still produce an empty
     general-position report or the input is rejected.
 
-    The checks are exact and vectorized: distances are math.hypot values kept
-    in one n x n matrix, the distance and equidistance tests are elementwise
-    IEEE comparisons over it, and np.arctan2 azimuths only filter, with pairs
-    near the angular tolerance decided by the scalar test. Every seed gives the
-    same points as the per-pair scalar loops did.
+    Every draw takes two rng.random() values whatever earlier draws decided,
+    so the candidates are a stream fixed by the seed, and they are drawn in
+    rounds: n + n/8 at first, then as many as the rejections seen so far
+    suggest are still needed. Each round checks its draws against the points
+    placed so far and each other in one pass (_stream_conflicts: numpy row
+    blocks, no n x n matrix), then walks them in order, placing every draw
+    that clears the points placed before it. Every seed gives the same points,
+    and every failure the same error, as the per-draw scalar loops did.
 
     Raises InvalidParameter before drawing any point unless n and retries are
     integers >= 1 and k is a valid cone count.
@@ -80,24 +88,45 @@ def gen_random(n: int, seed: int, k: int = 6, retries: int = 100) -> PointSet:
         raise InvalidParameter(f"retries must be an integer >= 1, got {retries!r}")
     rng = random.Random(seed)
     bad_dirs = _avoided_directions(k)
-    xs = np.empty(n)
-    ys = np.empty(n)
-    # dist[i, j]: distance between placed points i and j; inf on the diagonal.
-    dist = np.full((n, n), np.inf)
-    for m in range(n):
-        for _attempt in range(retries):
-            cx, cy = rng.random(), rng.random()
-            d = _clears_degeneracies(xs[:m], ys[:m], dist[:m, :m], cx, cy, bad_dirs)
-            if d is not None:
-                dist[m, :m] = d
-                dist[:m, m] = d
-                xs[m], ys[m] = cx, cy
+    # The points placed so far, followed by the draws of the current round.
+    xs: list[float] = []
+    ys: list[float] = []
+    draws = n + int(n * _STREAM_MARGIN)
+    rejected = 0
+    attempts = 0
+    while True:
+        m = len(xs)
+        for _ in range(draws):
+            xs.append(rng.random())
+            ys.append(rng.random())
+        conflicts = _stream_conflicts(xs, ys, bad_dirs, m)
+        ok = [True] * m + [False] * draws
+        keep = list(range(m))
+        for c in range(m, m + draws):
+            if any(ok[a] and ok[b] for a, b in conflicts.get(c, ())):
+                rejected += 1
+                attempts += 1
+                if attempts == retries:
+                    raise DegenerateInput(
+                        f"could not place point {len(keep)} in general position "
+                        f"after {retries} attempts"
+                    )
+                continue
+            ok[c] = True
+            keep.append(c)
+            attempts = 0
+            if len(keep) == n:
                 break
-        else:
-            raise DegenerateInput(
-                f"could not place point {m} in general position after {retries} attempts"
-            )
-    ps = PointSet.from_pairs(zip(xs.tolist(), ys.tolist()))
+        xs = [xs[i] for i in keep]
+        ys = [ys[i] for i in keep]
+        m = len(xs)
+        if m == n:
+            break
+        # A draw ties about m**2 placed distances, so the rejections up to m
+        # grow about as m**3 (m >= 1: the first draw is always placed).
+        more = int(1.25 * rejected * ((n / m) ** 3 - 1.0)) + int(n * _STREAM_MARGIN)
+        draws = min(2 * draws, n - m + more)
+    ps = PointSet.from_pairs(zip(xs, ys))
     findings = general_position_report(ps, k)
     if findings:
         raise DegenerateInput(f"generated set is degenerate: {findings[0]}")
@@ -114,42 +143,82 @@ def _avoided_directions(k: int) -> list[float]:
     return sorted(bad)
 
 
-def _clears_degeneracies(xs, ys, dist, cx, cy, bad_dirs, eps: float = 1e-7):
-    """Distances from (cx, cy) to each placed point (xs, ys), or None if the
-    candidate is degenerate; dist holds the placed points' own distances.
+def _stream_conflicts(xs, ys, bad_dirs, start: int,
+                      eps: float = 1e-7) -> dict[int, list[tuple[int, int]]]:
+    """The degeneracy checks of a stream of draws, as conflicts: draw c maps
+    to pairs (a, b) of earlier entries, and c is rejected if a and b were both
+    placed ((i, i) when i alone rejects c). Entries before `start` are points
+    already placed, which clear each other; their azimuths are not checked.
 
-    The candidate is rejected if it lies within eps of a placed point, sees one
-    within eps of a bad direction (mod pi), ties two of its own distances, or
-    ties a distance already seen from a placed point (within eps * max(1, d)).
+    c is rejected when it lies within eps of a placed point or sees one within
+    eps of a bad direction (mod pi); when two of its own distances to placed
+    points tie, hi - lo <= eps * max(1, lo) (some pair ties exactly when two
+    sorted neighbours do, since rounding is monotone); or when it ties a
+    distance seen from a placed apex r, |d(r, j) - d(r, c)| <= eps * max(1, d(r, c)).
+
+    Runs as numpy row blocks of at most _CHECK_BLOCK elements (len(bad_dirs)
+    times that for the azimuths), so memory is O(len(xs) * block). np.arctan2
+    azimuths and sorted np.hypot rows only filter; math.hypot and
+    _aligned_direction decide every case within _CHECK_SLACK of a threshold,
+    so the verdicts are those of the per-draw scalar checks.
     """
-    m = len(xs)
-    dx = cx - xs
-    dy = cy - ys
-    d = np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), dtype=np.float64, count=m)
-    if (d <= eps).any():
-        return None
-    ordered = np.sort(d)
-    if (ordered[1:] - ordered[:-1] <= eps * np.maximum(1.0, ordered[:-1])).any():
-        return None
-    margin = _direction_gaps(dx, dy, bad_dirs) - eps
-    if (margin < -_CHECK_SLACK).any():
-        return None
-    for i in np.nonzero(margin <= _CHECK_SLACK)[0].tolist():
-        if _aligned_direction(float(dx[i]), float(dy[i]), bad_dirs, eps) is not None:
-            return None
-    # Would the candidate tie a distance seen from a placed point? Comparing
-    # with every entry of a row equals comparing with its sorted neighbours.
-    tol = eps * np.maximum(1.0, d)
-    step = max(1, _CHECK_BLOCK // max(m, 1))
-    diff = np.empty((min(step, m), m))
-    for lo in range(0, m, step):
-        hi = min(m, lo + step)
-        block = diff[: hi - lo]
-        np.subtract(dist[lo:hi], d[lo:hi, None], out=block)
-        np.abs(block, out=block)
-        if (block <= tol[lo:hi, None]).any():
-            return None
-    return d
+    size = len(xs)
+    x = np.array(xs, dtype=np.float64)
+    y = np.array(ys, dtype=np.float64)
+    conflicts: dict[int, list[tuple[int, int]]] = {}
+
+    step = max(1, _CHECK_BLOCK // max(size * len(bad_dirs), 1))
+    for lo in range(max(start, 1), size, step):
+        hi = min(size, lo + step)
+        # Row c = lo + r against the earlier entries i < c; dx is c minus i.
+        dx = x[lo:hi, None] - x[None, : hi - 1]
+        dy = y[lo:hi, None] - y[None, : hi - 1]
+        margin = _direction_gaps(dx, dy, bad_dirs) - eps
+        unsure = margin <= _CHECK_SLACK
+        unsure &= np.arange(hi - 1)[None, :] < np.arange(lo, hi)[:, None]
+        for r, i in zip(*(ix.tolist() for ix in np.nonzero(unsure))):
+            c = lo + r
+            if (margin[r, i] < -_CHECK_SLACK
+                    or _aligned_direction(xs[c] - xs[i], ys[c] - ys[i], bad_dirs, eps) is not None):
+                conflicts.setdefault(c, []).append((i, i))
+
+    step = max(1, _CHECK_BLOCK // size)
+    for lo in range(0, size, step):
+        hi = min(size, lo + step)
+        rows = np.arange(hi - lo)
+        dist = np.hypot(x[None, :] - x[lo:hi, None], y[None, :] - y[lo:hi, None])
+        # The apex's own entry sorts last and is dropped.
+        dist[rows, rows + lo] = np.inf
+        near = dist[:, :hi] <= eps + _CHECK_SLACK
+        near &= np.arange(hi)[None, :] < np.arange(lo, hi)[:, None]
+        for r, i in zip(*(ix.tolist() for ix in np.nonzero(near))):
+            c = lo + r
+            if math.hypot(xs[c] - xs[i], ys[c] - ys[i]) <= eps:
+                conflicts.setdefault(c, []).append((i, i))
+        ordered = np.sort(dist, axis=1)[:, : size - 1]
+        low, high = ordered[:, :-1], ordered[:, 1:]
+        # Two distances that tie are joined by a run of sorted neighbours each
+        # within the larger's tolerance (plus rounding, well under the slack).
+        linked = high - low <= (eps + _CHECK_SLACK) * np.maximum(1.0, high)
+        for r in np.nonzero(linked.any(axis=1))[0].tolist():
+            at = np.nonzero(linked[r])[0]
+            for run in np.split(at, np.nonzero(np.diff(at) > 1)[0] + 1):
+                low_d, high_d = ordered[r, run[0]], ordered[r, run[-1] + 1]
+                members = np.nonzero((dist[r] >= low_d) & (dist[r] <= high_d))[0].tolist()
+                _record_ties(conflicts, xs, ys, lo + r, members, eps)
+    return conflicts
+
+
+def _record_ties(conflicts, xs, ys, apex: int, members: list[int], eps: float) -> None:
+    """Conflicts for the distance ties among members (increasing entries)
+    seen from apex; the latest of the three is the draw rejected."""
+    dists = [(j, math.hypot(xs[j] - xs[apex], ys[j] - ys[apex])) for j in members]
+    for (a, da), (b, db) in itertools.combinations(dists, 2):
+        if b < apex:
+            if max(da, db) - min(da, db) <= eps * max(1.0, min(da, db)):
+                conflicts.setdefault(apex, []).append((a, b))
+        elif abs(da - db) <= eps * max(1.0, db):
+            conflicts.setdefault(b, []).append((apex, a))
 
 
 def render_svg(obj, overlay=None) -> str:

@@ -400,6 +400,22 @@ def oracle_restricted_pair_check(h, u, w, bound=None, tolerance=1e-9):
     return {"path": path, "length": length, "bound": bound, "ok": length <= bound + tolerance}
 
 
+def oracle_shortest_path(g, s, t):
+    """shortest_path with the Dijkstra from t run over every vertex, as it
+    was before it stopped at s: the path follows, from s, the first
+    neighbour (ascending id) that lies on a shortest path to t."""
+    from spannerkit.analysis import _dijkstra
+
+    adj = g.length_lists
+    dist, _ = _dijkstra(adj, t)
+    path = [s]
+    cur = s
+    while cur != t:
+        cur = next(y for y, w in adj[cur] if y in dist and w + dist[y] == dist[cur])
+        path.append(cur)
+    return path, dist[s]
+
+
 def oracle_adjacency(g):
     """Id -> (azimuth, neighbour id) pairs in ascending order: one
     kernels.azimuth call per edge end, as the per-edge adjacency loop made

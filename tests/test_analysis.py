@@ -19,6 +19,7 @@ from spannerkit import (
     build_g9,
     build_half_theta6,
     build_theta,
+    build_yao,
     canonical_triangle,
     g9_approximation_check,
     gen_circle,
@@ -32,6 +33,8 @@ from spannerkit import (
     verify_bound,
 )
 
+from oracles import oracle_shortest_path
+
 S3 = math.sqrt(3.0)
 
 
@@ -40,6 +43,8 @@ class TestBoundValue:
         assert bound_value("theta", k=7) == pytest.approx(1 / (1 - 2 * math.sin(math.pi / 7)))
         assert bound_value("yao", k=12) == pytest.approx(1 / (1 - 2 * math.sin(math.pi / 12)))
         assert bound_value("yao_odd", k=5) == pytest.approx(1 / (1 - 2 * math.sin(3 * math.pi / 20)))
+        assert bound_value("yao5") == 2 + S3
+        assert bound_value("theta4") == 17.0
         assert bound_value("half_theta6") == 2.0
         assert bound_value("theta5") == pytest.approx(math.sqrt(50 + 22 * math.sqrt(5)))
         assert bound_value("theta5_lower") == pytest.approx((11 * math.sqrt(5) - 17) / 2)
@@ -155,6 +160,23 @@ class TestVerifyBound:
         rep = verify_bound(g, name="theta")
         assert rep.bound == pytest.approx(bound_value("theta", k=12))
 
+    def test_five_and_four_cone_defaults(self):
+        ps = gen_random(30, 11)
+        rep = verify_bound(build_yao(ps, 5))
+        assert (rep.bound_name, rep.bound) == ("yao5", 2 + S3)
+        rep = verify_bound(build_theta(ps, 4))
+        assert (rep.bound_name, rep.bound) == ("theta4", 17.0)
+        # yao_odd still names the general odd-k bound.
+        rep = verify_bound(build_yao(ps, 5), name="yao_odd")
+        assert rep.bound == bound_value("yao_odd", k=5)
+
+    @pytest.mark.parametrize("kind, k", [("yao", 2), ("yao", 3), ("yao", 4), ("yao", 6),
+                                         ("theta", 2), ("theta", 3)])
+    def test_small_k_without_a_bound_rejected(self, kind, k):
+        build = build_yao if kind == "yao" else build_theta
+        with pytest.raises(InvalidParameter, match=f"bound '{kind}{k}' is missing"):
+            verify_bound(build(gen_random(12, 4), k))
+
     def test_unregistered_kind_rejected(self):
         from spannerkit import build_mst
 
@@ -182,6 +204,21 @@ class TestShortestPath:
         path, length = shortest_path(g, 0, 3)
         assert path == [0, 1, 3]
         assert length == pytest.approx(2 * math.sqrt(2))
+
+    def test_matches_the_full_dijkstra(self):
+        # The Dijkstra stops once s is popped; every ordered pair gets the
+        # path and length of the run over all vertices.
+        graphs = [build_half_theta6(gen_random(48, seed)) for seed in (3, 11, 29)]
+        base = gen_random(48, 5)
+        for scale in (1e150, 1e-150, 1e200):
+            scaled = PointSet([Point(p.id, p.x * scale, p.y * scale) for p in base])
+            graphs.append(build_half_theta6(scaled))
+        graphs += [build_yao(base, 5), build_theta(base, 7)]
+        for g in graphs:
+            for s in range(48):
+                for t in range(48):
+                    if s != t:
+                        assert shortest_path(g, s, t) == oracle_shortest_path(g, s, t), (g.kind, s, t)
 
     def test_unreachable_target_raises(self):
         ps = PointSet([Point(0, 0.0, 0.0), Point(1, 1.0, 0.0), Point(2, 2.0, 0.1)])

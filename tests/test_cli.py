@@ -278,6 +278,21 @@ class TestVerify:
         doc = json.loads(capsys.readouterr().out)
         assert doc["bound"] == pytest.approx(1 / (1 - 2 * math.sin(math.pi / 7)))
 
+    def test_generative_yao5_bound(self, capsys):
+        code = main(
+            ["verify", "--graph", "yao", "--k", "5", "--n", "24", "--trials", "3", "--seed", "2"]
+        )
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["bound_name"] == "yao5"
+        assert doc["bound"] == 2 + math.sqrt(3)
+        assert str(doc["bound"]).startswith("3.732")
+
+    def test_generative_yao6_has_no_bound(self, capsys):
+        argv = ["verify", "--graph", "yao", "--k", "6", "--n", "24", "--trials", "1", "--seed", "2"]
+        assert main(argv) == 2
+        assert "bound 'yao6' is missing" in capsys.readouterr().err
+
     def test_generative_requires_n_and_trials(self, capsys):
         assert main(["verify", "--graph", "half_theta6", "--seed", "7"]) == 2
         capsys.readouterr()

@@ -6,7 +6,6 @@ scalar test."""
 
 import math
 
-import numpy as np
 import pytest
 
 from spannerkit import (
@@ -145,6 +144,68 @@ class TestGenRandomMatchesOracle:
             oracle_gen_random(100, 0, retries=1)
         assert str(got.value) == str(want.value)
 
+    def test_retry_exhaustion_after_two_draws(self):
+        with pytest.raises(DegenerateInput, match="point 218 .* after 2 attempts") as got:
+            gen_random(256, 9, retries=2)
+        with pytest.raises(DegenerateInput) as want:
+            oracle_gen_random(256, 9, retries=2)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("n, seed", [(384, 0), (384, 1), (384, 2), (768, 0)])
+    def test_larger_sets(self, n, seed):
+        assert gen_random(n, seed) == oracle_gen_random(n, seed)
+
+
+class TestDrawRounds:
+    """With no margin the first round draws exactly n candidates, so every
+    set that rejects one draws further rounds over the points placed."""
+
+    def _rounds(self, monkeypatch):
+        monkeypatch.setattr(cli_io, "_STREAM_MARGIN", 0.0)
+        starts = []
+        scan = cli_io._stream_conflicts
+
+        def counted(xs, ys, bad_dirs, start):
+            starts.append(start)
+            return scan(xs, ys, bad_dirs, start)
+
+        monkeypatch.setattr(cli_io, "_stream_conflicts", counted)
+        return starts
+
+    def test_points_match(self, monkeypatch):
+        starts = self._rounds(monkeypatch)
+        for n, seed in [(100, 0), (200, 1), (256, 7), (256, 9)]:
+            starts.clear()
+            assert gen_random(n, seed) == oracle_gen_random(n, seed), (n, seed)
+            assert len(starts) > 1 and starts[0] == 0 and starts[1] > 0, (n, seed)
+
+    def test_small_blocks(self, monkeypatch):
+        starts = self._rounds(monkeypatch)
+        _small_blocks(monkeypatch, 7)
+        assert gen_random(200, 1) == oracle_gen_random(200, 1)
+        assert len(starts) > 1
+
+    def test_retries_run_across_rounds(self, monkeypatch):
+        # The first round ends on rejected draws for point 740; they count
+        # toward its retries in the second round, as in one long stream.
+        with pytest.raises(DegenerateInput) as whole:
+            gen_random(800, 1, retries=4)
+        starts = self._rounds(monkeypatch)
+        with pytest.raises(DegenerateInput) as split:
+            gen_random(800, 1, retries=4)
+        assert starts == [0, 740]
+        assert str(split.value) == str(whole.value)
+        assert str(whole.value) == "could not place point 740 in general position after 4 attempts"
+
+    @pytest.mark.parametrize("n, seed, retries", [(100, 0, 1), (256, 9, 1), (256, 9, 2)])
+    def test_retry_exhaustion(self, n, seed, retries, monkeypatch):
+        self._rounds(monkeypatch)
+        with pytest.raises(DegenerateInput) as want:
+            oracle_gen_random(n, seed, retries=retries)
+        with pytest.raises(DegenerateInput) as got:
+            gen_random(n, seed, retries=retries)
+        assert str(got.value) == str(want.value)
+
 
 class TestGenRandomArguments:
     @pytest.mark.parametrize(
@@ -171,25 +232,45 @@ class TestGenRandomArguments:
 
 
 class TestCandidateChecks:
-    """The per-candidate test on hand-placed near-degenerate candidates."""
+    """The stream pass on hand-placed near-degenerate candidates: each case is
+    the stream PLACED followed by one candidate, against the per-candidate
+    scalar oracle."""
 
     PLACED = [(0.31, 0.42), (0.77, 0.18), (0.12, 0.91), (0.55, 0.66)]
 
-    def _both(self, cand, k=6):
-        """(vectorized, oracle) verdicts for cand against PLACED."""
-        n = len(self.PLACED)
-        dist = [[math.inf] * n for _ in range(n)]
-        for j, (xj, yj) in enumerate(self.PLACED):
-            for i, (xi, yi) in enumerate(self.PLACED[:j]):
-                dist[i][j] = dist[j][i] = math.hypot(xj - xi, yj - yi)
-        lists = [sorted(d for d in row if d != math.inf) for row in dist]
-        bad = cli_io._avoided_directions(k)
-        assert bad == _oracle_avoided_directions(k)
-        xs = np.array([x for x, _ in self.PLACED])
-        ys = np.array([y for _, y in self.PLACED])
-        got = cli_io._clears_degeneracies(xs, ys, np.array(dist), cand[0], cand[1], bad)
-        want = _oracle_clears_degeneracies(self.PLACED, lists, cand, bad)
-        return (None if got is None else got.tolist()), want
+    def _both(self, cand, placed=PLACED):
+        """(stream pass, oracle) verdicts for cand after placed; True rejects."""
+        n = len(placed)
+        lists = [
+            sorted(math.hypot(xj - xi, yj - yi) for j, (xj, yj) in enumerate(placed) if j != i)
+            for i, (xi, yi) in enumerate(placed)
+        ]
+        bad = cli_io._avoided_directions(6)
+        assert bad == _oracle_avoided_directions(6)
+        xs = [x for x, _ in placed] + [cand[0]]
+        ys = [y for _, y in placed] + [cand[1]]
+        # As one stream: the placed points clear each other, so all of them
+        # are placed and any conflict of the candidate rejects it.
+        conflicts = cli_io._stream_conflicts(xs, ys, bad, 0)
+        assert not any(conflicts.get(i) for i in range(n))
+        got = bool(conflicts.get(n))
+        # As a later round, with the points already placed.
+        assert bool(cli_io._stream_conflicts(xs, ys, bad, n).get(n)) == got
+        want = _oracle_clears_degeneracies(placed, lists, cand, bad) is None
+        return got, want
+
+    def test_near_a_lone_placed_point(self):
+        # With one point placed no distance can tie, so only the eps
+        # distance test can reject (with more, a tie from another apex
+        # rejects every candidate this near).
+        px, py = self.PLACED[0]
+        verdicts = set()
+        for r in (0.5e-7, 0.99e-7, 1e-7, 1.01e-7, 2e-7):
+            cand = (px + r * math.sin(0.4), py + r * math.cos(0.4))
+            got, want = self._both(cand, placed=[(px, py)])
+            assert got == want, r
+            verdicts.add(want)
+        assert verdicts == {True, False}
 
     def test_directions_at_the_tolerance(self, monkeypatch):
         calls = _count_calls(monkeypatch, cli_io)
@@ -202,7 +283,7 @@ class TestCandidateChecks:
                     cand = (px + 0.2 * math.sin(az), py + 0.2 * math.cos(az))
                     got, want = self._both(cand)
                     assert got == want, (b, e, az)
-                    verdicts.add(want is None)
+                    verdicts.add(want)
         assert calls, "no pair reached the scalar re-decision"
         assert verdicts == {True, False}
 
@@ -224,7 +305,7 @@ class TestCandidateChecks:
                         cand = (px + r * math.sin(az), py + r * math.cos(az))
                         got, want = self._both(cand)
                         assert got == want, (i, j, scale, sign)
-                        verdicts.add(want is None)
+                        verdicts.add(want)
         assert verdicts == {True, False}
 
     def test_own_distances_at_the_tolerance(self):
@@ -239,7 +320,7 @@ class TestCandidateChecks:
                 cand = (mx + t * nx + shift * (qx - px), my + t * ny + shift * (qy - py))
                 got, want = self._both(cand)
                 assert got == want, (t, shift)
-                verdicts.add(want is None)
+                verdicts.add(want)
         assert verdicts == {True, False}
 
 
