@@ -181,3 +181,39 @@ def _exact_margin_ties(a, b, c):
                 got = kernels.points_in_tri(np.array([px]), np.array([py]), *a, *b, *c, e)
                 assert want is inside and got.tolist() == [want]
     return ties
+
+
+def test_route_overlay_outlines_the_certified_triangle(monkeypatch):
+    # The SVG route overlay and certification choose the pair's triangle
+    # once for both orders: with 6 cones its apex is the endpoint that sees
+    # the other in a positive cone.
+    from spannerkit import analysis, route_stateful
+    from spannerkit.cli_io import render_svg
+    from spannerkit.geometry import CanonicalTriangle
+
+    ps = gen_random(24, 3)
+    h = build_half_theta6(ps)
+    cs = ConeSystem(6)
+    u, w = 0, next(w for w in ps.ids if w != 0 and cs.cone_of(ps[0], ps[w]) % 2 == 1)
+    triangles = []
+    certify, polygon = analysis.canonical_triangle, CanonicalTriangle.polygon
+
+    def spy_certify(*args):
+        triangles.append(certify(*args))
+        return triangles[-1]
+
+    def spy_polygon(tri):
+        triangles.append(tri)
+        return polygon(tri)
+
+    for s, t in ((u, w), (w, u)):
+        triangles.clear()
+        with monkeypatch.context() as m:
+            m.setattr(analysis, "canonical_triangle", spy_certify)
+            restricted_pair_check(h, s, t)
+        trace = route_stateful(h, s, t)
+        with monkeypatch.context() as m:
+            m.setattr(CanonicalTriangle, "polygon", spy_polygon)
+            render_svg(h, trace)
+        assert triangles[0] == canonical_triangle(cs, ps[w], ps[u])
+        assert len(triangles) > 1 and all(tri == triangles[0] for tri in triangles), (s, t)
