@@ -50,7 +50,18 @@ on the same points: stateless and stateful on h, the others on G12 and G9.
   on a graph just read from its file, which builds the CSR and cone table;
 - traces_sha256: the first 16 hex digits of the sample's trace JSON.
 
-Writes the four tables with the Python/numpy/scipy versions, commit and
+Certification rows (one process per n in CERT_SIZES: the measure workload's
+n = 64 and 4096) check pairs on build_half_theta6 of the same uniform points:
+
+- certify_warm_us, shortest_path_warm_us: best-of-k mean time of one
+  restricted_pair_check and of one shortest_path over ROUTE_PAIRS ordered
+  pairs drawn with random.Random(seed);
+- certify_first_s, shortest_path_first_s: best-of-k time of the first call
+  (the sample's first pair) on a graph just read from its file, which builds
+  the CSR and the Dijkstra's rows;
+- results_sha256: the first 16 hex digits of both calls' results as JSON.
+
+Writes the five tables with the Python/numpy/scipy versions, commit and
 source hash to --out (BENCH_layers.json by default) and prints them.
 """
 
@@ -79,6 +90,10 @@ ROUTERS = (("stateless", "half_theta6"), ("stateful", "half_theta6"), ("g12", "g
 ROUTE_PAIRS = 200
 #: Point counts of the generation rows.
 GEN_SIZES = (384, 768, 2048)
+#: Point counts of the certification rows.
+CERT_SIZES = (64, 4096)
+#: Row label and spannerkit function (graph, u, w) of the certification rows.
+CERT_CHECKS = (("certify", "restricted_pair_check"), ("shortest_path", "shortest_path"))
 
 
 def peak_rss_mb():
@@ -246,6 +261,37 @@ def route_rows(n, repeat, seed):
     return rows
 
 
+def cert_row(n, repeat, seed):
+    """Time pair certification and shortest paths at one size in this
+    process; returns the row."""
+    import spannerkit as sk
+
+    h = sk.build_half_theta6(sk.PointSet.from_pairs(uniform_pairs(n, seed)))
+    text = h.to_json()
+    rng = random.Random(seed)
+    pairs = [tuple(rng.sample(range(n), 2)) for _ in range(ROUTE_PAIRS)]
+    row = {"n": n, "repeat": repeat, "pairs": ROUTE_PAIRS}
+    digest = hashlib.sha256()
+    for label, name in CERT_CHECKS:
+        check = getattr(sk, name)
+        results = [check(h, s, t) for s, t in pairs]
+        if label == "certify" and not all(r["ok"] for r in results):
+            raise SystemExit(f"n={n}: a pair did not meet its bound")
+        warm_s, _ = best_of(lambda: [check(h, s, t) for s, t in pairs], repeat)
+        first_s = float("inf")
+        for _ in range(repeat):
+            fresh = sk.graph_from_json(text)
+            gc.collect()
+            t0 = time.perf_counter()
+            check(fresh, *pairs[0])
+            first_s = min(first_s, time.perf_counter() - t0)
+        digest.update(json.dumps(results).encode())
+        row[f"{label}_warm_us"] = round(warm_s / ROUTE_PAIRS * 1e6, 1)
+        row[f"{label}_first_s"] = round(first_s, 4)
+    row["results_sha256"] = digest.hexdigest()[:16]
+    return row
+
+
 def commit():
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"],
@@ -306,6 +352,8 @@ def main():
             row = ratio_row(n, args.repeat, args.seed, n <= args.reference_max)
         elif table == "routes":
             row = route_rows(n, args.repeat, args.seed)
+        elif table == "cert":
+            row = cert_row(n, args.repeat, args.seed)
         else:
             row = table_row(n, args.repeat, args.seed)
         print(json.dumps(row))
@@ -349,9 +397,19 @@ def main():
             print(f"{n:>6} {row['router']:>10} {row['steps']:>7} {row['warm_us']:>9.1f} "
                   f"{row['first_route_s'] * 1e3:>9.1f} {row['traces_sha256']:>17}")
 
+    cert_rows = []
+    print(f"\n{'n':>6} {'certify us':>11} {'first ms':>9} {'path us':>9} {'first ms':>9} {'results':>17}")
+    for n in CERT_SIZES:
+        row = child("cert", n, args)
+        cert_rows.append(row)
+        print(f"{n:>6} {row['certify_warm_us']:>11.1f} {row['certify_first_s'] * 1e3:>9.1f} "
+              f"{row['shortest_path_warm_us']:>9.1f} {row['shortest_path_first_s'] * 1e3:>9.1f} "
+              f"{row['results_sha256']:>17}")
+
     doc = {
         "bench": "spannerkit layers: gen_random, and over uniform points "
-                 "spanning_ratio(build_half_theta6), the half-theta-6 graph tables and the four routers",
+                 "spanning_ratio(build_half_theta6), the half-theta-6 graph tables, the four routers "
+                 "and pair certification",
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
@@ -364,6 +422,7 @@ def main():
         "ratio_rows": ratio_rows,
         "table_rows": table_rows,
         "route_rows": route_table,
+        "cert_rows": cert_rows,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)

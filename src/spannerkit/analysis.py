@@ -10,7 +10,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, field
-from itertools import compress, product
+from itertools import product
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -207,7 +207,7 @@ def verify_bound(g: SpannerGraph, name: str | None = None, tolerance: float = 1e
 
 def _verify_bound(g: SpannerGraph, name: str | None, tolerance: float, per_pair: bool) -> RatioReport:
     """verify_bound over one spanning_ratio(g, per_pair) computation."""
-    _check_tolerance(tolerance)
+    _check_finite("tolerance", tolerance)
     if name is None:
         name, kwargs = _default_bound(g)
     else:
@@ -221,10 +221,10 @@ def _verify_bound(g: SpannerGraph, name: str | None, tolerance: float, per_pair:
     return report
 
 
-def _check_tolerance(tolerance: float) -> None:
-    # A NaN tolerance fails every comparison, so every bound would "fail".
-    if not isinstance(tolerance, numbers.Real) or not math.isfinite(tolerance):
-        raise InvalidParameter(f"tolerance must be finite (a real number), got {tolerance!r}")
+def _check_finite(name: str, value: float) -> None:
+    # A NaN tolerance or bound fails every comparison, so every check would "fail".
+    if not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise InvalidParameter(f"{name} must be finite (a real number), got {value!r}")
 
 
 #: Bounds of the Theta and Yao graphs with k < 7 that have one.
@@ -249,11 +249,12 @@ def _default_bound(g: SpannerGraph):
     raise InvalidParameter(f"no registered ratio bound for graph kind {g.kind!r}")
 
 
-def _dijkstra(adj, source: int, allowed=None, stop: int | None = None):
-    """Heap Dijkstra from source over adj (id -> (neighbour, length) pairs),
-    entering only vertices in allowed when given and halting once stop is
-    popped. Returns (dist, parent); parent keeps the first relaxation that
-    reached each vertex's final distance."""
+def _dijkstra(rows, source: int, allowed=None, stop: int | None = None):
+    """Heap Dijkstra from vertex index source over rows (g._length_rows),
+    entering only indices y with allowed[y] when allowed is given and halting
+    once stop is popped. Returns (dist, parent) keyed by index; parent keeps
+    the first relaxation that reached each vertex's final distance. Equal
+    distances pop the smaller index, which is the smaller id."""
     dist = {source: 0.0}
     parent: dict[int, int] = {}
     heap = [(0.0, source)]
@@ -265,8 +266,8 @@ def _dijkstra(adj, source: int, allowed=None, stop: int | None = None):
         if x in done:
             continue
         done.add(x)
-        for y, w in adj[x]:
-            if allowed is not None and y not in allowed:
+        for y, w in rows[x]:
+            if allowed is not None and not allowed[y]:
                 continue
             nd = d + w
             if nd < dist.get(y, math.inf):
@@ -276,37 +277,55 @@ def _dijkstra(adj, source: int, allowed=None, stop: int | None = None):
     return dist, parent
 
 
+def _vertex_index(g: SpannerGraph, v) -> int:
+    i = g.points._position(v)
+    if i is None:
+        raise InvalidParameter(f"vertex {v} is not in the graph")
+    return i
+
+
 def shortest_path(g: SpannerGraph, s: int, t: int) -> tuple[list[int], float]:
     """One shortest path from s to t, preferring smaller ids on ties.
 
     Returns (id sequence, length); raises InvalidParameter if s or t is not a
     vertex or t is unreachable from s (the graph is disconnected).
     """
-    for v in (s, t):
-        if v not in g.points:
-            raise InvalidParameter(f"vertex {v} is not in the graph")
-    adj = g.length_lists
+    si, ti = _vertex_index(g, s), _vertex_index(g, t)
+    rows = g._length_rows
     # Stop once s is popped: a vertex y not yet popped then has dist[y] >=
     # dist[s] >= dist[cur], tentative or final, so it passes the test
     # w + dist[y] == dist[cur] below only if w + dist[s] == dist[s] in floats
     # (an edge between near-duplicate points); otherwise the path is the one
     # a run over every vertex gives.
-    dist, _ = _dijkstra(adj, t, stop=s)
-    if s not in dist:
+    dist, _ = _dijkstra(rows, ti, stop=si)
+    if si not in dist:
         raise InvalidParameter(f"no path from {s} to {t}: the graph does not connect them")
-    path = [s]
-    cur = s
-    while cur != t:
-        nxt = None
-        for y, w in adj[cur]:
-            if y in dist and w + dist[y] == dist[cur]:
+    path = [si]
+    cur = si
+    while cur != ti:
+        # Rows are in azimuth order: of the neighbours on a shortest path,
+        # take the smallest index (id).
+        nxt, here = len(rows), dist[cur]
+        for y, w in rows[cur]:
+            if y < nxt and y in dist and w + dist[y] == here:
                 nxt = y
-                break
-        if nxt is None:
+        if nxt == len(rows):
             raise InternalInvariantViolation("shortest-path reconstruction failed")
         path.append(nxt)
         cur = nxt
-    return path, dist[s]
+    ids = g.points.arrays[0]
+    return [ids[i] for i in path], dist[si]
+
+
+def _pair_triangle(g: SpannerGraph, i: int, j: int):
+    """(apex, other, canonical triangle) of the pair of vertex indices i, j,
+    for certification and the SVG route overlay. With 6 cones the apex sees
+    the other in a positive cone, so both orders get one triangle."""
+    cs = ConeSystem(g.k or 6)
+    pts = g.points._id_order
+    if cs.k == 6 and cs.cone_of(pts[i], pts[j]) % 2 == 1:
+        i, j = j, i
+    return i, j, canonical_triangle(cs, pts[i], pts[j])
 
 
 def restricted_pair_check(
@@ -324,28 +343,20 @@ def restricted_pair_check(
     the other in a positive cone, so a pair given negative end first is
     certified from w and the path read backwards.
 
-    Raises InvalidParameter if u or w is not a vertex or the tolerance is not
-    finite. Absence of such a path on a clean half-theta-6 input is a
-    construction bug, so it raises InternalInvariantViolation rather than
-    returning a failure.
+    Raises InvalidParameter if u or w is not a vertex or the bound or the
+    tolerance is not finite. Absence of such a path on a clean half-theta-6
+    input is a construction bug, so it raises InternalInvariantViolation
+    rather than returning a failure.
     """
-    _check_tolerance(tolerance)
-    for v in (u, w):
-        if v not in h.points:
-            raise InvalidParameter(f"vertex {v} is not in the graph")
-    cs = ConeSystem(h.k or 6)
-    flip = cs.k == 6 and cs.cone_of(h.points[u], h.points[w]) % 2 == 1
-    a, b = (w, u) if flip else (u, w)
-    pa, pb = h.points[a], h.points[b]
-    tri = canonical_triangle(cs, pa, pb)
-    ax, ay = tri.apex
-    cax, cay = tri.corner_a
-    cbx, cby = tri.corner_b
+    _check_finite("tolerance", tolerance)
+    if bound is not None:
+        _check_finite("bound", bound)
+    i = _vertex_index(h, u)
+    a, b, tri = _pair_triangle(h, i, _vertex_index(h, w))
     ids, xs, ys = h.points.arrays
-    inside = kernels.points_in_tri(xs, ys, ax, ay, cax, cay, cbx, cby, EPS)
-    allowed = {a, b}
-    allowed.update(compress(ids, inside.tolist()))
-    dist, parent = _dijkstra(h.length_lists, a, allowed, b)
+    allowed = kernels.points_in_tri(xs, ys, *tri.apex, *tri.corner_a, *tri.corner_b, EPS).tolist()
+    allowed[a] = allowed[b] = True
+    dist, parent = _dijkstra(h._length_rows, a, allowed, b)
     if b not in dist:
         raise InternalInvariantViolation(
             f"no path from {u} to {w} inside their canonical triangle"
@@ -353,13 +364,15 @@ def restricted_pair_check(
     path = [b]
     while path[-1] != a:
         path.append(parent[path[-1]])
-    if not flip:
+    if a == i:
         path.reverse()
     if bound is None:
-        alpha = angle_alpha(cs, pa, pb)
+        pa, pb = h.points._id_order[a], h.points._id_order[b]
+        alpha = angle_alpha(ConeSystem(tri.k), pa, pb)
         bound = bound_value("pair_alpha", alpha=alpha) * math.hypot(pb.x - pa.x, pb.y - pa.y)
     length = dist[b]
-    return {"path": path, "length": length, "bound": bound, "ok": length <= bound + tolerance}
+    return {"path": [ids[x] for x in path], "length": length, "bound": bound,
+            "ok": length <= bound + tolerance}
 
 
 def g9_approximation_check(h: SpannerGraph, g9: SpannerGraph, tolerance: float = 1e-9) -> tuple[bool, list[dict]]:
@@ -367,7 +380,7 @@ def g9_approximation_check(h: SpannerGraph, g9: SpannerGraph, tolerance: float =
     the degree-9 subgraph keeps the approximation path (s -> fan-closest ->
     canonical path -> v), that its total length is at most 3|sv| and the
     canonical-path portion at most 2|sv|."""
-    _check_tolerance(tolerance)
+    _check_finite("tolerance", tolerance)
     cones = _half_theta6_cones(h)
     ids, xy = cones.ids, cones.coords
     records = []

@@ -64,7 +64,8 @@ class SpannerGraph:
     - ``edges`` (a frozenset of id pairs) and edge_list();
     - one CSR of the edge ends in (source, azimuth, neighbour id) order, with
       each end's neighbour, azimuth (kernels.azimuth) and math.hypot length,
-      behind neighbors(), degree(), ``length_lists`` and the spanning ratio;
+      behind neighbors(), degree(), the spanning ratio and the analysis
+      Dijkstra's per-index (neighbour, length) rows;
     - on half_theta6, g12 and g9 graphs ``cone_table``, the one index-based
       fan table of the routers and of build_g12 and build_g9, plus
       ``hint_table`` on g9 graphs.
@@ -132,14 +133,13 @@ class SpannerGraph:
         return csr
 
     @cached_property
-    def length_lists(self) -> dict[int, list[tuple[int, float]]]:
-        """Id -> (neighbour id, edge length) pairs in ascending id order."""
+    def _length_rows(self) -> list[list[tuple[int, float]]]:
+        """Per vertex index, its (neighbour index, edge length) pairs in CSR
+        row order: the adjacency of the analysis Dijkstra."""
         t = self._csr
-        ids = self.points.arrays[0]
-        order = np.lexsort((t.nbr, t.src))
-        pairs = list(zip(map(ids.__getitem__, t.nbr[order].tolist()), t.length[order].tolist()))
+        pairs = list(zip(t.nbr.tolist(), t.length.tolist()))
         bounds = t.indptr.tolist()
-        return {pid: pairs[bounds[i]:bounds[i + 1]] for i, pid in enumerate(ids)}
+        return [pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
     @cached_property
     def cone_table(self) -> "_ConeTable":
@@ -758,9 +758,9 @@ def canonical_path_info(h: SpannerGraph, anchor: int, cone: int) -> CanonicalPat
     if isinstance(cone, bool) or not isinstance(cone, (int, np.integer)) or cone not in (1, 3, 5):
         raise InvalidParameter(f"fans live in the odd cones 1, 3 and 5, got cone {cone!r}")
     cones = _half_theta6_cones(h)
-    if anchor not in h.points:
+    i, cone = h.points._position(anchor), int(cone)
+    if i is None:
         raise InvalidParameter(f"anchor {anchor!r} is not a vertex of the graph")
-    i, cone = h.points.index[anchor], int(cone)
     members = tuple(map(cones.ids.__getitem__, cones.fan(i, cone)))
     if not members:
         return CanonicalPathInfo(anchor, cone, (), None, None, None)

@@ -246,7 +246,8 @@ def render_svg(obj, overlay=None) -> str:
     if overlay is not None:
         if overlay.source not in coord or overlay.target not in coord:
             raise InvalidParameter("overlay endpoints are not vertices of the graph")
-        tri = _pair_triangle(obj, coord[overlay.source], coord[overlay.target])
+        index = obj.points.index
+        _, _, tri = analysis._pair_triangle(obj, index[overlay.source], index[overlay.target])
 
     xs = [p.x for p in pts]
     ys = [p.y for p in pts]
@@ -301,22 +302,6 @@ def render_svg(obj, overlay=None) -> str:
     out.append("</g>")
     out.append("</svg>")
     return "\n".join(out) + "\n"
-
-
-def _pair_triangle(g: SpannerGraph, su, tu):
-    """Canonical triangle of a queried pair.
-
-    For 6-cone kinds this is the pair's unique triangle (apex at whichever
-    endpoint sees the other in a positive cone); otherwise it is taken from
-    the source's side.
-    """
-    from .geometry import canonical_triangle
-
-    k = g.k if g.kind in ("yao", "theta") else 6
-    cs = ConeSystem(k)
-    if k == 6 and cs.cone_of(su, tu) % 2 != 0:
-        return canonical_triangle(cs, tu, su)
-    return canonical_triangle(cs, su, tu)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -453,7 +438,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    analysis._check_tolerance(args.tolerance)
+    analysis._check_finite("tolerance", args.tolerance)
     g = graph_from_json(_read(args.graph))
     if args.check:
         report = analysis._verify_bound(g, None, args.tolerance, per_pair=args.per_pair)
@@ -477,7 +462,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    analysis._check_tolerance(args.tolerance)
+    analysis._check_finite("tolerance", args.tolerance)
     if args.graph in BUILD_GRAPHS:
         if args.n is None or args.trials is None:
             raise InvalidParameter(

@@ -106,6 +106,13 @@ class PointSet:
         """Id -> position in ``arrays`` order."""
         return {pid: i for i, pid in enumerate(self.arrays[0])}
 
+    def _position(self, pid) -> int | None:
+        """pid's position in ``arrays`` order; None for no id of the set, unhashable ones too."""
+        try:
+            return self.index.get(pid)
+        except TypeError:
+            return None
+
     @cached_property
     def _records_json(self) -> str:
         """JSON text of the point records in ascending id order: the "points"

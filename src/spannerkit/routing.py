@@ -231,12 +231,12 @@ def _check_graph(g: SpannerGraph, kinds: tuple[str, ...], source: int, target: i
             f"routing needs a graph of kind {kinds}, got {g.kind!r}"
         )
     ctx = g.cone_table
-    index = g.points.index
-    if source not in index or target not in index:
+    s, t = g.points._position(source), g.points._position(target)
+    if s is None or t is None:
         raise InvalidParameter("source or target id not in the graph")
-    if source == target:
+    if s == t:
         raise AlreadyArrived(f"source equals target ({source})")
-    return ctx, index[source], index[target]
+    return ctx, s, t
 
 
 def base_bound(g: SpannerGraph, source: int, target: int) -> tuple[float, bool]:

@@ -4,6 +4,7 @@ Everything here recomputes results from first principles with plain Python,
 deliberately avoiding the package's own selection logic.
 """
 
+import heapq
 import math
 
 import numpy as np
@@ -360,11 +361,40 @@ def _oracle_distance_matrices(g):
     return ids, dist, euclid
 
 
+def oracle_dijkstra(adj, source: int, allowed=None, stop: int | None = None):
+    """Heap Dijkstra from source over adj (id -> (neighbour, length) pairs),
+    entering only vertices in allowed when given and halting once stop is
+    popped. Returns (dist, parent); parent keeps the first relaxation that
+    reached each vertex's final distance. The id-keyed heap Dijkstra that
+    shortest_path and restricted_pair_check ran before they worked on vertex
+    indices."""
+    dist = {source: 0.0}
+    parent: dict[int, int] = {}
+    heap = [(0.0, source)]
+    done = set()
+    while heap:
+        d, x = heapq.heappop(heap)
+        if x == stop:
+            break
+        if x in done:
+            continue
+        done.add(x)
+        for y, w in adj[x]:
+            if allowed is not None and y not in allowed:
+                continue
+            nd = d + w
+            if nd < dist.get(y, math.inf):
+                dist[y] = nd
+                parent[y] = x
+                heapq.heappush(heap, (nd, y))
+    return dist, parent
+
+
 def oracle_restricted_pair_check(h, u, w, bound=None, tolerance=1e-9):
     """restricted_pair_check as it was before the numpy sweep: one scalar
     point_in_tri call per point of the graph."""
     from spannerkit import kernels
-    from spannerkit.analysis import _dijkstra, bound_value
+    from spannerkit.analysis import bound_value
     from spannerkit.errors import InternalInvariantViolation, InvalidParameter
     from spannerkit.geometry import EPS, ConeSystem, angle_alpha, canonical_triangle
 
@@ -383,7 +413,7 @@ def oracle_restricted_pair_check(h, u, w, bound=None, tolerance=1e-9):
     for p in h.points:
         if kernels.point_in_tri(p.x, p.y, ax, ay, cax, cay, cbx, cby, EPS):
             allowed.add(p.id)
-    dist, parent = _dijkstra(h.length_lists, a, allowed, b)
+    dist, parent = oracle_dijkstra(_last_length_lists(h), a, allowed, b)
     if b not in dist:
         raise InternalInvariantViolation(
             f"no path from {u} to {w} inside their canonical triangle"
@@ -404,10 +434,8 @@ def oracle_shortest_path(g, s, t):
     """shortest_path with the Dijkstra from t run over every vertex, as it
     was before it stopped at s: the path follows, from s, the first
     neighbour (ascending id) that lies on a shortest path to t."""
-    from spannerkit.analysis import _dijkstra
-
-    adj = g.length_lists
-    dist, _ = _dijkstra(adj, t)
+    adj = _last_length_lists(g)
+    dist, _ = oracle_dijkstra(adj, t)
     path = [s]
     cur = s
     while cur != t:
@@ -443,6 +471,17 @@ def oracle_length_lists(g):
     for lst in adj.values():
         lst.sort()
     return adj
+
+
+_LAST_LENGTH_LISTS = [None, None]
+
+
+def _last_length_lists(g):
+    """oracle_length_lists(g), kept for the last graph asked for: the pair
+    loops ask for one graph's lists once per pair."""
+    if _LAST_LENGTH_LISTS[0] is not g:
+        _LAST_LENGTH_LISTS[:] = [g, oracle_length_lists(g)]
+    return _LAST_LENGTH_LISTS[1]
 
 
 class oracle_cone_table:

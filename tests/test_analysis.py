@@ -3,6 +3,7 @@ restricted-path and approximation checks, and the instance generators."""
 
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from spannerkit import (
     Point,
     PointSet,
     SpannerGraph,
+    SpannerKitError,
     angle_alpha,
     bound_value,
     build_g9,
@@ -33,7 +35,7 @@ from spannerkit import (
     verify_bound,
 )
 
-from oracles import oracle_shortest_path
+from oracles import oracle_restricted_pair_check, oracle_shortest_path
 
 S3 = math.sqrt(3.0)
 
@@ -229,9 +231,10 @@ class TestShortestPath:
     def test_unknown_vertex_raises(self):
         ps = PointSet([Point(0, 0.0, 0.0), Point(1, 1.0, 0.0)])
         g = SpannerGraph("x", None, ps, [(0, 1)])
-        for s, t in ((0, 7), (7, 0)):
-            with pytest.raises(InvalidParameter, match="vertex 7 is not in the graph"):
-                shortest_path(g, s, t)
+        for v, text in ((7, "7"), ([0], r"\[0\]")):
+            for s, t in ((0, v), (v, 0)):
+                with pytest.raises(InvalidParameter, match=f"vertex {text} is not in the graph"):
+                    shortest_path(g, s, t)
 
 
 class TestRestrictedPairCheck:
@@ -268,9 +271,17 @@ class TestRestrictedPairCheck:
 
     def test_unknown_vertex_raises(self):
         h = build_half_theta6(gen_random(20, 1))
-        for u, w in ((0, 70), (70, 0)):
-            with pytest.raises(InvalidParameter, match="vertex 70 is not in the graph"):
-                restricted_pair_check(h, u, w)
+        for v, text in ((70, "70"), ([0], r"\[0\]")):
+            for u, w in ((0, v), (v, 0)):
+                with pytest.raises(InvalidParameter, match=f"vertex {text} is not in the graph"):
+                    restricted_pair_check(h, u, w)
+
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, "x"])
+    def test_non_finite_bound_rejected(self, bound):
+        # A NaN bound used to return ok False, and "x" raised TypeError.
+        h = build_half_theta6(gen_random(24, 3))
+        with pytest.raises(InvalidParameter, match="bound must be finite"):
+            restricted_pair_check(h, 0, 1, bound=bound)
 
     def test_explicit_bound_can_fail(self):
         ps = gen_random(20, 47)
@@ -382,3 +393,28 @@ class TestGenerators:
         assert path_length(ps, [0]) == 0.0
         with pytest.raises(InvalidParameter):
             path_length(ps, [0, 99])
+
+
+def _outcome(check, g, u, w):
+    # Theta-7 triangles need not hold a path: the raises must agree too.
+    try:
+        return check(g, u, w)
+    except SpannerKitError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_ids_that_are_not_positions_match_the_oracles():
+    # Negative ids, gaps, ids beyond 2**63 and out-of-order insertion: an
+    # index that leaked out as an id, or an id used as an index, shows here.
+    base = gen_random(24, 13)
+    ids = [-7, -1, 0, 5, 9, 2**63 + 1, 2**64 + 3, 10**30] + [1000 + 37 * i for i in range(16)]
+    order = list(range(24))
+    random.Random(5).shuffle(order)
+    ps = PointSet(Point(ids[i], base[i].x, base[i].y) for i in order)
+    for g in (build_half_theta6(ps), build_theta(ps, 7)):
+        for u in ids:
+            for w in ids:
+                if u != w:
+                    assert shortest_path(g, u, w) == oracle_shortest_path(g, u, w), (g.kind, u, w)
+                    assert (_outcome(restricted_pair_check, g, u, w)
+                            == _outcome(oracle_restricted_pair_check, g, u, w)), (g.kind, u, w)

@@ -406,9 +406,10 @@ class TestCanonicalPathInfo:
         with pytest.raises(InvalidParameter):
             canonical_path_info(g, 0, 1)
 
-    @pytest.mark.parametrize("anchor,cone", [(12345, 1), (0, 7), (0, -1), (0, 1.0)])
+    @pytest.mark.parametrize("anchor,cone", [(12345, 1), ([0], 1), (0, 7), (0, -1), (0, 1.0)])
     def test_rejects_non_vertex_anchor_and_cones_outside_1_3_5(self, anchor, cone):
-        # The first three used to return an empty fan; a float is no cone index.
+        # 12345 and the bad cones used to return an empty fan, and the
+        # unhashable [0] raised TypeError; a float is no cone index.
         h = build_half_theta6(gen_random(10, 3))
         with pytest.raises(InvalidParameter):
             canonical_path_info(h, anchor, cone)
@@ -692,14 +693,19 @@ GRAPH_JSON_SHA256 = {
 
 
 def _assert_tables_match(g):
-    """g's adjacency, degrees, length lists and cone table equal the per-edge
+    """g's adjacency, degrees, Dijkstra rows and cone table equal the per-edge
     loops of tests/oracles.py, or raise InternalInvariantViolation where
     those do."""
     adj = oracle_adjacency(g)
     assert {u: g.neighbors(u) for u in adj} == {u: [v for _, v in row] for u, row in adj.items()}
     assert [g.degree(u) for u in adj] == [len(row) for row in adj.values()]
     assert g.max_degree() == max(len(row) for row in adj.values())
-    assert g.length_lists == oracle_length_lists(g)
+    # The Dijkstra's per-index (neighbour, length) rows, mapped to ids: CSR
+    # row order, and the oracle's pairs once sorted.
+    ids = g.points.arrays[0]
+    rows = {ids[i]: [(ids[j], w) for j, w in row] for i, row in enumerate(g._length_rows)}
+    assert {u: [v for v, _ in row] for u, row in rows.items()} == {u: g.neighbors(u) for u in adj}
+    assert {u: sorted(row) for u, row in rows.items()} == oracle_length_lists(g)
     if g.kind not in ("half_theta6", "g12", "g9"):
         return
     try:

@@ -63,11 +63,16 @@ class TestGuards:
             route_g9(g12, 0, 1)
 
     def test_unknown_ids(self, world):
-        h, _, _ = world
+        h, _, g9 = world
         with pytest.raises(InvalidParameter):
             route_stateless(h, 0, 999)
         with pytest.raises(InvalidParameter):
             route_stateful(h, -5, 1)
+        # An unhashable id is unknown too, not a TypeError.
+        for route, g in ((route_stateless, h), (route_g9, g9)):
+            for s, t in (([0], 1), (1, [0])):
+                with pytest.raises(InvalidParameter, match="source or target id not in the graph"):
+                    route(g, s, t)
 
     def test_source_equals_target(self, world):
         h, g12, g9 = world
