@@ -14,8 +14,7 @@ Generation rows:
 - peak_rss_mb: the process's peak RSS after all calls;
 - sha256: the first 16 hex digits of the points' JSON (points_to_json).
 
-Ratio rows (--ratio-sizes; the fields of BENCH_ratio.json, which the former
-bench_ratio.py wrote) time the exact spanning ratio of build_half_theta6:
+Ratio rows (--ratio-sizes) time the exact spanning ratio of build_half_theta6:
 
 - ratio_s: best-of-k wall time of spanning_ratio(h);
 - peak_rss_growth_mb: growth of the process's peak RSS over those k calls,
@@ -62,7 +61,9 @@ n = 64 and 4096) check pairs on build_half_theta6 of the same uniform points:
 - results_sha256: the first 16 hex digits of both calls' results as JSON.
 
 Writes the five tables with the Python/numpy/scipy versions, commit and
-source hash to --out (BENCH_layers.json by default) and prints them.
+source hash to --out (BENCH_layers.json by default) and prints them. With
+--only (say --only ratio) it runs just those tables and keeps the other rows
+of --out as they are, with their own commit and source hash in kept_from.
 """
 
 import argparse
@@ -339,6 +340,9 @@ def main():
     ap.add_argument("--reference-max", type=int, default=2048,
                     help="largest n whose ratio row also runs the all-pairs reference")
     ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_layers.json"))
+    ap.add_argument("--only", action="append", choices=("gen", "ratio", "table", "route", "cert"),
+                    help="run only this table (repeatable) and keep the other tables' rows of --out, "
+                         "recording their commit and source hash under kept_from")
     ap.add_argument("--child", help=argparse.SUPPRESS)
     args = ap.parse_args()
     sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -362,50 +366,8 @@ def main():
     import numpy
     import scipy
 
-    gen_rows = []
-    print(f"{'n':>6} {'gen s':>9} {'traced MB':>10} {'peak MB':>8} {'points':>17}")
-    for n in GEN_SIZES:
-        row = child("gen", n, args)
-        gen_rows.append(row)
-        print(f"{n:>6} {row['gen_s']:>9.3f} {row['traced_peak_mb']:>10.2f} "
-              f"{row['peak_rss_mb']:>8.1f} {row['sha256']:>17}")
-
-    ratio_rows = []
-    print(f"\n{'n':>6} {'edges':>7} {'ratio s':>9} {'rss +MB':>8} {'traced MB':>10} "
-          f"{'all-pairs s':>12} {'rss +MB':>8}")
-    for n in sizes(args.ratio_sizes):
-        row = child("ratio", n, args)
-        ratio_rows.append(row)
-        ref_s = f"{row['reference_s']:.3f}" if "reference_s" in row else "-"
-        ref_rss = f"{row['reference_peak_rss_growth_mb']:.1f}" if "reference_s" in row else "-"
-        print(f"{n:>6} {row['edges']:>7} {row['ratio_s']:>9.3f} {row['peak_rss_growth_mb']:>8.1f} "
-              f"{row['traced_peak_mb']:>10.2f} {ref_s:>12} {ref_rss:>8}")
-
-    table_rows = []
-    print(f"\n{'n':>6} " + " ".join(f"{name:>12}" for name in TABLE_STAGES) + f" {'peak MB':>8}")
-    for n in sizes(args.table_sizes):
-        row = child("tables", n, args)
-        table_rows.append(row)
-        print(f"{n:>6} " + " ".join(f"{row[name + '_s'] * 1e3:>10.1f}ms" for name in TABLE_STAGES)
-              + f" {row['peak_rss_mb']:>8.1f}")
-
-    route_table = []
-    print(f"\n{'n':>6} {'router':>10} {'steps':>7} {'warm us':>9} {'first ms':>9} {'traces':>17}")
-    for n in sizes(args.table_sizes):
-        for row in child("routes", n, args):
-            route_table.append(row)
-            print(f"{n:>6} {row['router']:>10} {row['steps']:>7} {row['warm_us']:>9.1f} "
-                  f"{row['first_route_s'] * 1e3:>9.1f} {row['traces_sha256']:>17}")
-
-    cert_rows = []
-    print(f"\n{'n':>6} {'certify us':>11} {'first ms':>9} {'path us':>9} {'first ms':>9} {'results':>17}")
-    for n in CERT_SIZES:
-        row = child("cert", n, args)
-        cert_rows.append(row)
-        print(f"{n:>6} {row['certify_warm_us']:>11.1f} {row['certify_first_s'] * 1e3:>9.1f} "
-              f"{row['shortest_path_warm_us']:>9.1f} {row['shortest_path_first_s'] * 1e3:>9.1f} "
-              f"{row['results_sha256']:>17}")
-
+    sections = {"gen_rows": gen_section, "ratio_rows": ratio_section, "table_rows": table_section,
+                "route_rows": route_section, "cert_rows": cert_section}
     doc = {
         "bench": "spannerkit layers: gen_random, and over uniform points "
                  "spanning_ratio(build_half_theta6), the half-theta-6 graph tables, the four routers "
@@ -418,15 +380,81 @@ def main():
         "commit": commit(),
         "source_sha256": source_sha256(),
         "seed": args.seed,
-        "gen_rows": gen_rows,
-        "ratio_rows": ratio_rows,
-        "table_rows": table_rows,
-        "route_rows": route_table,
-        "cert_rows": cert_rows,
     }
+    kept = {}
+    if args.only:
+        with open(args.out, encoding="utf-8") as fh:
+            old = json.load(fh)
+        for key in sections:
+            if key.split("_")[0] not in args.only:
+                kept[key] = old.get("kept_from", {}).get(
+                    key, {"commit": old["commit"], "source_sha256": old["source_sha256"]})
+    for key, section in sections.items():
+        doc[key] = old[key] if key in kept else section(args)
+    if kept:
+        doc["kept_from"] = kept
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
+
+
+def gen_section(args):
+    rows = []
+    print(f"{'n':>6} {'gen s':>9} {'traced MB':>10} {'peak MB':>8} {'points':>17}")
+    for n in GEN_SIZES:
+        row = child("gen", n, args)
+        rows.append(row)
+        print(f"{n:>6} {row['gen_s']:>9.3f} {row['traced_peak_mb']:>10.2f} "
+              f"{row['peak_rss_mb']:>8.1f} {row['sha256']:>17}")
+    return rows
+
+
+def ratio_section(args):
+    rows = []
+    print(f"\n{'n':>6} {'edges':>7} {'ratio s':>9} {'rss +MB':>8} {'traced MB':>10} "
+          f"{'all-pairs s':>12} {'rss +MB':>8}")
+    for n in sizes(args.ratio_sizes):
+        row = child("ratio", n, args)
+        rows.append(row)
+        ref_s = f"{row['reference_s']:.3f}" if "reference_s" in row else "-"
+        ref_rss = f"{row['reference_peak_rss_growth_mb']:.1f}" if "reference_s" in row else "-"
+        print(f"{n:>6} {row['edges']:>7} {row['ratio_s']:>9.3f} {row['peak_rss_growth_mb']:>8.1f} "
+              f"{row['traced_peak_mb']:>10.2f} {ref_s:>12} {ref_rss:>8}")
+    return rows
+
+
+def table_section(args):
+    rows = []
+    print(f"\n{'n':>6} " + " ".join(f"{name:>12}" for name in TABLE_STAGES) + f" {'peak MB':>8}")
+    for n in sizes(args.table_sizes):
+        row = child("tables", n, args)
+        rows.append(row)
+        print(f"{n:>6} " + " ".join(f"{row[name + '_s'] * 1e3:>10.1f}ms" for name in TABLE_STAGES)
+              + f" {row['peak_rss_mb']:>8.1f}")
+    return rows
+
+
+def route_section(args):
+    rows = []
+    print(f"\n{'n':>6} {'router':>10} {'steps':>7} {'warm us':>9} {'first ms':>9} {'traces':>17}")
+    for n in sizes(args.table_sizes):
+        for row in child("routes", n, args):
+            rows.append(row)
+            print(f"{n:>6} {row['router']:>10} {row['steps']:>7} {row['warm_us']:>9.1f} "
+                  f"{row['first_route_s'] * 1e3:>9.1f} {row['traces_sha256']:>17}")
+    return rows
+
+
+def cert_section(args):
+    rows = []
+    print(f"\n{'n':>6} {'certify us':>11} {'first ms':>9} {'path us':>9} {'first ms':>9} {'results':>17}")
+    for n in CERT_SIZES:
+        row = child("cert", n, args)
+        rows.append(row)
+        print(f"{n:>6} {row['certify_warm_us']:>11.1f} {row['certify_first_s'] * 1e3:>9.1f} "
+              f"{row['shortest_path_warm_us']:>9.1f} {row['shortest_path_first_s'] * 1e3:>9.1f} "
+              f"{row['results_sha256']:>17}")
+    return rows
 
 
 if __name__ == "__main__":

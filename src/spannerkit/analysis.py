@@ -126,8 +126,28 @@ def spanning_ratio(g: SpannerGraph, per_pair: bool = False) -> RatioReport:
     NaN ratio (coordinate differences overflowing) outranks every number.
 
     Streams row blocks of at most _CHECK_BLOCK (source, target) elements, so
-    memory beyond the graph is O(n * block), not O(n^2); with per_pair the
-    returned table itself holds n(n-1)/2 rows, in the same order.
+    memory beyond the graph is O(n * block) plus an m x n table of hub
+    distances, m about 2 sqrt(n); with per_pair the returned table itself
+    holds n(n-1)/2 rows, in the same order.
+
+    Pairs that cannot reach the maximum are certified away before Dijkstra
+    runs from them. The hubs are one vertex per occupied cell of a
+    ceil(sqrt(m)) x ceil(sqrt(m)) grid over the bounding box, the one nearest
+    the cell's centre. One Dijkstra from all of them gives their exact
+    distances D(h, .), each vertex v its nearest hub h(v), and, as the best
+    exact ratio of a hub and a later vertex, a lower bound on the maximum. By
+    the triangle inequality d(u, v) is at most
+
+        U(u, v) = min(D(h(u), u) + D(h(u), v), D(h(v), u) + D(h(v), v)).
+
+    Each distance is a float sum of at most n - 1 lengths, so U is scaled by
+    1 + (n + 1) 2^-52, which covers the rounding of all three sums. A pair is
+    dropped when U over its Euclidean distance is below the best ratio known
+    so far less a relative _CHECK_SLACK; every other pair is kept, and each
+    source runs Dijkstra only up to the largest U of its kept pairs. Pruning
+    is off (every pair kept, no limit) with per_pair, on a disconnected graph
+    (some hub distance is inf) and when an extent of the bounding box
+    overflows.
     """
     if len(g.points) < 2:
         return RatioReport(1.0, None)
@@ -139,37 +159,34 @@ def spanning_ratio(g: SpannerGraph, per_pair: bool = False) -> RatioReport:
     table = [] if per_pair else None
     step = max(1, _CHECK_BLOCK // n)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        hubs = None if per_pair else _hub_bounds(mat, x, y)
         # The last row has no pair (j > i) left.
         for lo in range(0, n - 1, step):
             hi = min(n - 1, lo + step)
-            # Each vertex's final distance is the minimum of fl(d[u] + w) over
-            # its neighbours u: with positive weights a neighbour popped later
-            # cannot lower it, so relaxation order does not matter and these
-            # rows are bit-identical to an all-pairs run with directed=False.
-            dist = _csgraph_dijkstra(mat, directed=True, indices=np.arange(lo, hi))
-            # Pairs (i, j) with i = lo + r and j = c > i, in row-major order.
-            r, c = np.triu_indices(hi - lo, lo + 1, n)
-            d = dist[r, c]
-            dx = x[c] - x[lo + r]
-            dy = y[c] - y[lo + r]
-            if per_pair:
-                sel = np.arange(len(d))
+            # Pairs (i, j) with i = lo + r and j = lo + 1 + c > i.
+            dx = x[lo + 1 :] - x[lo:hi, None]
+            dy = y[lo + 1 :] - y[lo:hi, None]
+            if hubs is None:
+                up = np.full(dx.shape, np.inf)
+                keep = np.ones(dx.shape, dtype=bool)
             else:
-                # np.hypot is within an ulp of math.hypot for normal results, so
-                # a pair whose approximate ratio is below the best exact ratio
-                # so far, or the block's best approximate one, by a relative
-                # _CHECK_SLACK cannot reach the exact maximum. Every other
-                # pair, every non-finite ratio and every subnormal denominator
-                # (where an ulp is a large relative error) is decided again
-                # with math.hypot.
-                near = np.hypot(dx, dy)
-                approx = d / near
-                finite = approx[np.isfinite(approx)]
-                top = max(best, float(finite.max())) if finite.size else best
-                unclear = ~(approx < top * (1.0 - _CHECK_SLACK))
-                sel = np.flatnonzero(unclear | (near < sys.float_info.min))
-            euclid = np.array(list(map(math.hypot, dx[sel].tolist(), dy[sel].tolist())), dtype=np.float64)
-            ratios = d[sel] / euclid
+                up = hubs.upper(lo, hi)
+                keep = hubs.kept(up, dx, dy, best)
+            keep[:, : hi - lo] &= ~np.tri(hi - lo, k=-1, dtype=bool)
+            # Row-major order, as the witness rule needs.
+            r, c = np.divmod(np.flatnonzero(keep), n - lo - 1)
+            # Each row's Dijkstra limit: the largest U of its kept pairs, -1
+            # where none is kept.
+            limit = np.full(hi - lo, -1.0)
+            first = np.flatnonzero(np.diff(r, prepend=-1))
+            limit[r[first]] = np.maximum.reduceat(up[r, c], first)
+            d = _limited_rows(mat, lo, limit)[r, lo + 1 + c]
+            if hubs is not None and not np.isfinite(d).all():
+                raise InternalInvariantViolation("a pair kept for the spanning ratio lies beyond its Dijkstra limit")
+            dx = dx[r, c]
+            dy = dy[r, c]
+            c += lo + 1
+            sel, euclid, ratios = _decided_ratios(d, dx, dy, best, per_pair)
             if sel.size:
                 # np.argmax takes the first NaN, else the first maximum.
                 at = int(np.argmax(ratios))
@@ -187,6 +204,134 @@ def spanning_ratio(g: SpannerGraph, per_pair: bool = False) -> RatioReport:
             elif math.isnan(best):
                 break  # nothing later outranks the first NaN
     return RatioReport(best, witness, per_pair=table)
+
+
+def _decided_ratios(d, dx, dy, best: float, every: bool):
+    """(sel, euclid, ratios) over pairs with graph distances d and coordinate
+    differences dx, dy: the indices sel of the pairs decided with math.hypot
+    (all of them with every), their math.hypot distances and their ratios.
+
+    np.hypot is within an ulp of math.hypot for normal results, so a pair
+    whose approximate ratio is below best, or the best approximate one, by a
+    relative _CHECK_SLACK cannot reach the exact maximum. Every other pair,
+    every non-finite ratio and every subnormal denominator (where an ulp is a
+    large relative error) is decided with math.hypot.
+    """
+    if every:
+        sel = np.arange(len(d))
+    else:
+        near = np.hypot(dx, dy)
+        approx = d / near
+        finite = approx[np.isfinite(approx)]
+        top = max(best, float(finite.max())) if finite.size else best
+        unclear = ~(approx < top * (1.0 - _CHECK_SLACK))
+        sel = np.flatnonzero(unclear | (near < sys.float_info.min))
+    euclid = np.array(list(map(math.hypot, dx[sel].tolist(), dy[sel].tolist())), dtype=np.float64)
+    return sel, euclid, d[sel] / euclid
+
+
+@dataclass
+class _HubBounds:
+    """spanning_ratio's certificate: exact distances from the hubs and the
+    upper bounds U they give (see spanning_ratio)."""
+
+    dist: np.ndarray  # (m, n): one exact Dijkstra row per hub
+    home: np.ndarray  # per vertex, the row of its nearest hub
+    own: np.ndarray  # per vertex v, dist[home[v], v]
+    low: float  # the best exact ratio of a pair (hub, later vertex)
+    margin: float  # 1 + (n + 1) 2^-52
+
+    def upper(self, lo: int, hi: int) -> np.ndarray:
+        """margin * U(i, j) for i in [lo, hi) and j in [lo + 1, n)."""
+        up = self.dist[self.home[lo:hi], lo + 1 :]
+        up += self.own[lo:hi, None]
+        across = self.dist[self.home[lo + 1 :], lo:hi]
+        across += self.own[lo + 1 :, None]
+        np.minimum(up, across.T, out=up)
+        up *= self.margin
+        return up
+
+    def kept(self, up, dx, dy, best: float) -> np.ndarray:
+        """Mask of the pairs that may reach the maximum: all but those with
+        (up / t)^2 < dx^2 + dy^2, t being the best ratio known (the larger of
+        best and low) less a relative _CHECK_SLACK and capped at the largest
+        float (a larger ratio is inf). While dx^2 + dy^2 is a normal float
+        both sides are within a few ulps, and an underflowing (up / t)^2 is
+        below it anyway; pairs whose dx^2 + dy^2 is subnormal, zero or inf
+        are kept."""
+        t = min(max(self.low, best), sys.float_info.max) * (1.0 - _CHECK_SLACK)
+        sq = dx * dx
+        sq += dy * dy
+        q = up / t
+        q *= q
+        return ~((q < sq) & (sq >= sys.float_info.min) & (sq < math.inf))
+
+
+def _hub_bounds(mat: csr_matrix, x, y) -> _HubBounds | None:
+    """spanning_ratio's hub certificate of the graph with length matrix mat
+    on the points x, y; None where pruning is off."""
+    n = len(x)
+    side = math.ceil(math.sqrt(2.0 * math.sqrt(n)))
+    cell = np.zeros(n, dtype=np.int64)
+    off_centre = np.zeros(n)
+    for coord in (x, y):
+        start = float(coord.min())
+        extent = float(coord.max()) - start
+        if not math.isfinite(extent):
+            return None
+        at = (coord - start) / extent * side if extent > 0 else np.zeros(n)
+        whole = np.minimum(np.floor(at), side - 1)
+        cell = cell * side + whole.astype(np.int64)
+        off_centre += (at - whole - 0.5) ** 2
+    # The vertex nearest the centre of each occupied cell (the smaller index on ties).
+    order = np.lexsort((off_centre, cell))
+    hubs = order[np.unique(cell[order], return_index=True)[1]]
+    dist = _csgraph_dijkstra(mat, directed=True, indices=hubs)
+    if not math.isfinite(dist.max()):
+        return None
+    # The first row at each column's minimum (np.argmin over axis 0 would
+    # copy the table).
+    own = dist.min(axis=0)
+    home = np.argmax(dist == own, axis=0)
+    low = -math.inf
+    step = max(1, _CHECK_BLOCK // n)
+    for lo in range(0, len(hubs), step):
+        # Pairs (h, v) with v > h: spanning_ratio reads their distance from
+        # row h too, so these are exact ratios of pairs.
+        src = hubs[lo : lo + step, None]
+        later = np.arange(n) > src
+        _, _, ratios = _decided_ratios(dist[lo : lo + step][later], (x - x[src])[later], (y - y[src])[later], low, False)
+        if ratios.size:
+            low = max(low, float(ratios.max()))
+    return _HubBounds(dist, home, own, low, 1.0 + (n + 1) * 2.0**-52)
+
+
+#: Sources whose Dijkstra limits are within this factor of each other share
+#: one scipy call, whose limit is the largest of theirs.
+_LIMIT_SPREAD = 1.25
+
+
+def _limited_rows(mat: csr_matrix, lo: int, limit) -> np.ndarray:
+    """Dijkstra rows from the vertex indices lo, lo + 1, ..., one per entry of
+    limit: exact up to that limit (scipy's limit is inclusive) and inf beyond.
+    A negative limit skips the row, which stays inf.
+
+    Each vertex's final distance is the minimum of fl(d[u] + w) over its
+    neighbours u: with positive weights a neighbour popped later cannot lower
+    it, so relaxation order does not matter, and the row's entries up to its
+    limit, whose minimising neighbours lie within it too, are bit-identical to
+    an all-pairs run with directed=False.
+    """
+    out = np.full((len(limit), mat.shape[0]), np.inf)
+    order = np.argsort(limit, kind="stable")
+    sorted_limit = limit[order]
+    start = int(np.searchsorted(sorted_limit, 0.0))
+    while start < len(order):
+        stop = int(np.searchsorted(sorted_limit, sorted_limit[start] * _LIMIT_SPREAD, side="right"))
+        group = order[start:stop]
+        out[group] = _csgraph_dijkstra(mat, directed=True, indices=lo + group, limit=float(sorted_limit[stop - 1]))
+        start = stop
+    return out
 
 
 def _length_matrix(g: SpannerGraph) -> csr_matrix:
@@ -344,9 +489,10 @@ def restricted_pair_check(
     certified from w and the path read backwards.
 
     Raises InvalidParameter if u or w is not a vertex or the bound or the
-    tolerance is not finite. Absence of such a path on a clean half-theta-6
-    input is a construction bug, so it raises InternalInvariantViolation
-    rather than returning a failure.
+    tolerance is not finite. Only half-theta-6 graphs guarantee a path inside
+    every pair's triangle: on them its absence is a construction bug and
+    raises InternalInvariantViolation; on any other kind it raises
+    InvalidParameter.
     """
     _check_finite("tolerance", tolerance)
     if bound is not None:
@@ -358,9 +504,10 @@ def restricted_pair_check(
     allowed[a] = allowed[b] = True
     dist, parent = _dijkstra(h._length_rows, a, allowed, b)
     if b not in dist:
-        raise InternalInvariantViolation(
-            f"no path from {u} to {w} inside their canonical triangle"
-        )
+        message = f"no path from {u} to {w} inside their canonical triangle"
+        if h.kind == "half_theta6":
+            raise InternalInvariantViolation(message)
+        raise InvalidParameter(f"{message}: only half-theta-6 graphs guarantee one, not {h.kind} graphs")
     path = [b]
     while path[-1] != a:
         path.append(parent[path[-1]])

@@ -37,7 +37,11 @@ def outcome(check, h, u, w):
 
 
 def assert_pairs_match(h):
-    """Every ordered pair, so each pair is certified in both orders."""
+    """Every ordered pair, so each pair is certified in both orders. A pair
+    with no path inside its triangle is a bug only on half-theta-6 graphs:
+    where the oracle raises InternalInvariantViolation on another kind,
+    restricted_pair_check raises InvalidParameter with the same message and
+    a reason."""
     ids = h.points.ids
     raised = 0
     for u in ids:
@@ -45,7 +49,10 @@ def assert_pairs_match(h):
             if u == w:
                 continue
             got = outcome(restricted_pair_check, h, u, w)
-            assert got == outcome(oracle_restricted_pair_check, h, u, w), (h.kind, h.k, u, w)
+            want = outcome(oracle_restricted_pair_check, h, u, w)
+            if h.kind != "half_theta6" and isinstance(want, tuple) and want[0] == "InternalInvariantViolation":
+                want = ("InvalidParameter", f"{want[1]}: only half-theta-6 graphs guarantee one, not {h.kind} graphs")
+            assert got == want, (h.kind, h.k, u, w)
             raised += isinstance(got, tuple)
     return raised
 
@@ -55,13 +62,14 @@ def test_suite_sets(n, seed):
     assert assert_pairs_match(build_half_theta6(gen_random(n, seed))) == 0
 
 
-@pytest.mark.parametrize("k", [5, 7])
+@pytest.mark.parametrize("k", [5, 7, 8])
 def test_theta_graphs(k):
-    # Theta-5/7 triangles need not hold a path: the raises must agree too.
+    # Theta-k triangles need not hold a path (on gen_random(40, 23) 74, 9
+    # and 1 of the 1,560 ordered pairs for k = 5, 7 and 8 have none): that is
+    # InvalidParameter, not a spannerkit bug.
     raised = sum(assert_pairs_match(build_theta(gen_random(n, seed), k))
                  for n, seed in ((40, 23), (30, 17), (20, 11)))
-    if k == 5:
-        assert raised > 0
+    assert raised > 0
 
 
 def test_integer_grid():

@@ -2,15 +2,17 @@
 replaced (tests/oracles.py::oracle_spanning_ratio): the same maximum, the same
 witness and the same per-pair rows in the same order, also with row blocks of
 one and three sources and where np.hypot and math.hypot disagree in the last
-ulp at the maximum."""
+ulp at the maximum; and the hub certificate that prunes pairs, on inputs
+where it drops most of them."""
 
 import math
 
 import numpy as np
 import pytest
-from oracles import oracle_spanning_ratio
+from oracles import _oracle_distance_matrices, oracle_spanning_ratio
 
 from spannerkit import (
+    InternalInvariantViolation,
     Point,
     PointSet,
     SpannerGraph,
@@ -204,3 +206,106 @@ def test_hypot_ulp_at_the_maximum_is_decided_exactly(rows, monkeypatch):
     edges = [(3 * i, 3 * i + 2) for i in range(4)] + [(3 * i + 1, 3 * i + 2) for i in range(4)]
     edges += [(3 * i + 1, 3 * i + 3) for i in range(3)]
     assert_matches_oracle(SpannerGraph("x", None, PointSet(copies), edges), monkeypatch, rows)
+
+
+def uniform_set(n, seed):
+    return PointSet.from_pairs(np.random.default_rng(seed).random((n, 2)).tolist())
+
+
+def two_clusters():
+    # Two sets 1000 apart, one hub each: the pairs across are dropped, the
+    # pairs within mostly kept.
+    near = [(p.x, p.y) for p in gen_random(120, 3)]
+    far = [(p.x + 1000.0, p.y + 1000.0) for p in gen_random(120, 4)]
+    return every_kind(PointSet.from_pairs(near + far), general_position=False)
+
+
+def huge_coordinates():
+    ps = PointSet(Point(p.id, p.x * 1e150, p.y * 1e150) for p in gen_random(300, 4))
+    return every_kind(ps)
+
+
+def path_graph(n):
+    """A path 0 - 1 - ... - n-1 with steps from 1e-4 to 1e4 in a mixed order
+    and a zigzag, so the hub sums round differently from the path's own."""
+    steps = [10.0 ** ((k * 7919) % 9 - 4) for k in range(n - 1)]
+    xs = np.concatenate(([0.0], np.cumsum(steps))).tolist()
+    ps = PointSet(Point(k, xs[k], 0.3 * steps[k % (n - 1)] * (-1) ** k) for k in range(n))
+    return SpannerGraph("x", None, ps, [(k, k + 1) for k in range(n - 1)])
+
+
+def random_768():
+    h = build_half_theta6(gen_random(768, 1))
+    return [h, build_g12(h), build_g9(h)]
+
+
+#: Inputs on which the hub certificate drops more than half of the pairs
+#: before any Dijkstra runs from them.
+PRUNED = {
+    "random_768": random_768,
+    "uniform_2048": lambda: [build_half_theta6(uniform_set(2048, 2024))],
+    "two_clusters": two_clusters,
+    "huge_coordinates": huge_coordinates,
+    # The maximum is the pair across the MST's one missing circle edge.
+    "circle_mst": lambda: [build_mst(gen_circle(200))],
+    "path": lambda: [path_graph(1200)],
+}
+
+
+@pytest.fixture(scope="module")
+def pruned_references():
+    """Case name -> [(graph, oracle report)], filled as the cases run."""
+    return {}
+
+
+@BLOCKS
+@pytest.mark.parametrize("case", PRUNED)
+def test_pruning_keeps_the_maximum(case, rows, monkeypatch, pruned_references):
+    if case not in pruned_references:
+        pruned_references[case] = [(g, oracle_spanning_ratio(g)) for g in PRUNED[case]()]
+    kept = analysis._HubBounds.kept
+    counts = []
+
+    def counting_kept(self, up, dx, dy, best):
+        mask = kept(self, up, dx, dy, best)
+        # Only pairs (i, j > i): row r's first r columns are j <= i.
+        counts.append(int(np.triu(mask).sum()))
+        return mask
+
+    monkeypatch.setattr(analysis._HubBounds, "kept", counting_kept)
+    for g, ref in pruned_references[case]:
+        n = len(g.points)
+        if rows is not None:
+            monkeypatch.setattr(analysis, "_CHECK_BLOCK", rows * n)
+        counts.clear()
+        got = spanning_ratio(g)
+        assert (repr(got.max_ratio), got.witness, got.to_json()) == (repr(ref.max_ratio), ref.witness, ref.to_json())
+        assert counts, "pruning was off"
+        assert sum(counts) < n * (n - 1) // 4, (g.kind, g.k, sum(counts), n * (n - 1) // 2)
+
+
+def test_inflated_hub_bound_covers_every_distance():
+    g = path_graph(1200)
+    n = len(g.points)
+    _, x, y = g.points.arrays
+    hubs = analysis._hub_bounds(analysis._length_matrix(g), x, y)
+    _, dist, _ = _oracle_distance_matrices(g)
+    i, j = np.triu_indices(n, 1)
+    d = dist[i, j]
+    up = hubs.upper(0, n - 1)[i, j - 1]
+    assert (up >= d).all()
+    # Without the margin, U falls below the Dijkstra distance on many pairs.
+    raw = np.minimum(hubs.own[i] + hubs.dist[hubs.home[i], j], hubs.dist[hubs.home[j], i] + hubs.own[j])
+    assert (raw < d).sum() > 1000
+
+
+def test_a_kept_pair_beyond_its_limit_is_a_bug(monkeypatch):
+    # Halving every Dijkstra limit leaves kept pairs unreached.
+    dijkstra = analysis._csgraph_dijkstra
+
+    def short_dijkstra(mat, directed, indices, limit=np.inf):
+        return dijkstra(mat, directed=directed, indices=indices, limit=limit / 2)
+
+    monkeypatch.setattr(analysis, "_csgraph_dijkstra", short_dijkstra)
+    with pytest.raises(InternalInvariantViolation, match="beyond its Dijkstra limit"):
+        spanning_ratio(build_half_theta6(gen_random(64, 1000)))
