@@ -10,6 +10,8 @@ sets. Each (table, n) runs in one fresh process. Times are best of --repeat.
 Generation rows:
 
 - gen_s: best-of-k wall time of gen_random(n, seed);
+- report_s: best-of-k wall time of general_position_report(ps, 6) on the
+  generated set (gen_random ends with the same call);
 - traced_peak_mb: tracemalloc's peak over one more call;
 - peak_rss_mb: the process's peak RSS after all calls;
 - sha256: the first 16 hex digits of the points' JSON (points_to_json).
@@ -130,13 +132,15 @@ def uniform_pairs(n, seed):
 
 def gen_row(n, repeat, seed):
     """Time gen_random at one size in this process; returns the row."""
-    from spannerkit import gen_random, points_to_json
+    from spannerkit import gen_random, general_position_report, points_to_json
 
     gen_s, ps = best_of(lambda: gen_random(n, seed), repeat)
+    report_s, _ = best_of(lambda: general_position_report(ps, 6), repeat)
     return {
         "n": n,
         "repeat": repeat,
         "gen_s": round(gen_s, 4),
+        "report_s": round(report_s, 4),
         "traced_peak_mb": round(traced_peak_mb(lambda: gen_random(n, seed)), 2),
         "peak_rss_mb": round(peak_rss_mb(), 1),
         "sha256": hashlib.sha256(points_to_json(ps).encode()).hexdigest()[:16],
@@ -400,11 +404,11 @@ def main():
 
 def gen_section(args):
     rows = []
-    print(f"{'n':>6} {'gen s':>9} {'traced MB':>10} {'peak MB':>8} {'points':>17}")
+    print(f"{'n':>6} {'gen s':>9} {'report s':>9} {'traced MB':>10} {'peak MB':>8} {'points':>17}")
     for n in GEN_SIZES:
         row = child("gen", n, args)
         rows.append(row)
-        print(f"{n:>6} {row['gen_s']:>9.3f} {row['traced_peak_mb']:>10.2f} "
+        print(f"{n:>6} {row['gen_s']:>9.3f} {row['report_s']:>9.4f} {row['traced_peak_mb']:>10.2f} "
               f"{row['peak_rss_mb']:>8.1f} {row['sha256']:>17}")
     return rows
 

@@ -147,7 +147,8 @@ def spanning_ratio(g: SpannerGraph, per_pair: bool = False) -> RatioReport:
     source runs Dijkstra only up to the largest U of its kept pairs. Pruning
     is off (every pair kept, no limit) with per_pair, on a disconnected graph
     (some hub distance is inf) and when an extent of the bounding box
-    overflows.
+    overflows; but a disconnected graph whose distances cannot overflow is
+    decided from vertex 0's row alone (_disconnected_ratio).
     """
     if len(g.points) < 2:
         return RatioReport(1.0, None)
@@ -160,6 +161,10 @@ def spanning_ratio(g: SpannerGraph, per_pair: bool = False) -> RatioReport:
     step = max(1, _CHECK_BLOCK // n)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         hubs = None if per_pair else _hub_bounds(mat, x, y)
+        if hubs is None and not per_pair:
+            report = _disconnected_ratio(mat, ids, x, y)
+            if report is not None:
+                return report
         # The last row has no pair (j > i) left.
         for lo in range(0, n - 1, step):
             hi = min(n - 1, lo + step)
@@ -228,6 +233,27 @@ def _decided_ratios(d, dx, dy, best: float, every: bool):
         sel = np.flatnonzero(unclear | (near < sys.float_info.min))
     euclid = np.array(list(map(math.hypot, dx[sel].tolist(), dy[sel].tolist())), dtype=np.float64)
     return sel, euclid, d[sel] / euclid
+
+
+def _disconnected_ratio(mat: csr_matrix, ids, x, y) -> RatioReport | None:
+    """spanning_ratio of a disconnected graph none of whose math.hypot
+    distances overflows, from one Dijkstra row; None for any other graph.
+
+    Vertex 0 has an inf ratio to every vertex outside its component, and only
+    a NaN ratio (inf over an overflowing distance) outranks inf; so the
+    maximum and the witness of the all-pairs loop are those of row 0. The
+    witness is vertex 0 and the first vertex outside its component, unless a
+    finite graph distance over a subnormal one overflows to inf before it.
+    """
+    span = math.hypot(float(x.max()) - float(x.min()), float(y.max()) - float(y.min()))
+    if not math.isfinite(span):
+        return None
+    d = _csgraph_dijkstra(mat, directed=True, indices=0)
+    if np.isfinite(d).all():
+        return None
+    sel, _, ratios = _decided_ratios(d[1:], x[1:] - x[0], y[1:] - y[0], -math.inf, False)
+    at = int(np.argmax(ratios))
+    return RatioReport(float(ratios[at]), (ids[0], ids[1 + int(sel[at])]))
 
 
 @dataclass

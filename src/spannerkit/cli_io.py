@@ -36,6 +36,7 @@ from .geometry import (
     _aligned_direction,
     _direction_gaps,
     _dump_json,
+    _fast_hypot,
     general_position_report,
     points_from_json,
     points_to_json,
@@ -87,7 +88,6 @@ def gen_random(n: int, seed: int, k: int = 6, retries: int = 100) -> PointSet:
     if not isinstance(retries, int) or retries < 1:
         raise InvalidParameter(f"retries must be an integer >= 1, got {retries!r}")
     rng = random.Random(seed)
-    bad_dirs = _avoided_directions(k)
     # The points placed so far, followed by the draws of the current round.
     xs: list[float] = []
     ys: list[float] = []
@@ -99,7 +99,7 @@ def gen_random(n: int, seed: int, k: int = 6, retries: int = 100) -> PointSet:
         for _ in range(draws):
             xs.append(rng.random())
             ys.append(rng.random())
-        conflicts = _stream_conflicts(xs, ys, bad_dirs, m)
+        conflicts = _stream_conflicts(xs, ys, k, m)
         ok = [True] * m + [False] * draws
         keep = list(range(m))
         for c in range(m, m + draws):
@@ -143,7 +143,7 @@ def _avoided_directions(k: int) -> list[float]:
     return sorted(bad)
 
 
-def _stream_conflicts(xs, ys, bad_dirs, start: int,
+def _stream_conflicts(xs, ys, k: int, start: int,
                       eps: float = 1e-7) -> dict[int, list[tuple[int, int]]]:
     """The degeneracy checks of a stream of draws, as conflicts: draw c maps
     to pairs (a, b) of earlier entries, and c is rejected if a and b were both
@@ -151,29 +151,31 @@ def _stream_conflicts(xs, ys, bad_dirs, start: int,
     already placed, which clear each other; their azimuths are not checked.
 
     c is rejected when it lies within eps of a placed point or sees one within
-    eps of a bad direction (mod pi); when two of its own distances to placed
-    points tie, hi - lo <= eps * max(1, lo) (some pair ties exactly when two
-    sorted neighbours do, since rounding is monotone); or when it ties a
-    distance seen from a placed apex r, |d(r, j) - d(r, c)| <= eps * max(1, d(r, c)).
+    eps of a direction a k-cone system avoids (_avoided_directions); when two
+    of its own distances to placed points tie, hi - lo <= eps * max(1, lo)
+    (some pair ties exactly when two sorted neighbours do, since rounding is
+    monotone); or when it ties a distance seen from a placed apex r,
+    |d(r, j) - d(r, c)| <= eps * max(1, d(r, c)).
 
-    Runs as numpy row blocks of at most _CHECK_BLOCK elements (len(bad_dirs)
-    times that for the azimuths), so memory is O(len(xs) * block). np.arctan2
-    azimuths and sorted np.hypot rows only filter; math.hypot and
-    _aligned_direction decide every case within _CHECK_SLACK of a threshold,
-    so the verdicts are those of the per-draw scalar checks.
+    Runs as numpy row blocks of at most _CHECK_BLOCK elements, so memory is
+    O(len(xs) * block). The lattice gaps of _direction_gaps and sorted
+    _fast_hypot rows only filter; math.hypot and _aligned_direction decide
+    every case within _CHECK_SLACK of a threshold, so the verdicts are those
+    of the per-draw scalar checks.
     """
+    bad_dirs = _avoided_directions(k)
     size = len(xs)
     x = np.array(xs, dtype=np.float64)
     y = np.array(ys, dtype=np.float64)
     conflicts: dict[int, list[tuple[int, int]]] = {}
 
-    step = max(1, _CHECK_BLOCK // max(size * len(bad_dirs), 1))
+    step = max(1, _CHECK_BLOCK // size)
     for lo in range(max(start, 1), size, step):
         hi = min(size, lo + step)
         # Row c = lo + r against the earlier entries i < c; dx is c minus i.
         dx = x[lo:hi, None] - x[None, : hi - 1]
         dy = y[lo:hi, None] - y[None, : hi - 1]
-        margin = _direction_gaps(dx, dy, bad_dirs) - eps
+        margin = _direction_gaps(dx, dy, k) - eps
         unsure = margin <= _CHECK_SLACK
         unsure &= np.arange(hi - 1)[None, :] < np.arange(lo, hi)[:, None]
         for r, i in zip(*(ix.tolist() for ix in np.nonzero(unsure))):
@@ -182,11 +184,10 @@ def _stream_conflicts(xs, ys, bad_dirs, start: int,
                     or _aligned_direction(xs[c] - xs[i], ys[c] - ys[i], bad_dirs, eps) is not None):
                 conflicts.setdefault(c, []).append((i, i))
 
-    step = max(1, _CHECK_BLOCK // size)
     for lo in range(0, size, step):
         hi = min(size, lo + step)
         rows = np.arange(hi - lo)
-        dist = np.hypot(x[None, :] - x[lo:hi, None], y[None, :] - y[lo:hi, None])
+        dist = _fast_hypot(x[None, :] - x[lo:hi, None], y[None, :] - y[lo:hi, None])
         # The apex's own entry sorts last and is dropped.
         dist[rows, rows + lo] = np.inf
         near = dist[:, :hi] <= eps + _CHECK_SLACK

@@ -223,6 +223,16 @@ def _oracle_avoided_directions(k):
     return sorted(bad)
 
 
+def oracle_direction_gaps(dx, dy, dirs):
+    """Angular distance, folded mod pi, from the azimuth of every vector
+    (dx, dy) to the nearest of dirs, by broadcasting every vector against
+    every direction: the filter geometry._direction_gaps replaced."""
+    az = np.arctan2(dx, dy)
+    az = np.remainder(np.where(az < 0.0, az + 2.0 * math.pi, az), math.pi)
+    diff = np.abs(az - np.reshape(dirs, (-1,) + (1,) * az.ndim))
+    return np.minimum(diff, math.pi - diff).min(axis=0)
+
+
 def _oracle_clears_degeneracies(placed, dist_lists, cand, bad_dirs, eps=1e-7):
     """Distances from cand to each placed point, or None if cand is degenerate."""
     import bisect

@@ -1,17 +1,20 @@
 """Seeded generation and the general-position report against the scalar
 oracles they replaced: the same points for every seed, the same findings in
-the same order, also with tiny row blocks and for pairs whose margin to a
-threshold is small enough that the vectorized filter hands them to the
-scalar test."""
+the same order, also with tiny row blocks, at extreme scales and for pairs
+whose margin to a threshold is small enough that the vectorized filter hands
+them to the scalar test; and the direction lattice behind that filter."""
 
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from spannerkit import (
     ConeSystem,
     DegenerateInput,
     InvalidParameter,
+    Point,
     PointSet,
     cli_io,
     gen_circle,
@@ -26,6 +29,7 @@ from spannerkit.geometry import EPS
 from oracles import (
     _oracle_avoided_directions,
     _oracle_clears_degeneracies,
+    oracle_direction_gaps,
     oracle_gen_random,
     oracle_general_position_report,
 )
@@ -155,6 +159,10 @@ class TestGenRandomMatchesOracle:
     def test_larger_sets(self, n, seed):
         assert gen_random(n, seed) == oracle_gen_random(n, seed)
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8, 12])
+    def test_cone_counts_at_n_200(self, k):
+        assert gen_random(200, k, k=k) == oracle_gen_random(200, k, k=k)
+
 
 class TestDrawRounds:
     """With no margin the first round draws exactly n candidates, so every
@@ -251,11 +259,11 @@ class TestCandidateChecks:
         ys = [y for _, y in placed] + [cand[1]]
         # As one stream: the placed points clear each other, so all of them
         # are placed and any conflict of the candidate rejects it.
-        conflicts = cli_io._stream_conflicts(xs, ys, bad, 0)
+        conflicts = cli_io._stream_conflicts(xs, ys, 6, 0)
         assert not any(conflicts.get(i) for i in range(n))
         got = bool(conflicts.get(n))
         # As a later round, with the points already placed.
-        assert bool(cli_io._stream_conflicts(xs, ys, bad, n).get(n)) == got
+        assert bool(cli_io._stream_conflicts(xs, ys, 6, n).get(n)) == got
         want = _oracle_clears_degeneracies(placed, lists, cand, bad) is None
         return got, want
 
@@ -361,9 +369,68 @@ class TestReportMatchesOracle:
         ps = _at_boundary_pairs(7)
         assert general_position_report(ps, 7) == oracle_general_position_report(ps, 7)
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e154, 1e200, 1e300])
+    @pytest.mark.parametrize("k", [5, 6, 7])
+    def test_scaled_sets(self, scale, k):
+        # Squared distances underflow (1e-160 and below) or overflow (1e154
+        # and above), so the distance rows fall back to np.hypot.
+        for name, ps in sorted(REPORT_SETS.items()):
+            scaled = PointSet(Point(p.id, p.x * scale, p.y * scale) for p in ps)
+            assert general_position_report(scaled, k) == oracle_general_position_report(scaled, k), name
+
     def test_overflowing_differences(self):
         ps = PointSet.from_pairs(
             [(-1e308, 1e308), (1e308, -1e308), (0.0, 0.0), (5e307, 7e307), (-3e307, 1e300)]
         )
         for k in (4, 6, 7):
             assert general_position_report(ps, k) == oracle_general_position_report(ps, k)
+
+
+#: pi to 50 digits, for exact distances to the direction lattice.
+PI = Fraction("3.1415926535897932384626433827950288419716939937510")
+
+
+def _nearest_lattice_points(k, dirs):
+    """m of _direction_lattice(k), and for each direction the index j mod m
+    of the nearest point phi0 + j * pi / m of the exact lattice and the
+    distance to it."""
+    m, phi0 = geometry._direction_lattice(k)
+    start = PI / k if phi0 else Fraction(0)
+    assert abs(Fraction(phi0) - start) < 1e-16
+    nearest = []
+    for d in dirs:
+        t = (Fraction(d) - start) * m / PI
+        j = round(t)
+        nearest.append((j % m, abs(t - j) * PI / m))
+    return m, nearest
+
+
+class TestDirectionLattice:
+    @pytest.mark.parametrize("k", range(2, 65))
+    def test_avoided_directions_are_the_lattice(self, k):
+        for dirs in (cli_io._avoided_directions(k), _report_bad_dirs(k)):
+            m, nearest = _nearest_lattice_points(k, dirs)
+            # Every lattice point is near a direction, and every direction
+            # is on the lattice. A direction is (i * theta + theta / 2)
+            # folded mod pi in floats: i times theta's rounding plus a few
+            # roundings of values up to 2 pi, up to 1.2e-15 (k = 61).
+            assert {j for j, _ in nearest} == set(range(m))
+            assert max(gap for _, gap in nearest) < 2e-15
+
+    @pytest.mark.parametrize("k", range(2, 65))
+    def test_gaps_match_the_broadcast_filter(self, k):
+        m, phi0 = geometry._direction_lattice(k)
+        rng = np.random.default_rng(k)
+        dx, dy = rng.standard_normal((2, 2000)) * 10.0 ** rng.integers(-3, 4, (2, 2000))
+        on = phi0 + np.arange(m) * math.pi / m
+        r = rng.random(m) + 0.1
+        # Then vectors along every lattice direction, both ways, and every
+        # pair of signed zeros and other components: (0.0, -1.0) and
+        # (-0.0, -1.0) have the azimuths pi and -pi.
+        signed = [0.0, -0.0, 1.0, -1.0, 3.5, -1e-3]
+        dx = np.concatenate((dx, r * np.sin(on), -r * np.sin(on), [a for a in signed for _ in signed]))
+        dy = np.concatenate((dy, r * np.cos(on), -r * np.cos(on), [b for _ in signed for b in signed]))
+        got = geometry._direction_gaps(dx, dy, k)
+        want = oracle_direction_gaps(dx, dy, _report_bad_dirs(k))
+        assert np.abs(got - want).max() <= 1e-14
+        assert np.abs(got[2000:2000 + 2 * m]).max() <= 1e-14

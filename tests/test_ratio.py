@@ -146,6 +146,54 @@ def test_disconnected_graph_is_inf(rows, monkeypatch):
     assert assert_matches_oracle(bare, monkeypatch, rows).witness == (0, 1)
 
 
+def without_vertex_edges(g, v):
+    """g with every edge at vertex v removed."""
+    return SpannerGraph("x", None, g.points, [e for e in g.edge_list() if v not in e])
+
+
+def apart_clusters():
+    """Half-theta-6 graphs of two sets 1000 apart, with no edge between them."""
+    near = gen_random(40, 3)
+    far = PointSet(Point(40 + p.id, p.x + 1000.0, p.y + 1000.0) for p in gen_random(40, 4))
+    edges = build_half_theta6(near).edge_list() + build_half_theta6(far).edge_list()
+    return SpannerGraph("x", None, PointSet(list(near) + list(far)), edges)
+
+
+#: Disconnected graphs whose distances cannot overflow.
+DISCONNECTED = {
+    "isolated_first": lambda: without_vertex_edges(build_half_theta6(gen_random(60, 1)), 0),
+    "isolated_middle": lambda: without_vertex_edges(build_half_theta6(gen_random(60, 1)), 5),
+    "isolated_last": lambda: without_vertex_edges(build_half_theta6(gen_random(60, 1)), 59),
+    "two_clusters": apart_clusters,
+    # The path 0 - 2 - 1 over the subnormal distance between 0 and 1 gives
+    # an inf ratio before vertex 3, which is isolated.
+    "overflowing_ratio": lambda: SpannerGraph(
+        "x", None, PointSet.from_pairs([(0.0, 0.0), (5e-324, 0.0), (1.0, 1.0), (2.0, 0.5)]), [(0, 2), (1, 2)]
+    ),
+}
+
+
+@pytest.mark.parametrize("case, witness", [
+    ("isolated_first", (0, 1)), ("isolated_middle", (0, 5)), ("isolated_last", (0, 59)),
+    ("two_clusters", (0, 40)), ("overflowing_ratio", (0, 1)),
+])
+def test_disconnected_graph_is_decided_from_vertex_0(case, witness, monkeypatch):
+    g = DISCONNECTED[case]()
+    starts = []
+    limited = analysis._limited_rows
+
+    def counted(mat, lo, limit):
+        starts.append(lo)
+        return limited(mat, lo, limit)
+
+    monkeypatch.setattr(analysis, "_limited_rows", counted)
+    got = spanning_ratio(g)
+    assert not starts, "the row loop ran"
+    assert math.isinf(got.max_ratio) and got.witness == witness
+    with np.errstate(over="ignore"):
+        assert_matches_oracle(g, monkeypatch)
+
+
 @BLOCKS
 def test_overflowing_differences_give_nan(rows, monkeypatch):
     ps = PointSet([Point(0, -1.5e308, 0.0), Point(1, 1.5e308, 0.0), Point(2, 0.0, 1.0)])
