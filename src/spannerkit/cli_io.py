@@ -172,10 +172,10 @@ def _stream_conflicts(xs, ys, k: int, start: int,
     step = max(1, _CHECK_BLOCK // size)
     for lo in range(max(start, 1), size, step):
         hi = min(size, lo + step)
-        # Row c = lo + r against the earlier entries i < c; dx is c minus i.
-        dx = x[lo:hi, None] - x[None, : hi - 1]
-        dy = y[lo:hi, None] - y[None, : hi - 1]
-        margin = _direction_gaps(dx, dy, k) - eps
+        # Row c = lo + r against the earlier entries i < c, as c minus i;
+        # unnamed, the differences are freed before the distance pass.
+        margin = _direction_gaps(x[lo:hi, None] - x[None, : hi - 1], y[lo:hi, None] - y[None, : hi - 1], k)
+        margin -= eps
         unsure = margin <= _CHECK_SLACK
         unsure &= np.arange(hi - 1)[None, :] < np.arange(lo, hi)[:, None]
         for r, i in zip(*(ix.tolist() for ix in np.nonzero(unsure))):

@@ -362,10 +362,10 @@ _SQUARES_MAX = 2.0**900
 def _fast_hypot(dx, dy):
     """Distances sqrt(dx^2 + dy^2), elementwise, for the row filters.
 
-    About 7x cheaper than np.hypot, and within 2 ulps of it wherever
-    dx^2 + dy^2 is in [_SQUARES_MIN, _SQUARES_MAX]; every other entry (zero,
-    extreme scales, inf) is np.hypot's own. math.hypot decides every case
-    the filters pass on, so these rows never decide one.
+    Several times cheaper than np.hypot, and within 2 ulps of the exact
+    distance wherever dx^2 + dy^2 is in [_SQUARES_MIN, _SQUARES_MAX]; every
+    other entry (zero, extreme scales, inf) is np.hypot's own. math.hypot
+    decides every case the filters pass on, so these rows never decide one.
     """
     d = dx * dx
     d += dy * dy

@@ -10,14 +10,14 @@ scalar scan in tests/oracles.py; the theta-5 witness search
 (analysis.theta5_witness_path) runs its own scalar search of one cone in a
 rotated frame and checks each pick against the graph's edges.
 
-The general-position filters are numpy counterparts that do not repeat the
-scalar operations: geometry._direction_gaps measures the gap to the avoided
-directions from one np.arctan2 as a distance to a lattice, and
-geometry._fast_hypot takes square roots of dx^2 + dy^2. Both are within a
-few ulps of azimuth and math.hypot, and every case near a threshold goes to
-the scalar test (geometry._aligned_direction, math.hypot), so they only
-filter. Their references are the broadcast gap in tests/oracles.py and the
-scalar oracles of the report and of gen_random there.
+The general-position checks have numpy filters that do not repeat the
+scalar operations. geometry._direction_gaps takes the gap to the avoided
+directions from one np.arctan2 as a distance to a lattice, within about
+3e-15 of the gap geometry._aligned_direction computes from azimuth; and
+geometry._fast_hypot takes square roots of dx^2 + dy^2, within 2 ulps of
+math.hypot. Every case near a threshold goes to the scalar test, so they only
+filter. Their references are the broadcast gap and the scalar report and
+gen_random in tests/oracles.py.
 """
 
 from math import atan2, cos, floor, sin
