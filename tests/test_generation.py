@@ -378,12 +378,36 @@ class TestReportMatchesOracle:
             scaled = PointSet(Point(p.id, p.x * scale, p.y * scale) for p in ps)
             assert general_position_report(scaled, k) == oracle_general_position_report(scaled, k), name
 
+    def test_huge_scales_keep_the_distance_filter(self, monkeypatch):
+        # dx^2 + dy^2 overflows at these scales; the np.hypot entries still
+        # clear every apex row of a set in general position.
+        rows = []
+        scalar = geometry._equidistant_findings
+
+        def counted(pts, apex):
+            rows.append(apex)
+            return scalar(pts, apex)
+
+        monkeypatch.setattr(geometry, "_equidistant_findings", counted)
+        for scale in (1e200, 1e300):
+            ps = PointSet(Point(p.id, p.x * scale, p.y * scale) for p in REPORT_SETS["random"])
+            assert general_position_report(ps, 6) == []
+        assert not rows
+
     def test_overflowing_differences(self):
         ps = PointSet.from_pairs(
             [(-1e308, 1e308), (1e308, -1e308), (0.0, 0.0), (5e307, 7e307), (-3e307, 1e300)]
         )
         for k in (4, 6, 7):
             assert general_position_report(ps, k) == oracle_general_position_report(ps, k)
+        # Two distances from the origin that tie within EPS on either side of
+        # sqrt(max float): only the first one's dx^2 + dy^2 is finite.
+        ps = PointSet.from_pairs(
+            [(0.0, 0.0), (3.962278169935955e153, 1.280896815338092e154), (1.1949137110649833e154, 6.081729674449232e153)]
+        )
+        report = general_position_report(ps, 6)
+        assert {"kind": "equidistant", "apex": 0, "pair": [1, 2]} in report
+        assert report == oracle_general_position_report(ps, 6)
 
 
 #: pi to 50 digits, for exact distances to the direction lattice.

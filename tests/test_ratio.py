@@ -209,6 +209,13 @@ def test_overflowing_differences_give_nan(rows, monkeypatch):
     with np.errstate(over="ignore", invalid="ignore"):
         got = assert_matches_oracle(g, monkeypatch, rows)
     assert math.isnan(got.max_ratio) and got.witness == (6, 7)
+    # Vertex 0 is isolated, so its row is all inf; the NaN pair (1, 2) of
+    # a later row still wins.
+    ps = PointSet([Point(0, 0.0, 1.0), Point(1, -1.5e308, 0.0), Point(2, 1.5e308, 0.0), Point(3, 0.0, 2.0)])
+    g = SpannerGraph("x", None, ps, [(1, 3), (2, 3)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = assert_matches_oracle(g, monkeypatch, rows)
+    assert math.isnan(got.max_ratio) and got.witness == (1, 2)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
