@@ -159,26 +159,24 @@ def apart_clusters():
     return SpannerGraph("x", None, PointSet(list(near) + list(far)), edges)
 
 
-#: Disconnected graphs whose distances cannot overflow.
+#: Disconnected graphs whose distances cannot overflow, and their witnesses.
 DISCONNECTED = {
-    "isolated_first": lambda: without_vertex_edges(build_half_theta6(gen_random(60, 1)), 0),
-    "isolated_middle": lambda: without_vertex_edges(build_half_theta6(gen_random(60, 1)), 5),
-    "isolated_last": lambda: without_vertex_edges(build_half_theta6(gen_random(60, 1)), 59),
-    "two_clusters": apart_clusters,
+    "isolated_first": (lambda: without_vertex_edges(build_half_theta6(gen_random(60, 1)), 0), (0, 1)),
+    "isolated_middle": (lambda: without_vertex_edges(build_half_theta6(gen_random(60, 1)), 5), (0, 5)),
+    "isolated_last": (lambda: without_vertex_edges(build_half_theta6(gen_random(60, 1)), 59), (0, 59)),
+    "two_clusters": (apart_clusters, (0, 40)),
     # The path 0 - 2 - 1 over the subnormal distance between 0 and 1 gives
     # an inf ratio before vertex 3, which is isolated.
-    "overflowing_ratio": lambda: SpannerGraph(
+    "overflowing_ratio": (lambda: SpannerGraph(
         "x", None, PointSet.from_pairs([(0.0, 0.0), (5e-324, 0.0), (1.0, 1.0), (2.0, 0.5)]), [(0, 2), (1, 2)]
-    ),
+    ), (0, 1)),
 }
 
 
-@pytest.mark.parametrize("case, witness", [
-    ("isolated_first", (0, 1)), ("isolated_middle", (0, 5)), ("isolated_last", (0, 59)),
-    ("two_clusters", (0, 40)), ("overflowing_ratio", (0, 1)),
-])
-def test_disconnected_graph_is_decided_from_vertex_0(case, witness, monkeypatch):
-    g = DISCONNECTED[case]()
+@pytest.mark.parametrize("case", DISCONNECTED)
+def test_disconnected_graph_is_decided_from_vertex_0(case, monkeypatch):
+    build, witness = DISCONNECTED[case]
+    g = build()
     starts = []
     limited = analysis._limited_rows
 
