@@ -11,7 +11,8 @@ Generation rows:
 
 - gen_s: best-of-k wall time of gen_random(n, seed);
 - report_s: best-of-k wall time of general_position_report(ps, 6) on the
-  generated set (gen_random ends with the same call);
+  generated set; gen_random guarantees an empty report without running it,
+  and the bench exits with an error if the report is not empty;
 - traced_peak_mb: tracemalloc's peak over one more call;
 - peak_rss_mb: the process's peak RSS after all calls;
 - sha256: the first 16 hex digits of the points' JSON (points_to_json).
@@ -135,7 +136,9 @@ def gen_row(n, repeat, seed):
     from spannerkit import gen_random, general_position_report, points_to_json
 
     gen_s, ps = best_of(lambda: gen_random(n, seed), repeat)
-    report_s, _ = best_of(lambda: general_position_report(ps, 6), repeat)
+    report_s, findings = best_of(lambda: general_position_report(ps, 6), repeat)
+    if findings:
+        raise SystemExit(f"gen_random({n}, {seed}) is not in general position: {findings[0]}")
     return {
         "n": n,
         "repeat": repeat,

@@ -394,7 +394,7 @@ def _verify_bound(g: SpannerGraph, name: str | None, tolerance: float, per_pair:
 
 def _check_finite(name: str, value: float) -> None:
     # A NaN tolerance or bound fails every comparison, so every check would "fail".
-    if not isinstance(value, numbers.Real) or not math.isfinite(value):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
         raise InvalidParameter(f"{name} must be finite (a real number), got {value!r}")
 
 
@@ -514,17 +514,19 @@ def restricted_pair_check(
     the other in a positive cone, so a pair given negative end first is
     certified from w and the path read backwards.
 
-    Raises InvalidParameter if u or w is not a vertex or the bound or the
-    tolerance is not finite. Only half-theta-6 graphs guarantee a path inside
-    every pair's triangle: on them its absence is a construction bug and
-    raises InternalInvariantViolation; on any other kind it raises
-    InvalidParameter.
+    Raises InvalidParameter if u or w is not a vertex, if u == w, or if the
+    bound or the tolerance is not a finite real number (a bool is not one).
+    Only half-theta-6 graphs guarantee a path inside every pair's triangle:
+    on them its absence is a construction bug and raises
+    InternalInvariantViolation; on any other kind it raises InvalidParameter.
     """
     _check_finite("tolerance", tolerance)
     if bound is not None:
         _check_finite("bound", bound)
-    i = _vertex_index(h, u)
-    a, b, tri = _pair_triangle(h, i, _vertex_index(h, w))
+    i, j = _vertex_index(h, u), _vertex_index(h, w)
+    if i == j:
+        raise InvalidParameter("pair check endpoints must differ")
+    a, b, tri = _pair_triangle(h, i, j)
     ids, xs, ys = h.points.arrays
     allowed = kernels.points_in_tri(xs, ys, *tri.apex, *tri.corner_a, *tri.corner_b, EPS).tolist()
     allowed[a] = allowed[b] = True

@@ -37,7 +37,6 @@ from .geometry import (
     _direction_gaps,
     _dump_json,
     _fast_hypot,
-    general_position_report,
     points_from_json,
     points_to_json,
 )
@@ -60,32 +59,32 @@ ROUTE_ALGOS = ("stateless", "stateful", "g12", "g9")
 
 #: The first round of gen_random draws n + n * _STREAM_MARGIN candidates.
 _STREAM_MARGIN = 0.125
+#: gen_random's tolerance for near points, avoided directions and distance ties.
+_STREAM_EPS = 1e-7
 
 
 def gen_random(n: int, seed: int, k: int = 6, retries: int = 100) -> PointSet:
     """n points uniform in the unit square, resampled into general position.
 
-    Each point gets up to `retries` fresh draws to clear the degeneracy checks
-    against the points already placed (at a tolerance well above the one the
-    final report uses); the finished set must still produce an empty
-    general-position report or the input is rejected.
+    Each point gets up to `retries` draws to clear _stream_conflicts against
+    the points placed before it. The draws are a stream fixed by the seed,
+    checked in one numpy pass per round (n + n/8 draws, then as many as the
+    rejections so far suggest) and placed by a walk in draw order, so every
+    seed gives the points, and every failure the error, of the scalar loops.
 
-    Every draw takes two rng.random() values whatever earlier draws decided,
-    so the candidates are a stream fixed by the seed, and they are drawn in
-    rounds: n + n/8 at first, then as many as the rejections seen so far
-    suggest are still needed. Each round checks its draws against the points
-    placed so far and each other in one pass (_stream_conflicts: numpy row
-    blocks, no n x n matrix), then walks them in order, placing every draw
-    that clears the points placed before it. Every seed gives the same points,
-    and every failure the same error, as the per-draw scalar loops did.
+    general_position_report(ps, k) is empty by construction, so it is not
+    run: every (apex, a, b) triple is tested when its latest point is placed;
+    for pairs in the unit square _STREAM_EPS * max(1, d) exceeds the report's
+    EPS * max(1, d); and the stream's avoided directions lie within 2e-15 of
+    the report's.
 
     Raises InvalidParameter before drawing any point unless n and retries are
-    integers >= 1 and k is a valid cone count.
+    integers >= 1 (not bools) and k is a valid cone count.
     """
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise InvalidParameter(f"need an integer number of points >= 1, got {n!r}")
     ConeSystem(k)
-    if not isinstance(retries, int) or retries < 1:
+    if isinstance(retries, bool) or not isinstance(retries, int) or retries < 1:
         raise InvalidParameter(f"retries must be an integer >= 1, got {retries!r}")
     rng = random.Random(seed)
     # The points placed so far, followed by the draws of the current round.
@@ -126,11 +125,7 @@ def gen_random(n: int, seed: int, k: int = 6, retries: int = 100) -> PointSet:
         # grow about as m**3 (m >= 1: the first draw is always placed).
         more = int(1.25 * rejected * ((n / m) ** 3 - 1.0)) + int(n * _STREAM_MARGIN)
         draws = min(2 * draws, n - m + more)
-    ps = PointSet.from_pairs(zip(xs, ys))
-    findings = general_position_report(ps, k)
-    if findings:
-        raise DegenerateInput(f"generated set is degenerate: {findings[0]}")
-    return ps
+    return PointSet.from_pairs(zip(xs, ys))
 
 
 def _avoided_directions(k: int) -> list[float]:
@@ -143,25 +138,24 @@ def _avoided_directions(k: int) -> list[float]:
     return sorted(bad)
 
 
-def _stream_conflicts(xs, ys, k: int, start: int,
-                      eps: float = 1e-7) -> dict[int, list[tuple[int, int]]]:
+def _stream_conflicts(xs, ys, k: int, start: int) -> dict[int, list[tuple[int, int]]]:
     """The degeneracy checks of a stream of draws, as conflicts: draw c maps
     to pairs (a, b) of earlier entries, and c is rejected if a and b were both
     placed ((i, i) when i alone rejects c). Entries before `start` are points
     already placed, which clear each other; their azimuths are not checked.
 
-    c is rejected when it lies within eps of a placed point or sees one within
-    eps of a direction a k-cone system avoids (_avoided_directions); when two
-    of its own distances to placed points tie, hi - lo <= eps * max(1, lo)
-    (some pair ties exactly when two sorted neighbours do, since rounding is
-    monotone); or when it ties a distance seen from a placed apex r,
-    |d(r, j) - d(r, c)| <= eps * max(1, d(r, c)).
+    With eps = _STREAM_EPS, c is rejected when it lies within eps of a placed
+    point or sees one within eps of a direction a k-cone system avoids
+    (_avoided_directions); when two of its own distances to placed points
+    tie, hi - lo <= eps * max(1, lo) (some pair ties exactly when two sorted
+    neighbours do, since rounding is monotone); or when it ties a distance
+    seen from a placed apex r, |d(r, j) - d(r, c)| <= eps * max(1, d(r, c)).
 
-    Runs as numpy row blocks of at most _CHECK_BLOCK elements, so memory is
-    O(len(xs) * block). The lattice gaps of _direction_gaps and sorted
-    _fast_hypot rows only filter; math.hypot and _aligned_direction decide
-    every case within _CHECK_SLACK of a threshold, so the verdicts are those
-    of the per-draw scalar checks.
+    Runs as numpy row blocks of at most _CHECK_BLOCK elements, each freed
+    before the next, so memory is O(len(xs) * block). The lattice gaps of
+    _direction_gaps and sorted _fast_hypot rows only filter; math.hypot and
+    _aligned_direction decide every case within _CHECK_SLACK of a threshold,
+    so the verdicts are those of the per-draw scalar checks.
     """
     bad_dirs = _avoided_directions(k)
     size = len(xs)
@@ -175,14 +169,15 @@ def _stream_conflicts(xs, ys, k: int, start: int,
         # Row c = lo + r against the earlier entries i < c, as c minus i;
         # unnamed, the differences are freed before the distance pass.
         margin = _direction_gaps(x[lo:hi, None] - x[None, : hi - 1], y[lo:hi, None] - y[None, : hi - 1], k)
-        margin -= eps
+        margin -= _STREAM_EPS
         unsure = margin <= _CHECK_SLACK
         unsure &= np.arange(hi - 1)[None, :] < np.arange(lo, hi)[:, None]
         for r, i in zip(*(ix.tolist() for ix in np.nonzero(unsure))):
             c = lo + r
             if (margin[r, i] < -_CHECK_SLACK
-                    or _aligned_direction(xs[c] - xs[i], ys[c] - ys[i], bad_dirs, eps) is not None):
+                    or _aligned_direction(xs[c] - xs[i], ys[c] - ys[i], bad_dirs, _STREAM_EPS) is not None):
                 conflicts.setdefault(c, []).append((i, i))
+        del margin, unsure
 
     for lo in range(0, size, step):
         hi = min(size, lo + step)
@@ -190,35 +185,36 @@ def _stream_conflicts(xs, ys, k: int, start: int,
         dist = _fast_hypot(x[None, :] - x[lo:hi, None], y[None, :] - y[lo:hi, None])
         # The apex's own entry sorts last and is dropped.
         dist[rows, rows + lo] = np.inf
-        near = dist[:, :hi] <= eps + _CHECK_SLACK
+        near = dist[:, :hi] <= _STREAM_EPS + _CHECK_SLACK
         near &= np.arange(hi)[None, :] < np.arange(lo, hi)[:, None]
         for r, i in zip(*(ix.tolist() for ix in np.nonzero(near))):
             c = lo + r
-            if math.hypot(xs[c] - xs[i], ys[c] - ys[i]) <= eps:
+            if math.hypot(xs[c] - xs[i], ys[c] - ys[i]) <= _STREAM_EPS:
                 conflicts.setdefault(c, []).append((i, i))
         ordered = np.sort(dist, axis=1)[:, : size - 1]
         low, high = ordered[:, :-1], ordered[:, 1:]
         # Two distances that tie are joined by a run of sorted neighbours each
         # within the larger's tolerance (plus rounding, well under the slack).
-        linked = high - low <= (eps + _CHECK_SLACK) * np.maximum(1.0, high)
+        linked = high - low <= (_STREAM_EPS + _CHECK_SLACK) * np.maximum(1.0, high)
         for r in np.nonzero(linked.any(axis=1))[0].tolist():
             at = np.nonzero(linked[r])[0]
             for run in np.split(at, np.nonzero(np.diff(at) > 1)[0] + 1):
                 low_d, high_d = ordered[r, run[0]], ordered[r, run[-1] + 1]
                 members = np.nonzero((dist[r] >= low_d) & (dist[r] <= high_d))[0].tolist()
-                _record_ties(conflicts, xs, ys, lo + r, members, eps)
+                _record_ties(conflicts, xs, ys, lo + r, members)
+        del dist, near, ordered, low, high, linked
     return conflicts
 
 
-def _record_ties(conflicts, xs, ys, apex: int, members: list[int], eps: float) -> None:
+def _record_ties(conflicts, xs, ys, apex: int, members: list[int]) -> None:
     """Conflicts for the distance ties among members (increasing entries)
     seen from apex; the latest of the three is the draw rejected."""
     dists = [(j, math.hypot(xs[j] - xs[apex], ys[j] - ys[apex])) for j in members]
     for (a, da), (b, db) in itertools.combinations(dists, 2):
         if b < apex:
-            if max(da, db) - min(da, db) <= eps * max(1.0, min(da, db)):
+            if max(da, db) - min(da, db) <= _STREAM_EPS * max(1.0, min(da, db)):
                 conflicts.setdefault(apex, []).append((a, b))
-        elif abs(da - db) <= eps * max(1.0, db):
+        elif abs(da - db) <= _STREAM_EPS * max(1.0, db):
             conflicts.setdefault(b, []).append((apex, a))
 
 

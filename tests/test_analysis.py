@@ -145,7 +145,7 @@ class TestVerifyBound:
         rep = verify_bound(build_half_theta6(gen_random(40, 23)), tolerance=-1.5)
         assert rep.passed is False
 
-    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, "x"])
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, "x", True])
     def test_non_finite_tolerance_rejected(self, tolerance):
         h = build_half_theta6(gen_random(20, 1))
         with pytest.raises(InvalidParameter, match="tolerance must be finite"):
@@ -274,7 +274,7 @@ class TestRestrictedPairCheck:
                 with pytest.raises(InvalidParameter, match=f"vertex {text} is not in the graph"):
                     restricted_pair_check(h, u, w)
 
-    @pytest.mark.parametrize("bound", [math.nan, math.inf, "x"])
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, "x", True])
     def test_non_finite_bound_rejected(self, bound):
         # A NaN bound used to return ok False, and "x" raised TypeError.
         h = build_half_theta6(gen_random(24, 3))

@@ -13,6 +13,7 @@ from test_ratio import SUITE_SETS
 
 from spannerkit import (
     ConeSystem,
+    InvalidParameter,
     Point,
     PointSet,
     SpannerKitError,
@@ -105,6 +106,15 @@ def test_ids_that_are_not_positions():
             for w in ids:
                 if u != w:
                     assert shortest_path(g, u, w) == oracle_shortest_path(g, u, w), (g.kind, u, w)
+
+
+def test_equal_endpoints_are_rejected():
+    # Unchecked, the pair's triangle would ask for the cone of a zero vector
+    # and raise DegenerateInput.
+    h = build_half_theta6(gen_random(20, 1))
+    for u in (0, 7, 19):
+        with pytest.raises(InvalidParameter, match="pair check endpoints must differ"):
+            restricted_pair_check(h, u, u)
 
 
 def _sides(a, b, c):

@@ -231,12 +231,41 @@ class TestGenRandomArguments:
             {"retries": 0},
             {"retries": -1},
             {"retries": 1.5},
+            {"n": True},
+            {"retries": True},
         ],
     )
     def test_rejected_before_drawing(self, kwargs):
         args = {"n": 8, "seed": 1, **kwargs}
         with pytest.raises(InvalidParameter):
             gen_random(**args)
+
+
+class TestGeneralPositionByConstruction:
+    """gen_random does not run general_position_report on its output: the
+    stream's checks contain the report's. Every generated set has an empty
+    report, and every finding the report makes on a near-degenerate stream
+    is a conflict of the finding's latest point."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8, 12])
+    @pytest.mark.parametrize("n", [64, 200, 384])
+    def test_generated_reports_are_empty(self, n, k):
+        for seed in range(5):
+            assert general_position_report(gen_random(n, seed, k=k), k) == [], seed
+
+    @pytest.mark.parametrize(
+        "name", ["grid", "half_grid", "circle_12", "near_ties", "hypot_ulp_tie", "boundary"]
+    )
+    @pytest.mark.parametrize("k", [4, 5, 6, 7, 8, 12])
+    def test_findings_are_stream_conflicts(self, name, k):
+        ps = _at_boundary_pairs(k) if name == "boundary" else REPORT_SETS[name]
+        index = {p.id: i for i, p in enumerate(ps)}
+        conflicts = cli_io._stream_conflicts([p.x for p in ps], [p.y for p in ps], k, 0)
+        findings = general_position_report(ps, k)
+        assert findings
+        for f in findings:
+            latest = max(index[v] for v in f["pair"] + [f.get("apex", f["pair"][0])])
+            assert conflicts.get(latest), f
 
 
 class TestCandidateChecks:
@@ -283,7 +312,7 @@ class TestCandidateChecks:
     def test_directions_at_the_tolerance(self, monkeypatch):
         calls = _count_calls(monkeypatch, cli_io)
         px, py = self.PLACED[0]
-        eps = 1e-7
+        eps = cli_io._STREAM_EPS
         verdicts = set()
         for b in cli_io._avoided_directions(6):
             for e in (eps, math.nextafter(eps, 0.0), math.nextafter(eps, 1.0), eps / 2, eps * 2):
