@@ -151,11 +151,11 @@ def _stream_conflicts(xs, ys, k: int, start: int) -> dict[int, list[tuple[int, i
     neighbours do, since rounding is monotone); or when it ties a distance
     seen from a placed apex r, |d(r, j) - d(r, c)| <= eps * max(1, d(r, c)).
 
-    Runs as numpy row blocks of at most _CHECK_BLOCK elements, each freed
-    before the next, so memory is O(len(xs) * block). The lattice gaps of
-    _direction_gaps and sorted _fast_hypot rows only filter; math.hypot and
-    _aligned_direction decide every case within _CHECK_SLACK of a threshold,
-    so the verdicts are those of the per-draw scalar checks.
+    Runs as numpy row blocks of at most _CHECK_BLOCK elements, so memory is
+    O(len(xs) * block). The lattice gaps of _direction_gaps and sorted
+    _fast_hypot rows only filter; math.hypot and _aligned_direction decide
+    every case within _CHECK_SLACK of a threshold, so the verdicts are those
+    of the per-draw scalar checks.
     """
     bad_dirs = _avoided_directions(k)
     size = len(xs)
@@ -177,7 +177,6 @@ def _stream_conflicts(xs, ys, k: int, start: int) -> dict[int, list[tuple[int, i
             if (margin[r, i] < -_CHECK_SLACK
                     or _aligned_direction(xs[c] - xs[i], ys[c] - ys[i], bad_dirs, _STREAM_EPS) is not None):
                 conflicts.setdefault(c, []).append((i, i))
-        del margin, unsure
 
     for lo in range(0, size, step):
         hi = min(size, lo + step)
@@ -202,7 +201,6 @@ def _stream_conflicts(xs, ys, k: int, start: int) -> dict[int, list[tuple[int, i
                 low_d, high_d = ordered[r, run[0]], ordered[r, run[-1] + 1]
                 members = np.nonzero((dist[r] >= low_d) & (dist[r] <= high_d))[0].tolist()
                 _record_ties(conflicts, xs, ys, lo + r, members)
-        del dist, near, ordered, low, high, linked
     return conflicts
 
 

@@ -256,14 +256,14 @@ def general_position_report(ps: PointSet, k: int) -> list[dict]:
     direction is within tolerance of a cone boundary direction or its
     perpendicular (mod pi).
 
-    Runs as numpy row blocks of at most _CHECK_BLOCK elements, each freed
-    before the next, so memory stays O(n) beyond the points. The lattice gaps
-    of _direction_gaps and the sorted _fast_hypot rows only filter; they are
-    within a few ulps of what libm atan2 and math.hypot give. The scalar
-    tests (_aligned_direction, _equidistant_findings) decide every pair whose
-    direction is not clear of EPS, and every apex row with a gap not clear of
-    its threshold, by more than _CHECK_SLACK; so findings and their order are
-    exactly those of the all-pairs scalar loops.
+    Runs as numpy row blocks of at most _CHECK_BLOCK elements, so memory stays
+    O(n) beyond the points. The lattice gaps of _direction_gaps and the sorted
+    _fast_hypot rows only filter; they are within a few ulps of what libm
+    atan2 and math.hypot give. The scalar tests (_aligned_direction,
+    _equidistant_findings) decide every pair whose direction is not clear of
+    EPS, and every apex row with a gap not clear of its threshold, by more
+    than _CHECK_SLACK; so findings and their order are exactly those of the
+    all-pairs scalar loops.
     """
     cs = ConeSystem(k)
     findings = []
@@ -284,8 +284,9 @@ def general_position_report(ps: PointSet, k: int) -> list[dict]:
         for lo in range(0, n, step):
             hi = min(n, lo + step)
             # Row a = lo + r against columns b = lo + 1 + c; pairs need b > a.
-            gaps = _direction_gaps(x[None, lo + 1 :] - x[lo:hi, None], y[None, lo + 1 :] - y[lo:hi, None], k)
-            unsure = ~(gaps > EPS + _CHECK_SLACK)
+            dx = x[None, lo + 1 :] - x[lo:hi, None]
+            dy = y[None, lo + 1 :] - y[lo:hi, None]
+            unsure = ~(_direction_gaps(dx, dy, k) > EPS + _CHECK_SLACK)
             unsure &= np.arange(n - lo - 1)[None, :] >= np.arange(hi - lo)[:, None]
             for r, c in zip(*(ix.tolist() for ix in np.nonzero(unsure))):
                 p, q = pts[lo + r], pts[lo + 1 + c]
@@ -294,7 +295,6 @@ def general_position_report(ps: PointSet, k: int) -> list[dict]:
                     findings.append(
                         {"kind": "cone_boundary_aligned", "pair": [p.id, q.id], "direction": d}
                     )
-            del gaps, unsure
 
         for lo in range(0, n, step):
             hi = min(n, lo + step)
@@ -308,7 +308,6 @@ def general_position_report(ps: PointSet, k: int) -> list[dict]:
             clear = high - low > EPS * np.maximum(1.0, low) + _CHECK_SLACK * np.maximum(1.0, high)
             for r in np.nonzero(~clear.all(axis=1))[0].tolist():
                 findings.extend(_equidistant_findings(pts, pts[lo + r]))
-            del dist, low, high, clear
 
     return findings
 
