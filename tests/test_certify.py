@@ -109,8 +109,6 @@ def test_ids_that_are_not_positions():
 
 
 def test_equal_endpoints_are_rejected():
-    # Unchecked, the pair's triangle would ask for the cone of a zero vector
-    # and raise DegenerateInput.
     h = build_half_theta6(gen_random(20, 1))
     for u in (0, 7, 19):
         with pytest.raises(InvalidParameter, match="pair check endpoints must differ"):
