@@ -63,10 +63,24 @@ n = 64 and 4096) check pairs on build_half_theta6 of the same uniform points:
   the CSR and the Dijkstra's rows;
 - results_sha256: the first 16 hex digits of both calls' results as JSON.
 
-Writes the five tables with the Python/numpy/scipy versions, commit and
+Scan rows (one process per n in SCAN_SIZES) run build.cone_scan, the scan
+behind every Theta, Yao, half-Theta-6, rotated-union and MST build, for the
+four SCANS on points drawn with random.Random(seed): uniform over
+[0, 100)^2 at every size, and up to FULL_MAX points the two sets the grid
+serves badly, a dense cluster plus far points and a circle:
+
+- grid_s: best-of-k wall time of cone_scan;
+- fallback_rows: the rows its grid certificates leave to the full row-block
+  scan;
+- full_s: up to FULL_MAX points, best-of-k wall time of the full row-block
+  scan alone (every row forced through it), which must return the same edges;
+- edges_sha256: sha256 of repr() of cone_scan's edge list.
+
+Writes the six tables with the Python/numpy/scipy versions, commit and
 source hash to --out (BENCH_layers.json by default) and prints them. With
 --only (say --only ratio) it runs just those tables and keeps the other rows
-of --out as they are, with their own commit and source hash in kept_from.
+of an existing --out as they are, with their own commit and source hash in
+kept_from.
 """
 
 import argparse
@@ -98,6 +112,16 @@ GEN_SIZES = (384, 768, 2048)
 CERT_SIZES = (64, 4096)
 #: Row label and spannerkit function (graph, u, w) of the certification rows.
 CERT_CHECKS = (("certify", "restricted_pair_check"), ("shortest_path", "shortest_path"))
+#: Point counts of the scan rows.
+SCAN_SIZES = (768, 4096, 16384)
+#: Largest n of the scan rows that also runs the cluster and circle sets and
+#: times the full row-block scan.
+FULL_MAX = 4096
+#: Scans of the scan rows: name, k, use_projection, cone_mask.
+SCANS = (("half-theta-6", 6, True, 0b010101), ("theta k=7", 7, True, 0),
+         ("yao k=6", 6, False, 0), ("yao k=12", 12, False, 0))
+#: Point sets of the scan rows (scan_points).
+SCAN_POINTS = ("uniform", "cluster_far", "circle")
 
 
 def peak_rss_mb():
@@ -300,6 +324,69 @@ def cert_row(n, repeat, seed):
     return row
 
 
+def scan_points(points, n, seed):
+    """One scan-row point set as x and y lists."""
+    from spannerkit import gen_circle
+
+    rng = random.Random(seed)
+    if points == "uniform":
+        pairs = [(rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)) for _ in range(n)]
+    elif points == "cluster_far":
+        # 14/15 of the points in one Gaussian cluster of deviation 1e-3, the
+        # rest uniform over [-50, 50)^2: the cluster shares one grid cell.
+        m = n * 14 // 15
+        pairs = [(rng.gauss(0.0, 1e-3), rng.gauss(0.0, 1e-3)) for _ in range(m)]
+        pairs += [(rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0)) for _ in range(n - m)]
+    else:
+        # Every cone facing inwards has its winner across the circle, beyond
+        # any candidate block.
+        pairs = [(p.x, p.y) for p in gen_circle(n)]
+    return [x for x, _ in pairs], [y for _, y in pairs]
+
+
+def scan_rows(n, repeat, seed):
+    """Time the cone scans at one size in this process; returns their rows."""
+    import numpy as np
+    from spannerkit import build
+
+    certify = build._certified_rows
+    left = []
+
+    def counted(x, *args):
+        rows = certify(x, *args)
+        left.append(len(rows))
+        return rows
+
+    def everything(x, *_):
+        return np.arange(len(x))
+
+    def scan(rows_of, xs, ys, params):
+        # cone_scan with rows_of in place of its grid phase.
+        build._certified_rows = rows_of
+        try:
+            return build.cone_scan(xs, ys, *params)
+        finally:
+            build._certified_rows = certify
+
+    rows = []
+    for points in SCAN_POINTS if n <= FULL_MAX else SCAN_POINTS[:1]:
+        xs, ys = scan_points(points, n, seed)
+        for name, *params in SCANS:
+            left.clear()
+            grid_s, edges = best_of(lambda: scan(counted, xs, ys, params), repeat)
+            row = {"points": points, "scan": name, "k": params[0], "projection": params[1],
+                   "cone_mask": params[2], "n": n, "repeat": repeat, "grid_s": round(grid_s, 5),
+                   "fallback_rows": left[0] if left else n, "full_s": None,
+                   "edges_sha256": hashlib.sha256(repr(edges).encode()).hexdigest()}
+            if n <= FULL_MAX:
+                full_s, full = best_of(lambda: scan(everything, xs, ys, params), repeat)
+                if full != edges:
+                    raise SystemExit(f"{points} n={n}: {name} differs from the full scan")
+                row["full_s"] = round(full_s, 5)
+            rows.append(row)
+    return rows
+
+
 def commit():
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"],
@@ -347,7 +434,7 @@ def main():
     ap.add_argument("--reference-max", type=int, default=2048,
                     help="largest n whose ratio row also runs the all-pairs reference")
     ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_layers.json"))
-    ap.add_argument("--only", action="append", choices=("gen", "ratio", "table", "route", "cert"),
+    ap.add_argument("--only", action="append", choices=TABLES,
                     help="run only this table (repeatable) and keep the other tables' rows of --out, "
                          "recording their commit and source hash under kept_from")
     ap.add_argument("--child", help=argparse.SUPPRESS)
@@ -356,27 +443,16 @@ def main():
 
     if args.child is not None:
         table, n = args.child.split(":")
-        n = int(n)
-        if table == "gen":
-            row = gen_row(n, args.repeat, args.seed)
-        elif table == "ratio":
-            row = ratio_row(n, args.repeat, args.seed, n <= args.reference_max)
-        elif table == "routes":
-            row = route_rows(n, args.repeat, args.seed)
-        elif table == "cert":
-            row = cert_row(n, args.repeat, args.seed)
-        else:
-            row = table_row(n, args.repeat, args.seed)
-        print(json.dumps(row))
+        if table not in TABLES:
+            raise SystemExit(f"unknown table {table!r}: the tables are {', '.join(TABLES)}")
+        print(json.dumps(TABLES[table][0](int(n), args)))
         return
 
     import numpy
     import scipy
 
-    sections = {"gen_rows": gen_section, "ratio_rows": ratio_section, "table_rows": table_section,
-                "route_rows": route_section, "cert_rows": cert_section}
     doc = {
-        "bench": "spannerkit layers: gen_random, and over uniform points "
+        "bench": "spannerkit layers: gen_random, build.cone_scan, and over uniform points "
                  "spanning_ratio(build_half_theta6), the half-theta-6 graph tables, the four routers "
                  "and pair certification",
         "python": platform.python_version(),
@@ -390,13 +466,20 @@ def main():
     }
     kept = {}
     if args.only:
+        if not os.path.exists(args.out):
+            raise SystemExit(f"--only keeps the other tables' rows of {args.out}, which does not exist")
         with open(args.out, encoding="utf-8") as fh:
             old = json.load(fh)
-        for key in sections:
-            if key.split("_")[0] not in args.only:
-                kept[key] = old.get("kept_from", {}).get(
-                    key, {"commit": old["commit"], "source_sha256": old["source_sha256"]})
-    for key, section in sections.items():
+        for name in TABLES:
+            key = f"{name}_rows"
+            if name in args.only:
+                continue
+            if key not in old:
+                raise SystemExit(f"{args.out} has no {key}: add --only {name}")
+            kept[key] = old.get("kept_from", {}).get(
+                key, {"commit": old["commit"], "source_sha256": old["source_sha256"]})
+    for name, (_, section) in TABLES.items():
+        key = f"{name}_rows"
         doc[key] = old[key] if key in kept else section(args)
     if kept:
         doc["kept_from"] = kept
@@ -434,7 +517,7 @@ def table_section(args):
     rows = []
     print(f"\n{'n':>6} " + " ".join(f"{name:>12}" for name in TABLE_STAGES) + f" {'peak MB':>8}")
     for n in sizes(args.table_sizes):
-        row = child("tables", n, args)
+        row = child("table", n, args)
         rows.append(row)
         print(f"{n:>6} " + " ".join(f"{row[name + '_s'] * 1e3:>10.1f}ms" for name in TABLE_STAGES)
               + f" {row['peak_rss_mb']:>8.1f}")
@@ -445,7 +528,7 @@ def route_section(args):
     rows = []
     print(f"\n{'n':>6} {'router':>10} {'steps':>7} {'warm us':>9} {'first ms':>9} {'traces':>17}")
     for n in sizes(args.table_sizes):
-        for row in child("routes", n, args):
+        for row in child("route", n, args):
             rows.append(row)
             print(f"{n:>6} {row['router']:>10} {row['steps']:>7} {row['warm_us']:>9.1f} "
                   f"{row['first_route_s'] * 1e3:>9.1f} {row['traces_sha256']:>17}")
@@ -462,6 +545,33 @@ def cert_section(args):
               f"{row['shortest_path_warm_us']:>9.1f} {row['shortest_path_first_s'] * 1e3:>9.1f} "
               f"{row['results_sha256']:>17}")
     return rows
+
+
+def scan_section(args):
+    rows = []
+    print(f"\n{'points':<12} {'cone scan':<14} {'n':>6} {'grid ms':>9} {'fallback':>8} "
+          f"{'full ms':>9} {'speedup':>8}")
+    for n in SCAN_SIZES:
+        for row in child("scan", n, args):
+            rows.append(row)
+            full = (f"{row['full_s'] * 1e3:>9.2f} {row['full_s'] / row['grid_s']:>7.2f}x"
+                    if row["full_s"] is not None else f"{'-':>9} {'-':>8}")
+            print(f"{row['points']:<12} {row['scan']:<14} {n:>6} {row['grid_s'] * 1e3:>9.2f} "
+                  f"{row['fallback_rows']:>8} {full}")
+    return rows
+
+
+#: The tables by the name --only and --child give them, each with the function
+#: that measures one size in a child process and the section that runs the
+#: children; the rows go to the output's "<name>_rows".
+TABLES = {
+    "gen": (lambda n, args: gen_row(n, args.repeat, args.seed), gen_section),
+    "ratio": (lambda n, args: ratio_row(n, args.repeat, args.seed, n <= args.reference_max), ratio_section),
+    "table": (lambda n, args: table_row(n, args.repeat, args.seed), table_section),
+    "route": (lambda n, args: route_rows(n, args.repeat, args.seed), route_section),
+    "cert": (lambda n, args: cert_row(n, args.repeat, args.seed), cert_section),
+    "scan": (lambda n, args: scan_rows(n, args.repeat, args.seed), scan_section),
+}
 
 
 if __name__ == "__main__":

@@ -554,9 +554,19 @@ def g9_approximation_check(h: SpannerGraph, g9: SpannerGraph, tolerance: float =
     """For every half-theta-6 edge (s, v) with v in a negative cone of s, verify
     the degree-9 subgraph keeps the approximation path (s -> fan-closest ->
     canonical path -> v), that its total length is at most 3|sv| and the
-    canonical-path portion at most 2|sv|."""
+    canonical-path portion at most 2|sv|.
+
+    Raises InvalidParameter unless h is a half-theta-6 graph and g9 a G9
+    graph over the same points, or if the tolerance is not a finite real
+    number."""
     _check_finite("tolerance", tolerance)
     cones = _half_theta6_cones(h)
+    if g9.kind != "g9":
+        raise InvalidParameter(f"expected a g9 graph, got kind {g9.kind!r}")
+    # Points compare in id order, as SpannerGraph.__eq__ compares them.
+    a, b = h.points.arrays, g9.points.arrays
+    if not (a[0] == b[0] and np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])):
+        raise InvalidParameter("g9 is not over the points of h")
     ids, xy = cones.ids, cones.coords
     records = []
     ok = True
@@ -733,7 +743,7 @@ def theta5_witness_path(g: SpannerGraph, u: int, w: int) -> list[int]:
 
 
 def path_length(ps: PointSet, path: list[int]) -> float:
-    missing = [v for v in path if v not in ps]
+    missing = [v for v in path if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v not in ps]
     if missing:
         raise InvalidParameter(f"path vertex {missing[0]!r} is not in the point set")
     total = 0.0
@@ -775,9 +785,9 @@ def gen_routing_lb(variant: str, alpha: float = 0.0, nudge: float = 1e-4) -> Poi
     """
     if variant not in ("positive", "negative_a", "negative_b"):
         raise InvalidParameter(f"unknown routing lower-bound variant {variant!r}")
-    if not isinstance(alpha, numbers.Real) or not 0.0 <= alpha <= math.pi / 6:
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not 0.0 <= alpha <= math.pi / 6:
         raise InvalidParameter(f"alpha must be within [0, pi/6], got {alpha!r}")
-    if not isinstance(nudge, numbers.Real) or not 0.0 < nudge <= 1e-2:
+    if isinstance(nudge, bool) or not isinstance(nudge, numbers.Real) or not 0.0 < nudge <= 1e-2:
         raise InvalidParameter(f"nudge must be in (0, 1e-2], got {nudge}")
     if variant != "positive" and alpha > math.pi / 6 - 10.0 * nudge:
         # Within O(nudge) of pi/6 the apex slides onto the right blocker and
@@ -873,8 +883,8 @@ def gen_theta5_lower_bound(nudge: float = 1e-4) -> PointSet:
     stealing the construction edge. After every step the shortest 0 -> 1 path
     is recomputed and checked against the expected one.
     """
-    if not 0.0 < nudge <= 1e-3:
-        raise InvalidParameter(f"nudge must be in (0, 1e-3], got {nudge}")
+    if isinstance(nudge, bool) or not isinstance(nudge, numbers.Real) or not 0.0 < nudge <= 1e-3:
+        raise InvalidParameter(f"nudge must be in (0, 1e-3], got {nudge!r}")
     cs = ConeSystem(5)
     half = cs.theta / 2
 

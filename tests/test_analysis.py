@@ -17,6 +17,7 @@ from spannerkit import (
     angle_alpha,
     bound_value,
     build_g9,
+    build_g12,
     build_half_theta6,
     build_theta,
     build_yao,
@@ -312,6 +313,18 @@ class TestG9ApproximationCheck:
                 assert rec["path"] <= 3.0 * rec["edge"] + 1e-9
                 assert rec["canonical_portion"] <= 2.0 * rec["edge"] + 1e-9
 
+    def test_rejects_a_g9_of_other_points(self):
+        h = build_half_theta6(gen_random(60, 1))
+        other = build_g9(build_half_theta6(gen_random(60, 2)))
+        with pytest.raises(InvalidParameter, match="not over the points of h"):
+            g9_approximation_check(h, other)
+
+    def test_rejects_a_graph_that_is_not_g9(self):
+        h = build_half_theta6(gen_random(60, 1))
+        for g in (h, build_g12(h)):
+            with pytest.raises(InvalidParameter, match="expected a g9 graph"):
+                g9_approximation_check(h, g)
+
 
 class TestTheta5Witness:
     def test_paths_are_valid_and_short(self):
@@ -384,11 +397,16 @@ class TestGenerators:
             gen_routing_lb("negative_a", alpha=math.pi / 6)
         with pytest.raises(InvalidParameter):
             gen_routing_lb("positive", alpha="x")
+        with pytest.raises(InvalidParameter):
+            gen_routing_lb("positive", alpha=False)
+        with pytest.raises(InvalidParameter):
+            gen_routing_lb("positive", nudge=True)
 
     def test_path_length_sums_segments(self):
         ps = PointSet([Point(0, 0.0, 0.0), Point(1, 3.0, 4.0), Point(2, 3.0, 0.0)])
         assert path_length(ps, [0, 1, 2]) == pytest.approx(9.0)
         assert path_length(ps, [0]) == 0.0
-        with pytest.raises(InvalidParameter):
-            path_length(ps, [0, 99])
+        for bad in (99, [1], True, 1.0, None):
+            with pytest.raises(InvalidParameter):
+                path_length(ps, [0, bad])
 

@@ -25,7 +25,7 @@ def instance():
 
 
 class TestGenerator:
-    @pytest.mark.parametrize("nudge", [0.0, -1e-5, 2e-3, 1.0])
+    @pytest.mark.parametrize("nudge", [0.0, -1e-5, 2e-3, 1.0, "x", None, True])
     def test_rejects_bad_nudge(self, nudge):
         with pytest.raises(InvalidParameter):
             gen_theta5_lower_bound(nudge)
