@@ -17,7 +17,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from . import kernels
-from .build import SpannerGraph, _half_theta6_cones, build_half_theta6, build_theta
+from .build import SpannerGraph, _half_theta6_cones, _same_points, build_half_theta6, build_theta
 from .errors import InternalInvariantViolation, InvalidParameter
 from .geometry import (
     _CHECK_BLOCK,
@@ -563,9 +563,7 @@ def g9_approximation_check(h: SpannerGraph, g9: SpannerGraph, tolerance: float =
     cones = _half_theta6_cones(h)
     if g9.kind != "g9":
         raise InvalidParameter(f"expected a g9 graph, got kind {g9.kind!r}")
-    # Points compare in id order, as SpannerGraph.__eq__ compares them.
-    a, b = h.points.arrays, g9.points.arrays
-    if not (a[0] == b[0] and np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])):
+    if not _same_points(h.points, g9.points):
         raise InvalidParameter("g9 is not over the points of h")
     ids, xy = cones.ids, cones.coords
     records = []

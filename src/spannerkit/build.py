@@ -182,12 +182,10 @@ class SpannerGraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpannerGraph):
             return NotImplemented
-        a, b = self.points.arrays, other.points.arrays
         return (
             self.kind == other.kind
             and self.k == other.k
-            # Points compare in id order, as the edge array and the file hold them.
-            and a[0] == b[0] and np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])
+            and _same_points(self.points, other.points)
             and np.array_equal(self._ends, other._ends)
             and self.metadata == other.metadata
         )
@@ -421,6 +419,13 @@ def graph_to_json(g: SpannerGraph) -> str:
 
 def graph_from_json(text: str) -> SpannerGraph:
     return SpannerGraph.from_json(text)
+
+
+def _same_points(p: PointSet, q: PointSet) -> bool:
+    """Whether p and q hold the same ids at the same coordinates. Points
+    compare in id order, as edge arrays and graph files hold them."""
+    a, b = p.arrays, q.arrays
+    return a[0] == b[0] and np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])
 
 
 def _norm_edge(u: int, v: int) -> tuple[int, int]:

@@ -19,16 +19,16 @@ SEED = 2024
 N = 64
 SCAN_N = 256
 
-TIMES = {"n", "repeat"}
-GEN_KEYS = TIMES | {"gen_s", "report_s", "traced_peak_mb", "peak_rss_mb", "sha256"}
-RATIO_KEYS = TIMES | {"edges", "build_s", "ratio_s", "peak_rss_before_mb", "peak_rss_growth_mb",
+COMMON = {"n", "repeat"}
+GEN_KEYS = COMMON | {"gen_s", "report_s", "traced_peak_mb", "peak_rss_mb", "sha256"}
+RATIO_KEYS = COMMON | {"edges", "build_s", "ratio_s", "peak_rss_before_mb", "peak_rss_growth_mb",
                       "traced_peak_mb", "max_ratio", "witness", "reference_s",
                       "reference_peak_rss_growth_mb"}
-TABLE_KEYS = TIMES | {"edges", "peak_rss_mb", "sha256"} | {f"{s}_s" for s in bench.TABLE_STAGES}
-ROUTE_KEYS = TIMES | {"router", "pairs", "steps", "warm_us", "first_route_s", "traces_sha256"}
-CERT_KEYS = TIMES | {"pairs", "certify_warm_us", "certify_first_s", "shortest_path_warm_us",
+TABLE_KEYS = COMMON | {"edges", "peak_rss_mb", "sha256"} | {f"{s}_s" for s in bench.TABLE_STAGES}
+ROUTE_KEYS = COMMON | {"router", "pairs", "steps", "warm_us", "first_route_s", "traces_sha256"}
+CERT_KEYS = COMMON | {"pairs", "certify_warm_us", "certify_first_s", "shortest_path_warm_us",
                      "shortest_path_first_s", "results_sha256"}
-SCAN_KEYS = TIMES | {"points", "scan", "k", "projection", "cone_mask", "grid_s", "fallback_rows",
+SCAN_KEYS = COMMON | {"points", "scan", "k", "projection", "cone_mask", "grid_s", "fallback_rows",
                      "full_s", "edges_sha256"}
 
 
