@@ -17,7 +17,8 @@ Generation rows:
 - peak_rss_mb: the process's peak RSS after all calls;
 - sha256: the first 16 hex digits of the points' JSON (points_to_json).
 
-Ratio rows (--ratio-sizes) time the exact spanning ratio of build_half_theta6:
+Ratio rows (one process per n in RATIO_SIZES) time the exact spanning ratio
+of build_half_theta6:
 
 - ratio_s: best-of-k wall time of spanning_ratio(h);
 - peak_rss_growth_mb: growth of the process's peak RSS over those k calls,
@@ -25,12 +26,12 @@ Ratio rows (--ratio-sizes) time the exact spanning ratio of build_half_theta6:
 - traced_peak_mb: tracemalloc's peak of the allocations one more call makes
   (numpy arrays included), which shows the working set even when it stays
   below the peak the build left behind.
-Up to --reference-max points they also run the all-pairs computation the
+Up to REFERENCE_MAX points they also run the all-pairs computation the
 streamed one replaced (tests/oracles.py::oracle_spanning_ratio) once, check
 that max_ratio and witness are equal, and record its time and memory.
 
-Table rows (--table-sizes) time the graph tables, each repetition on a fresh
-PointSet, so every cached view is built again:
+Table rows (one process per n in TABLE_SIZES) time the graph tables, each
+repetition on a fresh PointSet, so every cached view is built again:
 
 - build_s: build_half_theta6(ps);
 - max_degree_s: the first h.max_degree();
@@ -43,7 +44,7 @@ PointSet, so every cached view is built again:
 - peak_rss_mb: the process's peak RSS after all repetitions;
 - sha256: the first 16 hex digits of the h, G12 and G9 graph files.
 
-Route rows (one per router at each --table-sizes n, one process per n) route
+Route rows (one per router at each n in TABLE_SIZES, one process per n) route
 on the same points: stateless and stateful on h, the others on G12 and G9.
 
 - warm_us: best-of-k mean time of one route over ROUTE_PAIRS ordered pairs
@@ -108,6 +109,12 @@ ROUTERS = (("stateless", "half_theta6"), ("stateful", "half_theta6"), ("g12", "g
 ROUTE_PAIRS = 200
 #: Point counts of the generation rows.
 GEN_SIZES = (384, 768, 2048)
+#: Point counts of the ratio rows.
+RATIO_SIZES = (768, 2048, 4096, 8192)
+#: Largest n of the ratio rows that also runs the all-pairs reference.
+REFERENCE_MAX = 2048
+#: Point counts of the graph-table and route rows.
+TABLE_SIZES = (4096, 65536)
 #: Point counts of the certification rows.
 CERT_SIZES = (64, 4096)
 #: Row label and spannerkit function (graph, u, w) of the certification rows.
@@ -411,28 +418,17 @@ def source_sha256():
 def child(table, n, args):
     """Run one (table, n) row in a fresh process and return it."""
     cmd = [sys.executable, os.path.abspath(__file__), "--child", f"{table}:{n}",
-           "--repeat", str(args.repeat), "--seed", str(args.seed),
-           "--reference-max", str(args.reference_max)]
+           "--repeat", str(args.repeat), "--seed", str(args.seed)]
     out = subprocess.run(cmd, capture_output=True, text=True)
     if out.returncode != 0:
         raise SystemExit(f"{table} n={n} failed:\n{out.stderr}")
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
-def sizes(text):
-    return [int(s) for s in text.split(",") if s]
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--ratio-sizes", default="768,2048,4096,8192",
-                    help="comma-separated point counts of the ratio rows")
-    ap.add_argument("--table-sizes", default="4096,65536",
-                    help="comma-separated point counts of the graph-table rows")
     ap.add_argument("--repeat", type=int, default=3, help="best-of repetitions per size")
     ap.add_argument("--seed", type=int, default=2024, help="seed of the uniform points")
-    ap.add_argument("--reference-max", type=int, default=2048,
-                    help="largest n whose ratio row also runs the all-pairs reference")
     ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_layers.json"))
     ap.add_argument("--only", action="append", choices=TABLES,
                     help="run only this table (repeatable) and keep the other tables' rows of --out, "
@@ -503,7 +499,7 @@ def ratio_section(args):
     rows = []
     print(f"\n{'n':>6} {'edges':>7} {'ratio s':>9} {'rss +MB':>8} {'traced MB':>10} "
           f"{'all-pairs s':>12} {'rss +MB':>8}")
-    for n in sizes(args.ratio_sizes):
+    for n in RATIO_SIZES:
         row = child("ratio", n, args)
         rows.append(row)
         ref_s = f"{row['reference_s']:.3f}" if "reference_s" in row else "-"
@@ -516,7 +512,7 @@ def ratio_section(args):
 def table_section(args):
     rows = []
     print(f"\n{'n':>6} " + " ".join(f"{name:>12}" for name in TABLE_STAGES) + f" {'peak MB':>8}")
-    for n in sizes(args.table_sizes):
+    for n in TABLE_SIZES:
         row = child("table", n, args)
         rows.append(row)
         print(f"{n:>6} " + " ".join(f"{row[name + '_s'] * 1e3:>10.1f}ms" for name in TABLE_STAGES)
@@ -527,7 +523,7 @@ def table_section(args):
 def route_section(args):
     rows = []
     print(f"\n{'n':>6} {'router':>10} {'steps':>7} {'warm us':>9} {'first ms':>9} {'traces':>17}")
-    for n in sizes(args.table_sizes):
+    for n in TABLE_SIZES:
         for row in child("route", n, args):
             rows.append(row)
             print(f"{n:>6} {row['router']:>10} {row['steps']:>7} {row['warm_us']:>9.1f} "
@@ -566,7 +562,7 @@ def scan_section(args):
 #: children; the rows go to the output's "<name>_rows".
 TABLES = {
     "gen": (lambda n, args: gen_row(n, args.repeat, args.seed), gen_section),
-    "ratio": (lambda n, args: ratio_row(n, args.repeat, args.seed, n <= args.reference_max), ratio_section),
+    "ratio": (lambda n, args: ratio_row(n, args.repeat, args.seed, n <= REFERENCE_MAX), ratio_section),
     "table": (lambda n, args: table_row(n, args.repeat, args.seed), table_section),
     "route": (lambda n, args: route_rows(n, args.repeat, args.seed), route_section),
     "cert": (lambda n, args: cert_row(n, args.repeat, args.seed), cert_section),

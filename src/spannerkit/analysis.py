@@ -17,7 +17,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from . import kernels
-from .build import SpannerGraph, _half_theta6_cones, _same_points, build_half_theta6, build_theta
+from .build import SpannerGraph, _cone_picks, _half_theta6_cones, _same_points, build_half_theta6, build_theta
 from .errors import InternalInvariantViolation, InvalidParameter
 from .geometry import (
     _CHECK_BLOCK,
@@ -609,131 +609,87 @@ def theta5_witness_path(g: SpannerGraph, u: int, w: int) -> list[int]:
     """Path from u to w in a theta-5 graph whose length is at most
     2(2+sqrt(5)) times the size of the canonical triangle of (u, w).
 
-    Follows the constructive connectivity argument: normalize the pair's frame
-    (rotate so w sits in cone 0 of u, mirror so it sits on or right of the
-    bisector), recurse on a strictly easier pair, and stitch construction edges.
+    Follows the constructive connectivity argument: recurse on a strictly
+    easier pair and stitch construction edges. Cones are counted from the cone
+    r of a that holds b, clockwise, or counter-clockwise when b lies left of
+    that cone's bisector (the mirrored case). Every construction target is the
+    cone scan's own pick, so one that is not an edge of g means g is not the
+    theta-5 graph of its points.
     """
     if g.kind != "theta" or g.k != 5:
         raise InvalidParameter("witness paths require a theta graph with k=5")
     if u == w:
         raise InvalidParameter("witness path endpoints must differ")
-    if u not in g.points or w not in g.points:
+    ends = g.points._position(u), g.points._position(w)
+    if None in ends:
         raise InvalidParameter("witness path endpoints must be graph vertices")
     cs = ConeSystem(5)
-    pts = {p.id: (p.x, p.y) for p in g.points}
-    ids = list(pts)
+    ids, x, y = g.points.arrays
+    xy = [p.xy for p in g.points._id_order]
     n = len(ids)
+    everyone = np.arange(n)
     budget = [n * (n - 1) // 2 + 2]
-    theta = cs.theta
-    half = theta / 2
 
-    def tri_size(a: int, b: int) -> float:
-        (ax, ay), (bx, by) = pts[a], pts[b]
-        return kernels.theta_projection_len(bx - ax, by - ay, 5) / math.cos(half)
+    def edge(a: int, b: int) -> bool:
+        return g.has_edge(ids[a], ids[b])
 
-    def frame(a: int, b: int):
-        """Map raw xy to a frame with b in cone 0 of a, azimuth in [0, theta/2]."""
-        (ax, ay), (bx, by) = pts[a], pts[b]
-        r = kernels.cone_index(bx - ax, by - ay, 5)
-        phi = r * theta
-        c, s = math.cos(phi), math.sin(phi)
-
-        def rot(p):
-            x, y = p
-            return (x * c - y * s, x * s + y * c)
-
-        wx, wy = rot((bx - ax, by - ay))
-        mirror = wx < 0.0
-
-        def f(pid_or_xy):
-            p = pts[pid_or_xy] if isinstance(pid_or_xy, int) else pid_or_xy
-            x, y = rot((p[0] - ax, p[1] - ay))
-            return (-x, y) if mirror else (x, y)
-
-        return f
-
-    def cone_between(f, a, b) -> int:
-        xa, ya = f(a)
-        xb, yb = f(b)
-        return kernels.cone_index(xb - xa, yb - ya, 5)
-
-    def cone_target(f, a: int, want_cone: int) -> int:
-        """Construction target of a in the frame cone want_cone: the
-        (projection, distance, id)-smallest vertex there."""
-        xa, ya = f(a)
-        best = None
-        for pid in ids:
-            if pid == a:
-                continue
-            xb, yb = f(pid)
-            dx, dy = xb - xa, yb - ya
-            if kernels.cone_index(dx, dy, 5) != want_cone:
-                continue
-            key = (
-                kernels.theta_projection_len(dx, dy, 5),
-                dx * dx + dy * dy,
-                pid,
-            )
-            if best is None or key < best[0]:
-                best = (key, pid)
-        if best is None:
-            raise InternalInvariantViolation("expected a nonempty cone during witness search")
-        return best[1]
+    def target(a: int, c: int) -> int:
+        """a's construction target in cone c: the scan's pick, which g must hold."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = int(_cone_picks(x, y, np.array([a]), everyone, 5, True, [c])[0][0, 0])
+        if v < 0 or not edge(a, v):
+            raise InvalidParameter(f"g is not the theta-5 graph of its points: vertex {ids[a]} "
+                                   f"lacks its edge in cone {c}")
+        return v
 
     def rec(a: int, b: int) -> list[int]:
         budget[0] -= 1
         if budget[0] <= 0:
             raise InternalInvariantViolation("witness recursion exceeded its call budget")
-        if g.has_edge(a, b):
+        if edge(a, b):
             return [a, b]
-        f = frame(a, b)
-        xa, ya = f(a)
-        xb, yb = f(b)
-        az_b = kernels.azimuth(xb - xa, yb - ya)
-        if az_b > math.pi:
-            az_b -= 2 * math.pi
-        if az_b < theta / 4:
+        pa, pb = xy[a], xy[b]
+        if angle_alpha(cs, pa, pb) < cs.theta / 4:
             # b's triangle of the reversed pair is strictly smaller: solve that
             # direction and read the path backwards.
             return list(reversed(rec(b, a)))
-        v_w = cone_target(f, b, 3)
-        if not g.has_edge(b, v_w):
-            raise InternalInvariantViolation("cone target is not a construction edge")
-        cu = cone_between(f, a, v_w)
+        r = cs.cone_of(pa, pb)
+        phi = r * cs.theta
+        turn = -1 if (pb[0] - pa[0]) * math.cos(phi) - (pb[1] - pa[1]) * math.sin(phi) < 0.0 else 1
+
+        def rel(p: tuple[float, float], q: int) -> int:
+            """Relative label of the cone of p that holds vertex q."""
+            return turn * (kernels.cone_index(xy[q][0] - p[0], xy[q][1] - p[1], 5) - r) % 5
+
+        v_w = target(b, (r + 3 * turn) % 5)
+        cu = rel(pa, v_w)
         if cu in (0, 1, 2):
             return rec(a, v_w) + [b]
         if cu == 3:
             raise InternalInvariantViolation("cone target cannot be behind the source")
-        # v_w lies in frame cone 4 of a.
-        size = tri_size(a, b)
-        bx = xa + size * math.sin(half)
-        by = ya + size * math.cos(half)
-        vx, vy = f(v_w)
-        if kernels.cone_index(vx - bx, vy - by, 5) == 3:
+        # v_w lies in relative cone 4 of a.
+        tri = canonical_triangle(cs, pa, pb)
+        if rel(tri.corner_a if turn < 0 else tri.corner_b, v_w) == 3:
             return rec(a, v_w) + [b]
-        v_u = cone_target(f, a, 0)
-        if not g.has_edge(a, v_u):
-            raise InternalInvariantViolation("cone target is not a construction edge")
-        cw_ = cone_between(f, v_u, b)
+        v_u = target(a, r)
+        cw_ = rel(xy[v_u], b)
         if cw_ in (4, 0):
             return [a] + rec(v_u, b)
         if cw_ != 1:
             raise InternalInvariantViolation("unexpected cone of the target around the helper")
-        c_back = cone_between(f, b, v_u)
+        c_back = rel(pb, v_u)
         if c_back == 3:
             return [a] + rec(v_u, v_w) + [b]
         if c_back != 4:
             raise InternalInvariantViolation("unexpected cone of the helper around the target")
-        if tri_size(b, v_u) <= (THETA5_WITNESS_FACTOR - 1.0) / THETA5_WITNESS_FACTOR * tri_size(a, b):
+        shrink = (THETA5_WITNESS_FACTOR - 1.0) / THETA5_WITNESS_FACTOR
+        if canonical_triangle(cs, pb, xy[v_u]).size <= shrink * tri.size:
             return [a] + list(reversed(rec(b, v_u)))
-        c_vu = cone_between(f, v_w, v_u)
-        if c_vu in (0, 1):
+        if rel(xy[v_w], v_u) in (0, 1):
             return [a] + list(reversed(rec(v_w, v_u))) + [b]
         raise InternalInvariantViolation("exhausted witness case analysis")
 
-    path = rec(u, w)
-    if path[0] != u or path[-1] != w:
-        raise InternalInvariantViolation("witness path endpoints mismatch")
+    path = [ids[i] for i in rec(*ends)]
     for a, b in zip(path, path[1:]):
         if not g.has_edge(a, b):
             raise InternalInvariantViolation(f"witness path uses a non-edge ({a}, {b})")

@@ -239,10 +239,10 @@ def render_svg(obj, overlay=None) -> str:
 
     tri = None
     if overlay is not None:
-        if overlay.source not in coord or overlay.target not in coord:
+        s, t = obj.points._position(overlay.source), obj.points._position(overlay.target)
+        if s is None or t is None:
             raise InvalidParameter("overlay endpoints are not vertices of the graph")
-        index = obj.points.index
-        _, _, tri = analysis._pair_triangle(obj, index[overlay.source], index[overlay.target])
+        _, _, tri = analysis._pair_triangle(obj, s, t)
 
     xs = [p.x for p in pts]
     ys = [p.y for p in pts]

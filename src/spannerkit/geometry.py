@@ -107,7 +107,10 @@ class PointSet:
         return {pid: i for i, pid in enumerate(self.arrays[0])}
 
     def _position(self, pid) -> int | None:
-        """pid's position in ``arrays`` order; None for no id of the set, unhashable ones too."""
+        """pid's position in ``arrays`` order; None for no id of the set,
+        unhashable ones too, and for bools, which would find id 0 or 1."""
+        if isinstance(pid, (bool, np.bool_)):
+            return None
         try:
             return self.index.get(pid)
         except TypeError:

@@ -4,11 +4,10 @@ point-in-triangle tests.
 These scalar functions define every boundary decision in the package. The
 numpy versions (points_in_tri here, build.cone_scan) repeat their IEEE double
 operations elementwise in the same order, so they return the same answers.
-points_in_tri's reference is point_in_tri. The closest-per-cone scan that
-builds edges has no scalar twin in the package, and its reference is the
-scalar scan in tests/oracles.py; the theta-5 witness search
-(analysis.theta5_witness_path) runs its own scalar search of one cone in a
-rotated frame and checks each pick against the graph's edges.
+points_in_tri's reference is point_in_tri. The closest-per-cone scan, which
+builds every edge and picks the theta-5 witness's construction targets, has
+no scalar twin in the package; its reference is the scalar scan in
+tests/oracles.py.
 
 The general-position checks have numpy filters that do not repeat the
 scalar operations. geometry._direction_gaps takes the gap to the avoided

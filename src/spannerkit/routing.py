@@ -231,12 +231,18 @@ def _check_graph(g: SpannerGraph, kinds: tuple[str, ...], source: int, target: i
             f"routing needs a graph of kind {kinds}, got {g.kind!r}"
         )
     ctx = g.cone_table
-    s, t = g.points._position(source), g.points._position(target)
-    if s is None or t is None:
-        raise InvalidParameter("source or target id not in the graph")
+    s, t = _endpoints(g, source, target)
     if s == t:
         raise AlreadyArrived(f"source equals target ({source})")
     return ctx, s, t
+
+
+def _endpoints(g: SpannerGraph, source: int, target: int) -> tuple[int, int]:
+    """The positions of source and target in g's point order."""
+    s, t = g.points._position(source), g.points._position(target)
+    if s is None or t is None:
+        raise InvalidParameter("source or target id not in the graph")
+    return s, t
 
 
 def base_bound(g: SpannerGraph, source: int, target: int) -> tuple[float, bool]:
@@ -247,7 +253,8 @@ def base_bound(g: SpannerGraph, source: int, target: int) -> tuple[float, bool]:
     negative start pays (5/sqrt(3) cos(alpha) - sin(alpha)) * |st| with alpha
     measured from t toward s.
     """
-    sp, tp = g.points[source], g.points[target]
+    s, t = _endpoints(g, source, target)
+    sp, tp = g.points._id_order[s], g.points._id_order[t]
     dist = math.hypot(tp.x - sp.x, tp.y - sp.y)
     if _CS6.cone_of(sp, tp) % 2 == 0:
         return bound_value("pair_alpha", alpha=angle_alpha(_CS6, sp, tp)) * dist, False

@@ -230,7 +230,7 @@ class TestShortestPath:
     def test_unknown_vertex_raises(self):
         ps = PointSet([Point(0, 0.0, 0.0), Point(1, 1.0, 0.0)])
         g = SpannerGraph("x", None, ps, [(0, 1)])
-        for v, text in ((7, "7"), ([0], r"\[0\]")):
+        for v, text in ((7, "7"), ([0], r"\[0\]"), (True, "True")):
             for s, t in ((0, v), (v, 0)):
                 with pytest.raises(InvalidParameter, match=f"vertex {text} is not in the graph"):
                     shortest_path(g, s, t)
@@ -270,7 +270,7 @@ class TestRestrictedPairCheck:
 
     def test_unknown_vertex_raises(self):
         h = build_half_theta6(gen_random(20, 1))
-        for v, text in ((70, "70"), ([0], r"\[0\]")):
+        for v, text in ((70, "70"), ([0], r"\[0\]"), (True, "True")):
             for u, w in ((0, v), (v, 0)):
                 with pytest.raises(InvalidParameter, match=f"vertex {text} is not in the graph"):
                     restricted_pair_check(h, u, w)
@@ -328,11 +328,17 @@ class TestG9ApproximationCheck:
 
 class TestTheta5Witness:
     def test_paths_are_valid_and_short(self):
-        ps = gen_random(40, 71)
-        g = build_theta(ps, 5)
+        # On the 4x4 integer grid, a search of its own in a mirrored frame
+        # used to pick a vertex that is not the graph's edge for 22 of the
+        # 240 pairs.
+        grid = PointSet.from_pairs([(i, j) for i in range(4) for j in range(4)])
         cs = ConeSystem(5)
-        for u in range(0, 40, 5):
-            for w in range(2, 40, 7):
+        for ps, pairs in (
+            (gen_random(40, 71), [(u, w) for u in range(0, 40, 5) for w in range(2, 40, 7)]),
+            (grid, [(u, w) for u in grid.ids for w in grid.ids]),
+        ):
+            g = build_theta(ps, 5)
+            for u, w in pairs:
                 if u == w:
                     continue
                 path = theta5_witness_path(g, u, w)
@@ -350,6 +356,12 @@ class TestTheta5Witness:
             theta5_witness_path(g5, 3, 3)
         with pytest.raises(InvalidParameter):
             theta5_witness_path(g5, 0, 99)
+        # Without one of its edges the graph is not the theta-5 graph of its
+        # points: a bad argument, not a bug.
+        ps = gen_random(40, 2000)
+        tampered = SpannerGraph("theta", 5, ps, build_theta(ps, 5).edge_list()[1:])
+        with pytest.raises(InvalidParameter, match="not the theta-5 graph"):
+            theta5_witness_path(tampered, 0, 12)
 
 
 class TestGenerators:

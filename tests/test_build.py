@@ -406,10 +406,11 @@ class TestCanonicalPathInfo:
         with pytest.raises(InvalidParameter):
             canonical_path_info(g, 0, 1)
 
-    @pytest.mark.parametrize("anchor,cone", [(12345, 1), ([0], 1), (0, 7), (0, -1), (0, 1.0)])
+    @pytest.mark.parametrize("anchor,cone", [(12345, 1), ([0], 1), (True, 1), (0, 7), (0, -1), (0, 1.0)])
     def test_rejects_non_vertex_anchor_and_cones_outside_1_3_5(self, anchor, cone):
-        # 12345 and the bad cones used to return an empty fan, and the
-        # unhashable [0] raised TypeError; a float is no cone index.
+        # 12345 and the bad cones used to return an empty fan, the unhashable
+        # [0] raised TypeError, and True stood for vertex 1; a float is no
+        # cone index.
         h = build_half_theta6(gen_random(10, 3))
         with pytest.raises(InvalidParameter):
             canonical_path_info(h, anchor, cone)

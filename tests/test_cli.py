@@ -4,6 +4,7 @@ Exit-code contract: 0 success, 1 failed bound check, 2 usage errors or
 rejected input, 3 a failed internal invariant.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -25,9 +26,11 @@ from spannerkit import (
     points_from_json,
     points_to_json,
     graph_to_json,
+    route_stateful,
     trace_from_json,
 )
-from spannerkit.cli_io import SEED_ENV, main
+from spannerkit.cli_io import SEED_ENV, main, render_svg
+from spannerkit.errors import InvalidParameter
 
 
 @pytest.fixture(autouse=True)
@@ -422,6 +425,14 @@ class TestRender:
         svg = capsys.readouterr().out
         assert svg.count("<line") == len(g.edges)
         assert svg.count("<circle") == len(list(g.points))
+
+    def test_overlay_endpoints_must_be_vertices(self, h6_file):
+        # A trace from True used to render as a route from vertex 1.
+        _path, g = h6_file
+        trace = route_stateful(g, 2, 17)
+        for bad in (dataclasses.replace(trace, source=True), dataclasses.replace(trace, target=99)):
+            with pytest.raises(InvalidParameter, match="overlay endpoints are not vertices"):
+                render_svg(g, overlay=bad)
 
     def test_requires_exactly_one_input(self, h6_file, tmp_path, capsys):
         path, _g = h6_file

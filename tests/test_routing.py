@@ -68,9 +68,10 @@ class TestGuards:
             route_stateless(h, 0, 999)
         with pytest.raises(InvalidParameter):
             route_stateful(h, -5, 1)
-        # An unhashable id is unknown too, not a TypeError.
+        # An unhashable id is unknown too, not a TypeError, and True is no
+        # id, though it hashes and compares equal to 1.
         for route, g in ((route_stateless, h), (route_g9, g9)):
-            for s, t in (([0], 1), (1, [0])):
+            for s, t in (([0], 1), (1, [0]), (True, 0), (0, True)):
                 with pytest.raises(InvalidParameter, match="source or target id not in the graph"):
                     route(g, s, t)
 
@@ -115,6 +116,13 @@ class TestBaseBound:
                 assert 2.0 * d - 1e-9 <= value <= 5.0 / math.sqrt(3.0) * d + 1e-9
             else:
                 assert math.sqrt(3.0) * d - 1e-9 <= value <= 2.0 * d + 1e-9
+
+    def test_unknown_ids(self, world):
+        # 999 used to raise a bare KeyError, and True to stand for vertex 1.
+        h, _, _ = world
+        for s, t in ((999, 1), (1, 999), ([0], 1), (True, 0), (0, True)):
+            with pytest.raises(InvalidParameter, match="source or target id not in the graph"):
+                base_bound(h, s, t)
 
 
 class TestPotential:
