@@ -409,7 +409,7 @@ def source_sha256():
     digest = hashlib.sha256()
     pkg = os.path.join(ROOT, "src", "spannerkit")
     for name in sorted(os.listdir(pkg)):
-        if name.endswith((".py", ".pyx")):
+        if name.endswith(".py"):
             with open(os.path.join(pkg, name), "rb") as fh:
                 digest.update(name.encode() + b"\0" + fh.read())
     return digest.hexdigest()

@@ -448,20 +448,13 @@ def _dijkstra(rows, source: int, allowed=None, stop: int | None = None):
     return dist, parent
 
 
-def _vertex_index(g: SpannerGraph, v) -> int:
-    i = g.points._position(v)
-    if i is None:
-        raise InvalidParameter(f"vertex {v} is not in the graph")
-    return i
-
-
 def shortest_path(g: SpannerGraph, s: int, t: int) -> tuple[list[int], float]:
     """One shortest path from s to t, preferring smaller ids on ties.
 
     Returns (id sequence, length); raises InvalidParameter if s or t is not a
     vertex or t is unreachable from s (the graph is disconnected).
     """
-    si, ti = _vertex_index(g, s), _vertex_index(g, t)
+    si, ti = g.points._vertex(s), g.points._vertex(t)
     rows = g._length_rows
     # Stop once s is popped: a vertex y not yet popped then has dist[y] >=
     # dist[s] >= dist[cur], tentative or final, so it passes the test
@@ -523,7 +516,7 @@ def restricted_pair_check(
     _check_finite("tolerance", tolerance)
     if bound is not None:
         _check_finite("bound", bound)
-    i, j = _vertex_index(h, u), _vertex_index(h, w)
+    i, j = h.points._vertex(u), h.points._vertex(w)
     if i == j:
         raise InvalidParameter("pair check endpoints must differ")
     a, b, tri = _pair_triangle(h, i, j)
@@ -618,11 +611,9 @@ def theta5_witness_path(g: SpannerGraph, u: int, w: int) -> list[int]:
     """
     if g.kind != "theta" or g.k != 5:
         raise InvalidParameter("witness paths require a theta graph with k=5")
-    if u == w:
+    ends = g.points._vertex(u), g.points._vertex(w)
+    if ends[0] == ends[1]:
         raise InvalidParameter("witness path endpoints must differ")
-    ends = g.points._position(u), g.points._position(w)
-    if None in ends:
-        raise InvalidParameter("witness path endpoints must be graph vertices")
     cs = ConeSystem(5)
     ids, x, y = g.points.arrays
     xy = [p.xy for p in g.points._id_order]
@@ -697,12 +688,9 @@ def theta5_witness_path(g: SpannerGraph, u: int, w: int) -> list[int]:
 
 
 def path_length(ps: PointSet, path: list[int]) -> float:
-    missing = [v for v in path if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v not in ps]
-    if missing:
-        raise InvalidParameter(f"path vertex {missing[0]!r} is not in the point set")
+    pts = [ps._id_order[ps._vertex(v)] for v in path]
     total = 0.0
-    for a, b in zip(path, path[1:]):
-        pa, pb = ps[a], ps[b]
+    for pa, pb in zip(pts, pts[1:]):
         total += math.hypot(pb.x - pa.x, pb.y - pa.y)
     return total
 

@@ -21,6 +21,7 @@ from .geometry import (
     _CHECK_BLOCK,
     ConeSystem,
     PointSet,
+    _as_ids,
     _json_id,
     _json_ids,
     _json_real,
@@ -59,7 +60,8 @@ class SpannerGraph:
 
     The graph stores its edges once: a sorted, duplicate-free (m, 2) array of
     index pairs (i < j) into the point set's ``arrays`` order. Only indices
-    enter arrays, so ids may be any Python ints. The edge set is frozen, and
+    enter arrays, so ids may be any Python ints; every id a method takes is
+    resolved by the point set (PointSet._vertex). The edge set is frozen, and
     every view of it is built on first use and kept for the life of the graph:
     - ``edges`` (a frozenset of id pairs) and edge_list();
     - one CSR of the edge ends in (source, azimuth, neighbour id) order, with
@@ -73,7 +75,7 @@ class SpannerGraph:
     """
 
     def __init__(self, kind: str, k, points: PointSet, edges, metadata=None):
-        ends = _index_ends(points, [w for u, v in edges for w in (u, v)])
+        ends = _index_ends(points, _as_ids([w for u, v in edges for w in (u, v)]))
         self._setup(kind, k, points, ends, metadata)
 
     @classmethod
@@ -155,17 +157,17 @@ class SpannerGraph:
         return list(self._id_pairs)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return _norm_edge(u, v) in self.edges
+        return u in self.points and v in self.points and _norm_edge(u, v) in self.edges
 
     def neighbors(self, u: int) -> list[int]:
         """Neighbour ids sorted by ascending azimuth (clockwise from north) around u."""
         t = self._csr
-        i = self.points.index[u]
+        i = self.points._vertex(u)
         ids = self.points.arrays[0]
         return list(map(ids.__getitem__, t.nbr[t.indptr[i]:t.indptr[i + 1]].tolist()))
 
     def degree(self, u: int) -> int:
-        i = self.points.index[u]
+        i = self.points._vertex(u)
         return int(self._csr.indptr[i + 1] - self._csr.indptr[i])
 
     def max_degree(self) -> int:
@@ -240,8 +242,8 @@ class _Csr(NamedTuple):
     length: np.ndarray
 
 
-def _index_ends(points: PointSet, ends: list) -> np.ndarray:
-    """The indices in points.arrays order of edge ends given as ids
+def _index_ends(points: PointSet, ends: list[int]) -> np.ndarray:
+    """The indices in points.arrays order of edge ends given as int ids
     [u0, v0, u1, v1, ...], as an (m, 2) array. A self loop, then an unknown
     id, raises InvalidParameter naming the smallest such edge."""
     index = points.index
@@ -763,14 +765,12 @@ def canonical_path_info(h: SpannerGraph, anchor: int, cone: int) -> CanonicalPat
     if isinstance(cone, bool) or not isinstance(cone, (int, np.integer)) or cone not in (1, 3, 5):
         raise InvalidParameter(f"fans live in the odd cones 1, 3 and 5, got cone {cone!r}")
     cones = _half_theta6_cones(h)
-    i, cone = h.points._position(anchor), int(cone)
-    if i is None:
-        raise InvalidParameter(f"anchor {anchor!r} is not a vertex of the graph")
+    i, cone = h.points._vertex(anchor), int(cone)
     members = tuple(map(cones.ids.__getitem__, cones.fan(i, cone)))
     if not members:
-        return CanonicalPathInfo(anchor, cone, (), None, None, None)
+        return CanonicalPathInfo(cones.ids[i], cone, (), None, None, None)
     closest = cones.ids[cones.fan_nearest(i, cone)]
-    return CanonicalPathInfo(anchor, cone, members, closest, members[0], members[-1])
+    return CanonicalPathInfo(cones.ids[i], cone, members, closest, members[0], members[-1])
 
 
 def build_g12(h: SpannerGraph) -> SpannerGraph:

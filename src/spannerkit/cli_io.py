@@ -222,16 +222,16 @@ def render_svg(obj, overlay=None) -> str:
     With a RoutingTrace overlay (graphs only) the walked path is highlighted
     and the queried pair's canonical triangle is outlined.
     """
+    # Points in id order, which is arrays order: edges and the walk are
+    # index pairs into it.
     if isinstance(obj, SpannerGraph):
-        pts = sorted(obj.points, key=lambda p: p.id)
-        edges = obj.edge_list()
-        coord = {p.id: (p.x, p.y) for p in pts}
+        pts = obj.points._id_order
+        edges = obj._ends.tolist()
     elif isinstance(obj, PointSet):
         if overlay is not None:
             raise InvalidParameter("route overlays need the graph, not just points")
-        pts = sorted(obj, key=lambda p: p.id)
+        pts = obj._id_order
         edges = []
-        coord = {p.id: (p.x, p.y) for p in pts}
     else:
         raise InvalidParameter("render expects a PointSet or SpannerGraph")
     if not pts:
@@ -239,10 +239,8 @@ def render_svg(obj, overlay=None) -> str:
 
     tri = None
     if overlay is not None:
-        s, t = obj.points._position(overlay.source), obj.points._position(overlay.target)
-        if s is None or t is None:
-            raise InvalidParameter("overlay endpoints are not vertices of the graph")
-        _, _, tri = analysis._pair_triangle(obj, s, t)
+        walk = [obj.points._vertex(v) for v in overlay.path()]
+        _, _, tri = analysis._pair_triangle(obj, walk[0], obj.points._vertex(overlay.target))
 
     xs = [p.x for p in pts]
     ys = [p.y for p in pts]
@@ -271,8 +269,8 @@ def render_svg(obj, overlay=None) -> str:
         f'stroke="#444" stroke-width="{fmt(1.5 / s)}" fill="#c22">',
     ]
     for u, v in edges:
-        ux, uy = coord[u]
-        vx, vy = coord[v]
+        ux, uy = pts[u].xy
+        vx, vy = pts[v].xy
         out.append(
             f'<line x1="{fmt(ux)}" y1="{fmt(uy)}" x2="{fmt(vx)}" y2="{fmt(vy)}"/>'
         )
@@ -282,10 +280,9 @@ def render_svg(obj, overlay=None) -> str:
             f'<polygon points="{corners}" fill="none" stroke="#2a7" '
             f'stroke-width="{fmt(1.0 / s)}" stroke-dasharray="{fmt(6.0 / s)}"/>'
         )
-        walk = overlay.path()
         for u, v in zip(walk, walk[1:]):
-            ux, uy = coord[u]
-            vx, vy = coord[v]
+            ux, uy = pts[u].xy
+            vx, vy = pts[v].xy
             out.append(
                 f'<line class="route" x1="{fmt(ux)}" y1="{fmt(uy)}" '
                 f'x2="{fmt(vx)}" y2="{fmt(vy)}" stroke="#06c" '
@@ -359,8 +356,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(doc: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(doc)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(doc)
+        except OSError as exc:
+            raise InvalidParameter(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(doc)
 
@@ -504,8 +504,7 @@ def _cmd_route(args) -> int:
     }[args.algo]
     trace = engine(g, args.src, args.dst)
     if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(render_svg(g, overlay=trace))
+        _emit(render_svg(g, overlay=trace), args.svg)
     if args.trace:
         doc = trace.to_json()
     else:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,13 +42,23 @@ class Point:
 
 
 class PointSet:
-    """Ordered collection of points with unique ids and unique finite coordinates."""
+    """Ordered collection of points with unique ids and unique finite coordinates.
+
+    Every vertex id in spannerkit is decided here: an id is an integer that is
+    not a bool (_as_id). A point's numpy-integer id is stored as int; any other
+    id raises InvalidParameter.
+    """
 
     def __init__(self, points):
-        pts = list(points)
+        pts = []
         ids = set()
         coords = set()
-        for p in pts:
+        for p in points:
+            if type(p.id) is not int:
+                pid = _as_id(p.id)
+                if pid is None:
+                    raise InvalidParameter(f"point id must be an integer, got {p.id!r}")
+                p = Point(pid, p.x, p.y)
             if not (math.isfinite(p.x) and math.isfinite(p.y)):
                 raise InvalidParameter(f"point {p.id} has a non-finite coordinate ({p.x}, {p.y})")
             if p.id in ids:
@@ -56,8 +67,8 @@ class PointSet:
                 raise DegenerateInput(f"duplicate coordinates for point {p.id}")
             ids.add(p.id)
             coords.add((p.x, p.y))
+            pts.append(p)
         self._points = pts
-        self._by_id = {p.id: p for p in pts}
 
     @classmethod
     def from_pairs(cls, pairs) -> "PointSet":
@@ -70,10 +81,13 @@ class PointSet:
         return iter(self._points)
 
     def __getitem__(self, pid: int) -> Point:
-        return self._by_id[pid]
+        i = self._position(pid)
+        if i is None:
+            raise KeyError(pid)
+        return self._id_order[i]
 
     def __contains__(self, pid: int) -> bool:
-        return pid in self._by_id
+        return self._position(pid) is not None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PointSet):
@@ -108,19 +122,45 @@ class PointSet:
 
     def _position(self, pid) -> int | None:
         """pid's position in ``arrays`` order; None for no id of the set,
-        unhashable ones too, and for bools, which would find id 0 or 1."""
-        if isinstance(pid, (bool, np.bool_)):
-            return None
-        try:
-            return self.index.get(pid)
-        except TypeError:
-            return None
+        and for a value that is no id at all (see _as_id): a bool or 1.0
+        would otherwise find id 1."""
+        pid = _as_id(pid)
+        return None if pid is None else self.index.get(pid)
+
+    def _vertex(self, pid) -> int:
+        """pid's position in ``arrays`` order; InvalidParameter if pid is no
+        id of the set."""
+        i = self._position(pid)
+        if i is None:
+            raise InvalidParameter(f"vertex {pid!r} is not in the graph")
+        return i
 
     @cached_property
     def _records_json(self) -> str:
         """JSON text of the point records in ascending id order: the "points"
         value of every graph file of the set, written once."""
         return _json_text(_point_records(self._id_order))
+
+
+def _as_id(value) -> int | None:
+    """value as a vertex id, or None if it is none: an id is an integer that
+    is not a bool, and a numpy integer comes back as int."""
+    if type(value) is int:
+        return value
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    return None
+
+
+def _as_ids(values: list) -> list[int]:
+    """_as_id of every value; a list of ints passes as it is. A value that
+    is no id raises InvalidParameter."""
+    if set(map(type, values)) <= {int}:
+        return values
+    ids = list(map(_as_id, values))
+    if None in ids:
+        raise InvalidParameter(f"{values[ids.index(None)]!r} is not a vertex id")
+    return ids
 
 
 def direction(az: float) -> tuple[float, float]:
@@ -452,13 +492,13 @@ def _points_from_records(records, what: str) -> PointSet:
 
 
 def _json_id(value) -> int:
-    """A point id read from JSON, as int. Anything but an int or an integral
-    float (bools and strings included) raises ValueError instead of loading
-    as another id."""
-    if (isinstance(value, int) and not isinstance(value, bool)) or (
-            isinstance(value, float) and value.is_integer()):
-        return int(value)
-    raise ValueError(f"id must be an integer, got {value!r}")
+    """A point id read from JSON, as int: an id (_as_id) or an integral
+    float. Anything else (bools and strings included) raises ValueError
+    instead of loading as another id."""
+    pid = int(value) if isinstance(value, float) and value.is_integer() else _as_id(value)
+    if pid is None:
+        raise ValueError(f"id must be an integer, got {value!r}")
+    return pid
 
 
 def _json_ids(values: list) -> list[int]:

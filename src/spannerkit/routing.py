@@ -231,18 +231,10 @@ def _check_graph(g: SpannerGraph, kinds: tuple[str, ...], source: int, target: i
             f"routing needs a graph of kind {kinds}, got {g.kind!r}"
         )
     ctx = g.cone_table
-    s, t = _endpoints(g, source, target)
+    s, t = g.points._vertex(source), g.points._vertex(target)
     if s == t:
         raise AlreadyArrived(f"source equals target ({source})")
     return ctx, s, t
-
-
-def _endpoints(g: SpannerGraph, source: int, target: int) -> tuple[int, int]:
-    """The positions of source and target in g's point order."""
-    s, t = g.points._position(source), g.points._position(target)
-    if s is None or t is None:
-        raise InvalidParameter("source or target id not in the graph")
-    return s, t
 
 
 def base_bound(g: SpannerGraph, source: int, target: int) -> tuple[float, bool]:
@@ -253,7 +245,7 @@ def base_bound(g: SpannerGraph, source: int, target: int) -> tuple[float, bool]:
     negative start pays (5/sqrt(3) cos(alpha) - sin(alpha)) * |st| with alpha
     measured from t toward s.
     """
-    s, t = _endpoints(g, source, target)
+    s, t = g.points._vertex(source), g.points._vertex(target)
     sp, tp = g.points._id_order[s], g.points._id_order[t]
     dist = math.hypot(tp.x - sp.x, tp.y - sp.y)
     if _CS6.cone_of(sp, tp) % 2 == 0:
@@ -497,15 +489,11 @@ def _route_full(g: SpannerGraph, source: int, target: int, stateful: bool) -> Ro
     ids = ctx.ids
     name = "stateful" if stateful else "stateless"
     base, _ = base_bound(g, source, target)
-    trace = RoutingTrace(algorithm=name, source=source, target=target,
+    trace = RoutingTrace(algorithm=name, source=ids[s], target=ids[t],
                          bound=ROUTING_FACTORS[name] * base)
     visited = {s}
     dec = _decide_full(ctx, s, t, stateful, None)
-    guard = 0
     while True:
-        guard += 1
-        if guard > len(ids):
-            raise InternalInvariantViolation("routing exceeded the vertex-count step budget")
         nxt = dec.nxt
         step_len = _d(ctx.coords[s], ctx.coords[nxt])
         if nxt == t:
@@ -615,27 +603,17 @@ def _search_cone_edge(ctx, s: int, cone: int, target: int, cap: float | None):
     capped search concluded no such vertex is reachable.  Exploration counts
     every out-and-back round trip; walk_to_x is the final productive leg.
     """
-    fl_cw = _flank(ctx, s, cone, "cw")
-    fl_ccw = _flank(ctx, s, cone, "ccw")
-    exploration = 0.0
-    state = {"cw": {"fl": fl_cw, "done": fl_cw is None},
-             "ccw": {"fl": fl_ccw, "done": fl_ccw is None}}
-    if state["cw"]["done"] and state["ccw"]["done"]:
+    first = {side: _flank(ctx, s, cone, side) for side in ("cw", "ccw")}
+    usable = [side for side, fl in first.items() if fl is not None]
+    if not usable:
         if cap is None:
             raise InternalInvariantViolation("cone-edge search has nowhere to start")
         return None, 0.0, 0.0
-    if state["cw"]["done"]:
-        side = "ccw"
-    elif state["ccw"]["done"]:
-        side = "cw"
-    else:
-        side = "cw" if fl_cw[1] <= fl_ccw[1] else "ccw"
-    budget = state[side]["fl"][1]
-    rounds = 0
-    while True:
-        rounds += 1
-        if rounds > 4 * len(ctx.ids) + 64:
-            raise InternalInvariantViolation("cone-edge search failed to terminate")
+    # The shorter first flank starts; a tie goes to cw.
+    side = min(usable, key=lambda sd: first[sd][1])
+    budget = first[side][1]
+    exploration = 0.0
+    for _ in range(4 * len(ctx.ids) + 64):
         eff = budget if cap is None else min(budget, cap)
         try:
             walked, hit, exhausted = _walk_side(ctx, s, cone, side, eff, target)
@@ -644,11 +622,8 @@ def _search_cone_edge(ctx, s: int, cone: int, target: int, cap: float | None):
         if hit is not None:
             return hit, walked, exploration
         exploration += 2.0 * walked
-        if exhausted:
-            state[side]["done"] = True
-        elif cap is not None and eff >= cap:
-            state[side]["done"] = True
-        usable = [sd for sd in ("cw", "ccw") if not state[sd]["done"]]
+        if exhausted or (cap is not None and eff >= cap):
+            usable.remove(side)
         if not usable:
             if cap is None:
                 raise InternalInvariantViolation("cone-edge search exhausted both sides")
@@ -656,6 +631,7 @@ def _search_cone_edge(ctx, s: int, cone: int, target: int, cap: float | None):
         other = "ccw" if side == "cw" else "cw"
         side = other if other in usable else side
         budget *= 2.0
+    raise InternalInvariantViolation("cone-edge search failed to terminate")
 
 
 def _hint_walk(hints, ctx, s: int, cone: int, target: int, cap: float | None):
@@ -737,7 +713,7 @@ def _route_sub(g: SpannerGraph, source: int, target: int, flavor: str) -> Routin
     ctx, s, t = _check_graph(g, (flavor,), source, target)
     local = _g9_local(g.hint_table) if flavor == "g9" else _G12_LOCAL
     base, _ = base_bound(g, source, target)
-    trace = RoutingTrace(algorithm=flavor, source=source, target=target,
+    trace = RoutingTrace(algorithm=flavor, source=ctx.ids[s], target=ctx.ids[t],
                          bound=ROUTING_FACTORS[flavor] * base)
     preferred: str | None = None
     guard = 0
@@ -824,7 +800,8 @@ def _walk_region_landing(ctx, frame, target, start, pref_dir: str | None):
         return kernels.azimuth(px - sx, py - sy)
 
     # Fan members all sit in s's odd cone j, none of which straddles azimuth 0,
-    # so plain comparisons track the fan order without wraparound care.
+    # so plain comparisons track the fan order without wraparound care. Both
+    # walks stop unless each step strictly advances, so neither can loop.
     def advances(side: str, cur_az: float, nxt_az: float) -> bool:
         return nxt_az > cur_az if side == "ccw" else nxt_az < cur_az
 
@@ -836,11 +813,7 @@ def _walk_region_landing(ctx, frame, target, start, pref_dir: str | None):
         # S2 members sit below the region in fan order, so ascend; S1 descends.
         side = "ccw" if frame.sliver(ctx.coords[cur]) == "S2" else "cw"
         entered_via = side
-        guard = 0
         while not frame.contains(ctx.coords[cur]):
-            guard += 1
-            if guard > len(ctx.ids):
-                raise InternalInvariantViolation("region entry walk failed to terminate")
             fl = _flank(ctx, cur, anchor_cone, side)
             if fl is None:
                 raise InternalInvariantViolation("region entry walk ran off the fan")
@@ -855,11 +828,7 @@ def _walk_region_landing(ctx, frame, target, start, pref_dir: str | None):
                 raise _Arrived(walked)
     if pref_dir is None or (entered_via is not None and pref_dir != entered_via):
         return cur, walked
-    guard = 0
     while True:
-        guard += 1
-        if guard > len(ctx.ids):
-            raise InternalInvariantViolation("region sweep failed to terminate")
         fl = _flank(ctx, cur, anchor_cone, pref_dir)
         if fl is None:
             return cur, walked

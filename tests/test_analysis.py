@@ -230,7 +230,7 @@ class TestShortestPath:
     def test_unknown_vertex_raises(self):
         ps = PointSet([Point(0, 0.0, 0.0), Point(1, 1.0, 0.0)])
         g = SpannerGraph("x", None, ps, [(0, 1)])
-        for v, text in ((7, "7"), ([0], r"\[0\]"), (True, "True")):
+        for v, text in ((7, "7"), ([0], r"\[0\]"), (True, "True"), (1.0, r"1\.0")):
             for s, t in ((0, v), (v, 0)):
                 with pytest.raises(InvalidParameter, match=f"vertex {text} is not in the graph"):
                     shortest_path(g, s, t)
@@ -270,7 +270,7 @@ class TestRestrictedPairCheck:
 
     def test_unknown_vertex_raises(self):
         h = build_half_theta6(gen_random(20, 1))
-        for v, text in ((70, "70"), ([0], r"\[0\]"), (True, "True")):
+        for v, text in ((70, "70"), ([0], r"\[0\]"), (True, "True"), (1.0, r"1\.0")):
             for u, w in ((0, v), (v, 0)):
                 with pytest.raises(InvalidParameter, match=f"vertex {text} is not in the graph"):
                     restricted_pair_check(h, u, w)

@@ -420,6 +420,11 @@ class TestCanonicalPathInfo:
         for cone in (1, 3, 5):
             assert canonical_path_info(h, 0, np.int64(cone)) == canonical_path_info(h, 0, cone)
 
+    def test_numpy_integer_anchor_is_reported_as_the_graph_id(self):
+        h = build_half_theta6(gen_random(10, 3))
+        info = canonical_path_info(h, np.int64(0), 1)
+        assert type(info.anchor) is int and info == canonical_path_info(h, 0, 1)
+
     def test_fan_structure(self):
         ps = gen_random(40, 913)
         h = build_half_theta6(ps)
@@ -874,6 +879,20 @@ class TestGraphContainer:
                 SpannerGraph("yao", 6, ps, edges)
         with pytest.raises(InvalidParameter, match="self loop at 1"):
             SpannerGraph("yao", 6, ps, [(2, 2), (9, 3), (1, 1)])
+
+    def test_vertex_arguments_must_be_ids_of_the_graph(self):
+        # degree(True) used to count vertex 1's edges, has_edge(True, v) to
+        # find the edge (1, v), neighbors(999) to raise a bare KeyError, and
+        # the edge (True, 0) to be stored as (0, 1).
+        ps = PointSet([Point(0, 0.0, 0.0), Point(1, 1.0, 0.0), Point(2, 0.0, 1.0)])
+        g = SpannerGraph("x", None, ps, [(1, 2)])
+        assert g.has_edge(1, 2) and not g.has_edge(True, 2) and not g.has_edge(2, 1.0)
+        for method, v in ((g.neighbors, 999), (g.degree, True), (g.neighbors, 1.0)):
+            with pytest.raises(InvalidParameter, match="is not in the graph"):
+                method(v)
+        with pytest.raises(InvalidParameter, match="not a vertex id"):
+            SpannerGraph("x", None, ps, [(True, 0)])
+        assert SpannerGraph("x", None, ps, [(np.int64(2), 1)]) == g
 
     def test_ids_beyond_int64_and_negative_ids_round_trip(self):
         # Built in id order: PointSet equality follows insertion order, and

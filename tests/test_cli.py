@@ -93,6 +93,12 @@ class TestGen:
         assert capsys.readouterr().out == ""
         assert len(list(points_from_json(out.read_text()))) == 6
 
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys):
+        # It used to end in a FileNotFoundError traceback, exit 1.
+        out = tmp_path / "missing" / "pts.json"
+        assert main(["gen", "--kind", "circle", "--n", "6", "--out", str(out)]) == 2
+        assert "cannot write" in capsys.readouterr().err
+
     def test_bad_generator_parameters(self, capsys):
         assert main(["gen", "--kind", "circle", "--n", "1"]) == 2
         assert main(["gen", "--kind", "theta5_lb", "--nudge", "0.5"]) == 2
@@ -373,6 +379,12 @@ class TestRoute:
         assert svg.count('class="route"') == len(trace.steps)
         assert svg.count("<polygon") == 1
 
+    def test_unwritable_svg_is_a_usage_error(self, h6_file, tmp_path, capsys):
+        path, _g = h6_file
+        assert main(["route", "--graph", path, "--algo", "stateful", "--from", "2", "--to", "17",
+                     "--svg", str(tmp_path / "missing" / "route.svg")]) == 2
+        assert "cannot write" in capsys.readouterr().err
+
     def test_check_flag_passes_here(self, h6_file, capsys):
         path, _g = h6_file
         assert main(["route", "--graph", path, "--algo", "stateless",
@@ -431,8 +443,18 @@ class TestRender:
         _path, g = h6_file
         trace = route_stateful(g, 2, 17)
         for bad in (dataclasses.replace(trace, source=True), dataclasses.replace(trace, target=99)):
-            with pytest.raises(InvalidParameter, match="overlay endpoints are not vertices"):
+            with pytest.raises(InvalidParameter, match="is not in the graph"):
                 render_svg(g, overlay=bad)
+
+    def test_overlay_steps_must_end_at_vertices(self, h6_file):
+        # A step target 999 used to raise a bare KeyError, and True to draw
+        # as vertex 1.
+        _path, g = h6_file
+        trace = route_stateful(g, 2, 17)
+        for bad in (999, True):
+            step = dataclasses.replace(trace.steps[0], target=bad)
+            with pytest.raises(InvalidParameter, match=f"vertex {bad} is not in the graph"):
+                render_svg(g, overlay=dataclasses.replace(trace, steps=[step] + trace.steps[1:]))
 
     def test_requires_exactly_one_input(self, h6_file, tmp_path, capsys):
         path, _g = h6_file

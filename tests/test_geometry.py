@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -256,6 +257,25 @@ class TestPointSet:
         ):
             with pytest.raises(InvalidParameter):
                 points_from_json(text)
+
+    def test_ids_are_integers_that_are_not_bools(self):
+        # True and 1.0 used to find point 1, and a string id made a set
+        # that points_to_json wrote but points_from_json rejected.
+        ps = PointSet.from_pairs([(0.0, 0.0), (1.0, 0.5)])
+        for bad in (True, 1.0, [1]):
+            with pytest.raises(KeyError):
+                ps[bad]
+            assert bad not in ps
+        assert ps[np.int64(1)] is ps[1]
+        for bad in ("a", True, 1.5):
+            with pytest.raises(InvalidParameter, match="point id must be an integer"):
+                PointSet([Point(0, 0.0, 0.0), Point(bad, 1.0, 1.0)])
+
+    def test_numpy_integer_ids_are_stored_as_int(self):
+        # They used to make points_to_json raise TypeError.
+        ps = PointSet([Point(np.int64(5), 0.0, 0.0), Point(np.uint8(2), 1.0, 0.5)])
+        assert ps.ids == [5, 2] and all(type(i) is int for i in ps.ids)
+        assert points_from_json(points_to_json(ps)) == ps
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_coordinates_rejected(self, bad):

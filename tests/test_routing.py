@@ -7,6 +7,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from spannerkit import (
@@ -68,12 +69,21 @@ class TestGuards:
             route_stateless(h, 0, 999)
         with pytest.raises(InvalidParameter):
             route_stateful(h, -5, 1)
-        # An unhashable id is unknown too, not a TypeError, and True is no
-        # id, though it hashes and compares equal to 1.
+        # An unhashable id is unknown too, not a TypeError, and True and 1.0
+        # are no ids, though they hash and compare equal to 1.
         for route, g in ((route_stateless, h), (route_g9, g9)):
-            for s, t in (([0], 1), (1, [0]), (True, 0), (0, True)):
-                with pytest.raises(InvalidParameter, match="source or target id not in the graph"):
+            for s, t in (([0], 1), (1, [0]), (True, 0), (0, True), (1.0, 5), (5, 1.0)):
+                with pytest.raises(InvalidParameter, match="is not in the graph"):
                     route(g, s, t)
+
+    def test_numpy_integer_ids_route_as_ints(self, world):
+        # A numpy-integer source used to be copied into the trace, which
+        # to_json then could not write.
+        h, _, g9 = world
+        for route, g in ((route_stateless, h), (route_g9, g9)):
+            trace = route(g, np.int64(3), np.int64(9))
+            assert (type(trace.source), type(trace.target)) == (int, int)
+            assert trace_from_json(trace.to_json()) == route(g, 3, 9)
 
     def test_source_equals_target(self, world):
         h, g12, g9 = world
@@ -120,8 +130,8 @@ class TestBaseBound:
     def test_unknown_ids(self, world):
         # 999 used to raise a bare KeyError, and True to stand for vertex 1.
         h, _, _ = world
-        for s, t in ((999, 1), (1, 999), ([0], 1), (True, 0), (0, True)):
-            with pytest.raises(InvalidParameter, match="source or target id not in the graph"):
+        for s, t in ((999, 1), (1, 999), ([0], 1), (True, 0), (0, True), (1.0, 5)):
+            with pytest.raises(InvalidParameter, match="is not in the graph"):
                 base_bound(h, s, t)
 
 
