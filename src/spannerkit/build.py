@@ -157,7 +157,7 @@ class SpannerGraph:
         return list(self._id_pairs)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return u in self.points and v in self.points and _norm_edge(u, v) in self.edges
+        return u != v and u in self.points and v in self.points and _norm_edge(u, v) in self.edges
 
     def neighbors(self, u: int) -> list[int]:
         """Neighbour ids sorted by ascending azimuth (clockwise from north) around u."""

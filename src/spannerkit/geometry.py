@@ -153,10 +153,7 @@ def _as_id(value) -> int | None:
 
 
 def _as_ids(values: list) -> list[int]:
-    """_as_id of every value; a list of ints passes as it is. A value that
-    is no id raises InvalidParameter."""
-    if set(map(type, values)) <= {int}:
-        return values
+    """_as_id of every value; a value that is no id raises InvalidParameter."""
     ids = list(map(_as_id, values))
     if None in ids:
         raise InvalidParameter(f"{values[ids.index(None)]!r} is not a vertex id")

@@ -887,6 +887,7 @@ class TestGraphContainer:
         ps = PointSet([Point(0, 0.0, 0.0), Point(1, 1.0, 0.0), Point(2, 0.0, 1.0)])
         g = SpannerGraph("x", None, ps, [(1, 2)])
         assert g.has_edge(1, 2) and not g.has_edge(True, 2) and not g.has_edge(2, 1.0)
+        assert not g.has_edge(1, 1)
         for method, v in ((g.neighbors, 999), (g.degree, True), (g.neighbors, 1.0)):
             with pytest.raises(InvalidParameter, match="is not in the graph"):
                 method(v)
