@@ -26,6 +26,7 @@ from .geometry import (
     ConeSystem,
     Point,
     PointSet,
+    _as_count,
     _dump_json,
     angle_alpha,
     canonical_triangle,
@@ -645,8 +646,8 @@ def theta5_witness_path(g: SpannerGraph, u: int, w: int) -> list[int]:
             # direction and read the path backwards.
             return list(reversed(rec(b, a)))
         r = cs.cone_of(pa, pb)
-        phi = r * cs.theta
-        turn = -1 if (pb[0] - pa[0]) * math.cos(phi) - (pb[1] - pa[1]) * math.sin(phi) < 0.0 else 1
+        sin_r, cos_r = cs.frame.bisector_dir[r]
+        turn = -1 if (pb[0] - pa[0]) * cos_r - (pb[1] - pa[1]) * sin_r < 0.0 else 1
 
         def rel(p: tuple[float, float], q: int) -> int:
             """Relative label of the cone of p that holds vertex q."""
@@ -701,8 +702,7 @@ def path_length(ps: PointSet, path: list[int]) -> float:
 
 def gen_circle(n: int, radius: float = 1.0) -> PointSet:
     """n points equally spaced on a circle, ids in angular order."""
-    if not isinstance(n, int) or n < 2:
-        raise InvalidParameter(f"circle needs an integer number of points >= 2, got {n!r}")
+    n = _as_count(n, 2, "circle needs an integer number of points")
     if isinstance(radius, bool) or not isinstance(radius, numbers.Real) or not radius > 0:
         raise InvalidParameter(f"radius must be a positive real number, got {radius!r}")
     pts = []
@@ -828,7 +828,6 @@ def gen_theta5_lower_bound(nudge: float = 1e-4) -> PointSet:
     if isinstance(nudge, bool) or not isinstance(nudge, numbers.Real) or not 0.0 < nudge <= 1e-3:
         raise InvalidParameter(f"nudge must be in (0, 1e-3], got {nudge!r}")
     cs = ConeSystem(5)
-    half = cs.theta / 2
 
     coords: list[tuple[float, float]] = [(0.0, 0.0)]
 
@@ -844,8 +843,7 @@ def gen_theta5_lower_bound(nudge: float = 1e-4) -> PointSet:
         return (c[0] + delta(idx) * bx, c[1] + delta(idx) * by)
 
     # Bootstrap: vertex 1 near the clockwise corner of an intended unit triangle.
-    tri0_a = (-math.sin(half), math.cos(half))
-    tri0_b = (math.sin(half), math.cos(half))
+    tri0_a, tri0_b = cs.frame.lo_dir[0], cs.frame.hi_dir[0]
     bx, by = _unit_sum((0.0, 0.0), tri0_b, tri0_a)
     coords.append((tri0_b[0] + delta(1) * bx, tri0_b[1] + delta(1) * by))
 

@@ -21,6 +21,7 @@ from .geometry import (
     _CHECK_BLOCK,
     ConeSystem,
     PointSet,
+    _as_count,
     _as_ids,
     _json_id,
     _json_ids,
@@ -38,6 +39,9 @@ _SIX_CONE_KINDS = frozenset({"half_theta6", "g12", "g9", "rotated_union"})
 #: Cone labels whose azimuth lies within this many radians of a cone boundary
 #: are recomputed with the scalar kernel (see cone_scan).
 _LABEL_SLACK = 1e-6
+#: Radians the grid's theta certificate adds to a cone's half-angle, above
+#: ANGLE_EPS plus the few ulps of atan2 a label may err by (see cone_scan).
+_WEDGE_SLACK = 1e-6
 #: Cells from a point's own cell to the edge of its candidate block, per pass
 #: of the grid scan (see cone_scan).
 _REACHES = (2, 4)
@@ -312,7 +316,7 @@ class _ConeTable:
         t = g._csr
         with np.errstate(over="ignore"):
             dx, dy = x[t.nbr] - x[t.src], y[t.nbr] - y[t.src]
-        cone = _cone_labels(dx[None, :], dy[None, :], 6, math.tau / 6)[0]
+        cone = _cone_labels(dx[None, :], dy[None, :], 6)[0]
         slot = t.src * 6 + cone
 
         even = np.flatnonzero(cone % 2 == 0)
@@ -341,17 +345,16 @@ class _ConeTable:
         first = np.flatnonzero(_run_starts(key))
         size = np.diff(np.append(first, len(odd)))
         # The closest member minimizes (projection onto the cone's bisector,
-        # squared distance, index): dx * sin(bis) + dy * cos(bis) with math's
-        # sin and cos, the doubles of the scalar key. No projection is NaN:
+        # squared distance, index): dx * sin(bis) + dy * cos(bis) with the
+        # frame's sin and cos, the doubles of the scalar key. No projection is NaN:
         # both products are infinite only at azimuths of 45, 135, 225 and 315
         # degrees, and the two in odd cones (45 in cone 1, 315 in cone 5)
         # give products of one sign.
         c = cone[odd]
-        sin_bis = np.array([math.sin(j * (math.tau / 6)) for j in range(6)])
-        cos_bis = np.array([math.cos(j * (math.tau / 6)) for j in range(6)])
+        frame = kernels.cone_frame(6)
         fdx, fdy = dx[odd], dy[odd]
         with np.errstate(over="ignore"):
-            proj = fdx * sin_bis[c] + fdy * cos_bis[c]
+            proj = fdx * frame.sin_bisector[c] + fdy * frame.cos_bisector[c]
             d2 = fdx * fdx + fdy * fdy
         group = np.repeat(np.arange(len(first)), size)
         closest = np.lexsort((t.nbr[odd], d2, proj, group))[first]
@@ -444,13 +447,15 @@ def cone_scan(xs, ys, k: int, use_projection: bool, cone_mask: int) -> list[tupl
     cone_mask is nonzero) return (u, i, v) where v minimises (projection,
     squared distance, index) when use_projection is true, else (squared
     distance, index); sorted by (u, i). Coordinates must be finite, as
-    PointSet guarantees. The reference is the scalar scan that visits every
-    v in index order (oracle_cone_picks in tests/oracles.py).
+    PointSet guarantees; k is checked as ConeSystem checks it. The reference
+    is the scalar scan that visits every v in index order (oracle_cone_picks
+    in tests/oracles.py).
 
     Bit identity with the scalar scan: dx, dy, d2 = dx*dx + dy*dy and the
     projection dx*sin(i*theta) + dy*cos(i*theta) are each computed as separate
     elementwise IEEE double operations in the same order as the kernels, with
-    sin/cos of the bisectors taken from math, so every key is the same double.
+    sin/cos of the bisectors from kernels.cone_frame, so every key is the
+    same double.
     Only the cone label comes from np.arctan2, which may differ from libm's
     atan2 by a few ulps; a label can only change where the azimuth is within
     ANGLE_EPS plus those ulps of a cone boundary, so every label within
@@ -468,10 +473,12 @@ def cone_scan(xs, ys, k: int, use_projection: bool, cone_mask: int) -> list[tupl
     the extent, not with the cell). A cone's winner among the candidates is
     its winner among all points when
     - Yao: its squared distance is below rho**2 * (1 - 1e-12);
-    - Theta: its projection is below rho * cos(theta/2 + 1e-6) * (1 - 1e-12),
-      since a labelled point sits at most ANGLE_EPS plus the label slack
-      outside the geometric wedge. Theta cones of k = 2 are half-planes whose
-      projections no block bounds, so those scans skip the grid.
+    - Theta: its projection is below rho * cos(theta/2 + _WEDGE_SLACK) *
+      (1 - 1e-12): a labelled point sits at most ANGLE_EPS plus the few ulps
+      between np.arctan2 and libm's atan2 outside the geometric wedge, since
+      kernels.cone_index decides every label within _LABEL_SLACK of a
+      boundary. Theta cones of k = 2 are half-planes whose projections no
+      block bounds, so those scans skip the grid.
     A cone without candidates is certified empty when, on the inward normals
     of its two boundary rays, no other point reaches the point's own values
     less a margin of 1e-8 of the span (_empty_cones: one sort and a running
@@ -502,7 +509,7 @@ def cone_scan(xs, ys, k: int, use_projection: bool, cone_mask: int) -> list[tupl
     by about 5 MB over the package's own imports (63 to 68 MB), 6 % of a
     construction run's 84 MB, and the grid answers the same queries.
     """
-    us, cs, vs = _scan(xs, ys, k, use_projection, cone_mask)
+    us, cs, vs = _scan(xs, ys, ConeSystem(k).k, use_projection, cone_mask)
     return list(zip(us.tolist(), cs.tolist(), vs.tolist()))
 
 
@@ -542,18 +549,18 @@ def _cone_picks(x, y, rows, cand, k: int, use_projection: bool, cones):
     dx = x[cand] - x[rows, None]
     dy = y[cand] - y[rows, None]
     d2 = dx * dx + dy * dy
-    theta = math.tau / k
     # Index k labels a pair the scan must skip: the point itself (which also
     # pads candidate rows), or a cone outside the mask.
     keep = np.zeros(k + 1, dtype=bool)
     keep[cones] = True
-    label = _cone_labels(dx, dy, k, theta)
+    label = _cone_labels(dx, dy, k)
     label[cand == rows[:, None]] = k
     label[~keep[label]] = k
     key1 = d2
     if use_projection:
-        sin_bis = np.array([math.sin(i * theta) for i in range(k)] + [0.0])
-        cos_bis = np.array([math.cos(i * theta) for i in range(k)] + [0.0])
+        frame = kernels.cone_frame(k)
+        sin_bis = np.append(frame.sin_bisector, 0.0)
+        cos_bis = np.append(frame.cos_bisector, 0.0)
         key1 = dx * sin_bis[label] + dy * cos_bis[label]
     nan = np.isnan(key1)
     nan = nan if nan.any() else None
@@ -639,7 +646,7 @@ def _certified_rows(x, y, k: int, use_projection: bool, cones, best):
         whole = np.isinf(rho)
         rho -= margin
         if use_projection:
-            bound = rho * math.cos(math.pi / k + 1e-6) * (1.0 - 1e-12)
+            bound = rho * math.cos(kernels.cone_frame(k).half + _WEDGE_SLACK) * (1.0 - 1e-12)
         else:
             bound = rho * rho * (1.0 - 1e-12)
         bound[bound < _TINY] = -np.inf
@@ -684,13 +691,12 @@ def _empty_cones(ox, oy, k: int, cones):
     is certified when its predecessor is more than the margin below it and
     every later point is more than the margin below it on the second.
     """
-    theta = math.tau / k
+    frame = kernels.cone_frame(k)
     margin = 1e-8 * max(float(ox.max()), float(oy.max())) + _TINY
     out = np.empty((len(ox), len(cones)), dtype=bool)
     for c, i in enumerate(cones):
-        lo, hi = i * theta - theta / 2, i * theta + theta / 2
-        a = ox * math.cos(lo) - oy * math.sin(lo)
-        b = oy * math.sin(hi) - ox * math.cos(hi)
+        a = frame.lo_inward(i, ox, oy)
+        b = frame.hi_inward(i, ox, oy)
         order = np.argsort(a, kind="stable")
         sa, sb = a[order], b[order]
         gap = np.concatenate(([np.inf], np.diff(sa)))
@@ -699,10 +705,11 @@ def _empty_cones(ox, oy, k: int, cones):
     return out
 
 
-def _cone_labels(dx, dy, k: int, theta: float):
+def _cone_labels(dx, dy, k: int):
     """Cone index of every vector, as kernels.cone_index computes it."""
+    theta = kernels.cone_frame(k).theta
     az = np.arctan2(dx, dy)
-    az = np.where(az < 0.0, az + math.tau, az)
+    az = np.where(az < 0.0, az + kernels.TWO_PI, az)
     t = (az - 0.5 * theta) / theta
     floor_t = np.floor(t)
     label = floor_t.astype(np.intp) + 1
@@ -719,7 +726,7 @@ def _cone_labels(dx, dy, k: int, theta: float):
 def build_yao(ps: PointSet, k: int) -> SpannerGraph:
     """Yao graph: from every point, an edge to the Euclidean-closest point in
     each of its k cones."""
-    ConeSystem(k)
+    k = ConeSystem(k).k
     _, xs, ys = ps.arrays
     return SpannerGraph._indexed("yao", k, ps, _scan_ends(xs, ys, k, False, 0))
 
@@ -727,7 +734,7 @@ def build_yao(ps: PointSet, k: int) -> SpannerGraph:
 def build_theta(ps: PointSet, k: int) -> SpannerGraph:
     """Theta graph: from every point, an edge to the projection-closest point
     (onto the cone bisector) in each of its k cones."""
-    ConeSystem(k)
+    k = ConeSystem(k).k
     _, xs, ys = ps.arrays
     return SpannerGraph._indexed("theta", k, ps, _scan_ends(xs, ys, k, True, 0))
 
@@ -833,8 +840,7 @@ def build_g9(h: SpannerGraph) -> SpannerGraph:
 def build_rotated_union(ps: PointSet, m: int) -> SpannerGraph:
     """Union of m half-theta-6 graphs, the j-th built in a frame rotated by
     j*pi/(3m)."""
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise InvalidParameter(f"rotation count must be an integer >= 1, got {m!r}")
+    m = _as_count(m, 1, "rotation count must be an integer")
     ids, x, y = ps.arrays
     ends = []
     for j in range(m):

@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, build, routing
+from . import analysis, build, kernels, routing
 from .build import SpannerGraph, graph_from_json, graph_to_json
 from .errors import DegenerateInput, InternalInvariantViolation, InvalidParameter, SpannerKitError
 from .geometry import (
@@ -34,6 +34,7 @@ from .geometry import (
     ConeSystem,
     PointSet,
     _aligned_direction,
+    _as_count,
     _direction_gaps,
     _dump_json,
     _fast_hypot,
@@ -81,11 +82,9 @@ def gen_random(n: int, seed: int, k: int = 6, retries: int = 100) -> PointSet:
     Raises InvalidParameter before drawing any point unless n and retries are
     integers >= 1 (not bools) and k is a valid cone count.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise InvalidParameter(f"need an integer number of points >= 1, got {n!r}")
-    ConeSystem(k)
-    if isinstance(retries, bool) or not isinstance(retries, int) or retries < 1:
-        raise InvalidParameter(f"retries must be an integer >= 1, got {retries!r}")
+    n = _as_count(n, 1, "need an integer number of points")
+    k = ConeSystem(k).k
+    retries = _as_count(retries, 1, "retries must be an integer")
     rng = random.Random(seed)
     # The points placed so far, followed by the draws of the current round.
     xs: list[float] = []
@@ -129,10 +128,9 @@ def gen_random(n: int, seed: int, k: int = 6, retries: int = 100) -> PointSet:
 
 
 def _avoided_directions(k: int) -> list[float]:
-    theta = 2.0 * math.pi / k
     bad = set()
-    for i in range(k):
-        az = (i * theta + theta / 2.0) % math.pi
+    for hi in kernels.cone_frame(k).hi:
+        az = hi % math.pi
         bad.add(az)
         bad.add((az + math.pi / 2.0) % math.pi)
     return sorted(bad)

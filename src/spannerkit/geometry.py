@@ -160,6 +160,14 @@ def _as_ids(values: list) -> list[int]:
     return ids
 
 
+def _as_count(value, least: int, what: str) -> int:
+    """value as an int >= least by _as_id's rule, or InvalidParameter."""
+    count = _as_id(value)
+    if count is None or count < least:
+        raise InvalidParameter(f"{what} >= {least}, got {value!r}")
+    return count
+
+
 def direction(az: float) -> tuple[float, float]:
     """Unit vector at the given clockwise-from-north azimuth."""
     return (math.sin(az), math.cos(az))
@@ -169,10 +177,9 @@ class ConeSystem:
     """k equiangular cones around every point, cone 0 bisecting +y."""
 
     def __init__(self, k: int):
-        if not isinstance(k, int) or k < 2:
-            raise InvalidParameter(f"cone count must be an integer >= 2, got {k!r}")
-        self.k = k
-        self.theta = 2 * math.pi / k
+        self.k = _as_count(k, 2, "cone count must be an integer")
+        self.frame = kernels.cone_frame(self.k)
+        self.theta = self.frame.theta
 
     def azimuth(self, u, v) -> float:
         """Azimuth of v as seen from u (points or (x, y) pairs)."""
@@ -188,17 +195,19 @@ class ConeSystem:
         return kernels.cone_index(vx - ux, vy - uy, self.k)
 
     def bisector(self, i: int) -> float:
-        return (i % self.k) * self.theta
+        return self.frame.bisector[i % self.k]
 
     def boundary_azimuths(self) -> list[float]:
-        return [(self.theta / 2 + i * self.theta) % (2 * math.pi) for i in range(self.k)]
+        """The clockwise boundary (hi ray) of every cone, in [0, 2*pi)."""
+        return list(self.frame.hi)
 
 
 def theta_projection(cs: ConeSystem, u, v) -> float:
     """Projection of the vector u->v onto the bisector of its own cone."""
     ux, uy = _xy(u)
     vx, vy = _xy(v)
-    return kernels.theta_projection_len(vx - ux, vy - uy, cs.k)
+    dx, dy = vx - ux, vy - uy
+    return cs.frame.project(kernels.cone_index(dx, dy, cs.k), dx, dy)
 
 
 def angle_alpha(cs: ConeSystem, u, v) -> float:
@@ -234,17 +243,16 @@ class CanonicalTriangle:
     @property
     def midpoint_m(self) -> tuple[float, float]:
         """Foot of the target's projection on the bisector (midpoint of the far side)."""
-        theta = 2 * math.pi / self.k
-        dx, dy = direction(self.cone * theta)
+        dx, dy = kernels.cone_frame(self.k).bisector_dir[self.cone]
         return (self.apex[0] + self.projection * dx, self.apex[1] + self.projection * dy)
 
     @property
     def balance_x(self) -> tuple[float, float]:
         """Point on the far side where the triangle of the pair (apex, x) and the
         reverse triangle of (x, apex) have equal size."""
-        theta = 2 * math.pi / self.k
-        r = self.projection / math.cos(theta / 4)
-        dx, dy = direction(self.cone * theta + theta / 4)
+        f = kernels.cone_frame(self.k)
+        r = self.projection / math.cos(f.theta / 4)
+        dx, dy = direction(f.bisector[self.cone] + f.theta / 4)
         return (self.apex[0] + r * dx, self.apex[1] + r * dy)
 
     def contains(self, p, eps: float = EPS) -> bool:
@@ -271,13 +279,11 @@ def canonical_triangle(cs: ConeSystem, u, w) -> CanonicalTriangle:
     ux, uy = _xy(u)
     wx, wy = _xy(w)
     i = cs.cone_of(u, w)
-    bis = cs.bisector(i)
+    f = cs.frame
     # theta_projection(cs, u, w), without finding the cone a second time.
-    proj = (wx - ux) * math.sin(bis) + (wy - uy) * math.cos(bis)
-    half = cs.theta / 2
-    size = proj / math.cos(half)
-    da = direction(bis - half)
-    db = direction(bis + half)
+    proj = f.project(i, wx - ux, wy - uy)
+    size = proj / f.hi_dir[0][1]  # cos(theta / 2)
+    da, db = f.lo_dir[i], f.hi_dir[i]
     return CanonicalTriangle(
         apex=(ux, uy),
         cone=i,

@@ -54,7 +54,6 @@ ROUTING_FACTORS = {
 }
 
 _PAY_EPS = 1e-9
-_TAU = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -323,30 +322,21 @@ def _region_in_tri(ctx, v, t, jv, which, tri_new, tri_step) -> bool:
 
 
 def _clip_wedge(poly, apex, cone):
-    """Clip a polygon to the cone wedge (half-open, but treated closed here)."""
-    theta = _CS6.theta
-    lo = cone * theta - theta / 2.0
-    hi = cone * theta + theta / 2.0
-
-    def clip(points, f):
+    """Clip a polygon to the cone wedge (half-open, but treated closed here):
+    to the inward side of its lo ray, then of its hi ray."""
+    ax, ay = apex
+    for inward in (_CS6.frame.lo_inward, _CS6.frame.hi_inward):
+        f = [inward(cone, x - ax, y - ay) for x, y in poly]
+        m = len(poly)
         out = []
-        m = len(points)
-        for i in range(m):
-            p = points[i]
-            q = points[(i + 1) % m]
-            fp = f(p)
-            fq = f(q)
+        for i, p in enumerate(poly):
+            q, fp, fq = poly[(i + 1) % m], f[i], f[(i + 1) % m]
             if fp >= 0.0:
                 out.append(p)
             if (fp > 0.0 > fq) or (fp < 0.0 < fq):
                 u = fp / (fp - fq)
                 out.append((p[0] + u * (q[0] - p[0]), p[1] + u * (q[1] - p[1])))
-        return out
-
-    dlo = (math.sin(lo), math.cos(lo))
-    dhi = (math.sin(hi), math.cos(hi))
-    poly = clip(poly, lambda p: -(dlo[0] * (p[1] - apex[1]) - dlo[1] * (p[0] - apex[0])))
-    poly = clip(poly, lambda p: dhi[0] * (p[1] - apex[1]) - dhi[1] * (p[0] - apex[0]))
+        poly = out
     return poly
 
 
@@ -544,9 +534,7 @@ class _Arrived(Exception):
 def _flank(ctx, u: int, cone: int, side: str):
     """Edge of u angularly closest to positive `cone` on the given side, other
     than u's own edge in that cone, as (neighbour, length); None if u has none."""
-    theta = _CS6.theta
-    lo = cone * theta - theta / 2.0
-    hi = cone * theta + theta / 2.0
+    lo, hi = _CS6.frame.lo[cone], _CS6.frame.hi[cone]
     own = ctx.cone_edge[6 * u + cone]
     az = ctx.az
     best, best_gap = -1, math.inf
@@ -554,9 +542,9 @@ def _flank(ctx, u: int, cone: int, side: str):
         if p == own:
             continue
         if side == "cw":
-            gap = (az[p] - hi) % _TAU
+            gap = (az[p] - hi) % kernels.TWO_PI
         else:
-            gap = (lo - az[p]) % _TAU
+            gap = (lo - az[p]) % kernels.TWO_PI
         if gap < best_gap:
             best, best_gap = p, gap
     if best < 0:

@@ -31,6 +31,8 @@ from spannerkit import (
     gen_routing_lb,
     graph_from_json,
     graph_to_json,
+    points_from_json,
+    points_to_json,
 )
 
 from spannerkit import build as build_module
@@ -554,6 +556,40 @@ class TestRotatedUnion:
         assert build_rotated_union(tiny, 1).edge_list() == [(0, 1)]
         with pytest.raises(DegenerateInput):
             build_rotated_union(tiny, 2)
+
+
+@pytest.mark.parametrize("count", [np.int64(5), np.int32(5), np.uint8(5), True, 5.0, np.float64(5.0), "5"])
+def test_counts_are_integers_that_are_not_bools(count):
+    """Cone, rotation, point and retry counts follow the vertex-id rule: numpy
+    integers are stored as int; bools, floats and strings raise
+    InvalidParameter."""
+    ps = gen_random(16, 1)
+    builds = [build_yao, build_theta, build_rotated_union]
+    point_sets = [
+        lambda c: gen_random(c, 1),
+        lambda c: gen_random(8, 1, k=c),
+        lambda c: gen_random(8, 1, retries=c),
+        gen_circle,
+    ]
+
+    def scan(c):
+        return cone_scan(*ps.arrays[1:], c, True, 0)
+
+    if isinstance(count, (bool, float, str)):
+        for make in [ConeSystem, scan] + [lambda c, b=b: b(ps, c) for b in builds] + point_sets:
+            with pytest.raises(InvalidParameter):
+                make(count)
+        return
+    assert type(ConeSystem(count).k) is int
+    assert scan(count) == scan(5)
+    for build in builds:
+        # The file writes "k": 5 (or "m": 5) as for the int count.
+        text = build(ps, count).to_json()
+        assert text == build(ps, 5).to_json()
+        assert graph_from_json(text) == build(ps, 5)
+    for make in point_sets:
+        got = make(count)
+        assert points_from_json(points_to_json(got)) == got == make(5)
 
 
 class TestMst:
