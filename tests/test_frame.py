@@ -21,6 +21,7 @@ from spannerkit import (
 from spannerkit import kernels
 from spannerkit.build import _empty_cones
 from spannerkit.cli_io import _avoided_directions
+from spannerkit.routing import _clip_wedge
 
 FRAME_KS = range(2, 65)
 
@@ -99,6 +100,7 @@ FRAME_OUTPUT_SHA256 = {
     "theta5_witness": "83d3e8c974652f2f",
     "theta5_lower_bound": "6177890091f13bfc",
     "avoided_directions": "b7d7859f533d1e8b",
+    "wedge_clips": "2b2057754a029ec6",
 }
 PIN_KS = (2, 3, 4, 5, 7, 8, 12)
 
@@ -142,6 +144,20 @@ class TestFrameOutputs:
     def test_theta5_lower_bound_coordinates(self):
         out = [(p.id, p.x, p.y) for p in gen_theta5_lower_bound()]
         assert _digest(out) == FRAME_OUTPUT_SHA256["theta5_lower_bound"]
+
+    def test_wedge_clips(self):
+        # The routers clip a canonical triangle to a cone of another vertex;
+        # no golden trace reaches the clip.
+        cs = ConeSystem(6)
+        pts = [p.xy for p in gen_random(40, 4)][:15]
+        out = []
+        for t in pts:
+            for v in pts:
+                if t != v:
+                    poly = canonical_triangle(cs, t, v).polygon()
+                    out.extend(_clip_wedge(poly, apex, c) for apex in pts for c in range(6))
+        assert sum(0 < len(p) for p in out) > len(out) // 10
+        assert _digest(out) == FRAME_OUTPUT_SHA256["wedge_clips"]
 
     def test_avoided_directions(self):
         out = [_avoided_directions(k) for k in FRAME_KS]
