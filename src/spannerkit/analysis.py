@@ -27,6 +27,7 @@ from .geometry import (
     Point,
     PointSet,
     _as_count,
+    _as_id,
     _dump_json,
     angle_alpha,
     canonical_triangle,
@@ -56,8 +57,7 @@ def bound_value(name: str, *, k: int | None = None, m: int | None = None, alpha:
     k and m, when given, must be integers (not bools).
     """
     for label, value in (("k", k), ("m", m)):
-        if value is not None and (isinstance(value, bool)
-                                  or not isinstance(value, numbers.Integral)):
+        if value is not None and _as_id(value) is None:
             raise InvalidParameter(f"bound {name!r}: {label} must be an integer, got {value!r}")
     if name in ("theta", "yao"):
         if k is None or k < 7:
@@ -102,11 +102,8 @@ class RatioReport:
     per_pair: list[dict] | None = field(default=None, repr=False)
 
     def to_json(self) -> str:
-        ratio = self.max_ratio
-        if not math.isfinite(ratio):
-            ratio = "nan" if math.isnan(ratio) else "inf"
         obj: dict = {
-            "max_ratio": ratio,
+            "max_ratio": _json_number(self.max_ratio),
             "witness": list(self.witness) if self.witness is not None else None,
         }
         if self.bound is not None:
@@ -114,8 +111,20 @@ class RatioReport:
             obj["bound_name"] = self.bound_name
             obj["pass"] = self.passed
         if self.per_pair is not None:
-            obj["per_pair"] = self.per_pair
+            obj["per_pair"] = list(map(_json_pair, self.per_pair))
         return _dump_json(obj)
+
+
+def _json_number(value: float):
+    """value, or "inf" or "nan" where JSON has no number for it."""
+    return value if math.isfinite(value) else "nan" if math.isnan(value) else "inf"
+
+
+def _json_pair(row: dict) -> dict:
+    """A per-pair row with its non-finite floats named as _json_number names them."""
+    if all(map(math.isfinite, (row["euclidean"], row["graph_distance"], row["ratio"]))):
+        return row
+    return {key: value if key in ("u", "v") else _json_number(value) for key, value in row.items()}
 
 
 def spanning_ratio(g: SpannerGraph, per_pair: bool = False) -> RatioReport:
@@ -646,7 +655,7 @@ def theta5_witness_path(g: SpannerGraph, u: int, w: int) -> list[int]:
             # direction and read the path backwards.
             return list(reversed(rec(b, a)))
         r = cs.cone_of(pa, pb)
-        sin_r, cos_r = cs.frame.bisector_dir[r]
+        sin_r, cos_r = cs.bisector_dir[r]
         turn = -1 if (pb[0] - pa[0]) * cos_r - (pb[1] - pa[1]) * sin_r < 0.0 else 1
 
         def rel(p: tuple[float, float], q: int) -> int:
@@ -843,7 +852,7 @@ def gen_theta5_lower_bound(nudge: float = 1e-4) -> PointSet:
         return (c[0] + delta(idx) * bx, c[1] + delta(idx) * by)
 
     # Bootstrap: vertex 1 near the clockwise corner of an intended unit triangle.
-    tri0_a, tri0_b = cs.frame.lo_dir[0], cs.frame.hi_dir[0]
+    tri0_a, tri0_b = cs.lo_dir[0], cs.hi_dir[0]
     bx, by = _unit_sum((0.0, 0.0), tri0_b, tri0_a)
     coords.append((tri0_b[0] + delta(1) * bx, tri0_b[1] + delta(1) * by))
 

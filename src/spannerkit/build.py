@@ -22,6 +22,7 @@ from .geometry import (
     ConeSystem,
     PointSet,
     _as_count,
+    _as_id,
     _as_ids,
     _json_id,
     _json_ids,
@@ -346,15 +347,15 @@ class _ConeTable:
         size = np.diff(np.append(first, len(odd)))
         # The closest member minimizes (projection onto the cone's bisector,
         # squared distance, index): dx * sin(bis) + dy * cos(bis) with the
-        # frame's sin and cos, the doubles of the scalar key. No projection is NaN:
+        # cone system's sin and cos, the doubles of the scalar key. No projection is NaN:
         # both products are infinite only at azimuths of 45, 135, 225 and 315
         # degrees, and the two in odd cones (45 in cone 1, 315 in cone 5)
         # give products of one sign.
         c = cone[odd]
-        frame = kernels.cone_frame(6)
+        cs6 = ConeSystem(6)
         fdx, fdy = dx[odd], dy[odd]
         with np.errstate(over="ignore"):
-            proj = fdx * frame.sin_bisector[c] + fdy * frame.cos_bisector[c]
+            proj = fdx * cs6.sin_bisector[c] + fdy * cs6.cos_bisector[c]
             d2 = fdx * fdx + fdy * fdy
         group = np.repeat(np.arange(len(first)), size)
         closest = np.lexsort((t.nbr[odd], d2, proj, group))[first]
@@ -454,8 +455,8 @@ def cone_scan(xs, ys, k: int, use_projection: bool, cone_mask: int) -> list[tupl
     Bit identity with the scalar scan: dx, dy, d2 = dx*dx + dy*dy and the
     projection dx*sin(i*theta) + dy*cos(i*theta) are each computed as separate
     elementwise IEEE double operations in the same order as the kernels, with
-    sin/cos of the bisectors from kernels.cone_frame, so every key is the
-    same double.
+    sin/cos of the bisectors from ConeSystem(k), the only place cone
+    directions are computed, so every key is the same double.
     Only the cone label comes from np.arctan2, which may differ from libm's
     atan2 by a few ulps; a label can only change where the azimuth is within
     ANGLE_EPS plus those ulps of a cone boundary, so every label within
@@ -558,9 +559,9 @@ def _cone_picks(x, y, rows, cand, k: int, use_projection: bool, cones):
     label[~keep[label]] = k
     key1 = d2
     if use_projection:
-        frame = kernels.cone_frame(k)
-        sin_bis = np.append(frame.sin_bisector, 0.0)
-        cos_bis = np.append(frame.cos_bisector, 0.0)
+        cs = ConeSystem(k)
+        sin_bis = np.append(cs.sin_bisector, 0.0)
+        cos_bis = np.append(cs.cos_bisector, 0.0)
         key1 = dx * sin_bis[label] + dy * cos_bis[label]
     nan = np.isnan(key1)
     nan = nan if nan.any() else None
@@ -646,7 +647,7 @@ def _certified_rows(x, y, k: int, use_projection: bool, cones, best):
         whole = np.isinf(rho)
         rho -= margin
         if use_projection:
-            bound = rho * math.cos(kernels.cone_frame(k).half + _WEDGE_SLACK) * (1.0 - 1e-12)
+            bound = rho * math.cos(ConeSystem(k).half + _WEDGE_SLACK) * (1.0 - 1e-12)
         else:
             bound = rho * rho * (1.0 - 1e-12)
         bound[bound < _TINY] = -np.inf
@@ -691,12 +692,12 @@ def _empty_cones(ox, oy, k: int, cones):
     is certified when its predecessor is more than the margin below it and
     every later point is more than the margin below it on the second.
     """
-    frame = kernels.cone_frame(k)
+    cs = ConeSystem(k)
     margin = 1e-8 * max(float(ox.max()), float(oy.max())) + _TINY
     out = np.empty((len(ox), len(cones)), dtype=bool)
     for c, i in enumerate(cones):
-        a = frame.lo_inward(i, ox, oy)
-        b = frame.hi_inward(i, ox, oy)
+        a = cs.lo_inward(i, ox, oy)
+        b = cs.hi_inward(i, ox, oy)
         order = np.argsort(a, kind="stable")
         sa, sb = a[order], b[order]
         gap = np.concatenate(([np.inf], np.diff(sa)))
@@ -707,7 +708,7 @@ def _empty_cones(ox, oy, k: int, cones):
 
 def _cone_labels(dx, dy, k: int):
     """Cone index of every vector, as kernels.cone_index computes it."""
-    theta = kernels.cone_frame(k).theta
+    theta = ConeSystem(k).theta
     az = np.arctan2(dx, dy)
     az = np.where(az < 0.0, az + kernels.TWO_PI, az)
     t = (az - 0.5 * theta) / theta
@@ -769,7 +770,7 @@ def _half_theta6_cones(h: SpannerGraph) -> _ConeTable:
 
 
 def canonical_path_info(h: SpannerGraph, anchor: int, cone: int) -> CanonicalPathInfo:
-    if isinstance(cone, bool) or not isinstance(cone, (int, np.integer)) or cone not in (1, 3, 5):
+    if _as_id(cone) not in (1, 3, 5):
         raise InvalidParameter(f"fans live in the odd cones 1, 3 and 5, got cone {cone!r}")
     cones = _half_theta6_cones(h)
     i, cone = h.points._vertex(anchor), int(cone)

@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, build, kernels, routing
+from . import analysis, build, routing
 from .build import SpannerGraph, graph_from_json, graph_to_json
 from .errors import DegenerateInput, InternalInvariantViolation, InvalidParameter, SpannerKitError
 from .geometry import (
@@ -129,7 +129,7 @@ def gen_random(n: int, seed: int, k: int = 6, retries: int = 100) -> PointSet:
 
 def _avoided_directions(k: int) -> list[float]:
     bad = set()
-    for hi in kernels.cone_frame(k).hi:
+    for hi in ConeSystem(k).hi:
         az = hi % math.pi
         bad.add(az)
         bad.add((az + math.pi / 2.0) % math.pi)

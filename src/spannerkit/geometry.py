@@ -174,12 +174,48 @@ def direction(az: float) -> tuple[float, float]:
 
 
 class ConeSystem:
-    """k equiangular cones around every point, cone 0 bisecting +y."""
+    """k equiangular cones around every point, cone 0 bisecting +y; the only
+    place cone directions are computed. ConeSystem(k) checks k and returns
+    the one instance for k, shared and read only: theta, half = theta/2, and
+    per cone i the azimuths bisectors[i] = i*theta, lo[i] = i*theta - half
+    and hi[i] = i*theta + half with libm's (sin, cos) in bisector_dir, lo_dir
+    and hi_dir (the bisectors' also as read-only sin_bisector, cos_bisector)."""
 
-    def __init__(self, k: int):
-        self.k = _as_count(k, 2, "cone count must be an integer")
-        self.frame = kernels.cone_frame(self.k)
-        self.theta = self.frame.theta
+    _by_k: dict[int, ConeSystem] = {}
+
+    def __new__(cls, k: int):
+        k = _as_count(k, 2, "cone count must be an integer")
+        self = cls._by_k.get(k)
+        if self is None:
+            self = cls._by_k[k] = super().__new__(cls)
+            self.k = k
+            self.theta = theta = kernels.TWO_PI / k
+            self.half = half = theta / 2
+            self.bisectors = tuple(i * theta for i in range(k))
+            self.lo = tuple(b - half for b in self.bisectors)
+            self.hi = tuple(b + half for b in self.bisectors)
+            self.bisector_dir, self.lo_dir, self.hi_dir = (
+                tuple(map(direction, angles)) for angles in (self.bisectors, self.lo, self.hi))
+            self.sin_bisector, self.cos_bisector = (np.array(v, dtype=np.float64) for v in zip(*self.bisector_dir))
+            self.sin_bisector.flags.writeable = self.cos_bisector.flags.writeable = False
+        return self
+
+    def __reduce__(self):
+        return (ConeSystem, (self.k,))
+
+    def project(self, i, dx, dy):
+        """Projection of (dx, dy) onto cone i's bisector."""
+        s, c = self.bisector_dir[i]
+        return dx * s + dy * c
+
+    def lo_inward(self, i, dx, dy):
+        """(dx, dy) on the inward normal of cone i's lo ray (hi_inward: hi's)."""
+        s, c = self.lo_dir[i]
+        return dx * c - dy * s
+
+    def hi_inward(self, i, dx, dy):
+        s, c = self.hi_dir[i]
+        return dy * s - dx * c
 
     def azimuth(self, u, v) -> float:
         """Azimuth of v as seen from u (points or (x, y) pairs)."""
@@ -195,11 +231,11 @@ class ConeSystem:
         return kernels.cone_index(vx - ux, vy - uy, self.k)
 
     def bisector(self, i: int) -> float:
-        return self.frame.bisector[i % self.k]
+        return self.bisectors[i % self.k]
 
     def boundary_azimuths(self) -> list[float]:
         """The clockwise boundary (hi ray) of every cone, in [0, 2*pi)."""
-        return list(self.frame.hi)
+        return list(self.hi)
 
 
 def theta_projection(cs: ConeSystem, u, v) -> float:
@@ -207,7 +243,7 @@ def theta_projection(cs: ConeSystem, u, v) -> float:
     ux, uy = _xy(u)
     vx, vy = _xy(v)
     dx, dy = vx - ux, vy - uy
-    return cs.frame.project(kernels.cone_index(dx, dy, cs.k), dx, dy)
+    return cs.project(kernels.cone_index(dx, dy, cs.k), dx, dy)
 
 
 def angle_alpha(cs: ConeSystem, u, v) -> float:
@@ -243,16 +279,16 @@ class CanonicalTriangle:
     @property
     def midpoint_m(self) -> tuple[float, float]:
         """Foot of the target's projection on the bisector (midpoint of the far side)."""
-        dx, dy = kernels.cone_frame(self.k).bisector_dir[self.cone]
+        dx, dy = ConeSystem(self.k).bisector_dir[self.cone]
         return (self.apex[0] + self.projection * dx, self.apex[1] + self.projection * dy)
 
     @property
     def balance_x(self) -> tuple[float, float]:
         """Point on the far side where the triangle of the pair (apex, x) and the
         reverse triangle of (x, apex) have equal size."""
-        f = kernels.cone_frame(self.k)
-        r = self.projection / math.cos(f.theta / 4)
-        dx, dy = direction(f.bisector[self.cone] + f.theta / 4)
+        cs = ConeSystem(self.k)
+        r = self.projection / math.cos(cs.theta / 4)
+        dx, dy = direction(cs.bisectors[self.cone] + cs.theta / 4)
         return (self.apex[0] + r * dx, self.apex[1] + r * dy)
 
     def contains(self, p, eps: float = EPS) -> bool:
@@ -279,11 +315,10 @@ def canonical_triangle(cs: ConeSystem, u, w) -> CanonicalTriangle:
     ux, uy = _xy(u)
     wx, wy = _xy(w)
     i = cs.cone_of(u, w)
-    f = cs.frame
     # theta_projection(cs, u, w), without finding the cone a second time.
-    proj = f.project(i, wx - ux, wy - uy)
-    size = proj / f.hi_dir[0][1]  # cos(theta / 2)
-    da, db = f.lo_dir[i], f.hi_dir[i]
+    proj = cs.project(i, wx - ux, wy - uy)
+    size = proj / cs.hi_dir[0][1]  # cos(theta / 2)
+    da, db = cs.lo_dir[i], cs.hi_dir[i]
     return CanonicalTriangle(
         apex=(ux, uy),
         cone=i,

@@ -1,9 +1,5 @@
-"""Distance-critical kernels: the cone frame (with its bisector projections),
-azimuths, cone indices and point-in-triangle tests.
-
-cone_frame(k) is the only place cone directions are computed: every bisector
-and boundary ray of a k-cone system, and libm's sin and cos of each, come
-from its one cached table per k.
+"""Distance-critical kernels: azimuths, cone indices and point-in-triangle
+tests. Cone directions are computed in geometry.ConeSystem alone.
 
 These scalar functions define every boundary decision in the package. The
 numpy versions (points_in_tri here, build.cone_scan) repeat their IEEE double
@@ -23,8 +19,7 @@ filter. Their references are the broadcast gap and the scalar report and
 gen_random in tests/oracles.py.
 """
 
-from functools import cache
-from math import atan2, cos, floor, sin
+from math import atan2, floor
 
 import numpy as np
 
@@ -63,44 +58,6 @@ def cone_index(dx, dy, k):
     else:
         i = int(floor(t)) + 1
     return i % k
-
-
-class ConeFrame:
-    """The k-cone system's directions: theta = 2*pi/k, half = theta/2, and for
-    cone i the azimuths of its bisector i*theta and of its boundary rays
-    lo = i*theta - half and hi = i*theta + half, each with its libm (sin, cos).
-    sin_bisector and cos_bisector are the bisectors' as read-only float64
-    arrays. cone_frame shares one frame per k with every caller: read only."""
-
-    def __init__(self, k: int):
-        self.k = k
-        self.theta = theta = TWO_PI / k
-        self.half = half = theta / 2
-        self.bisector = tuple(i * theta for i in range(k))
-        self.lo = tuple(b - half for b in self.bisector)
-        self.hi = tuple(b + half for b in self.bisector)
-        self.bisector_dir, self.lo_dir, self.hi_dir = (
-            tuple((sin(a), cos(a)) for a in angles) for angles in (self.bisector, self.lo, self.hi))
-        self.sin_bisector, self.cos_bisector = (np.array(v, dtype=np.float64) for v in zip(*self.bisector_dir))
-        self.sin_bisector.flags.writeable = self.cos_bisector.flags.writeable = False
-
-    def project(self, i, dx, dy):
-        """Projection of (dx, dy) onto cone i's bisector."""
-        s, c = self.bisector_dir[i]
-        return dx * s + dy * c
-
-    def lo_inward(self, i, dx, dy):
-        """(dx, dy) on the inward normal of cone i's lo ray (hi_inward: hi's)."""
-        s, c = self.lo_dir[i]
-        return dx * c - dy * s
-
-    def hi_inward(self, i, dx, dy):
-        s, c = self.hi_dir[i]
-        return dy * s - dx * c
-
-
-#: The frame of k cones (an int >= 2, as ConeSystem checks), built once per k.
-cone_frame = cache(ConeFrame)
 
 
 def point_in_tri(px, py, ax, ay, bx, by, cx, cy, eps):

@@ -325,7 +325,7 @@ def _clip_wedge(poly, apex, cone):
     """Clip a polygon to the cone wedge (half-open, but treated closed here):
     to the inward side of its lo ray, then of its hi ray."""
     ax, ay = apex
-    for inward in (_CS6.frame.lo_inward, _CS6.frame.hi_inward):
+    for inward in (_CS6.lo_inward, _CS6.hi_inward):
         f = [inward(cone, x - ax, y - ay) for x, y in poly]
         m = len(poly)
         out = []
@@ -534,7 +534,7 @@ class _Arrived(Exception):
 def _flank(ctx, u: int, cone: int, side: str):
     """Edge of u angularly closest to positive `cone` on the given side, other
     than u's own edge in that cone, as (neighbour, length); None if u has none."""
-    lo, hi = _CS6.frame.lo[cone], _CS6.frame.hi[cone]
+    lo, hi = _CS6.lo[cone], _CS6.hi[cone]
     own = ctx.cone_edge[6 * u + cone]
     az = ctx.az
     best, best_gap = -1, math.inf

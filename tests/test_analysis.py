@@ -85,6 +85,14 @@ class TestBoundValue:
         with pytest.raises(InvalidParameter):
             bound_value(name, **kwargs)
 
+    def test_counts_follow_the_vertex_id_rule(self):
+        assert bound_value("theta", k=np.int64(7)) == bound_value("theta", k=7)
+        assert bound_value("rotated_union", m=np.int32(2)) == bound_value("rotated_union", m=2)
+        with pytest.raises(InvalidParameter, match=r"^bound 'theta': k must be an integer, got True$"):
+            bound_value("theta", k=True)
+        with pytest.raises(InvalidParameter, match=r"^bound 'rotated_union': m must be an integer, got 2\.0$"):
+            bound_value("rotated_union", m=2.0)
+
 
 class TestSpanningRatio:
     def test_single_point(self):

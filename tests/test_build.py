@@ -421,6 +421,10 @@ class TestCanonicalPathInfo:
         h = build_half_theta6(gen_random(10, 3))
         for cone in (1, 3, 5):
             assert canonical_path_info(h, 0, np.int64(cone)) == canonical_path_info(h, 0, cone)
+        for bad in (True, 1.0, np.float64(3.0)):
+            with pytest.raises(InvalidParameter) as err:
+                canonical_path_info(h, 0, bad)
+            assert str(err.value) == f"fans live in the odd cones 1, 3 and 5, got cone {bad!r}"
 
     def test_numpy_integer_anchor_is_reported_as_the_graph_id(self):
         h = build_half_theta6(gen_random(10, 3))

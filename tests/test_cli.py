@@ -219,6 +219,31 @@ class TestAnalyze:
         n = len(list(g.points))
         assert len(doc["per_pair"]) == n * (n - 1) // 2
 
+    def test_per_pair_json_of_a_disconnected_graph_is_json(self, tmp_path, capsys):
+        ps = PointSet([Point(i, float(i), 0.25 * i * i) for i in range(4)])
+        path = tmp_path / "split.json"
+        path.write_text(graph_to_json(spannerkit.SpannerGraph("yao", 4, ps, [(0, 1), (2, 3)])))
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        assert main(["analyze", "--graph", str(path), "--per-pair"]) == 0
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert doc["max_ratio"] == "inf"
+        split = {(0, 2), (0, 3), (1, 2), (1, 3)}
+        for row in doc["per_pair"]:
+            across = (row["u"], row["v"]) in split
+            assert (row["graph_distance"] == "inf") == (row["ratio"] == "inf") == across
+            assert isinstance(row["euclidean"], float)
+        # The CSV and the in-memory rows keep their floats.
+        csv_path = tmp_path / "pairs.csv"
+        assert main(["analyze", "--graph", str(path), "--per-pair", "--out", str(csv_path)]) == 0
+        lines = csv_path.read_text().splitlines()[1:]
+        assert [ln.startswith(("0,2,", "0,3,", "1,2,", "1,3,")) for ln in lines] == [
+            ln.endswith(",inf,inf") for ln in lines]
+        rows = spannerkit.spanning_ratio(graph_from_json(path.read_text()), per_pair=True).per_pair
+        assert [math.isinf(r["ratio"]) for r in rows] == [(r["u"], r["v"]) in split for r in rows]
+
     def test_check_with_per_pair_computes_the_ratio_once(self, h6_file, tmp_path, capsys, monkeypatch):
         from spannerkit import analysis
 

@@ -1,15 +1,18 @@
-"""Tests for the cone frame (kernels.cone_frame): its entries are libm's sin
-and cos of the angles every construction, certificate and router uses, and
-the outputs that read it stay byte-identical."""
+"""Tests for the cone frame that ConeSystem(k) holds: its entries are libm's
+sin and cos of the angles every construction, certificate and router uses,
+and the outputs that read it stay byte-identical."""
 
+import copy
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from spannerkit import (
     ConeSystem,
+    InvalidParameter,
     angle_alpha,
     build_theta,
     canonical_triangle,
@@ -33,7 +36,7 @@ def _digest(values) -> str:
 class TestConeFrame:
     @pytest.mark.parametrize("k", FRAME_KS)
     def test_entries_are_the_angles_of_every_spelling(self, k):
-        f = kernels.cone_frame(k)
+        f = ConeSystem(k)
         # theta as kernels, geometry, build and cli_io each wrote it.
         for theta in (kernels.TWO_PI / k, 2 * math.pi / k, math.tau / k, 2.0 * math.pi / k):
             assert f.theta == theta
@@ -41,7 +44,7 @@ class TestConeFrame:
         assert f.k == k
         for i in range(k):
             bis = i * (kernels.TWO_PI / k)
-            assert f.bisector[i] == bis == (i % k) * (2 * math.pi / k) == i * (math.tau / k)
+            assert f.bisectors[i] == bis == (i % k) * (2 * math.pi / k) == i * (math.tau / k)
             lo = i * f.theta - f.theta / 2
             hi = i * f.theta + f.theta / 2
             assert f.lo[i] == lo == i * f.theta - f.theta / 2.0
@@ -57,7 +60,7 @@ class TestConeFrame:
 
     @pytest.mark.parametrize("k", (2, 5, 6, 64))
     def test_arrays_are_read_only_copies_of_the_tuples(self, k):
-        f = kernels.cone_frame(k)
+        f = ConeSystem(k)
         for arr, col in ((f.sin_bisector, 0), (f.cos_bisector, 1)):
             assert arr.dtype == np.float64
             assert arr.tolist() == [d[col] for d in f.bisector_dir]
@@ -66,9 +69,16 @@ class TestConeFrame:
                 arr[0] = 1.0
 
     def test_one_frame_per_k(self):
-        assert kernels.cone_frame(7) is kernels.cone_frame(7)
-        assert ConeSystem(7).frame is kernels.cone_frame(7)
-        assert ConeSystem(np.int64(7)).frame is kernels.cone_frame(7)
+        assert ConeSystem(7) is ConeSystem(7)
+        assert ConeSystem(7) is ConeSystem(np.int64(7))
+        assert type(ConeSystem(np.int64(7)).k) is int
+        assert copy.deepcopy(ConeSystem(7)) is pickle.loads(pickle.dumps(ConeSystem(7))) is ConeSystem(7)
+
+    def test_a_cached_k_is_checked_again(self):
+        ConeSystem(6)
+        for bad in (6.0, True):
+            with pytest.raises(InvalidParameter, match=rf"^cone count must be an integer >= 2, got {bad!r}$"):
+                ConeSystem(bad)
 
     @pytest.mark.parametrize("k", FRAME_KS)
     def test_cone_system_angles_are_unchanged(self, k):
@@ -81,7 +91,7 @@ class TestConeFrame:
 
     @pytest.mark.parametrize("k", (3, 5, 6, 8))
     def test_inward_normals_match_the_clip_and_certificate_formulas(self, k):
-        f = kernels.cone_frame(k)
+        f = ConeSystem(k)
         rng = np.random.default_rng(k)
         for dx, dy in rng.normal(size=(50, 2)).tolist() + [(0.0, 0.0), (1.0, 0.0), (0.0, -1.0)]:
             for i in range(k):
