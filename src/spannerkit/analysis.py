@@ -24,7 +24,6 @@ from .geometry import (
     _CHECK_SLACK,
     EPS,
     ConeSystem,
-    Point,
     PointSet,
     _as_count,
     _as_id,
@@ -496,10 +495,10 @@ def _pair_triangle(g: SpannerGraph, i: int, j: int):
     for certification and the SVG route overlay. With 6 cones the apex sees
     the other in a positive cone, so both orders get one triangle."""
     cs = ConeSystem(g.k or 6)
-    pts = g.points._id_order
-    if cs.k == 6 and cs.cone_of(pts[i], pts[j]) % 2 == 1:
+    xy = g.points._coords
+    if cs.k == 6 and cs.cone_of(xy[i], xy[j]) % 2 == 1:
         i, j = j, i
-    return i, j, canonical_triangle(cs, pts[i], pts[j])
+    return i, j, canonical_triangle(cs, xy[i], xy[j])
 
 
 def restricted_pair_check(
@@ -518,7 +517,8 @@ def restricted_pair_check(
     certified from w and the path read backwards.
 
     Raises InvalidParameter if u or w is not a vertex, if u == w, or if the
-    bound or the tolerance is not a finite real number (a bool is not one).
+    bound or the tolerance is not a finite real number (a bool is not one),
+    and DegenerateInput if a coordinate difference of the points overflows.
     Only half-theta-6 graphs guarantee a path inside every pair's triangle:
     on them its absence is a construction bug and raises
     InternalInvariantViolation; on any other kind it raises InvalidParameter.
@@ -529,6 +529,7 @@ def restricted_pair_check(
     i, j = h.points._vertex(u), h.points._vertex(w)
     if i == j:
         raise InvalidParameter("pair check endpoints must differ")
+    h.points._require_finite_extent()
     a, b, tri = _pair_triangle(h, i, j)
     ids, xs, ys = h.points.arrays
     allowed = kernels.points_in_tri(xs, ys, *tri.apex, *tri.corner_a, *tri.corner_b, EPS).tolist()
@@ -545,9 +546,9 @@ def restricted_pair_check(
     if a == i:
         path.reverse()
     if bound is None:
-        pa, pb = h.points._id_order[a], h.points._id_order[b]
+        pa, pb = h.points._coords[a], h.points._coords[b]
         alpha = angle_alpha(ConeSystem(tri.k), pa, pb)
-        bound = bound_value("pair_alpha", alpha=alpha) * math.hypot(pb.x - pa.x, pb.y - pa.y)
+        bound = bound_value("pair_alpha", alpha=alpha) * math.hypot(pb[0] - pa[0], pb[1] - pa[1])
     length = dist[b]
     return {"path": [ids[x] for x in path], "length": length, "bound": bound,
             "ok": length <= bound + tolerance}
@@ -626,7 +627,7 @@ def theta5_witness_path(g: SpannerGraph, u: int, w: int) -> list[int]:
         raise InvalidParameter("witness path endpoints must differ")
     cs = ConeSystem(5)
     ids, x, y = g.points.arrays
-    xy = [p.xy for p in g.points._id_order]
+    xy = g.points._coords
     n = len(ids)
     everyone = np.arange(n)
     budget = [n * (n - 1) // 2 + 2]
@@ -698,10 +699,10 @@ def theta5_witness_path(g: SpannerGraph, u: int, w: int) -> list[int]:
 
 
 def path_length(ps: PointSet, path: list[int]) -> float:
-    pts = [ps._id_order[ps._vertex(v)] for v in path]
+    pts = [ps._coords[ps._vertex(v)] for v in path]
     total = 0.0
     for pa, pb in zip(pts, pts[1:]):
-        total += math.hypot(pb.x - pa.x, pb.y - pa.y)
+        total += math.hypot(pb[0] - pa[0], pb[1] - pa[1])
     return total
 
 
@@ -714,11 +715,8 @@ def gen_circle(n: int, radius: float = 1.0) -> PointSet:
     n = _as_count(n, 2, "circle needs an integer number of points")
     if isinstance(radius, bool) or not isinstance(radius, numbers.Real) or not radius > 0:
         raise InvalidParameter(f"radius must be a positive real number, got {radius!r}")
-    pts = []
-    for i in range(n):
-        ang = 2.0 * math.pi * i / n
-        pts.append(Point(i, radius * math.cos(ang), radius * math.sin(ang)))
-    return PointSet(pts)
+    angles = [2.0 * math.pi * i / n for i in range(n)]
+    return PointSet.from_pairs((radius * math.cos(ang), radius * math.sin(ang)) for ang in angles)
 
 
 def gen_routing_lb(variant: str, alpha: float = 0.0, nudge: float = 1e-4) -> PointSet:
@@ -754,19 +752,13 @@ def gen_routing_lb(variant: str, alpha: float = 0.0, nudge: float = 1e-4) -> Poi
     pa = (a[0] + d * s3 / 2, a[1] - d * 0.5)
     pb = (b[0] - d * s3 / 2, b[1] - d * 0.5)
     if variant == "positive":
-        ps = PointSet([Point(0, 0.0, 0.0), Point(1, *w), Point(2, *pa)])
+        ps = PointSet.from_pairs([(0.0, 0.0), w, pa])
         expected = {(0, 2), (1, 2)}
     elif variant == "negative_a":
-        chain = (-0.25 + d / 4, s3 / 4)
-        ps = PointSet(
-            [Point(0, 0.0, 0.0), Point(1, *w), Point(2, *pa), Point(3, *pb), Point(4, *chain)]
-        )
+        ps = PointSet.from_pairs([(0.0, 0.0), w, pa, pb, (-0.25 + d / 4, s3 / 4)])
         expected = {(0, 4), (2, 4), (1, 2), (1, 3), (2, 3)}
     else:
-        chain = (0.25 - d / 4, s3 / 4)
-        ps = PointSet(
-            [Point(0, 0.0, 0.0), Point(1, *w), Point(2, *pa), Point(3, *pb), Point(4, *chain)]
-        )
+        ps = PointSet.from_pairs([(0.0, 0.0), w, pa, pb, (0.25 - d / 4, s3 / 4)])
         # Not a perfect mirror of negative_a: boundary ownership is chiral, so
         # the left blocker also links to the chain here. Vertex 1 still sees
         # the same edge directions as in negative_a.

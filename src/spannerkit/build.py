@@ -30,6 +30,7 @@ from .geometry import (
     _json_text,
     _parse_json,
     _points_from_records,
+    _table,
 )
 
 #: Bitmask of the even ("positive") cones of a 6-cone system.
@@ -64,8 +65,10 @@ class SpannerGraph:
     metadata carries construction-specific extras (rotation count, routing hints).
 
     The graph stores its edges once: a sorted, duplicate-free (m, 2) array of
-    index pairs (i < j) into the point set's ``arrays`` order. Only indices
-    enter arrays, so ids may be any Python ints; every id a method takes is
+    index pairs (i < j) into the point set's ``arrays`` order, whose float64
+    x and y columns every view reads (the cone table and the routers through
+    the set's one list of (x, y) tuples, ``_coords``). Only indices enter
+    arrays, so ids may be any Python ints; every id a method takes is
     resolved by the point set (PointSet._vertex). The edge set is frozen, and
     every view of it is built on first use and kept for the life of the graph:
     - ``edges`` (a frozenset of id pairs) and edge_list();
@@ -294,7 +297,8 @@ class _ConeTable:
     bulk from the graph's CSR. Vertex i is index i of PointSet.arrays; the
     routers read lists, one entry per lookup:
 
-    ids[i], coords[i]     id and (x, y) of vertex i
+    ids[i], coords[i]     id and (x, y) of vertex i: the point set's
+                          arrays[0] and _coords, not copies
     indptr, nbr, az, length
                           the CSR: i's edge ends are entries indptr[i]:indptr[i + 1]
     cone_edge[6 * i + c]  entry of i's edge in even cone c, or -1
@@ -366,8 +370,7 @@ class _ConeTable:
         slots = np.full((2, 6 * len(ids)), -1, dtype=np.intp)
         slots[0, slot[even]] = even
         slots[1, key[first]] = np.arange(len(first))
-        self.ids = ids
-        self.coords = list(zip(x.tolist(), y.tolist()))
+        self.ids, self.coords = ids, g.points._coords
         self.indptr, self.nbr = t.indptr.tolist(), t.nbr.tolist()
         self.az, self.length = t.az.tolist(), t.length.tolist()
         self.cone_edge, self.cone_fan = slots.tolist()
@@ -826,14 +829,10 @@ def build_g9(h: SpannerGraph) -> SpannerGraph:
     opposite = cone_name[(cones.fan_cone[group] + 3) % 6].tolist()
     for v, c, d in zip(member.tolist(), opposite, walk):
         entry[v]["dir"][c] = d
-    pts = h.points._id_order
+    xy = h.points._coords
     for s, j, f, l in zip(cones.fan_src.tolist(), cone_name[cones.fan_cone].tolist(),
                           t.nbr[cones.fan_start].tolist(), t.nbr[cones.fan_stop - 1].tolist()):
-        first, last = pts[f], pts[l]
-        entry[s]["fan"][j] = {
-            "first": [first.id, first.x, first.y],
-            "last": [last.id, last.x, last.y],
-        }
+        entry[s]["fan"][j] = {"first": [ids[f], *xy[f]], "last": [ids[l], *xy[l]]}
     hints = {str(ids[v]): e for v, e in entry.items()}
     return SpannerGraph._indexed("g9", 6, h.points, h._ends[kept], {"hints": hints})
 
@@ -850,15 +849,7 @@ def build_rotated_union(ps: PointSet, m: int) -> SpannerGraph:
         with np.errstate(over="ignore", invalid="ignore"):
             rx = x * c - y * s
             ry = x * s + y * c
-        # The rotated frame must be a valid point set, as PointSet checks.
-        bad = ~(np.isfinite(rx) & np.isfinite(ry))
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise InvalidParameter(f"point {ids[i]} has a non-finite coordinate ({rx[i]}, {ry[i]})")
-        order = np.lexsort((ry, rx))
-        same = (np.diff(rx[order]) == 0.0) & (np.diff(ry[order]) == 0.0)
-        if same.any():
-            raise DegenerateInput(f"duplicate coordinates for point {ids[order[1:][same][0]]}")
+        _table(ids, rx, ry)  # the rotated frame must be a valid point set
         ends.append(_scan_ends(rx, ry, 6, True, _POSITIVE_MASK_6))
     return SpannerGraph._indexed("rotated_union", 6, ps, np.concatenate(ends), {"m": m})
 

@@ -124,7 +124,7 @@ def gen_random(n: int, seed: int, k: int = 6, retries: int = 100) -> PointSet:
         # grow about as m**3 (m >= 1: the first draw is always placed).
         more = int(1.25 * rejected * ((n / m) ** 3 - 1.0)) + int(n * _STREAM_MARGIN)
         draws = min(2 * draws, n - m + more)
-    return PointSet.from_pairs(zip(xs, ys))
+    return PointSet._from_columns(range(n), xs, ys)
 
 
 def _avoided_directions(k: int) -> list[float]:
@@ -220,28 +220,27 @@ def render_svg(obj, overlay=None) -> str:
     With a RoutingTrace overlay (graphs only) the walked path is highlighted
     and the queried pair's canonical triangle is outlined.
     """
-    # Points in id order, which is arrays order: edges and the walk are
-    # index pairs into it.
+    # Points in arrays (id) order: edges and the walk are index pairs into it.
     if isinstance(obj, SpannerGraph):
-        pts = obj.points._id_order
+        ps = obj.points
         edges = obj._ends.tolist()
     elif isinstance(obj, PointSet):
         if overlay is not None:
             raise InvalidParameter("route overlays need the graph, not just points")
-        pts = obj._id_order
+        ps = obj
         edges = []
     else:
         raise InvalidParameter("render expects a PointSet or SpannerGraph")
-    if not pts:
+    if not len(ps):
         raise InvalidParameter("nothing to render")
+    pts = ps._coords
 
     tri = None
     if overlay is not None:
         walk = [obj.points._vertex(v) for v in overlay.path()]
         _, _, tri = analysis._pair_triangle(obj, walk[0], obj.points._vertex(overlay.target))
 
-    xs = [p.x for p in pts]
-    ys = [p.y for p in pts]
+    xs, ys = ps.arrays[1].tolist(), ps.arrays[2].tolist()
     if tri is not None:
         xs = xs + [c[0] for c in tri.polygon()]
         ys = ys + [c[1] for c in tri.polygon()]
@@ -267,8 +266,8 @@ def render_svg(obj, overlay=None) -> str:
         f'stroke="#444" stroke-width="{fmt(1.5 / s)}" fill="#c22">',
     ]
     for u, v in edges:
-        ux, uy = pts[u].xy
-        vx, vy = pts[v].xy
+        ux, uy = pts[u]
+        vx, vy = pts[v]
         out.append(
             f'<line x1="{fmt(ux)}" y1="{fmt(uy)}" x2="{fmt(vx)}" y2="{fmt(vy)}"/>'
         )
@@ -279,16 +278,16 @@ def render_svg(obj, overlay=None) -> str:
             f'stroke-width="{fmt(1.0 / s)}" stroke-dasharray="{fmt(6.0 / s)}"/>'
         )
         for u, v in zip(walk, walk[1:]):
-            ux, uy = pts[u].xy
-            vx, vy = pts[v].xy
+            ux, uy = pts[u]
+            vx, vy = pts[v]
             out.append(
                 f'<line class="route" x1="{fmt(ux)}" y1="{fmt(uy)}" '
                 f'x2="{fmt(vx)}" y2="{fmt(vy)}" stroke="#06c" '
                 f'stroke-width="{fmt(3.0 / s)}"/>'
             )
     r = fmt(3.0 / s)
-    for p in pts:
-        out.append(f'<circle cx="{fmt(p.x)}" cy="{fmt(p.y)}" r="{r}" stroke="none"/>')
+    for x, y in pts:
+        out.append(f'<circle cx="{fmt(x)}" cy="{fmt(y)}" r="{r}" stroke="none"/>')
     out.append("</g>")
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -44,41 +45,36 @@ class Point:
 class PointSet:
     """Ordered collection of points with unique ids and unique finite coordinates.
 
-    Every vertex id in spannerkit is decided here: an id is an integer that is
-    not a bool (_as_id). A point's numpy-integer id is stored as int; any other
-    id raises InvalidParameter.
+    The set is a table in input order: the ids, a list of int (_as_id), and
+    the x and y columns, read-only float64 arrays (_as_coord). Every layer
+    reads ``arrays`` or ``_coords``; Point objects are built only to iterate
+    the set or look a point up.
     """
 
     def __init__(self, points):
-        pts = []
-        ids = set()
-        coords = set()
-        for p in points:
-            if type(p.id) is not int:
-                pid = _as_id(p.id)
-                if pid is None:
-                    raise InvalidParameter(f"point id must be an integer, got {p.id!r}")
-                p = Point(pid, p.x, p.y)
-            if not (math.isfinite(p.x) and math.isfinite(p.y)):
-                raise InvalidParameter(f"point {p.id} has a non-finite coordinate ({p.x}, {p.y})")
-            if p.id in ids:
-                raise DegenerateInput(f"duplicate point id {p.id}")
-            if (p.x, p.y) in coords:
-                raise DegenerateInput(f"duplicate coordinates for point {p.id}")
-            ids.add(p.id)
-            coords.add((p.x, p.y))
-            pts.append(p)
-        self._points = pts
+        pts = list(points)
+        self._ids, self._x, self._y, self._order = _table(
+            [p.id for p in pts], [p.x for p in pts], [p.y for p in pts])
 
     @classmethod
     def from_pairs(cls, pairs) -> "PointSet":
-        return cls(Point(i, float(x), float(y)) for i, (x, y) in enumerate(pairs))
+        xy = np.fromiter((c for x, y in pairs for c in (float(x), float(y))), np.float64).reshape(-1, 2)
+        return cls._from_columns(range(len(xy)), xy[:, 0].copy(), xy[:, 1].copy())
+
+    @classmethod
+    def _from_columns(cls, ids, xs, ys) -> "PointSet":
+        """The set of the given ids and float coordinates, checked by _table."""
+        self = cls.__new__(cls)
+        self._ids, self._x, self._y, self._order = _table(ids, xs, ys)
+        return self
 
     def __len__(self) -> int:
-        return len(self._points)
+        return len(self._ids)
 
     def __iter__(self):
-        return iter(self._points)
+        if self._order is None:
+            return iter(self._id_order)
+        return map(Point, self._ids, self._x.tolist(), self._y.tolist())
 
     def __getitem__(self, pid: int) -> Point:
         i = self._position(pid)
@@ -92,33 +88,50 @@ class PointSet:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PointSet):
             return NotImplemented
-        return [(p.id, p.x, p.y) for p in self] == [(p.id, p.x, p.y) for p in other]
+        return self._ids == other._ids and np.array_equal(self._x, other._x) and np.array_equal(self._y, other._y)
 
     @property
     def ids(self) -> list[int]:
-        return [p.id for p in self._points]
-
-    @cached_property
-    def _id_order(self) -> list[Point]:
-        """The points in ascending id order."""
-        return sorted(self._points, key=lambda p: p.id)
+        return list(self._ids)
 
     @cached_property
     def arrays(self) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-        """Ids in ascending order, and the x and y coordinates as float64
-        arrays in that order. The arrays are read-only: every build, ratio and
-        certification of the set shares them."""
-        pts = self._id_order
-        x = np.array([p.x for p in pts], dtype=np.float64)
-        y = np.array([p.y for p in pts], dtype=np.float64)
-        x.flags.writeable = False
-        y.flags.writeable = False
-        return tuple(p.id for p in pts), x, y
+        """The table in ascending id order, as a tuple and two read-only
+        float64 arrays: the columns themselves when the ids ascend already,
+        as in every generated set and graph file."""
+        if self._order is None:
+            return tuple(self._ids), self._x, self._y
+        x, y = self._x[self._order], self._y[self._order]
+        x.flags.writeable = y.flags.writeable = False
+        return tuple(map(self._ids.__getitem__, self._order)), x, y
+
+    @cached_property
+    def _id_order(self) -> list[Point]:
+        """The points in ``arrays`` order, for ps[id]."""
+        ids, x, y = self.arrays
+        return list(map(Point, ids, x.tolist(), y.tolist()))
+
+    @cached_property
+    def _coords(self) -> list[tuple[float, float]]:
+        """The (x, y) of every point in ``arrays`` order."""
+        _, x, y = self.arrays
+        return list(zip(x.tolist(), y.tolist()))
 
     @cached_property
     def index(self) -> dict[int, int]:
         """Id -> position in ``arrays`` order."""
-        return {pid: i for i, pid in enumerate(self.arrays[0])}
+        return dict(zip(self.arrays[0], range(len(self))))
+
+    @cached_property
+    def _finite_extent(self) -> bool:
+        """Whether the x and y extents are finite: then no coordinate difference overflows."""
+        with np.errstate(over="ignore"):
+            return not len(self) or bool(np.isfinite(np.ptp(self._x)) and np.isfinite(np.ptp(self._y)))
+
+    def _require_finite_extent(self) -> None:
+        """DegenerateInput where a coordinate difference overflows (routing, pair checks)."""
+        if not self._finite_extent:
+            raise DegenerateInput("coordinate differences overflow: the points' x or y extent is not a finite float")
 
     def _position(self, pid) -> int | None:
         """pid's position in ``arrays`` order; None for no id of the set,
@@ -139,7 +152,69 @@ class PointSet:
     def _records_json(self) -> str:
         """JSON text of the point records in ascending id order: the "points"
         value of every graph file of the set, written once."""
-        return _json_text(_point_records(self._id_order))
+        return _json_text(_point_records(*self.arrays))
+
+
+def _table(ids, xs, ys) -> tuple[list[int], np.ndarray, np.ndarray, list[int] | None]:
+    """A PointSet's ids as a list of int, its read-only x and y columns, and
+    its input positions in ascending id order (None when the ids ascend).
+
+    As a loop over the points in input order would, the first point that
+    breaks a rule raises the error of the first rule it breaks: its id is an
+    id, its coordinates are coordinates and finite, and its id and its
+    coordinates (-0.0 equals 0.0) are no earlier point's. Each rule marks all
+    its offenders at once, the last rule first: a lexsort of the coordinates,
+    a sort of the ids (none when they ascend), np.isfinite, an _as_id pass
+    (none when every id is an int).
+    """
+    ids = raw = list(ids)
+    x, bad_x = _coordinates(xs)
+    y, bad_y = _coordinates(ys)
+    rule = np.full(len(ids), 5, dtype=np.int8)
+    by_xy = np.lexsort((y, x))
+    a, b = by_xy[:-1], by_xy[1:]
+    rule[b[(x[a] == x[b]) & (y[a] == y[b])]] = 4
+    if not set(map(type, ids)) <= {int}:
+        ids = list(map(_as_id, ids))
+    valid = ids.index(None) if None in ids else len(ids)
+    order = None
+    if not all(map(operator.lt, ids[:valid], ids[1:valid])):
+        order = sorted(range(valid), key=ids.__getitem__)
+        rule[[j for i, j in zip(order, order[1:]) if ids[i] == ids[j]]] = 3
+    rule[~(np.isfinite(x) & np.isfinite(y))] = 2
+    rule[bad_x + bad_y] = 1
+    rule[valid:valid + 1] = 0
+    broken = np.flatnonzero(rule < 5)
+    if broken.size:
+        p = int(broken[0])
+        error, message = (
+            (InvalidParameter, f"point id must be an integer, got {raw[p]!r}"),
+            (InvalidParameter, f"point {ids[p]} coordinate must be a real number, got {(xs if p in bad_x else ys)[p]!r}"),
+            (InvalidParameter, f"point {ids[p]} has a non-finite coordinate ({float(x[p])}, {float(y[p])})"),
+            (DegenerateInput, f"duplicate point id {ids[p]}"),
+            (DegenerateInput, f"duplicate coordinates for point {ids[p]}"),
+        )[rule[p]]
+        raise error(message)
+    x.flags.writeable = y.flags.writeable = False
+    return ids, x, y, order
+
+
+def _coordinates(values) -> tuple[np.ndarray, list[int]]:
+    """values as a float64 array, and the positions of those that are no
+    coordinate (_as_coord), NaN in the array."""
+    if isinstance(values, np.ndarray) or set(map(type, values)) <= {float}:
+        return np.asarray(values, dtype=np.float64), []
+    floats = list(map(_as_coord, values))
+    return np.array(floats, dtype=np.float64), [i for i, v in enumerate(floats) if v is None]
+
+
+def _as_coord(value) -> float | None:
+    """value as a coordinate, or None if it is none: a real number that is
+    not a bool and fits a float (numpy floats and Fractions included)."""
+    try:
+        return float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else None
+    except OverflowError:
+        return None
 
 
 def _as_id(value) -> int | None:
@@ -348,8 +423,10 @@ def general_position_report(ps: PointSet, k: int) -> list[dict]:
     """
     cs = ConeSystem(k)
     findings = []
-    pts = list(ps)
-    n = len(pts)
+    # Rows and pairs in input order.
+    ids, x, y = ps._ids, ps._x, ps._y
+    xs, ys = x.tolist(), y.tolist()
+    n = len(ids)
 
     # Directions to avoid, folded mod pi.
     bad = set()
@@ -358,8 +435,6 @@ def general_position_report(ps: PointSet, k: int) -> list[dict]:
         bad.add((az + math.pi / 2) % math.pi)
     bad_dirs = sorted(bad)
 
-    x = np.array([p.x for p in pts], dtype=np.float64)
-    y = np.array([p.y for p in pts], dtype=np.float64)
     step = max(1, _CHECK_BLOCK // max(n, 1))
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n, step):
@@ -370,11 +445,11 @@ def general_position_report(ps: PointSet, k: int) -> list[dict]:
             unsure = ~(_direction_gaps(dx, dy, k) > EPS + _CHECK_SLACK)
             unsure &= np.arange(n - lo - 1)[None, :] >= np.arange(hi - lo)[:, None]
             for r, c in zip(*(ix.tolist() for ix in np.nonzero(unsure))):
-                p, q = pts[lo + r], pts[lo + 1 + c]
-                d = _aligned_direction(q.x - p.x, q.y - p.y, bad_dirs, EPS)
+                a, b = lo + r, lo + 1 + c
+                d = _aligned_direction(xs[b] - xs[a], ys[b] - ys[a], bad_dirs, EPS)
                 if d is not None:
                     findings.append(
-                        {"kind": "cone_boundary_aligned", "pair": [p.id, q.id], "direction": d}
+                        {"kind": "cone_boundary_aligned", "pair": [ids[a], ids[b]], "direction": d}
                     )
 
         for lo in range(0, n, step):
@@ -388,7 +463,7 @@ def general_position_report(ps: PointSet, k: int) -> list[dict]:
             low, high = dist[:, :-1], dist[:, 1:]
             clear = high - low > EPS * np.maximum(1.0, low) + _CHECK_SLACK * np.maximum(1.0, high)
             for r in np.nonzero(~clear.all(axis=1))[0].tolist():
-                findings.extend(_equidistant_findings(pts, pts[lo + r]))
+                findings.extend(_equidistant_findings((ids, xs, ys), lo + r))
 
     return findings
 
@@ -467,22 +542,25 @@ def _aligned_direction(dx: float, dy: float, dirs, eps: float):
     return None
 
 
-def _equidistant_findings(pts, apex) -> list[dict]:
-    """Pairs adjacent in apex's (distance, id) order whose distances tie within EPS."""
+def _equidistant_findings(table, a: int) -> list[dict]:
+    """Pairs adjacent in the (distance, id) order seen from the point at
+    position a of table (ids, xs, ys) whose distances tie within EPS."""
+    ids, xs, ys = table
+    ax, ay, apex = xs[a], ys[a], ids[a]
     dists = sorted(
-        (math.hypot(p.x - apex.x, p.y - apex.y), p.id) for p in pts if p.id != apex.id
+        (math.hypot(x - ax, y - ay), i) for i, x, y in zip(ids, xs, ys) if i != apex
     )
     return [
-        {"kind": "equidistant", "apex": apex.id, "pair": [i1, i2]}
+        {"kind": "equidistant", "apex": apex, "pair": [i1, i2]}
         for (d1, i1), (d2, i2) in zip(dists, dists[1:])
         if abs(d2 - d1) <= EPS * max(1.0, d1)
     ]
 
 
 def points_to_json(ps: PointSet) -> str:
-    if ps._id_order == ps._points:
+    if ps._order is None:
         return '{"points":%s}\n' % ps._records_json
-    return _dump_json({"points": _point_records(ps)})
+    return '{"points":%s}\n' % _json_text(_point_records(ps._ids, ps._x, ps._y))
 
 
 def points_from_json(text: str) -> PointSet:
@@ -513,9 +591,9 @@ def _parse_json(text: str, what: str):
         raise InvalidParameter(f"malformed {what} JSON: {exc}") from exc
 
 
-def _point_records(points) -> list[dict]:
-    """The {"id", "x", "y"} record of every point, in the given order."""
-    return [{"id": p.id, "x": p.x, "y": p.y} for p in points]
+def _point_records(ids, x, y) -> list[dict]:
+    """The {"id", "x", "y"} record of every point of the columns, in order."""
+    return [{"id": i, "x": a, "y": b} for i, a, b in zip(ids, x.tolist(), y.tolist())]
 
 
 def _points_from_records(records, what: str) -> PointSet:
@@ -524,7 +602,7 @@ def _points_from_records(records, what: str) -> PointSet:
         ids = _json_ids([r["id"] for r in records])
         xs = _json_reals([r["x"] for r in records])
         ys = _json_reals([r["y"] for r in records])
-        return PointSet(map(Point, ids, xs, ys))
+        return PointSet._from_columns(ids, xs, ys)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidParameter(f"malformed {what} JSON: {exc}") from exc
 

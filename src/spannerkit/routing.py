@@ -224,7 +224,9 @@ def _beyond(apex, corner, interior_ref, p) -> bool:
 
 
 def _check_graph(g: SpannerGraph, kinds: tuple[str, ...], source: int, target: int):
-    """The graph's cone table and the endpoints' indices, once both are valid for routing."""
+    """The graph's cone table and the endpoints' indices, once both are valid
+    for routing: the regions need every coordinate difference as a finite
+    float, so points whose extent overflows raise DegenerateInput."""
     if g.kind not in kinds:
         raise InvalidParameter(
             f"routing needs a graph of kind {kinds}, got {g.kind!r}"
@@ -233,6 +235,7 @@ def _check_graph(g: SpannerGraph, kinds: tuple[str, ...], source: int, target: i
     s, t = g.points._vertex(source), g.points._vertex(target)
     if s == t:
         raise AlreadyArrived(f"source equals target ({source})")
+    g.points._require_finite_extent()
     return ctx, s, t
 
 
@@ -245,8 +248,8 @@ def base_bound(g: SpannerGraph, source: int, target: int) -> tuple[float, bool]:
     measured from t toward s.
     """
     s, t = g.points._vertex(source), g.points._vertex(target)
-    sp, tp = g.points._id_order[s], g.points._id_order[t]
-    dist = math.hypot(tp.x - sp.x, tp.y - sp.y)
+    sp, tp = g.points._coords[s], g.points._coords[t]
+    dist = math.hypot(tp[0] - sp[0], tp[1] - sp[1])
     if _CS6.cone_of(sp, tp) % 2 == 0:
         return bound_value("pair_alpha", alpha=angle_alpha(_CS6, sp, tp)) * dist, False
     return bound_value("routing_negative", alpha=angle_alpha(_CS6, tp, sp)) * dist, True

@@ -558,8 +558,20 @@ class TestRotatedUnion:
         # and rounds these two subnormal points to the same coordinates.
         tiny = PointSet([Point(0, -4 * 5e-324, -2 * 5e-324), Point(1, -3 * 5e-324, -3 * 5e-324)])
         assert build_rotated_union(tiny, 1).edge_list() == [(0, 1)]
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(DegenerateInput, match=r"^duplicate coordinates for point 1$"):
             build_rotated_union(tiny, 2)
+
+    def test_rotated_collisions_name_the_first_point_in_id_order(self):
+        # Frame 1 of m = 2 rounds two subnormal pairs together, (0, 1) and
+        # (2, 3); the frame is checked as a PointSet, so the first point in
+        # id order that repeats an earlier one is named: 1. (The check it
+        # replaced named 3, the later point of the lowest (x, y) pair.)
+        d = 5e-324
+        ps = PointSet([Point(0, -4 * d, -6 * d), Point(1, -3 * d, -7 * d),
+                       Point(2, -7 * d, -4 * d), Point(3, -6 * d, -3 * d)])
+        build_rotated_union(ps, 1)
+        with pytest.raises(DegenerateInput, match=r"^duplicate coordinates for point 1$"):
+            build_rotated_union(ps, 2)
 
 
 @pytest.mark.parametrize("count", [np.int64(5), np.int32(5), np.uint8(5), True, 5.0, np.float64(5.0), "5"])

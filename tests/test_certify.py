@@ -13,6 +13,7 @@ from test_ratio import SUITE_SETS
 
 from spannerkit import (
     ConeSystem,
+    DegenerateInput,
     InvalidParameter,
     Point,
     PointSet,
@@ -106,6 +107,15 @@ def test_ids_that_are_not_positions():
             for w in ids:
                 if u != w:
                     assert shortest_path(g, u, w) == oracle_shortest_path(g, u, w), (g.kind, u, w)
+
+
+def test_overflowing_extent_is_degenerate_input():
+    # The pair's triangle and bound need finite coordinate differences; this
+    # set's x extent overflows, which used to raise InternalInvariantViolation.
+    h = build_half_theta6(PointSet([Point(0, -1.5e308, 0.0), Point(1, 1.5e308, 0.0), Point(2, 0.0, 1.0)]))
+    for u, w in ((0, 1), (1, 0), (0, 2)):
+        with pytest.raises(DegenerateInput, match="extent"):
+            restricted_pair_check(h, u, w)
 
 
 def test_equal_endpoints_are_rejected():

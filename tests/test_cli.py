@@ -387,6 +387,15 @@ class TestRoute:
                      "--from", "0", "--to", "0"]) == 2
         capsys.readouterr()
 
+    def test_overflowing_extent_is_usage_error(self, tmp_path, capsys):
+        # It used to exit 3, which reports a bug in spannerkit.
+        ps = PointSet([Point(0, -1.5e308, 0.0), Point(1, 1.5e308, 0.0), Point(2, 0.0, 1.0)])
+        path = tmp_path / "overflow.json"
+        path.write_text(graph_to_json(build_half_theta6(ps)))
+        assert main(["route", "--graph", str(path), "--algo", "stateless",
+                     "--from", "0", "--to", "1"]) == 2
+        assert "extent" in capsys.readouterr().err
+
     def test_algo_kind_mismatch(self, h6_file, capsys):
         path, _g = h6_file
         assert main(["route", "--graph", path, "--algo", "g12",

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -286,6 +287,80 @@ class TestPointSet:
         doc = points_to_json(PointSet.from_pairs([(0.0, 0.0), (1.0, 1.0)]))
         with pytest.raises(InvalidParameter):
             points_from_json(doc.replace("1.0", json.dumps(bad), 1))
+
+    # Each set breaks two or more rules: the error names the first point in
+    # input order that breaks one, and the first rule it breaks (its id, then
+    # finite coordinates, then a repeated id, then repeated coordinates), as
+    # a loop over the points does. Pinned on that loop's output.
+    @pytest.mark.parametrize("points,error,message", [
+        ([Point(0, 0.0, 0.0), Point("a", 1.0, 1.0), Point(2, math.inf, 0.0), Point(0, 3.0, 3.0)],
+         InvalidParameter, "point id must be an integer, got 'a'"),
+        ([Point(np.int64(0), 0.0, 0.0), Point(np.int64(1), math.nan, 1.0), Point(True, 2.0, 2.0)],
+         InvalidParameter, "point 1 has a non-finite coordinate (nan, 1.0)"),
+        ([Point(np.int64(3), 0.0, 0.0), Point(3, 1.0, 1.0), Point(4, 0.0, 0.0)],
+         DegenerateInput, "duplicate point id 3"),
+        ([Point(0, 0.5, 0.5), Point(1, 0.5, 0.5), Point(1, 2.0, 2.0)],
+         DegenerateInput, "duplicate coordinates for point 1"),
+        ([Point(0, 0.0, 0.0), Point(np.uint8(0), -0.0, 0.0)],
+         DegenerateInput, "duplicate point id 0"),
+        ([Point(0, 1.0, 1.0), Point(1, -0.0, 2.0), Point(2, 0.0, 2.0), Point(2, math.inf, 3.0)],
+         DegenerateInput, "duplicate coordinates for point 2"),
+        ([Point(5, 0.0, 0.0), Point(np.uint8(7), 1.0, 1.0), Point(np.int32(5), 1.0, -math.inf)],
+         InvalidParameter, "point 5 has a non-finite coordinate (1.0, -inf)"),
+        ([Point(9, 1.0, 1.0), Point(8, 2.0, 2.0), Point(7, 1.0, 1.0), Point(8, 3.0, 3.0)],
+         DegenerateInput, "duplicate coordinates for point 7"),
+        ([Point(0, 5.0, 5.0), Point(1, 1.0, 1.0), Point(2, 5.0, 5.0), Point(3, 1.0, 1.0)],
+         DegenerateInput, "duplicate coordinates for point 2"),
+        ([Point(2, 0.0, 0.0), Point(1, 1.0, 1.0), Point(1.0, 2.0, 2.0), Point(1, 3.0, 3.0)],
+         InvalidParameter, "point id must be an integer, got 1.0"),
+        ([Point(0, math.inf, 1.0), Point(1, math.inf, 1.0)],
+         InvalidParameter, "point 0 has a non-finite coordinate (inf, 1.0)"),
+        ([Point(np.int64(4), 0.0, 1.0), Point(np.int16(-2), 1.0, 0.0), Point(np.int64(-2), 1.0, 0.0)],
+         DegenerateInput, "duplicate point id -2"),
+    ])
+    def test_first_offender_is_named(self, points, error, message):
+        with pytest.raises(error) as info:
+            PointSet(points)
+        assert type(info.value) is error and str(info.value) == message
+
+    def test_coordinates_are_real_numbers_stored_as_floats(self):
+        # Integer coordinates used to be written as 1, which reloads as 1.0,
+        # and numpy floats and Fractions made points_to_json raise TypeError.
+        ps = PointSet([Point(0, 1, 2), Point(1, np.float32(0.5), Fraction(1, 3)), Point(2, np.int64(-3), 0.25)])
+        doc = points_to_json(ps)
+        assert '"x":1.0,"y":2.0' in doc and '"x":-3.0' in doc
+        assert points_to_json(points_from_json(doc)) == doc
+        assert ps == PointSet.from_pairs([(1.0, 2.0), (0.5, 1 / 3), (-3.0, 0.25)])
+        assert all(type(v) is float for p in ps for v in p.xy)
+        # A bool is no coordinate (it was written as true, which the loader
+        # rejects), nor is a string or None; 10**400 overflows a float.
+        for bad in (True, np.bool_(False), "1.5", None, 10**400, 1j):
+            with pytest.raises(InvalidParameter, match="coordinate must be a real number"):
+                PointSet([Point(0, 0.0, 0.0), Point(1, bad, 1.0)])
+            with pytest.raises(InvalidParameter, match="coordinate must be a real number"):
+                PointSet([Point(0, 0.0, bad)])
+        # The rule takes its place among the others: after the id, before
+        # finiteness and repeats.
+        with pytest.raises(InvalidParameter, match="id must be an integer"):
+            PointSet([Point(0, 0.0, 0.0), Point("b", None, 1.0)])
+        with pytest.raises(InvalidParameter, match=r"^point 1 coordinate must be a real number, got '2'$"):
+            PointSet([Point(0, 0.0, 0.0), Point(1, math.inf, "2"), Point(0, 0.0, 0.0)])
+
+    def test_columns_are_the_point_set(self):
+        # Ids in input order and read-only float64 columns; arrays is their
+        # id-order view, which is the columns themselves when ids ascend.
+        ps = PointSet.from_pairs([(0.5, 0.25), (-1.0, 2.0), (3.0, -0.0)])
+        ids, x, y = ps.arrays
+        assert ids == (0, 1, 2) and x is ps._x and y is ps._y
+        assert not x.flags.writeable and not y.flags.writeable
+        assert ps._coords == [(0.5, 0.25), (-1.0, 2.0), (3.0, -0.0)]
+        assert ps[1] is ps[1] and ps[1] == Point(1, -1.0, 2.0)
+        shuffled = PointSet([Point(7, 0.0, 0.0), Point(-2, 0.25, 1.0), Point(3, -3.125, 2.5)])
+        assert shuffled.ids == [7, -2, 3] and [p.id for p in shuffled] == [7, -2, 3]
+        ids, x, y = shuffled.arrays
+        assert ids == (-2, 3, 7) and x.tolist() == [0.25, -3.125, 0.0] and y.tolist() == [1.0, 2.5, 0.0]
+        assert shuffled._coords == [(0.25, 1.0), (-3.125, 2.5), (0.0, 0.0)]
+        assert shuffled[3] == Point(3, -3.125, 2.5) and len(shuffled) == 3
 
 
 class TestGeneralPositionReport:
