@@ -491,14 +491,15 @@ def shortest_path(g: SpannerGraph, s: int, t: int) -> tuple[list[int], float]:
 
 
 def _pair_triangle(g: SpannerGraph, i: int, j: int):
-    """(apex, other, canonical triangle) of the pair of vertex indices i, j,
-    for certification and the SVG route overlay. With 6 cones the apex sees
-    the other in a positive cone, so both orders get one triangle."""
+    """(cone system, apex, other, canonical triangle) of the pair of vertex
+    indices i, j, for certification and the SVG route overlay. With 6 cones
+    the apex sees the other in a positive cone, so both orders get one
+    triangle."""
     cs = ConeSystem(g.k or 6)
     xy = g.points._coords
     if cs.k == 6 and cs.cone_of(xy[i], xy[j]) % 2 == 1:
         i, j = j, i
-    return i, j, canonical_triangle(cs, xy[i], xy[j])
+    return cs, i, j, canonical_triangle(cs, xy[i], xy[j])
 
 
 def restricted_pair_check(
@@ -530,7 +531,7 @@ def restricted_pair_check(
     if i == j:
         raise InvalidParameter("pair check endpoints must differ")
     h.points._require_finite_extent()
-    a, b, tri = _pair_triangle(h, i, j)
+    cs, a, b, tri = _pair_triangle(h, i, j)
     ids, xs, ys = h.points.arrays
     allowed = kernels.points_in_tri(xs, ys, *tri.apex, *tri.corner_a, *tri.corner_b, EPS).tolist()
     allowed[a] = allowed[b] = True
@@ -547,7 +548,7 @@ def restricted_pair_check(
         path.reverse()
     if bound is None:
         pa, pb = h.points._coords[a], h.points._coords[b]
-        alpha = angle_alpha(ConeSystem(tri.k), pa, pb)
+        alpha = angle_alpha(cs, pa, pb)
         bound = bound_value("pair_alpha", alpha=alpha) * math.hypot(pb[0] - pa[0], pb[1] - pa[1])
     length = dist[b]
     return {"path": [ids[x] for x in path], "length": length, "bound": bound,

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .errors import DegenerateInput, InternalInvariantViolation, InvalidParameter
+from .errors import InternalInvariantViolation, InvalidParameter
 from .geometry import (
     _CHECK_BLOCK,
     ConeSystem,

@@ -17,30 +17,14 @@ rejected input, 3 when an internal invariant fails (a bug in spannerkit).
 from __future__ import annotations
 
 import argparse
-import itertools
-import math
 import os
 import random
 import sys
 
-import numpy as np
-
 from . import analysis, build, routing
 from .build import SpannerGraph, graph_from_json, graph_to_json
 from .errors import DegenerateInput, InternalInvariantViolation, InvalidParameter, SpannerKitError
-from .geometry import (
-    _CHECK_BLOCK,
-    _CHECK_SLACK,
-    ConeSystem,
-    PointSet,
-    _aligned_direction,
-    _as_count,
-    _direction_gaps,
-    _dump_json,
-    _fast_hypot,
-    points_from_json,
-    points_to_json,
-)
+from .geometry import ConeSystem, PointSet, _as_count, _dump_json, _stream_conflicts, points_from_json, points_to_json
 
 SEED_ENV = "SPANNER_KIT_SEED"
 
@@ -60,8 +44,6 @@ ROUTE_ALGOS = ("stateless", "stateful", "g12", "g9")
 
 #: The first round of gen_random draws n + n * _STREAM_MARGIN candidates.
 _STREAM_MARGIN = 0.125
-#: gen_random's tolerance for near points, avoided directions and distance ties.
-_STREAM_EPS = 1e-7
 
 
 def gen_random(n: int, seed: int, k: int = 6, retries: int = 100) -> PointSet:
@@ -76,8 +58,8 @@ def gen_random(n: int, seed: int, k: int = 6, retries: int = 100) -> PointSet:
     general_position_report(ps, k) is empty by construction, so it is not
     run: every (apex, a, b) triple is tested when its latest point is placed;
     for pairs in the unit square _STREAM_EPS * max(1, d) exceeds the report's
-    EPS * max(1, d); and the stream's avoided directions lie within 2e-15 of
-    the report's.
+    EPS * max(1, d); and the stream's avoided directions are the report's
+    (geometry._avoided_directions).
 
     Raises InvalidParameter before drawing any point unless n and retries are
     integers >= 1 (not bools) and k is a valid cone count.
@@ -127,93 +109,6 @@ def gen_random(n: int, seed: int, k: int = 6, retries: int = 100) -> PointSet:
     return PointSet._from_columns(range(n), xs, ys)
 
 
-def _avoided_directions(k: int) -> list[float]:
-    bad = set()
-    for hi in ConeSystem(k).hi:
-        az = hi % math.pi
-        bad.add(az)
-        bad.add((az + math.pi / 2.0) % math.pi)
-    return sorted(bad)
-
-
-def _stream_conflicts(xs, ys, k: int, start: int) -> dict[int, list[tuple[int, int]]]:
-    """The degeneracy checks of a stream of draws, as conflicts: draw c maps
-    to pairs (a, b) of earlier entries, and c is rejected if a and b were both
-    placed ((i, i) when i alone rejects c). Entries before `start` are points
-    already placed, which clear each other; their azimuths are not checked.
-
-    With eps = _STREAM_EPS, c is rejected when it lies within eps of a placed
-    point or sees one within eps of a direction a k-cone system avoids
-    (_avoided_directions); when two of its own distances to placed points
-    tie, hi - lo <= eps * max(1, lo) (some pair ties exactly when two sorted
-    neighbours do, since rounding is monotone); or when it ties a distance
-    seen from a placed apex r, |d(r, j) - d(r, c)| <= eps * max(1, d(r, c)).
-
-    Runs as numpy row blocks of at most _CHECK_BLOCK elements, so memory is
-    O(len(xs) * block). The lattice gaps of _direction_gaps and sorted
-    _fast_hypot rows only filter; math.hypot and _aligned_direction decide
-    every case within _CHECK_SLACK of a threshold, so the verdicts are those
-    of the per-draw scalar checks.
-    """
-    bad_dirs = _avoided_directions(k)
-    size = len(xs)
-    x = np.array(xs, dtype=np.float64)
-    y = np.array(ys, dtype=np.float64)
-    conflicts: dict[int, list[tuple[int, int]]] = {}
-
-    step = max(1, _CHECK_BLOCK // size)
-    for lo in range(max(start, 1), size, step):
-        hi = min(size, lo + step)
-        # Row c = lo + r against the earlier entries i < c, as c minus i;
-        # unnamed, the differences are freed before the distance pass.
-        margin = _direction_gaps(x[lo:hi, None] - x[None, : hi - 1], y[lo:hi, None] - y[None, : hi - 1], k)
-        margin -= _STREAM_EPS
-        unsure = margin <= _CHECK_SLACK
-        unsure &= np.arange(hi - 1)[None, :] < np.arange(lo, hi)[:, None]
-        for r, i in zip(*(ix.tolist() for ix in np.nonzero(unsure))):
-            c = lo + r
-            if (margin[r, i] < -_CHECK_SLACK
-                    or _aligned_direction(xs[c] - xs[i], ys[c] - ys[i], bad_dirs, _STREAM_EPS) is not None):
-                conflicts.setdefault(c, []).append((i, i))
-
-    for lo in range(0, size, step):
-        hi = min(size, lo + step)
-        rows = np.arange(hi - lo)
-        dist = _fast_hypot(x[None, :] - x[lo:hi, None], y[None, :] - y[lo:hi, None])
-        # The apex's own entry sorts last and is dropped.
-        dist[rows, rows + lo] = np.inf
-        near = dist[:, :hi] <= _STREAM_EPS + _CHECK_SLACK
-        near &= np.arange(hi)[None, :] < np.arange(lo, hi)[:, None]
-        for r, i in zip(*(ix.tolist() for ix in np.nonzero(near))):
-            c = lo + r
-            if math.hypot(xs[c] - xs[i], ys[c] - ys[i]) <= _STREAM_EPS:
-                conflicts.setdefault(c, []).append((i, i))
-        ordered = np.sort(dist, axis=1)[:, : size - 1]
-        low, high = ordered[:, :-1], ordered[:, 1:]
-        # Two distances that tie are joined by a run of sorted neighbours each
-        # within the larger's tolerance (plus rounding, well under the slack).
-        linked = high - low <= (_STREAM_EPS + _CHECK_SLACK) * np.maximum(1.0, high)
-        for r in np.nonzero(linked.any(axis=1))[0].tolist():
-            at = np.nonzero(linked[r])[0]
-            for run in np.split(at, np.nonzero(np.diff(at) > 1)[0] + 1):
-                low_d, high_d = ordered[r, run[0]], ordered[r, run[-1] + 1]
-                members = np.nonzero((dist[r] >= low_d) & (dist[r] <= high_d))[0].tolist()
-                _record_ties(conflicts, xs, ys, lo + r, members)
-    return conflicts
-
-
-def _record_ties(conflicts, xs, ys, apex: int, members: list[int]) -> None:
-    """Conflicts for the distance ties among members (increasing entries)
-    seen from apex; the latest of the three is the draw rejected."""
-    dists = [(j, math.hypot(xs[j] - xs[apex], ys[j] - ys[apex])) for j in members]
-    for (a, da), (b, db) in itertools.combinations(dists, 2):
-        if b < apex:
-            if max(da, db) - min(da, db) <= _STREAM_EPS * max(1.0, min(da, db)):
-                conflicts.setdefault(apex, []).append((a, b))
-        elif abs(da - db) <= _STREAM_EPS * max(1.0, db):
-            conflicts.setdefault(b, []).append((apex, a))
-
-
 def render_svg(obj, overlay=None) -> str:
     """Deterministic SVG for a point set or graph, world y pointing up.
 
@@ -238,7 +133,7 @@ def render_svg(obj, overlay=None) -> str:
     tri = None
     if overlay is not None:
         walk = [obj.points._vertex(v) for v in overlay.path()]
-        _, _, tri = analysis._pair_triangle(obj, walk[0], obj.points._vertex(overlay.target))
+        *_, tri = analysis._pair_triangle(obj, walk[0], obj.points._vertex(overlay.target))
 
     xs, ys = ps.arrays[1].tolist(), ps.arrays[2].tolist()
     if tri is not None:

@@ -7,6 +7,7 @@ direction on a boundary belongs to the counter-clockwise (lower-index) cone.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -58,8 +59,9 @@ class PointSet:
 
     @classmethod
     def from_pairs(cls, pairs) -> "PointSet":
-        xy = np.fromiter((c for x, y in pairs for c in (float(x), float(y))), np.float64).reshape(-1, 2)
-        return cls._from_columns(range(len(xy)), xy[:, 0].copy(), xy[:, 1].copy())
+        """The set of the (x, y) pairs, with ids 0, 1, ... in order."""
+        pairs = list(pairs)
+        return cls._from_columns(range(len(pairs)), [x for x, _ in pairs], [y for _, y in pairs])
 
     @classmethod
     def _from_columns(cls, ids, xs, ys) -> "PointSet":
@@ -248,18 +250,26 @@ def direction(az: float) -> tuple[float, float]:
     return (math.sin(az), math.cos(az))
 
 
+#: The largest cone count: each k's tables are built at once and kept, about
+#: 450 bytes per cone (2.1 MB at this k).
+_MAX_CONES = 4096
+
+
 class ConeSystem:
     """k equiangular cones around every point, cone 0 bisecting +y; the only
-    place cone directions are computed. ConeSystem(k) checks k and returns
-    the one instance for k, shared and read only: theta, half = theta/2, and
-    per cone i the azimuths bisectors[i] = i*theta, lo[i] = i*theta - half
-    and hi[i] = i*theta + half with libm's (sin, cos) in bisector_dir, lo_dir
-    and hi_dir (the bisectors' also as read-only sin_bisector, cos_bisector)."""
+    place cone directions are computed. ConeSystem(k) checks k (at most
+    _MAX_CONES) and returns the one instance for k, shared and read only:
+    theta, half = theta/2, and per cone i the azimuths bisectors[i] =
+    i*theta, lo[i] = i*theta - half and hi[i] = i*theta + half with libm's
+    (sin, cos) in bisector_dir, lo_dir and hi_dir (the bisectors' also as
+    read-only sin_bisector, cos_bisector)."""
 
     _by_k: dict[int, ConeSystem] = {}
 
     def __new__(cls, k: int):
         k = _as_count(k, 2, "cone count must be an integer")
+        if k > _MAX_CONES:
+            raise InvalidParameter(f"cone count must be at most {_MAX_CONES}, got {k}")
         self = cls._by_k.get(k)
         if self is None:
             self = cls._by_k[k] = super().__new__(cls)
@@ -408,64 +418,144 @@ def canonical_triangle(cs: ConeSystem, u, w) -> CanonicalTriangle:
 def general_position_report(ps: PointSet, k: int) -> list[dict]:
     """Findings that violate the general-position assumptions for a k-cone system.
 
-    Flags exact duplicates, pairs equidistant from a common apex, and pairs whose
-    direction is within tolerance of a cone boundary direction or its
-    perpendicular (mod pi).
-
-    Runs as numpy row blocks of at most _CHECK_BLOCK elements, so memory stays
-    O(n) beyond the points. The lattice gaps of _direction_gaps and the sorted
-    _fast_hypot rows only filter; they are within a few ulps of what libm
-    atan2 and math.hypot give. The scalar tests (_aligned_direction,
-    _equidistant_findings) decide every pair whose direction is not clear of
-    EPS, and every apex row with a gap not clear of its threshold, by more
-    than _CHECK_SLACK; so findings and their order are exactly those of the
-    all-pairs scalar loops.
+    Flags pairs whose direction is within EPS of a cone boundary direction or
+    its perpendicular (mod pi, _avoided_directions), then pairs equidistant
+    from a common apex. The vectorized passes (_aligned_pairs,
+    _distance_rows) only filter: _aligned_direction decides every pair whose
+    direction is not clear of EPS, and _equidistant_findings every apex row
+    with a gap not clear of its threshold, by more than _CHECK_SLACK; so the
+    findings and their order are exactly those of the all-pairs scalar loops.
     """
-    cs = ConeSystem(k)
-    findings = []
     # Rows and pairs in input order.
     ids, x, y = ps._ids, ps._x, ps._y
     xs, ys = x.tolist(), y.tolist()
-    n = len(ids)
-
-    # Directions to avoid, folded mod pi.
-    bad = set()
-    for az in cs.boundary_azimuths():
-        bad.add(az % math.pi)
-        bad.add((az + math.pi / 2) % math.pi)
-    bad_dirs = sorted(bad)
-
-    step = max(1, _CHECK_BLOCK // max(n, 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, n, step):
-            hi = min(n, lo + step)
-            # Row a = lo + r against columns b = lo + 1 + c; pairs need b > a.
-            dx = x[None, lo + 1 :] - x[lo:hi, None]
-            dy = y[None, lo + 1 :] - y[lo:hi, None]
-            unsure = ~(_direction_gaps(dx, dy, k) > EPS + _CHECK_SLACK)
-            unsure &= np.arange(n - lo - 1)[None, :] >= np.arange(hi - lo)[:, None]
-            for r, c in zip(*(ix.tolist() for ix in np.nonzero(unsure))):
-                a, b = lo + r, lo + 1 + c
-                d = _aligned_direction(xs[b] - xs[a], ys[b] - ys[a], bad_dirs, EPS)
-                if d is not None:
-                    findings.append(
-                        {"kind": "cone_boundary_aligned", "pair": [ids[a], ids[b]], "direction": d}
-                    )
-
-        for lo in range(0, n, step):
-            hi = min(n, lo + step)
-            rows = np.arange(hi - lo)
-            dist = _fast_hypot(x[None, :] - x[lo:hi, None], y[None, :] - y[lo:hi, None])
-            # The apex's own entry sorts last and is dropped.
-            dist[rows, rows + lo] = np.inf
+        findings = [
+            {"kind": "cone_boundary_aligned", "pair": [ids[a], ids[b]], "direction": d}
+            for a, b, d in sorted(_aligned_pairs(x, y, xs, ys, k, EPS))
+        ]
+        for lo, dist in _distance_rows(x, y):
             dist.sort(axis=1)
-            dist = dist[:, : n - 1]
+            dist = dist[:, : len(ids) - 1]
             low, high = dist[:, :-1], dist[:, 1:]
             clear = high - low > EPS * np.maximum(1.0, low) + _CHECK_SLACK * np.maximum(1.0, high)
             for r in np.nonzero(~clear.all(axis=1))[0].tolist():
                 findings.extend(_equidistant_findings((ids, xs, ys), lo + r))
-
     return findings
+
+
+#: gen_random's tolerance for near points, avoided directions and distance ties.
+_STREAM_EPS = 1e-7
+
+
+def _stream_conflicts(xs, ys, k: int, start: int) -> dict[int, list[tuple[int, int]]]:
+    """gen_random's degeneracy checks of a stream of draws, as conflicts: draw
+    c maps to pairs (a, b) of earlier entries, and c is rejected if a and b
+    were both placed ((i, i) when i alone rejects c). Entries before `start`
+    are points already placed, which clear each other; their azimuths are
+    not checked.
+
+    With eps = _STREAM_EPS, c is rejected when it lies within eps of a placed
+    point or sees one within eps of a direction the report avoids
+    (_aligned_pairs); when two of its own distances to placed points tie,
+    hi - lo <= eps * max(1, lo) (some pair ties exactly when two sorted
+    neighbours do, since rounding is monotone); or when it ties a distance
+    seen from a placed apex r, |d(r, j) - d(r, c)| <= eps * max(1, d(r, c)).
+    math.hypot decides every distance case the _distance_rows filter passes
+    on, so the verdicts are those of the per-draw scalar checks.
+    """
+    x = np.array(xs, dtype=np.float64)
+    y = np.array(ys, dtype=np.float64)
+    conflicts: dict[int, list[tuple[int, int]]] = {}
+    # The distance pass runs first: the other order faults in about a tenth
+    # more pages per call (432 draws), once the direction pass's blocks are
+    # freed and the heap trimmed before the distance blocks are allocated.
+    for lo, dist in _distance_rows(x, y):
+        hi = lo + len(dist)
+        near = dist[:, :hi] <= _STREAM_EPS + _CHECK_SLACK
+        near &= np.arange(hi)[None, :] < np.arange(lo, hi)[:, None]
+        for r, i in zip(*(ix.tolist() for ix in np.nonzero(near))):
+            c = lo + r
+            if math.hypot(xs[c] - xs[i], ys[c] - ys[i]) <= _STREAM_EPS:
+                conflicts.setdefault(c, []).append((i, i))
+        ordered = np.sort(dist, axis=1)[:, : len(xs) - 1]
+        low, high = ordered[:, :-1], ordered[:, 1:]
+        # Two distances that tie are joined by a run of sorted neighbours each
+        # within the larger's tolerance (plus rounding, well under the slack).
+        linked = high - low <= (_STREAM_EPS + _CHECK_SLACK) * np.maximum(1.0, high)
+        for r in np.nonzero(linked.any(axis=1))[0].tolist():
+            at = np.nonzero(linked[r])[0]
+            for run in np.split(at, np.nonzero(np.diff(at) > 1)[0] + 1):
+                low_d, high_d = ordered[r, run[0]], ordered[r, run[-1] + 1]
+                members = np.nonzero((dist[r] >= low_d) & (dist[r] <= high_d))[0].tolist()
+                _record_ties(conflicts, xs, ys, lo + r, members)
+    for i, c, _ in _aligned_pairs(x, y, xs, ys, k, _STREAM_EPS, start):
+        conflicts.setdefault(c, []).append((i, i))
+    return conflicts
+
+
+def _record_ties(conflicts, xs, ys, apex: int, members: list[int]) -> None:
+    """Conflicts for the distance ties among members (increasing entries)
+    seen from apex; the latest of the three is the draw rejected."""
+    dists = [(j, math.hypot(xs[j] - xs[apex], ys[j] - ys[apex])) for j in members]
+    for (a, da), (b, db) in itertools.combinations(dists, 2):
+        if b < apex:
+            if max(da, db) - min(da, db) <= _STREAM_EPS * max(1.0, min(da, db)):
+                conflicts.setdefault(apex, []).append((a, b))
+        elif abs(da - db) <= _STREAM_EPS * max(1.0, db):
+            conflicts.setdefault(b, []).append((apex, a))
+
+
+def _avoided_directions(k: int) -> list[float]:
+    """The directions general position avoids for k cones, sorted: every
+    cone boundary and its perpendicular, folded mod pi."""
+    bad = set()
+    for az in ConeSystem(k).hi:
+        bad.add(az % math.pi)
+        bad.add((az + math.pi / 2) % math.pi)
+    return sorted(bad)
+
+
+def _aligned_pairs(x, y, xs, ys, k: int, eps: float, start: int = 1) -> list[tuple[int, int, float]]:
+    """(i, c, direction) for every pair of positions i < c, c >= start, whose
+    direction (c less i) lies within eps of one of _avoided_directions(k),
+    rows c in order; x, y hold the coordinates as arrays and xs, ys as lists.
+
+    Runs as numpy row blocks of at most _CHECK_BLOCK elements. The lattice
+    gaps of _direction_gaps only filter: _aligned_direction decides every
+    pair not clear of eps by _CHECK_SLACK and names its direction.
+    """
+    bad_dirs = _avoided_directions(k)
+    n = len(xs)
+    pairs = []
+    step = max(1, _CHECK_BLOCK // max(n, 1))
+    for lo in range(max(start, 1), n, step):
+        hi = min(n, lo + step)
+        # Row c = lo + r against the earlier positions i < c.
+        gaps = _direction_gaps(x[lo:hi, None] - x[None, : hi - 1], y[lo:hi, None] - y[None, : hi - 1], k)
+        unsure = ~(gaps > eps + _CHECK_SLACK)
+        unsure &= np.arange(hi - 1)[None, :] < np.arange(lo, hi)[:, None]
+        for r, i in zip(*(ix.tolist() for ix in np.nonzero(unsure))):
+            c = lo + r
+            d = _aligned_direction(xs[c] - xs[i], ys[c] - ys[i], bad_dirs, eps)
+            if d is not None:
+                pairs.append((i, c, d))
+    return pairs
+
+
+def _distance_rows(x, y):
+    """(lo, dist) for each numpy row block of at most _CHECK_BLOCK elements:
+    dist[r] holds the _fast_hypot distances from position lo + r to every
+    position, its own entry inf."""
+    n = len(x)
+    step = max(1, _CHECK_BLOCK // max(n, 1))
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        rows = np.arange(hi - lo)
+        dist = _fast_hypot(x[None, :] - x[lo:hi, None], y[None, :] - y[lo:hi, None])
+        # The apex's own entry sorts last and is dropped.
+        dist[rows, rows + lo] = np.inf
+        yield lo, dist
 
 
 def _direction_lattice(k: int) -> tuple[int, float]:

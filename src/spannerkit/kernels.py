@@ -9,14 +9,16 @@ builds every edge and picks the theta-5 witness's construction targets, has
 no scalar twin in the package; its reference is the scalar scan in
 tests/oracles.py.
 
-The general-position checks have numpy filters that do not repeat the
-scalar operations. geometry._direction_gaps takes the gap to the avoided
-directions from one np.arctan2 as a distance to a lattice, within about
-3e-15 of the gap geometry._aligned_direction computes from azimuth; and
-geometry._fast_hypot takes square roots of dx^2 + dy^2, within 2 ulps of
-math.hypot. Every case near a threshold goes to the scalar test, so they only
-filter. Their references are the broadcast gap and the scalar report and
-gen_random in tests/oracles.py.
+The general-position checks (geometry.general_position_report and
+gen_random's geometry._stream_conflicts, over one list of avoided
+directions) have numpy filters that do not repeat the scalar operations.
+geometry._direction_gaps takes the gap to the avoided directions from one
+np.arctan2 as a distance to a lattice, within about 3e-15 of the gap
+geometry._aligned_direction computes from azimuth; and geometry._fast_hypot
+takes square roots of dx^2 + dy^2, within 2 ulps of math.hypot. Every case
+near a threshold goes to the scalar test, so they only filter. Their
+references are the broadcast gap and the scalar report and gen_random in
+tests/oracles.py.
 """
 
 from math import atan2, floor

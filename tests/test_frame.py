@@ -18,12 +18,14 @@ from spannerkit import (
     canonical_triangle,
     gen_random,
     gen_theta5_lower_bound,
+    main,
+    points_to_json,
     theta5_witness_path,
     theta_projection,
 )
 from spannerkit import kernels
 from spannerkit.build import _empty_cones
-from spannerkit.cli_io import _avoided_directions
+from spannerkit.geometry import _avoided_directions
 from spannerkit.routing import _clip_wedge
 
 FRAME_KS = range(2, 65)
@@ -80,6 +82,20 @@ class TestConeFrame:
             with pytest.raises(InvalidParameter, match=rf"^cone count must be an integer >= 2, got {bad!r}$"):
                 ConeSystem(bad)
 
+    def test_cone_count_is_bounded(self, tmp_path, capsys):
+        # Each k's tables are built at once and kept; 10**7 cones would take
+        # about 4.5 GB. The bound is checked before anything is built.
+        assert ConeSystem(4096).k == 4096
+        for big in (4097, 10**7):
+            with pytest.raises(InvalidParameter, match=rf"^cone count must be at most 4096, got {big}$"):
+                ConeSystem(big)
+            assert big not in ConeSystem._by_k
+        pts = tmp_path / "pts.json"
+        pts.write_text(points_to_json(gen_random(8, 3)))
+        assert main(["build", "--graph", "theta", "--k", "10000000", "--points", str(pts)]) == 2
+        assert "cone count must be at most 4096" in capsys.readouterr().err
+        assert 10**7 not in ConeSystem._by_k
+
     @pytest.mark.parametrize("k", FRAME_KS)
     def test_cone_system_angles_are_unchanged(self, k):
         cs = ConeSystem(k)
@@ -109,7 +125,7 @@ FRAME_OUTPUT_SHA256 = {
     "empty_cones": "5ab5d7847334a876",
     "theta5_witness": "83d3e8c974652f2f",
     "theta5_lower_bound": "6177890091f13bfc",
-    "avoided_directions": "b7d7859f533d1e8b",
+    "avoided_directions": "fb735abdc6325b2e",
     "wedge_clips": "2b2057754a029ec6",
 }
 PIN_KS = (2, 3, 4, 5, 7, 8, 12)

@@ -27,7 +27,6 @@ from spannerkit import (
 from spannerkit.geometry import EPS
 
 from oracles import (
-    _oracle_avoided_directions,
     _oracle_clears_degeneracies,
     oracle_direction_gaps,
     oracle_gen_random,
@@ -96,22 +95,21 @@ REPORT_SETS = {
 }
 
 
-def _count_calls(monkeypatch, module):
-    """Wrap module._aligned_direction to count its calls."""
+def _count_calls(monkeypatch):
+    """Wrap geometry._aligned_direction to count its calls."""
     calls = []
-    scalar = module._aligned_direction
+    scalar = geometry._aligned_direction
 
     def counted(*args):
         calls.append(args)
         return scalar(*args)
 
-    monkeypatch.setattr(module, "_aligned_direction", counted)
+    monkeypatch.setattr(geometry, "_aligned_direction", counted)
     return calls
 
 
 def _small_blocks(monkeypatch, block):
     monkeypatch.setattr(geometry, "_CHECK_BLOCK", block)
-    monkeypatch.setattr(cli_io, "_CHECK_BLOCK", block)
 
 
 class TestGenRandomMatchesOracle:
@@ -173,9 +171,9 @@ class TestDrawRounds:
         starts = []
         scan = cli_io._stream_conflicts
 
-        def counted(xs, ys, bad_dirs, start):
+        def counted(xs, ys, k, start):
             starts.append(start)
-            return scan(xs, ys, bad_dirs, start)
+            return scan(xs, ys, k, start)
 
         monkeypatch.setattr(cli_io, "_stream_conflicts", counted)
         return starts
@@ -260,7 +258,7 @@ class TestGeneralPositionByConstruction:
     def test_findings_are_stream_conflicts(self, name, k):
         ps = _at_boundary_pairs(k) if name == "boundary" else REPORT_SETS[name]
         index = {p.id: i for i, p in enumerate(ps)}
-        conflicts = cli_io._stream_conflicts([p.x for p in ps], [p.y for p in ps], k, 0)
+        conflicts = geometry._stream_conflicts([p.x for p in ps], [p.y for p in ps], k, 0)
         findings = general_position_report(ps, k)
         assert findings
         for f in findings:
@@ -282,17 +280,18 @@ class TestCandidateChecks:
             sorted(math.hypot(xj - xi, yj - yi) for j, (xj, yj) in enumerate(placed) if j != i)
             for i, (xi, yi) in enumerate(placed)
         ]
-        bad = cli_io._avoided_directions(6)
-        assert bad == _oracle_avoided_directions(6)
+        # The stream avoids the report's directions.
+        bad = geometry._avoided_directions(6)
+        assert bad == _report_bad_dirs(6)
         xs = [x for x, _ in placed] + [cand[0]]
         ys = [y for _, y in placed] + [cand[1]]
         # As one stream: the placed points clear each other, so all of them
         # are placed and any conflict of the candidate rejects it.
-        conflicts = cli_io._stream_conflicts(xs, ys, 6, 0)
+        conflicts = geometry._stream_conflicts(xs, ys, 6, 0)
         assert not any(conflicts.get(i) for i in range(n))
         got = bool(conflicts.get(n))
         # As a later round, with the points already placed.
-        assert bool(cli_io._stream_conflicts(xs, ys, 6, n).get(n)) == got
+        assert bool(geometry._stream_conflicts(xs, ys, 6, n).get(n)) == got
         want = _oracle_clears_degeneracies(placed, lists, cand, bad) is None
         return got, want
 
@@ -310,11 +309,11 @@ class TestCandidateChecks:
         assert verdicts == {True, False}
 
     def test_directions_at_the_tolerance(self, monkeypatch):
-        calls = _count_calls(monkeypatch, cli_io)
+        calls = _count_calls(monkeypatch)
         px, py = self.PLACED[0]
-        eps = cli_io._STREAM_EPS
+        eps = geometry._STREAM_EPS
         verdicts = set()
-        for b in cli_io._avoided_directions(6):
+        for b in geometry._avoided_directions(6):
             for e in (eps, math.nextafter(eps, 0.0), math.nextafter(eps, 1.0), eps / 2, eps * 2):
                 for az in (b + e, b - e):
                     cand = (px + 0.2 * math.sin(az), py + 0.2 * math.cos(az))
@@ -370,7 +369,7 @@ class TestReportMatchesOracle:
 
     @pytest.mark.parametrize("k", [4, 5, 6, 7, 8])
     def test_pairs_at_the_angular_tolerance(self, k, monkeypatch):
-        calls = _count_calls(monkeypatch, geometry)
+        calls = _count_calls(monkeypatch)
         ps = _at_boundary_pairs(k)
         got = general_position_report(ps, k)
         assert got == oracle_general_position_report(ps, k)
@@ -461,14 +460,13 @@ def _nearest_lattice_points(k, dirs):
 class TestDirectionLattice:
     @pytest.mark.parametrize("k", range(2, 65))
     def test_avoided_directions_are_the_lattice(self, k):
-        for dirs in (cli_io._avoided_directions(k), _report_bad_dirs(k)):
-            m, nearest = _nearest_lattice_points(k, dirs)
-            # Every lattice point is near a direction, and every direction
-            # is on the lattice. A direction is (i * theta + theta / 2)
-            # folded mod pi in floats: i times theta's rounding plus a few
-            # roundings of values up to 2 pi, up to 1.2e-15 (k = 61).
-            assert {j for j, _ in nearest} == set(range(m))
-            assert max(gap for _, gap in nearest) < 2e-15
+        m, nearest = _nearest_lattice_points(k, geometry._avoided_directions(k))
+        # Every lattice point is near a direction, and every direction is on
+        # the lattice. A direction is (i * theta + theta / 2) folded mod pi
+        # in floats: i times theta's rounding plus a few roundings of values
+        # up to 2 pi, up to 1.2e-15 (k = 61).
+        assert {j for j, _ in nearest} == set(range(m))
+        assert max(gap for _, gap in nearest) < 2e-15
 
     @pytest.mark.parametrize("k", range(2, 65))
     def test_gaps_match_the_broadcast_filter(self, k):

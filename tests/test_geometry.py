@@ -346,6 +346,20 @@ class TestPointSet:
         with pytest.raises(InvalidParameter, match=r"^point 1 coordinate must be a real number, got '2'$"):
             PointSet([Point(0, 0.0, 0.0), Point(1, math.inf, "2"), Point(0, 0.0, 0.0)])
 
+    def test_from_pairs_follows_the_coordinate_rule(self):
+        # from_pairs converted with float(), so ("1.5", True) loaded as (1.5, 1.0).
+        for bad in ("1.5", True, None, 10**400):
+            with pytest.raises(InvalidParameter, match=rf"^point 0 coordinate must be a real number, got {bad!r}$"):
+                PointSet.from_pairs([(bad, 0.5)])
+            with pytest.raises(InvalidParameter, match=rf"^point 1 coordinate must be a real number, got {bad!r}$"):
+                PointSet.from_pairs([(0.0, 0.0), (0.5, bad)])
+        ints = PointSet.from_pairs(iter([(1, 2), (np.int64(-3), Fraction(1, 4))]))
+        assert ints == PointSet.from_pairs([(1.0, 2.0), (-3.0, 0.25)])
+        assert all(type(v) is float for p in ints for v in p.xy)
+        assert PointSet.from_pairs(np.array([[0.5, 0.25], [1.0, 2.0]])) == PointSet.from_pairs([(0.5, 0.25), (1.0, 2.0)])
+        assert PointSet.from_pairs(p for p in ()) == PointSet([])
+        assert len(PointSet.from_pairs([])) == 0
+
     def test_columns_are_the_point_set(self):
         # Ids in input order and read-only float64 columns; arrays is their
         # id-order view, which is the columns themselves when ids ascend.
