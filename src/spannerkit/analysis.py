@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import numbers
 import sys
 from dataclasses import dataclass, field
 from itertools import product
@@ -27,6 +26,7 @@ from .geometry import (
     PointSet,
     _as_count,
     _as_id,
+    _as_real,
     _dump_json,
     angle_alpha,
     canonical_triangle,
@@ -53,11 +53,13 @@ def bound_value(name: str, *, k: int | None = None, m: int | None = None, alpha:
     pair_alpha        sqrt(3) cos(alpha) + sin(alpha)
     routing_negative  (5/sqrt(3)) cos(alpha) - sin(alpha)
 
-    k and m, when given, must be integers (not bools).
+    k and m, when given, must be integers (not bools), and alpha a finite real.
     """
     for label, value in (("k", k), ("m", m)):
         if value is not None and _as_id(value) is None:
             raise InvalidParameter(f"bound {name!r}: {label} must be an integer, got {value!r}")
+    if alpha is not None:
+        alpha = _as_real(alpha, f"bound {name!r}: alpha must be finite (a real number)")
     if name in ("theta", "yao"):
         if k is None or k < 7:
             raise InvalidParameter(f"bound {name!r} requires k >= 7, got {k!r}")
@@ -387,7 +389,7 @@ def verify_bound(g: SpannerGraph, name: str | None = None, tolerance: float = 1e
 
 def _verify_bound(g: SpannerGraph, name: str | None, tolerance: float, per_pair: bool) -> RatioReport:
     """verify_bound over one spanning_ratio(g, per_pair) computation."""
-    _check_finite("tolerance", tolerance)
+    _as_real(tolerance, "tolerance must be finite (a real number)")
     if name is None:
         name, kwargs = _default_bound(g)
     else:
@@ -399,12 +401,6 @@ def _verify_bound(g: SpannerGraph, name: str | None, tolerance: float, per_pair:
     report.bound_name = name
     report.passed = report.max_ratio <= value + tolerance
     return report
-
-
-def _check_finite(name: str, value: float) -> None:
-    # A NaN tolerance or bound fails every comparison, so every check would "fail".
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise InvalidParameter(f"{name} must be finite (a real number), got {value!r}")
 
 
 #: Bounds of the Theta and Yao graphs with k < 7 that have one.
@@ -420,7 +416,7 @@ def _default_bound(g: SpannerGraph):
     if g.kind in ("theta", "yao"):
         if (g.kind, g.k) in _SMALL_K_BOUNDS:
             return _SMALL_K_BOUNDS[g.kind, g.k], {}
-        if isinstance(g.k, int) and g.k < 7:
+        if g.k < 7:
             raise InvalidParameter(
                 f"no registered ratio bound for {g.kind} graphs with k = {g.k}: "
                 f"bound '{g.kind}{g.k}' is missing"
@@ -524,9 +520,9 @@ def restricted_pair_check(
     on them its absence is a construction bug and raises
     InternalInvariantViolation; on any other kind it raises InvalidParameter.
     """
-    _check_finite("tolerance", tolerance)
+    _as_real(tolerance, "tolerance must be finite (a real number)")
     if bound is not None:
-        _check_finite("bound", bound)
+        _as_real(bound, "bound must be finite (a real number)")
     i, j = h.points._vertex(u), h.points._vertex(w)
     if i == j:
         raise InvalidParameter("pair check endpoints must differ")
@@ -561,10 +557,9 @@ def g9_approximation_check(h: SpannerGraph, g9: SpannerGraph, tolerance: float =
     canonical path -> v), that its total length is at most 3|sv| and the
     canonical-path portion at most 2|sv|.
 
-    Raises InvalidParameter unless h is a half-theta-6 graph and g9 a G9
-    graph over the same points, or if the tolerance is not a finite real
-    number."""
-    _check_finite("tolerance", tolerance)
+    Raises InvalidParameter unless h is a half-theta-6 graph and g9 its G9
+    graph, or if the tolerance is not a finite real number."""
+    _as_real(tolerance, "tolerance must be finite (a real number)")
     cones = _half_theta6_cones(h)
     if g9.kind != "g9":
         raise InvalidParameter(f"expected a g9 graph, got kind {g9.kind!r}")
@@ -581,7 +576,7 @@ def g9_approximation_check(h: SpannerGraph, g9: SpannerGraph, tolerance: float =
         for a, b in [(s, closest)] + list(zip(members, members[1:])):
             if not g9.has_edge(ids[a], ids[b]):
                 what = "closest fan edge" if a == s else "fan path edge"
-                raise InternalInvariantViolation(f"{what} ({ids[a]}, {ids[b]}) missing from g9")
+                raise InvalidParameter(f"{what} ({ids[a]}, {ids[b]}) missing: g9 is not the g9 graph of h")
         (sx, sy), (cx, cy) = xy[s], xy[closest]
         entry = math.hypot(cx - sx, cy - sy)
         ci = members.index(closest)
@@ -714,8 +709,7 @@ def path_length(ps: PointSet, path: list[int]) -> float:
 def gen_circle(n: int, radius: float = 1.0) -> PointSet:
     """n points equally spaced on a circle, ids in angular order."""
     n = _as_count(n, 2, "circle needs an integer number of points")
-    if isinstance(radius, bool) or not isinstance(radius, numbers.Real) or not radius > 0:
-        raise InvalidParameter(f"radius must be a positive real number, got {radius!r}")
+    radius = _as_real(radius, "radius must be a positive real number", lambda r: 0.0 < r < math.inf)
     angles = [2.0 * math.pi * i / n for i in range(n)]
     return PointSet.from_pairs((radius * math.cos(ang), radius * math.sin(ang)) for ang in angles)
 
@@ -735,10 +729,8 @@ def gen_routing_lb(variant: str, alpha: float = 0.0, nudge: float = 1e-4) -> Poi
     """
     if variant not in ("positive", "negative_a", "negative_b"):
         raise InvalidParameter(f"unknown routing lower-bound variant {variant!r}")
-    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not 0.0 <= alpha <= math.pi / 6:
-        raise InvalidParameter(f"alpha must be within [0, pi/6], got {alpha!r}")
-    if isinstance(nudge, bool) or not isinstance(nudge, numbers.Real) or not 0.0 < nudge <= 1e-2:
-        raise InvalidParameter(f"nudge must be in (0, 1e-2], got {nudge}")
+    alpha = _as_real(alpha, "alpha must be within [0, pi/6]", lambda a: 0.0 <= a <= math.pi / 6)
+    nudge = _as_real(nudge, "nudge must be in (0, 1e-2]", lambda d: 0.0 < d <= 1e-2)
     if variant != "positive" and alpha > math.pi / 6 - 10.0 * nudge:
         # Within O(nudge) of pi/6 the apex slides onto the right blocker and
         # the intended edge set collapses.
@@ -827,8 +819,7 @@ def gen_theta5_lower_bound(nudge: float = 1e-4) -> PointSet:
     stealing the construction edge. After every step the shortest 0 -> 1 path
     is recomputed and checked against the expected one.
     """
-    if isinstance(nudge, bool) or not isinstance(nudge, numbers.Real) or not 0.0 < nudge <= 1e-3:
-        raise InvalidParameter(f"nudge must be in (0, 1e-3], got {nudge!r}")
+    nudge = _as_real(nudge, "nudge must be in (0, 1e-3]", lambda d: 0.0 < d <= 1e-3)
     cs = ConeSystem(5)
 
     coords: list[tuple[float, float]] = [(0.0, 0.0)]

@@ -21,12 +21,11 @@ from .geometry import (
     _CHECK_BLOCK,
     ConeSystem,
     PointSet,
+    _as_coord,
     _as_count,
     _as_id,
-    _as_ids,
     _json_id,
     _json_ids,
-    _json_real,
     _json_text,
     _parse_json,
     _points_from_records,
@@ -35,8 +34,9 @@ from .geometry import (
 
 #: Bitmask of the even ("positive") cones of a 6-cone system.
 _POSITIVE_MASK_6 = 0b010101
-#: Kinds built in the 6-cone system; a graph file of one must have k = 6.
-_SIX_CONE_KINDS = frozenset({"half_theta6", "g12", "g9", "rotated_union"})
+#: The cone count each kind built in a fixed cone system has (None: the MST
+#: has none); Theta and Yao graphs need some k, and other kinds take any.
+_KIND_K = {"half_theta6": 6, "g12": 6, "g9": 6, "rotated_union": 6, "mst": None}
 
 #: Cone labels whose azimuth lies within this many radians of a cone boundary
 #: are recomputed with the scalar kernel (see cone_scan).
@@ -83,8 +83,14 @@ class SpannerGraph:
     """
 
     def __init__(self, kind: str, k, points: PointSet, edges, metadata=None):
-        ends = _index_ends(points, _as_ids([w for u, v in edges for w in (u, v)]))
-        self._setup(kind, k, points, ends, metadata)
+        try:
+            ends = [w for u, v in edges for w in (u, v)]
+        except (TypeError, ValueError) as exc:
+            raise InvalidParameter(f"edges must be (u, v) pairs of vertex ids: {exc}") from exc
+        ids = list(map(_as_id, ends))
+        if None in ids:
+            raise InvalidParameter(f"{ends[ids.index(None)]!r} is not a vertex id")
+        self._setup(kind, k, points, _index_ends(points, ids), metadata)
 
     @classmethod
     def _indexed(cls, kind: str, k, points: PointSet, ends, metadata=None) -> "SpannerGraph":
@@ -95,11 +101,23 @@ class SpannerGraph:
         return g
 
     def _setup(self, kind, k, points, ends, metadata) -> None:
+        """The one header rule of built and loaded graphs: kind is a str,
+        metadata a dict (None: none), and k None or a cone count (kept as
+        ConeSystem(k).k) as _KIND_K asks of the kind."""
+        if not isinstance(kind, str):
+            raise InvalidParameter(f"graph kind must be a string, got {kind!r}")
+        metadata = {} if metadata is None else metadata
+        if not isinstance(metadata, dict):
+            raise InvalidParameter(f"graph metadata must be a dict, got {metadata!r}")
+        if k is not None:
+            k = ConeSystem(k).k
+        if k != _KIND_K.get(kind, k) or k is None and kind in ("theta", "yao"):
+            raise InvalidParameter(f"a {kind} graph cannot have k = {k!r}")
         self.kind = kind
         self.k = k
         self.points = points
         self._ends = _edge_array(points, ends)
-        self.metadata = metadata or {}
+        self.metadata = metadata
 
     @cached_property
     def _id_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -158,8 +176,8 @@ class SpannerGraph:
 
     @cached_property
     def hint_table(self) -> "_HintTable":
-        """The routing hints build_g9 stored in the metadata, parsed."""
-        return _HintTable(self.metadata.get("hints"))
+        """The routing hints build_g9 stored in the metadata, checked against the points."""
+        return _HintTable(self.metadata.get("hints"), self.points)
 
     def edge_list(self) -> list[tuple[int, int]]:
         return list(self._id_pairs)
@@ -216,25 +234,10 @@ class SpannerGraph:
         obj = _parse_json(text, "graph")
         try:
             pts = _points_from_records(obj["points"], "graph")
-            ends = _json_ids([w for u, v in obj["edges"] for w in (u, v)])
-            kind, k, metadata = obj["kind"], obj["k"], obj.get("metadata", {})
-            if not isinstance(kind, str):
-                raise ValueError(f"kind must be a string, got {kind!r}")
-            if not isinstance(metadata, dict):
-                raise ValueError(f"metadata must be an object, got {metadata!r}")
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            ends = _index_ends(pts, _json_ids([w for u, v in obj["edges"] for w in (u, v)]))
+            return cls._indexed(obj["kind"], obj["k"], pts, ends, obj.get("metadata"))
+        except (KeyError, TypeError, ValueError) as exc:
             raise InvalidParameter(f"malformed graph JSON: {exc}") from exc
-        if k is not None:
-            ConeSystem(k)
-        if kind in _SIX_CONE_KINDS:
-            wrong = k != 6
-        elif kind == "mst":
-            wrong = k is not None
-        else:
-            wrong = k is None and kind in ("theta", "yao")
-        if wrong:
-            raise InvalidParameter(f"malformed graph JSON: a {kind} graph cannot have k = {k!r}")
-        return cls._indexed(kind, k, pts, _index_ends(pts, ends), metadata)
 
 
 class _Csr(NamedTuple):
@@ -391,35 +394,34 @@ class _ConeTable:
 
 
 class _HintTable:
-    """Parsed g9 routing hints: walk direction per (vertex, positive cone) and
-    fan-end (id, x, y) pairs per (vertex, negative cone)."""
+    """build_g9's routing hints as index lists, like the cone table's:
+    walk[6 * i + c] is vertex i's walk direction ("self", "ccw" or "cw")
+    toward even cone c, ends[6 * i + j] the (first, last) vertices of its fan
+    in odd cone j, each None for none. An entry's key must be a vertex's id,
+    and a fan end's [id, x, y] a vertex at exactly those coordinates."""
 
-    def __init__(self, raw):
+    def __init__(self, raw, points: PointSet):
         if not isinstance(raw, dict):
             raise InvalidParameter("graph lacks the construction hints required for g9 routing")
-        self.dir: dict[tuple[int, int], str] = {}
-        self.fan: dict[tuple[int, int], tuple[tuple[int, float, float], tuple[int, float, float]]] = {}
+        index, coords = points.index, points._coords
+        self.walk: list[str | None] = [None] * (6 * len(coords))
+        self.ends: list[tuple[int, int] | None] = [None] * (6 * len(coords))
         try:
-            for sid, entry in raw.items():
-                u = int(sid)
-                for cs, d in entry.get("dir", {}).items():
-                    if d not in ("self", "ccw", "cw"):
-                        raise ValueError(f"walk direction {d!r} is not self, ccw or cw")
-                    self.dir[(u, int(cs))] = d
-                for cs, ends in entry.get("fan", {}).items():
-                    self.fan[(u, int(cs))] = (_fan_end(ends["first"]), _fan_end(ends["last"]))
-        except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+            for key, entry in raw.items():
+                i = index[int(key)]
+                for c, d in entry.get("dir", {}).items():
+                    if c not in ("0", "2", "4") or d not in ("self", "ccw", "cw"):
+                        raise ValueError(f"walk {c!r}: {d!r} is not a walk direction in an even cone")
+                    self.walk[6 * i + int(c)] = d
+                for c, fan in entry.get("fan", {}).items():
+                    (a, ax, ay), (b, bx, by) = fan["first"], fan["last"]
+                    a, b = index[_json_id(a)], index[_json_id(b)]
+                    if (c not in ("1", "3", "5") or coords[a] != (_as_coord(ax), _as_coord(ay))
+                            or coords[b] != (_as_coord(bx), _as_coord(by))):
+                        raise ValueError(f"fan {c!r}: {fan!r} is not two vertices at their coordinates in an odd cone")
+                    self.ends[6 * i + int(c)] = (a, b)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InvalidParameter(f"malformed g9 routing hints: {exc!r}") from exc
-
-
-def _fan_end(end) -> tuple[int, float, float]:
-    """A fan end's [id, x, y] list as a finite (int, float, float) triple."""
-    if not isinstance(end, list) or len(end) != 3:
-        raise ValueError(f"fan end {end!r} is not an [id, x, y] list")
-    pid, x, y = _json_id(end[0]), _json_real(end[1]), _json_real(end[2])
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError(f"fan end {end!r} has a non-finite coordinate")
-    return (pid, x, y)
 
 
 def graph_to_json(g: SpannerGraph) -> str:

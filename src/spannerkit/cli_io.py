@@ -24,7 +24,8 @@ import sys
 from . import analysis, build, routing
 from .build import SpannerGraph, graph_from_json, graph_to_json
 from .errors import DegenerateInput, InternalInvariantViolation, InvalidParameter, SpannerKitError
-from .geometry import ConeSystem, PointSet, _as_count, _dump_json, _stream_conflicts, points_from_json, points_to_json
+from .geometry import (ConeSystem, PointSet, _as_count, _as_id, _as_real, _dump_json, _stream_conflicts,
+                       points_from_json, points_to_json)
 
 SEED_ENV = "SPANNER_KIT_SEED"
 
@@ -62,12 +63,15 @@ def gen_random(n: int, seed: int, k: int = 6, retries: int = 100) -> PointSet:
     (geometry._avoided_directions).
 
     Raises InvalidParameter before drawing any point unless n and retries are
-    integers >= 1 (not bools) and k is a valid cone count.
+    integers >= 1 (not bools), the seed is an integer (not a bool) and k is a
+    valid cone count.
     """
     n = _as_count(n, 1, "need an integer number of points")
     k = ConeSystem(k).k
     retries = _as_count(retries, 1, "retries must be an integer")
-    rng = random.Random(seed)
+    if _as_id(seed) is None:
+        raise InvalidParameter(f"seed must be an integer, got {seed!r}")
+    rng = random.Random(_as_id(seed))
     # The points placed so far, followed by the draws of the current round.
     xs: list[float] = []
     ys: list[float] = []
@@ -115,6 +119,8 @@ def render_svg(obj, overlay=None) -> str:
     With a RoutingTrace overlay (graphs only) the walked path is highlighted
     and the queried pair's canonical triangle is outlined.
     """
+    if overlay is not None and not isinstance(overlay, routing.RoutingTrace):
+        raise InvalidParameter(f"an overlay must be a RoutingTrace, got {overlay!r}")
     # Points in arrays (id) order: edges and the walk are index pairs into it.
     if isinstance(obj, SpannerGraph):
         ps = obj.points
@@ -325,7 +331,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    analysis._check_finite("tolerance", args.tolerance)
+    _as_real(args.tolerance, "tolerance must be finite (a real number)")
     g = graph_from_json(_read(args.graph))
     if args.check:
         report = analysis._verify_bound(g, None, args.tolerance, per_pair=args.per_pair)
@@ -349,7 +355,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    analysis._check_finite("tolerance", args.tolerance)
+    _as_real(args.tolerance, "tolerance must be finite (a real number)")
     if args.graph in BUILD_GRAPHS:
         if args.n is None or args.trials is None:
             raise InvalidParameter(

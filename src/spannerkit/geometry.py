@@ -53,15 +53,22 @@ class PointSet:
     """
 
     def __init__(self, points):
-        pts = list(points)
-        self._ids, self._x, self._y, self._order = _table(
-            [p.id for p in pts], [p.x for p in pts], [p.y for p in pts])
+        try:
+            pts = list(points)
+            columns = [p.id for p in pts], [p.x for p in pts], [p.y for p in pts]
+        except (AttributeError, TypeError) as exc:
+            raise InvalidParameter(f"a point set takes an iterable of Points: {exc}") from exc
+        self._ids, self._x, self._y, self._order = _table(*columns)
 
     @classmethod
     def from_pairs(cls, pairs) -> "PointSet":
         """The set of the (x, y) pairs, with ids 0, 1, ... in order."""
-        pairs = list(pairs)
-        return cls._from_columns(range(len(pairs)), [x for x, _ in pairs], [y for _, y in pairs])
+        try:
+            pairs = list(pairs)
+            xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+        except (TypeError, ValueError) as exc:
+            raise InvalidParameter(f"a point set takes an iterable of (x, y) pairs: {exc}") from exc
+        return cls._from_columns(range(len(pairs)), xs, ys)
 
     @classmethod
     def _from_columns(cls, ids, xs, ys) -> "PointSet":
@@ -213,10 +220,22 @@ def _coordinates(values) -> tuple[np.ndarray, list[int]]:
 def _as_coord(value) -> float | None:
     """value as a coordinate, or None if it is none: a real number that is
     not a bool and fits a float (numpy floats and Fractions included)."""
+    if type(value) is float:
+        return value
     try:
         return float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else None
     except OverflowError:
         return None
+
+
+def _as_real(value, what: str, ok=math.isfinite) -> float:
+    """A real-valued parameter as float by _as_coord's rule, if ok holds for it
+    (a NaN tolerance or bound would fail every comparison); else
+    InvalidParameter(f"{what}, got {value!r}")."""
+    real = _as_coord(value)
+    if real is None or not ok(real):
+        raise InvalidParameter(f"{what}, got {value!r}")
+    return real
 
 
 def _as_id(value) -> int | None:
@@ -227,14 +246,6 @@ def _as_id(value) -> int | None:
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return int(value)
     return None
-
-
-def _as_ids(values: list) -> list[int]:
-    """_as_id of every value; a value that is no id raises InvalidParameter."""
-    ids = list(map(_as_id, values))
-    if None in ids:
-        raise InvalidParameter(f"{values[ids.index(None)]!r} is not a vertex id")
-    return ids
 
 
 def _as_count(value, least: int, what: str) -> int:
@@ -689,12 +700,10 @@ def _point_records(ids, x, y) -> list[dict]:
 def _points_from_records(records, what: str) -> PointSet:
     """PointSet from _point_records output; malformed records raise InvalidParameter."""
     try:
-        ids = _json_ids([r["id"] for r in records])
-        xs = _json_reals([r["x"] for r in records])
-        ys = _json_reals([r["y"] for r in records])
-        return PointSet._from_columns(ids, xs, ys)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        columns = _json_ids([r["id"] for r in records]), [r["x"] for r in records], [r["y"] for r in records]
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParameter(f"malformed {what} JSON: {exc}") from exc
+    return PointSet._from_columns(*columns)
 
 
 def _json_id(value) -> int:
@@ -714,19 +723,13 @@ def _json_ids(values: list) -> list[int]:
     return [_json_id(v) for v in values]
 
 
-def _json_reals(values: list) -> list[float]:
-    """_json_real of every value; a list of floats passes as it is."""
-    if set(map(type, values)) <= {float}:
-        return values
-    return [_json_real(v) for v in values]
-
-
 def _json_real(value) -> float:
-    """A coordinate or length read from JSON, as float. Anything but an int
-    or a float (bools and strings included) raises ValueError."""
-    if isinstance(value, float) or (isinstance(value, int) and not isinstance(value, bool)):
-        return float(value)
-    raise ValueError(f"expected a number, got {value!r}")
+    """A length read from JSON, as float by _as_coord's rule; anything else
+    (bools and strings included) raises ValueError."""
+    real = _as_coord(value)
+    if real is None:
+        raise ValueError(f"expected a number, got {value!r}")
+    return real
 
 
 def _xy(p) -> tuple[float, float]:

@@ -632,7 +632,7 @@ def _hint_walk(hints, ctx, s: int, cone: int, target: int, cap: float | None):
     with a cap it returns (None, walked, 0.0) on failure, and None at once when
     s has no hint toward `cone`.
     """
-    if cap is not None and (ctx.ids[s], cone) not in hints.dir:
+    if cap is not None and hints.walk[6 * s + cone] is None:
         return None
     cur = s
     walked = 0.0
@@ -644,7 +644,7 @@ def _hint_walk(hints, ctx, s: int, cone: int, target: int, cap: float | None):
         e = ctx.cone_edge[6 * cur + cone]
         if e >= 0:
             return (cur, ctx.nbr[e], ctx.length[e]), walked, 0.0
-        d = hints.dir.get((ctx.ids[cur], cone))
+        d = hints.walk[6 * cur + cone]
         if d is None or d == "self":
             raise InternalInvariantViolation(
                 f"hint walk stranded at {ctx.ids[cur]}: direction missing and no cone-{cone} edge"
@@ -669,11 +669,8 @@ def _kept_fan_ends(ctx, s: int, j: int):
 
 
 def _hint_fan_ends(hints, ctx, s: int, j: int):
-    ends = hints.fan.get((ctx.ids[s], j))
-    if ends is None:
-        return None
-    (_, fx, fy), (_, lx, ly) = ends
-    return (fx, fy), (lx, ly)
+    ends = hints.ends[6 * s + j]
+    return (ctx.coords[ends[0]], ctx.coords[ends[1]]) if ends else None
 
 
 @dataclass(frozen=True)

@@ -327,6 +327,15 @@ class TestG9ApproximationCheck:
         with pytest.raises(InvalidParameter, match="not over the points of h"):
             g9_approximation_check(h, other)
 
+    def test_rejects_a_g9_that_is_not_the_g9_of_h(self):
+        # A caller's graph used to raise InternalInvariantViolation here.
+        ps = gen_random(40, 3)
+        h = build_half_theta6(ps)
+        g9 = build_g9(h)
+        g = SpannerGraph("g9", 6, ps, g9.edge_list()[1:], g9.metadata)
+        with pytest.raises(InvalidParameter, match=r"edge \(0, 4\) missing: g9 is not the g9 graph of h"):
+            g9_approximation_check(h, g)
+
     def test_rejects_a_graph_that_is_not_g9(self):
         h = build_half_theta6(gen_random(60, 1))
         for g in (h, build_g12(h)):

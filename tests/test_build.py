@@ -924,6 +924,18 @@ class TestGraphContainer:
         # Unknown kinds keep any valid k.
         assert graph_from_json(ok.replace('"yao","k":6', '"custom","k":null')).k is None
 
+    def test_constructor_owns_the_header_rule(self):
+        # The constructor used to take headers the file loader rejects.
+        ps = gen_random(12, 3)
+        edges = build_half_theta6(ps).edge_list()
+        for kind, k, metadata in (("half_theta6", 7, None), ("yao", "six", None), (5, 6, None),
+                                  ("yao", 6, [1]), ("mst", 6, None), ("theta", None, None)):
+            with pytest.raises(InvalidParameter):
+                SpannerGraph(kind, k, ps, edges, metadata)
+        # A numpy cone count is stored as the int ConeSystem holds.
+        g = SpannerGraph("yao", np.int64(6), ps, [])
+        assert type(g.k) is int and graph_from_json(g.to_json()) == g
+
     def test_unknown_id_message_names_the_smallest_bad_edge(self):
         ps = PointSet([Point(0, 0.0, 0.0), Point(1, 1.0, 0.0), Point(2, 0.0, 1.0)])
         for edges in ([(9, 2), (1, 2), (7, 0)], [(7, 0), (9, 2)]):

@@ -442,11 +442,20 @@ class TestRoute:
             {"fan": {"1": {"first": [True, "1", "2"], "last": [3, 0.1, 0.2]}}},
             {"fan": {"1": {"first": ["2", 0.1, 0.2], "last": [3, 0.1, 0.2]}}},
             {"fan": {"1": {"first": [2, 0.1, "0.2"], "last": [3, 0.1, 0.2]}}},
+            # Fan ends must be vertices at their own coordinates.
+            {"fan": {"1": {"first": [2, 0.1, 0.2], "last": [2, 0.1, 0.2]}}},
+            {"fan": {"1": {"first": [1000000, 0.1, 0.2], "last": [3, 0.1, 0.2]}}},
+            # Keys must be vertex ids, walks in even cones and fans in odd ones.
+            ("999", {"dir": {"0": "cw"}}),
+            {"dir": {"7": "cw"}},
+            {"dir": {"1": "cw"}},
         ],
     )
     def test_malformed_g9_hints_are_rejected_input(self, tmp_path, capsys, entry):
+        # An entry replaces vertex 1's hints; a (key, entry) pair adds a key.
+        key, entry = entry if isinstance(entry, tuple) else ("1", entry)
         doc = json.loads(graph_to_json(build_g9(build_half_theta6(gen_random(20, 11)))))
-        doc["metadata"]["hints"]["1"] = entry
+        doc["metadata"]["hints"][key] = entry
         path = tmp_path / "g9.json"
         path.write_text(json.dumps(doc))
         assert main(["route", "--graph", str(path), "--algo", "g9",

@@ -231,12 +231,20 @@ class TestGenRandomArguments:
             {"retries": 1.5},
             {"n": True},
             {"retries": True},
+            # A None seed used to draw from OS entropy, other types by hash.
+            {"seed": None},
+            {"seed": 1.5},
+            {"seed": "1"},
+            {"seed": True},
         ],
     )
     def test_rejected_before_drawing(self, kwargs):
         args = {"n": 8, "seed": 1, **kwargs}
         with pytest.raises(InvalidParameter):
             gen_random(**args)
+
+    def test_numpy_integer_seed_is_its_int(self):
+        assert gen_random(8, np.int64(7)) == gen_random(8, 7)
 
 
 class TestGeneralPositionByConstruction:
