@@ -133,8 +133,8 @@ def spanning_ratio(g: SpannerGraph, per_pair: bool = False) -> RatioReport:
     distance, both from math.hypot lengths. A disconnected graph has ratio inf.
 
     The witness is the first pair (u, v), u < v in id order, achieving the
-    maximum in row-major order, i.e. the lexicographically smallest by ids; a
-    NaN ratio (coordinate differences overflowing) outranks every number.
+    maximum in row-major order, i.e. the lexicographically smallest by ids.
+    No ratio is NaN: PointSet keeps every math.hypot distance finite.
 
     Streams row blocks of at most _CHECK_BLOCK (source, target) elements, so
     memory beyond the graph is O(n * block) plus an m x n table of hub
@@ -156,10 +156,9 @@ def spanning_ratio(g: SpannerGraph, per_pair: bool = False) -> RatioReport:
     dropped when U over its Euclidean distance is below the best ratio known
     so far less a relative _CHECK_SLACK; every other pair is kept, and each
     source runs Dijkstra only up to the largest U of its kept pairs. Pruning
-    is off (every pair kept, no limit) with per_pair, on a disconnected graph
-    (some hub distance is inf) and when an extent of the bounding box
-    overflows; but a disconnected graph whose distances cannot overflow is
-    decided from vertex 0's row alone (_disconnected_ratio).
+    is off (every pair kept, no limit) with per_pair and on a disconnected
+    graph (some hub distance is inf); but a graph with an inf distance from
+    vertex 0 is decided from that row alone (_disconnected_ratio).
     """
     if len(g.points) < 2:
         return RatioReport(1.0, None)
@@ -204,10 +203,9 @@ def spanning_ratio(g: SpannerGraph, per_pair: bool = False) -> RatioReport:
             c += lo + 1
             sel, euclid, ratios = _decided_ratios(d, dx, dy, best, per_pair)
             if sel.size:
-                # np.argmax takes the first NaN, else the first maximum.
                 at = int(np.argmax(ratios))
                 value = float(ratios[at])
-                if value > best or (math.isnan(value) and not math.isnan(best)):
+                if value > best:
                     best = value
                     witness = (ids[lo + int(r[sel[at]])], ids[int(c[sel[at]])])
             if per_pair:
@@ -217,8 +215,6 @@ def spanning_ratio(g: SpannerGraph, per_pair: bool = False) -> RatioReport:
                         (lo + r).tolist(), c.tolist(), d.tolist(), euclid.tolist(), ratios.tolist()
                     )
                 )
-            elif math.isnan(best):
-                break  # nothing later outranks the first NaN
     return RatioReport(best, witness, per_pair=table)
 
 
@@ -247,18 +243,16 @@ def _decided_ratios(d, dx, dy, best: float, every: bool):
 
 
 def _disconnected_ratio(mat: csr_matrix, ids, x, y) -> RatioReport | None:
-    """spanning_ratio of a disconnected graph none of whose math.hypot
-    distances overflows, from one Dijkstra row; None for any other graph.
+    """spanning_ratio of a graph with an inf distance from vertex 0 (it is
+    disconnected, or a path length overflows), from that one Dijkstra row;
+    None for any other graph.
 
-    Vertex 0 has an inf ratio to every vertex outside its component, and only
-    a NaN ratio (inf over an overflowing distance) outranks inf; so the
-    maximum and the witness of the all-pairs loop are those of row 0. The
-    witness is vertex 0 and the first vertex outside its component, unless a
-    finite graph distance over a subnormal one overflows to inf before it.
+    Vertex 0 has an inf ratio to every vertex at an inf distance, and no
+    ratio outranks inf; so the maximum and the witness of the all-pairs loop
+    are those of row 0. The witness is vertex 0 and the first vertex at an
+    inf distance, unless a finite graph distance over a subnormal one
+    overflows to inf before it.
     """
-    span = math.hypot(float(x.max()) - float(x.min()), float(y.max()) - float(y.min()))
-    if not math.isfinite(span):
-        return None
     d = _csgraph_dijkstra(mat, directed=True, indices=0)
     if np.isfinite(d).all():
         return None
@@ -314,8 +308,6 @@ def _hub_bounds(mat: csr_matrix, x, y) -> _HubBounds | None:
     for coord in (x, y):
         start = float(coord.min())
         extent = float(coord.max()) - start
-        if not math.isfinite(extent):
-            return None
         at = (coord - start) / extent * side if extent > 0 else np.zeros(n)
         whole = np.minimum(np.floor(at), side - 1)
         cell = cell * side + whole.astype(np.int64)
@@ -514,8 +506,7 @@ def restricted_pair_check(
     certified from w and the path read backwards.
 
     Raises InvalidParameter if u or w is not a vertex, if u == w, or if the
-    bound or the tolerance is not a finite real number (a bool is not one),
-    and DegenerateInput if a coordinate difference of the points overflows.
+    bound or the tolerance is not a finite real number (a bool is not one).
     Only half-theta-6 graphs guarantee a path inside every pair's triangle:
     on them its absence is a construction bug and raises
     InternalInvariantViolation; on any other kind it raises InvalidParameter.
@@ -526,7 +517,6 @@ def restricted_pair_check(
     i, j = h.points._vertex(u), h.points._vertex(w)
     if i == j:
         raise InvalidParameter("pair check endpoints must differ")
-    h.points._require_finite_extent()
     cs, a, b, tri = _pair_triangle(h, i, j)
     ids, xs, ys = h.points.arrays
     allowed = kernels.points_in_tri(xs, ys, *tri.apex, *tri.corner_a, *tri.corner_b, EPS).tolist()

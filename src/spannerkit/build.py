@@ -83,6 +83,8 @@ class SpannerGraph:
     """
 
     def __init__(self, kind: str, k, points: PointSet, edges, metadata=None):
+        if not isinstance(points, PointSet):
+            raise InvalidParameter(f"graph points must be a PointSet, got {type(points).__name__}")
         try:
             ends = [w for u, v in edges for w in (u, v)]
         except (TypeError, ValueError) as exc:
@@ -135,8 +137,7 @@ class SpannerGraph:
         """math.hypot length of every edge, in edge array order."""
         _, x, y = self.points.arrays
         a, b = self._ends.T
-        with np.errstate(over="ignore"):
-            dx, dy = x[b] - x[a], y[b] - y[a]
+        dx, dy = x[b] - x[a], y[b] - y[a]
         return np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), np.float64, len(a))
 
     @cached_property
@@ -148,8 +149,7 @@ class SpannerGraph:
         a, b = self._ends.T
         src = np.concatenate((a, b))
         nbr = np.concatenate((b, a))
-        with np.errstate(over="ignore"):
-            dx, dy = x[nbr] - x[src], y[nbr] - y[src]
+        dx, dy = x[nbr] - x[src], y[nbr] - y[src]
         az = np.fromiter(map(kernels.azimuth, dx.tolist(), dy.tolist()), np.float64, 2 * m)
         order = np.lexsort((nbr, az, src))
         indptr = np.zeros(n + 1, dtype=np.intp)
@@ -322,8 +322,7 @@ class _ConeTable:
     def __init__(self, g: SpannerGraph):
         ids, x, y = g.points.arrays
         t = g._csr
-        with np.errstate(over="ignore"):
-            dx, dy = x[t.nbr] - x[t.src], y[t.nbr] - y[t.src]
+        dx, dy = x[t.nbr] - x[t.src], y[t.nbr] - y[t.src]
         cone = _cone_labels(dx[None, :], dy[None, :], 6)[0]
         slot = t.src * 6 + cone
 
@@ -354,10 +353,7 @@ class _ConeTable:
         size = np.diff(np.append(first, len(odd)))
         # The closest member minimizes (projection onto the cone's bisector,
         # squared distance, index): dx * sin(bis) + dy * cos(bis) with the
-        # cone system's sin and cos, the doubles of the scalar key. No projection is NaN:
-        # both products are infinite only at azimuths of 45, 135, 225 and 315
-        # degrees, and the two in odd cones (45 in cone 1, 315 in cone 5)
-        # give products of one sign.
+        # cone system's sin and cos, the doubles of the scalar key.
         c = cone[odd]
         cs6 = ConeSystem(6)
         fdx, fdy = dx[odd], dy[odd]
@@ -452,10 +448,11 @@ def cone_scan(xs, ys, k: int, use_projection: bool, cone_mask: int) -> list[tupl
     For every vertex u and every cone i (restricted to cone_mask bits when
     cone_mask is nonzero) return (u, i, v) where v minimises (projection,
     squared distance, index) when use_projection is true, else (squared
-    distance, index); sorted by (u, i). Coordinates must be finite, as
-    PointSet guarantees; k is checked as ConeSystem checks it. The reference
-    is the scalar scan that visits every v in index order (oracle_cone_picks
-    in tests/oracles.py).
+    distance, index); sorted by (u, i). Coordinates must be finite and their
+    extents have a finite diagonal, as PointSet guarantees, so no coordinate
+    difference overflows and no key is NaN; k is checked as ConeSystem checks
+    it. The reference is the scalar scan that visits every v in index order
+    (oracle_cone_picks in tests/oracles.py).
 
     Bit identity with the scalar scan: dx, dy, d2 = dx*dx + dy*dy and the
     projection dx*sin(i*theta) + dy*cos(i*theta) are each computed as separate
@@ -502,14 +499,8 @@ def cone_scan(xs, ys, k: int, use_projection: bool, cone_mask: int) -> list[tupl
     - a pass that settles fewer than half of its rows ends the grid phase,
       as on a circle, whose inward cones have their winners across it.
 
-    Rows with an uncertified cone go through the full row-block scan. Inputs
-    whose x or y span is not finite go there whole; with finite spans no
-    coordinate difference overflows and no key is NaN. Differences that
-    overflow are +-inf, never NaN, so d2 is never NaN; only a projection can
-    be (inf * 0, or inf - inf). A NaN compares false both ways, so the scalar
-    scan keeps a cone's first member by index when that member's key is NaN,
-    and otherwise a NaN key never wins; the full scan applies the same rule.
-    Both phases work in blocks of at most _CHECK_BLOCK pair elements.
+    Rows with an uncertified cone go through the full row-block scan. Both
+    phases work in blocks of at most _CHECK_BLOCK pair elements.
 
     No cKDTree: importing scipy.spatial alone raises the peak resident size
     by about 5 MB over the package's own imports (63 to 68 MB), 6 % of a
@@ -528,7 +519,7 @@ def _scan(xs, ys, k: int, use_projection: bool, cone_mask: int):
     y = np.asarray(ys, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         rows = np.arange(n)
-        if n >= _GRID_MIN_N and np.isfinite(x.max() - x.min()) and np.isfinite(y.max() - y.min()):
+        if n >= _GRID_MIN_N:
             rows = _certified_rows(x, y, k, use_projection, cones, best)
         step = max(1, _CHECK_BLOCK // max(n, 1))
         for lo in range(0, len(rows), step):
@@ -549,8 +540,7 @@ def _cone_picks(x, y, rows, cand, k: int, use_projection: bool, cones):
     its first key; a winner of -1 marks an empty cone.
 
     cand holds one row of candidate indices per point, or one row for all;
-    entries equal to the point itself are skipped. NaN keys follow the scalar
-    scan's rule (see cone_scan).
+    entries equal to the point itself are skipped.
     """
     dx = x[cand] - x[rows, None]
     dy = y[cand] - y[rows, None]
@@ -568,8 +558,6 @@ def _cone_picks(x, y, rows, cand, k: int, use_projection: bool, cones):
         sin_bis = np.append(cs.sin_bisector, 0.0)
         cos_bis = np.append(cs.cos_bisector, 0.0)
         key1 = dx * sin_bis[label] + dy * cos_bis[label]
-    nan = np.isnan(key1)
-    nan = nan if nan.any() else None
     none = np.iinfo(np.intp).max
     picks = np.full((len(dx), len(cones)), -1, dtype=np.intp)
     keys = np.full((len(dx), len(cones)), np.inf)
@@ -580,14 +568,6 @@ def _cone_picks(x, y, rows, cand, k: int, use_projection: bool, cones):
         occupied = member.any(axis=1)
         if not occupied.any():
             continue
-        if nan is not None:
-            # A NaN compares false both ways: a cone's first member by index
-            # stays when its key is NaN, and otherwise a NaN key never wins.
-            idx = np.where(member, cand, none)
-            at = idx.argmin(axis=1)[:, None]
-            first = np.take_along_axis(idx, at, axis=1)[:, 0]
-            stuck = np.take_along_axis(nan & member, at, axis=1)[:, 0]
-            member &= ~nan
         k1 = np.where(member, key1, np.inf)
         keys[:, c] = k1.min(axis=1)
         tied = member & (k1 == keys[:, c, None])
@@ -596,8 +576,6 @@ def _cone_picks(x, y, rows, cand, k: int, use_projection: bool, cones):
             tied &= k2 == k2.min(axis=1, keepdims=True)
         # The lowest index among the remaining candidates wins.
         low = np.where(tied, cand, none).min(axis=1)
-        if nan is not None:
-            low = np.where(stuck, first, low)
         picks[:, c] = np.where(occupied, low, -1)
     return picks, keys
 

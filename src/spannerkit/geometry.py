@@ -44,7 +44,8 @@ class Point:
 
 
 class PointSet:
-    """Ordered collection of points with unique ids and unique finite coordinates.
+    """Ordered collection of points with unique ids and unique finite
+    coordinates, whose x and y extents have a finite diagonal.
 
     The set is a table in input order: the ids, a list of int (_as_id), and
     the x and y columns, read-only float64 arrays (_as_coord). Every layer
@@ -131,17 +132,6 @@ class PointSet:
         """Id -> position in ``arrays`` order."""
         return dict(zip(self.arrays[0], range(len(self))))
 
-    @cached_property
-    def _finite_extent(self) -> bool:
-        """Whether the x and y extents are finite: then no coordinate difference overflows."""
-        with np.errstate(over="ignore"):
-            return not len(self) or bool(np.isfinite(np.ptp(self._x)) and np.isfinite(np.ptp(self._y)))
-
-    def _require_finite_extent(self) -> None:
-        """DegenerateInput where a coordinate difference overflows (routing, pair checks)."""
-        if not self._finite_extent:
-            raise DegenerateInput("coordinate differences overflow: the points' x or y extent is not a finite float")
-
     def _position(self, pid) -> int | None:
         """pid's position in ``arrays`` order; None for no id of the set,
         and for a value that is no id at all (see _as_id): a bool or 1.0
@@ -174,7 +164,9 @@ def _table(ids, xs, ys) -> tuple[list[int], np.ndarray, np.ndarray, list[int] | 
     coordinates (-0.0 equals 0.0) are no earlier point's. Each rule marks all
     its offenders at once, the last rule first: a lexsort of the coordinates,
     a sort of the ids (none when they ascend), np.isfinite, an _as_id pass
-    (none when every id is an int).
+    (none when every id is an int). Then the extents' math.hypot diagonal
+    must be finite (else DegenerateInput), so that every coordinate
+    difference and distance is, and no key, projection or ratio is NaN.
     """
     ids = raw = list(ids)
     x, bad_x = _coordinates(xs)
@@ -204,6 +196,9 @@ def _table(ids, xs, ys) -> tuple[list[int], np.ndarray, np.ndarray, list[int] | 
             (DegenerateInput, f"duplicate coordinates for point {ids[p]}"),
         )[rule[p]]
         raise error(message)
+    if len(ids) and not math.isfinite(
+            math.hypot(float(x.max()) - float(x.min()), float(y.max()) - float(y.min()))):
+        raise DegenerateInput("coordinate differences overflow: the points' x and y extents have no finite diagonal")
     x.flags.writeable = y.flags.writeable = False
     return ids, x, y, order
 

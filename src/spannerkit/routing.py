@@ -225,8 +225,7 @@ def _beyond(apex, corner, interior_ref, p) -> bool:
 
 def _check_graph(g: SpannerGraph, kinds: tuple[str, ...], source: int, target: int):
     """The graph's cone table and the endpoints' indices, once both are valid
-    for routing: the regions need every coordinate difference as a finite
-    float, so points whose extent overflows raise DegenerateInput."""
+    for routing."""
     if g.kind not in kinds:
         raise InvalidParameter(
             f"routing needs a graph of kind {kinds}, got {g.kind!r}"
@@ -235,7 +234,6 @@ def _check_graph(g: SpannerGraph, kinds: tuple[str, ...], source: int, target: i
     s, t = g.points._vertex(source), g.points._vertex(target)
     if s == t:
         raise AlreadyArrived(f"source equals target ({source})")
-    g.points._require_finite_extent()
     return ctx, s, t
 
 

@@ -8,6 +8,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spannerkit import (
     ConeSystem,
@@ -33,6 +35,7 @@ from spannerkit import (
     graph_to_json,
     points_from_json,
     points_to_json,
+    spanning_ratio,
 )
 
 from spannerkit import build as build_module
@@ -48,6 +51,10 @@ from oracles import (
     oracle_length_lists,
     oracle_mst,
 )
+
+
+#: Coordinates from subnormal up to the largest magnitudes a set can hold.
+FULL_RANGE = st.floats(min_value=-1.7e308, max_value=1.7e308, allow_nan=False, allow_infinity=False)
 
 
 def _as_coords(ps):
@@ -249,24 +256,21 @@ class TestConeScan:
         gridded = self._gridded_rows(LARGE_SCAN_SETS["random_768"], monkeypatch)
         assert len(set(gridded)) == 768 < len(gridded)
 
-    def test_overflowing_differences_follow_the_kernel(self):
-        # Coordinate differences overflow to inf and some keys become NaN
-        # (inf * 0, inf - inf); the scalar scan's visiting order then decides.
-        # The 240 points reach the grid phase, whose infinite span sends every
-        # row to the full row-block scan, with NaN keys in many rows at once.
-        small = [(-1e308, 1e308), (1e308, -1e308), (0.0, 0.0), (5e307, 7e307), (-3e307, 1e300)]
-        rng = random.Random(240)
-        large = [(1.7e308 * (2 * rng.random() - 1), 1.7e308 * (2 * rng.random() - 1))
-                 for _ in range(240)]
-        assert len(large) >= build_module._GRID_MIN_N
-        for coords, configs in (
-            (small, SCAN_CONFIGS),
-            (large, [(6, True, 0b010101), (7, True, 0), (6, False, 0), (2, True, 0)]),
-        ):
-            xs = [x for x, _ in coords]
-            ys = [y for _, y in coords]
-            for k, proj, mask in configs:
-                assert cone_scan(xs, ys, k, proj, mask) == oracle_cone_picks(coords, k, proj, mask)
+    @given(st.lists(st.tuples(FULL_RANGE, FULL_RANGE), min_size=2, max_size=12))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_sets_the_table_accepts_follow_the_kernel(self, pairs):
+        # Every coordinate difference of an accepted set is finite, so no key
+        # or ratio is NaN; squares may still overflow to inf.
+        try:
+            ps = PointSet.from_pairs(pairs)
+        except DegenerateInput:
+            return
+        _, x, y = ps.arrays
+        xs, ys = x.tolist(), y.tolist()
+        for k, proj, mask in ((6, True, 0b010101), (7, True, 0), (6, False, 0)):
+            assert cone_scan(xs, ys, k, proj, mask) == oracle_cone_picks(list(zip(xs, ys)), k, proj, mask)
+        for g in (build_half_theta6(ps), build_mst(ps)):
+            assert not math.isnan(spanning_ratio(g).max_ratio)
 
     def test_empty_input(self):
         assert cone_scan([], [], 6, True, 0) == []
@@ -551,8 +555,9 @@ class TestRotatedUnion:
         assert g.metadata == {"m": 3}
 
     def test_rotated_coordinates_keep_the_point_set_checks(self):
-        # Frame 1 of m = 2 turns by pi/6: x * sin + y * cos overflows here,
-        big = PointSet([Point(0, 1.5e308, 1.5e308), Point(1, 0.0, 0.0), Point(2, 1.0, -2.0)])
+        # Frame 1 of m = 2 turns by pi/6: x * sin + y * cos overflows here
+        # (the extents' diagonal is 7.1e306),
+        big = PointSet([Point(0, 1.35e308, 1.35e308), Point(1, 1.3e308, 1.3e308), Point(2, 1.3e308, 1.35e308)])
         with pytest.raises(InvalidParameter):
             build_rotated_union(big, 2)
         # and rounds these two subnormal points to the same coordinates.

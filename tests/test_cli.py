@@ -12,7 +12,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import spannerkit
@@ -36,6 +35,14 @@ from spannerkit.errors import InvalidParameter
 @pytest.fixture(autouse=True)
 def clean_seed_env(monkeypatch):
     monkeypatch.delenv(SEED_ENV, raising=False)
+
+
+#: Points whose x extent overflows, and the half-theta-6 graph file that
+#: their build wrote before point sets had to have a finite diagonal.
+OVERFLOW_RECORDS = ('[{"id":0,"x":-1.5e+308,"y":0.0},{"id":1,"x":1.5e+308,"y":0.0},'
+                    '{"id":2,"x":0.0,"y":1.0}]')
+OVERFLOW_GRAPH = ('{"edges":[[0,2],[1,2]],"k":6,"kind":"half_theta6","metadata":{},"points":%s}\n'
+                  % OVERFLOW_RECORDS)
 
 
 @pytest.fixture()
@@ -161,6 +168,12 @@ class TestBuild:
         assert main(["build", "--graph", "half_theta6", "--points", str(pts_file)]) == 2
         capsys.readouterr()
 
+    def test_overflowing_extent_is_usage_error(self, tmp_path, capsys):
+        pts_file = tmp_path / "pts.json"
+        pts_file.write_text('{"points":%s}\n' % OVERFLOW_RECORDS)
+        assert main(["build", "--graph", "half_theta6", "--points", str(pts_file)]) == 2
+        assert "extent" in capsys.readouterr().err
+
     def test_internal_invariant_violation_has_its_own_exit_code(self, tmp_path, capsys, monkeypatch):
         from spannerkit import InternalInvariantViolation, build
 
@@ -189,15 +202,11 @@ class TestAnalyze:
         assert main(["analyze", "--graph", path, "--check", "--tolerance", "-1.5"]) == 1
         assert json.loads(capsys.readouterr().out)["pass"] is False
 
-    def test_nan_ratio_is_reported_as_nan(self, tmp_path, capsys):
-        ps = PointSet([Point(0, -1.5e308, 0.0), Point(1, 1.5e308, 0.0), Point(2, 0.0, 1.0)])
+    def test_overflowing_extent_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "overflow.json"
-        path.write_text(graph_to_json(build_half_theta6(ps)))
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["analyze", "--graph", str(path)]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["max_ratio"] == "nan"
-        assert doc["witness"] == [0, 1]
+        path.write_text(OVERFLOW_GRAPH)
+        assert main(["analyze", "--graph", str(path)]) == 2
+        assert "extent" in capsys.readouterr().err
 
     def test_per_pair_csv(self, h6_file, tmp_path, capsys):
         path, g = h6_file
@@ -389,9 +398,8 @@ class TestRoute:
 
     def test_overflowing_extent_is_usage_error(self, tmp_path, capsys):
         # It used to exit 3, which reports a bug in spannerkit.
-        ps = PointSet([Point(0, -1.5e308, 0.0), Point(1, 1.5e308, 0.0), Point(2, 0.0, 1.0)])
         path = tmp_path / "overflow.json"
-        path.write_text(graph_to_json(build_half_theta6(ps)))
+        path.write_text(OVERFLOW_GRAPH)
         assert main(["route", "--graph", str(path), "--algo", "stateless",
                      "--from", "0", "--to", "1"]) == 2
         assert "extent" in capsys.readouterr().err

@@ -346,6 +346,21 @@ class TestPointSet:
         with pytest.raises(InvalidParameter, match=r"^point 1 coordinate must be a real number, got '2'$"):
             PointSet([Point(0, 0.0, 0.0), Point(1, math.inf, "2"), Point(0, 0.0, 0.0)])
 
+    def test_extents_must_have_a_finite_diagonal(self):
+        # In the second set each extent is finite, but not their diagonal.
+        for pairs in ([(-1.5e308, 0.0), (1.5e308, 0.0), (0.0, 1.0)], [(0.0, 0.0), (1.7e308, 0.0), (0.0, 1.7e308)]):
+            with pytest.raises(DegenerateInput, match=r"^coordinate differences overflow: .*extents"):
+                PointSet.from_pairs(pairs)
+            doc = '{"points":[%s]}' % ",".join(
+                '{"id":%d,"x":%r,"y":%r}' % (i, x, y) for i, (x, y) in enumerate(pairs))
+            with pytest.raises(DegenerateInput, match="extent"):
+                points_from_json(doc)
+        # The per-point rules come first.
+        with pytest.raises(DegenerateInput, match="^duplicate point id 0$"):
+            PointSet([Point(0, -1.5e308, 0.0), Point(0, 1.5e308, 0.0)])
+        assert len(PointSet.from_pairs([(0.0, 0.0), (1.7e308, 0.0), (1e308, 1e153)])) == 3
+        assert len(PointSet.from_pairs([(-1.7e308, 1.7e308)])) == 1
+
     def test_from_pairs_follows_the_coordinate_rule(self):
         # from_pairs converted with float(), so ("1.5", True) loaded as (1.5, 1.0).
         for bad in ("1.5", True, None, 10**400):

@@ -12,6 +12,7 @@ import pytest
 from oracles import _oracle_distance_matrices, oracle_spanning_ratio
 
 from spannerkit import (
+    DegenerateInput,
     InternalInvariantViolation,
     Point,
     PointSet,
@@ -193,27 +194,27 @@ def test_disconnected_graph_is_decided_from_vertex_0(case, monkeypatch):
 
 
 @BLOCKS
-def test_overflowing_differences_give_nan(rows, monkeypatch):
-    ps = PointSet([Point(0, -1.5e308, 0.0), Point(1, 1.5e308, 0.0), Point(2, 0.0, 1.0)])
-    for g in (build_half_theta6(ps), build_mst(ps)):
-        with np.errstate(over="ignore", invalid="ignore"):
-            got = assert_matches_oracle(g, monkeypatch, rows)
-        assert math.isnan(got.max_ratio) and got.witness == (0, 1)
-    # The NaN pair (6, 7) wins over the inf pairs (0, 7) ... (5, 7) before it.
-    ps = PointSet(
-        [Point(i, float(i), float(i * i % 5)) for i in range(6)] + [Point(6, 1.7e308, 0.0), Point(7, -1.7e308, 1.0)]
-    )
+def test_overflowing_extents_are_rejected(rows, monkeypatch):
+    # Sets whose coordinate differences overflow never reach the ratio.
+    small = [Point(i, float(i), float(i * i % 5)) for i in range(6)]
+    for points in (
+        [Point(0, -1.5e308, 0.0), Point(1, 1.5e308, 0.0), Point(2, 0.0, 1.0)],
+        small + [Point(6, 1.7e308, 0.0), Point(7, -1.7e308, 1.0)],
+        [Point(0, 0.0, 1.0), Point(1, -1.5e308, 0.0), Point(2, 1.5e308, 0.0), Point(3, 0.0, 2.0)],
+    ):
+        with pytest.raises(DegenerateInput, match="extent"):
+            PointSet(points)
+    # Just inside the rule no ratio is NaN. Every squared distance is inf,
+    # so the MST takes (0, 1) by ids, and d(1, 2) through 0 overflows.
+    ps = PointSet([Point(0, -8e307, 0.0), Point(1, 8e307, 0.0), Point(2, 0.0, 1.0)])
+    for g, ratio, witness in ((build_half_theta6(ps), 1.0, (0, 1)), (build_mst(ps), math.inf, (1, 2))):
+        got = assert_matches_oracle(g, monkeypatch, rows)
+        assert (got.max_ratio, got.witness) == (ratio, witness)
+    # A path length can still overflow: d(0, 7) runs through 6 and is inf.
+    ps = PointSet(small + [Point(6, 8.5e307, 0.0), Point(7, -8.5e307, 1.0)])
     g = SpannerGraph("x", None, ps, [(i, i + 1) for i in range(7)])
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = assert_matches_oracle(g, monkeypatch, rows)
-    assert math.isnan(got.max_ratio) and got.witness == (6, 7)
-    # Vertex 0 is isolated, so its row is all inf; the NaN pair (1, 2) of
-    # a later row still wins.
-    ps = PointSet([Point(0, 0.0, 1.0), Point(1, -1.5e308, 0.0), Point(2, 1.5e308, 0.0), Point(3, 0.0, 2.0)])
-    g = SpannerGraph("x", None, ps, [(1, 3), (2, 3)])
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = assert_matches_oracle(g, monkeypatch, rows)
-    assert math.isnan(got.max_ratio) and got.witness == (1, 2)
+    got = assert_matches_oracle(g, monkeypatch, rows)
+    assert math.isinf(got.max_ratio) and got.witness == (0, 7)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])

@@ -45,6 +45,7 @@ CASES = {
     "pairs-not-pairs": lambda: PointSet.from_pairs([1]),
     "edge-of-one-end": lambda: SpannerGraph("yao", 6, _points(), [(0,)]),
     "edges-none": lambda: SpannerGraph("yao", 6, _points(), None),
+    "graph-points-not-a-point-set": lambda: SpannerGraph("yao", 6, [(0.0, 0.0)], []),
     "overlay-not-a-trace": lambda: render_svg(build_half_theta6(_points()), overlay=5),
 }
 
