@@ -67,8 +67,9 @@ n = 64 and 4096) check pairs on build_half_theta6 of the same uniform points:
 Scan rows (one process per n in SCAN_SIZES) run build.cone_scan, the scan
 behind every Theta, Yao, half-Theta-6, rotated-union and MST build, for the
 four SCANS on points drawn with random.Random(seed): uniform over
-[0, 100)^2 at every size, and up to FULL_MAX points the two sets the grid
-serves badly, a dense cluster plus far points and a circle:
+[0, 100)^2 at every size, and up to FULL_MAX points the three sets the grid
+serves badly, a dense cluster plus far points, a circle, and two small
+squares side by side whose pairs across lie near a cone boundary:
 
 - grid_s: best-of-k wall time of cone_scan;
 - fallback_rows: the rows its grid certificates leave to the full row-block
@@ -121,14 +122,14 @@ CERT_SIZES = (64, 4096)
 CERT_CHECKS = (("certify", "restricted_pair_check"), ("shortest_path", "shortest_path"))
 #: Point counts of the scan rows.
 SCAN_SIZES = (768, 4096, 16384)
-#: Largest n of the scan rows that also runs the cluster and circle sets and
-#: times the full row-block scan.
+#: Largest n of the scan rows that also runs the cluster, circle and aligned
+#: sets and times the full row-block scan.
 FULL_MAX = 4096
 #: Scans of the scan rows: name, k, use_projection, cone_mask.
 SCANS = (("half-theta-6", 6, True, 0b010101), ("theta k=7", 7, True, 0),
          ("yao k=6", 6, False, 0), ("yao k=12", 12, False, 0))
 #: Point sets of the scan rows (scan_points).
-SCAN_POINTS = ("uniform", "cluster_far", "circle")
+SCAN_POINTS = ("uniform", "cluster_far", "circle", "aligned")
 
 
 def peak_rss_mb():
@@ -344,6 +345,11 @@ def scan_points(points, n, seed):
         m = n * 14 // 15
         pairs = [(rng.gauss(0.0, 1e-3), rng.gauss(0.0, 1e-3)) for _ in range(m)]
         pairs += [(rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0)) for _ in range(n - m)]
+    elif points == "aligned":
+        # Two 1e-3-wide squares 1000 apart side by side: every pair across
+        # them lies within 1e-6 rad of a cone boundary at azimuth pi/2.
+        pairs = [(dx + rng.uniform(0.0, 1e-3), rng.uniform(0.0, 1e-3))
+                 for dx, m in ((0.0, n // 2), (1000.0, n - n // 2)) for _ in range(m)]
     else:
         # Every cone facing inwards has its winner across the circle, beyond
         # any candidate block.

@@ -9,6 +9,7 @@ All constructions break ties deterministically: theta-style choices by
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -19,6 +20,7 @@ from . import kernels
 from .errors import InternalInvariantViolation, InvalidParameter
 from .geometry import (
     _CHECK_BLOCK,
+    _CHECK_SLACK,
     ConeSystem,
     PointSet,
     _as_coord,
@@ -38,12 +40,10 @@ _POSITIVE_MASK_6 = 0b010101
 #: has none); Theta and Yao graphs need some k, and other kinds take any.
 _KIND_K = {"half_theta6": 6, "g12": 6, "g9": 6, "rotated_union": 6, "mst": None}
 
-#: Cone labels whose azimuth lies within this many radians of a cone boundary
-#: are recomputed with the scalar kernel (see cone_scan).
-_LABEL_SLACK = 1e-6
-#: Radians the grid's theta certificate adds to a cone's half-angle, above
-#: ANGLE_EPS plus the few ulps of atan2 a label may err by (see cone_scan).
-_WEDGE_SLACK = 1e-6
+#: Labels within this many radians of a cone boundary are decided again by
+#: kernels.cone_index: its ANGLE_EPS, plus _CHECK_SLACK for the few ulps (about
+#: 1e-15) between np.arctan2 and atan2. No labelled point lies farther outside.
+_ANGLE_SLACK = kernels.ANGLE_EPS + _CHECK_SLACK
 #: Cells from a point's own cell to the edge of its candidate block, per pass
 #: of the grid scan (see cone_scan).
 _REACHES = (2, 4)
@@ -53,9 +53,6 @@ _GRID_MIN_N = 200
 #: Rows whose candidate block holds more than this share of the points skip
 #: the grid pass (see cone_scan).
 _DENSE_SHARE = 0.25
-#: Certificate bounds below this certify nothing: subnormal rounding errors are
-#: absolute, not relative.
-_TINY = 2.0 ** -1000
 
 
 class SpannerGraph:
@@ -104,19 +101,14 @@ class SpannerGraph:
 
     def _setup(self, kind, k, points, ends, metadata) -> None:
         """The one header rule of built and loaded graphs: kind is a str,
-        metadata a dict (None: none), and k None or a cone count (kept as
-        ConeSystem(k).k) as _KIND_K asks of the kind."""
+        metadata a dict (None: none), and k as _kind_k allows."""
         if not isinstance(kind, str):
             raise InvalidParameter(f"graph kind must be a string, got {kind!r}")
         metadata = {} if metadata is None else metadata
         if not isinstance(metadata, dict):
             raise InvalidParameter(f"graph metadata must be a dict, got {metadata!r}")
-        if k is not None:
-            k = ConeSystem(k).k
-        if k != _KIND_K.get(kind, k) or k is None and kind in ("theta", "yao"):
-            raise InvalidParameter(f"a {kind} graph cannot have k = {k!r}")
         self.kind = kind
-        self.k = k
+        self.k = _kind_k(kind, k)
         self.points = points
         self._ends = _edge_array(points, ends)
         self.metadata = metadata
@@ -238,6 +230,14 @@ class SpannerGraph:
             return cls._indexed(obj["kind"], obj["k"], pts, ends, obj.get("metadata"))
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidParameter(f"malformed graph JSON: {exc}") from exc
+
+
+def _kind_k(kind: str, k):
+    """k as a graph of this kind keeps it: None or ConeSystem(k).k, as _KIND_K asks."""
+    k = None if k is None else ConeSystem(k).k
+    if k != _KIND_K.get(kind, k) or k is None and kind in ("theta", "yao"):
+        raise InvalidParameter(f"a {kind} graph cannot have k = {k!r}")
+    return k
 
 
 class _Csr(NamedTuple):
@@ -457,40 +457,34 @@ def cone_scan(xs, ys, k: int, use_projection: bool, cone_mask: int) -> list[tupl
     Bit identity with the scalar scan: dx, dy, d2 = dx*dx + dy*dy and the
     projection dx*sin(i*theta) + dy*cos(i*theta) are each computed as separate
     elementwise IEEE double operations in the same order as the kernels, with
-    sin/cos of the bisectors from ConeSystem(k), the only place cone
-    directions are computed, so every key is the same double.
-    Only the cone label comes from np.arctan2, which may differ from libm's
-    atan2 by a few ulps; a label can only change where the azimuth is within
-    ANGLE_EPS plus those ulps of a cone boundary, so every label within
-    _LABEL_SLACK of one is recomputed with kernels.cone_index. Ties on the
-    first key are then broken exactly by (squared distance, index).
+    sin/cos of the bisectors from ConeSystem(k), so every key is the same
+    double. Only the cone label comes from np.arctan2, a few ulps from libm's
+    atan2, so every label within _ANGLE_SLACK (ANGLE_EPS + _CHECK_SLACK) of a
+    boundary is decided again with kernels.cone_index. Ties on the first key
+    are then broken exactly by (squared distance, index).
 
-    Candidates (_certified_rows): the points go into a uniform grid over
-    their bounding box with max(2, k/3) points per square cell on average,
-    so that a cone's share of a block holds about as many points for every
-    k. A point's candidates are the points of the 5x5 block of cells around
-    its own; rows left uncertified get a second pass with the 9x9 block. Every
-    point outside the block lies at least rho away, rho being the distance to
-    the nearest block side that is not on the grid's edge, less a margin of
-    1e-9 of the grid's extent (the rounding of the cell offsets grows with
-    the extent, not with the cell). A cone's winner among the candidates is
-    its winner among all points when
-    - Yao: its squared distance is below rho**2 * (1 - 1e-12);
-    - Theta: its projection is below rho * cos(theta/2 + _WEDGE_SLACK) *
-      (1 - 1e-12): a labelled point sits at most ANGLE_EPS plus the few ulps
-      between np.arctan2 and libm's atan2 outside the geometric wedge, since
-      kernels.cone_index decides every label within _LABEL_SLACK of a
-      boundary. Theta cones of k = 2 are half-planes whose projections no
-      block bounds, so those scans skip the grid.
+    Candidates (_certified_rows): the points go into a uniform grid over their
+    bounding box with max(2, k/3) points per square cell on average, so that a
+    cone's share of a block holds about as many points for every k. A point's
+    candidates are the points of the 5x5 block of cells around its own; rows
+    left uncertified get a second pass with the 9x9 block. Every point outside
+    the block lies at least rho away, rho being the distance to the nearest
+    block side that is not on the grid's edge, less _CHECK_SLACK of the grid's
+    extent (the cell offsets round by ulps of the extent). A labelled point
+    lies at most _ANGLE_SLACK outside its geometric cone, so a cone's winner
+    among the candidates is its winner among all points when
+    - Yao: its squared distance is below rho**2 * (1 - _CHECK_SLACK);
+    - Theta: its projection is below
+      rho * cos(theta/2 + _ANGLE_SLACK) * (1 - _CHECK_SLACK). Theta cones of
+      k = 2 are half-planes no block bounds, so those scans skip the grid.
     A cone without candidates is certified empty when, on the inward normals
     of its two boundary rays, no other point reaches the point's own values
-    less a margin of 1e-8 of the span (_empty_cones: one sort and a running
-    maximum per cone). When the block is the whole grid, rho is infinite and
-    every cone is certified. Bounds below _TINY certify nothing, because
-    subnormal rounding is absolute.
+    less 2 * _ANGLE_SLACK of the span, since every point is within sqrt(2)
+    spans (_empty_cones). When the block is the whole grid, rho is infinite
+    and every cone is certified. Bounds below the smallest normal float
+    certify nothing, because subnormal rounding is absolute.
 
-    The grid pays only where certificates are cheap, and the scan decides
-    that from the input alone:
+    The grid pays only where certificates are cheap, judged from the input:
     - inputs of fewer than _GRID_MIN_N points skip it: its fixed cost (k
       sorts and about 60 small numpy calls, 0.4-1 ms) exceeds the full
       scan's below about n = 200 on uniform points (300 for k = 12);
@@ -498,13 +492,12 @@ def cone_scan(xs, ys, k: int, use_projection: bool, cone_mask: int) -> list[tupl
       in a cluster) skips the pass, which would cost about a full row;
     - a pass that settles fewer than half of its rows ends the grid phase,
       as on a circle, whose inward cones have their winners across it.
-
     Rows with an uncertified cone go through the full row-block scan. Both
     phases work in blocks of at most _CHECK_BLOCK pair elements.
 
     No cKDTree: importing scipy.spatial alone raises the peak resident size
-    by about 5 MB over the package's own imports (63 to 68 MB), 6 % of a
-    construction run's 84 MB, and the grid answers the same queries.
+    by 5 MB over the package's own imports (64 to 69 MB), 6 % of the
+    construct workload's 78 MB, and the grid answers the same queries.
     """
     us, cs, vs = _scan(xs, ys, ConeSystem(k).k, use_projection, cone_mask)
     return list(zip(us.tolist(), cs.tolist(), vs.tolist()))
@@ -599,7 +592,8 @@ def _certified_rows(x, y, k: int, use_projection: bool, cones, best):
     nx, ny = int(span_x / h) + 1, int(span_y / h) + 1
     cx = (ox / h).astype(np.intp)
     cy = (oy / h).astype(np.intp)
-    margin = 1e-9 * max(nx, ny) * h
+    # The cell offsets round by a few ulps of the grid's extent, not the cell's.
+    margin = _CHECK_SLACK * max(nx, ny) * h
     empty = _empty_cones(ox, oy, k, cones)
     # Sorted by cell id, each row of cells is one contiguous range of the order.
     cell = cy * nx + cx
@@ -629,11 +623,13 @@ def _certified_rows(x, y, k: int, use_projection: bool, cones, best):
             rho = np.where(c + reach < cells - 1, np.minimum(rho, (c + reach + 1) * h - off), rho)
         whole = np.isinf(rho)
         rho -= margin
+        # _ANGLE_SLACK widens the wedge; _CHECK_SLACK covers the keys' rounding.
         if use_projection:
-            bound = rho * math.cos(ConeSystem(k).half + _WEDGE_SLACK) * (1.0 - 1e-12)
+            bound = rho * math.cos(ConeSystem(k).half + _ANGLE_SLACK) * (1.0 - _CHECK_SLACK)
         else:
-            bound = rho * rho * (1.0 - 1e-12)
-        bound[bound < _TINY] = -np.inf
+            bound = rho * rho * (1.0 - _CHECK_SLACK)
+        # Subnormal rounding is absolute, not relative: such bounds certify nothing.
+        bound[bound < sys.float_info.min] = -np.inf
 
         settled = np.zeros(len(todo), dtype=bool)
         s0 = 0
@@ -670,13 +666,14 @@ def _empty_cones(ox, oy, k: int, cones):
     for points at non-negative offsets (ox, oy) from their bounding box.
 
     Point q lies in cone i of p only if both inward normals of the cone's
-    boundary rays see q at least as far as p, up to a margin of 1e-8 of the
-    span (for k >= 2 the cone is convex). Sorted by the first projection, p
-    is certified when its predecessor is more than the margin below it and
-    every later point is more than the margin below it on the second.
+    boundary rays see q at least as far as p, up to a margin (for k >= 2 the
+    cone is convex). Sorted by the first projection, p is certified when its
+    predecessor is more than the margin below it and every later point is
+    more than the margin below it on the second.
     """
     cs = ConeSystem(k)
-    margin = 1e-8 * max(float(ox.max()), float(oy.max())) + _TINY
+    # q is at most _ANGLE_SLACK outside the cone, sqrt(2) * span from p; subnormals round absolutely.
+    margin = 2.0 * _ANGLE_SLACK * max(float(ox.max()), float(oy.max())) + sys.float_info.min
     out = np.empty((len(ox), len(cones)), dtype=bool)
     for c, i in enumerate(cones):
         a = cs.lo_inward(i, ox, oy)
@@ -699,7 +696,7 @@ def _cone_labels(dx, dy, k: int):
     label = floor_t.astype(np.intp) + 1
     label[label == k] = 0
     frac = t - floor_t
-    slack = _LABEL_SLACK / theta
+    slack = _ANGLE_SLACK / theta
     rs, cs = np.nonzero((frac <= slack) | (frac >= 1.0 - slack))
     label[rs, cs] = [
         kernels.cone_index(a, b, k) for a, b in zip(dx[rs, cs].tolist(), dy[rs, cs].tolist())

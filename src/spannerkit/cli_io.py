@@ -301,16 +301,17 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _required_k(kind: str, k: int | None) -> int:
-    """The --k of a yao or theta graph, which has no default."""
-    if k is None:
+def _graph_k(kind: str, k: int | None) -> int | None:
+    """--k: m for rotated_union, else a cone count the kind's header rule allows."""
+    if k is None and kind in ("yao", "theta"):
         raise InvalidParameter(f"--graph {kind} requires --k")
+    if k is not None and kind != "rotated_union":
+        build._kind_k(kind, k)
     return k
 
 
 def _build_kind(kind: str, ps: PointSet, k: int | None) -> SpannerGraph:
     if kind == "yao" or kind == "theta":
-        k = _required_k(kind, k)
         return build.build_yao(ps, k) if kind == "yao" else build.build_theta(ps, k)
     if kind == "half_theta6":
         return build.build_half_theta6(ps)
@@ -325,7 +326,7 @@ def _build_kind(kind: str, ps: PointSet, k: int | None) -> SpannerGraph:
 
 def _cmd_build(args) -> int:
     ps = points_from_json(_read(args.points))
-    g = _build_kind(args.graph, ps, args.k)
+    g = _build_kind(args.graph, ps, _graph_k(args.graph, args.k))
     _emit(graph_to_json(g), args.out)
     return 0
 
@@ -364,12 +365,13 @@ def _cmd_verify(args) -> int:
         if args.trials < 1:
             raise InvalidParameter(f"--trials must be >= 1, got {args.trials}")
         seed = _resolve_seed(args.seed, "verify over random trials")
-        gen_k = _required_k(args.graph, args.k) if args.graph in ("yao", "theta") else 6
+        k = _graph_k(args.graph, args.k)
+        gen_k = k if args.graph in ("yao", "theta") else 6
         worst = None
         passed = True
         for t in range(args.trials):
             ps = gen_random(args.n, seed + t, k=gen_k)
-            g = _build_kind(args.graph, ps, args.k)
+            g = _build_kind(args.graph, ps, k)
             rep = analysis.verify_bound(g, tolerance=args.tolerance)
             passed = passed and rep.passed
             if worst is None or rep.max_ratio > worst.max_ratio:

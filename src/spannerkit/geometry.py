@@ -26,9 +26,9 @@ EPS = 1e-9
 #: Elements per block of the row-blocked numpy passes: the general-position
 #: checks, the cone scan and the spanning ratio (a block holds at least one row).
 _CHECK_BLOCK = 65536
-#: Vectorized general-position tests within this margin of their threshold
-#: (relative for distances above 1), and approximate spanning ratios within
-#: this relative margin of the best, are decided again by the scalar test.
+#: Numpy filters hand a case to their exact path within this margin of its
+#: threshold: general-position tests (relative above 1), spanning ratios and
+#: the cone scan's certificates (relative), and cone labels (past ANGLE_EPS).
 _CHECK_SLACK = 1e-12
 
 

@@ -1,13 +1,13 @@
 """Distance-critical kernels: azimuths, cone indices and point-in-triangle
 tests. Cone directions are computed in geometry.ConeSystem alone.
 
-These scalar functions define every boundary decision in the package. The
-numpy versions (points_in_tri here, build.cone_scan) repeat their IEEE double
-operations elementwise in the same order, so they return the same answers.
-points_in_tri's reference is point_in_tri. The closest-per-cone scan, which
-builds every edge and picks the theta-5 witness's construction targets, has
-no scalar twin in the package; its reference is the scalar scan in
-tests/oracles.py.
+These scalar functions define every boundary decision in the package.
+points_in_tri repeats point_in_tri's IEEE double operations elementwise in
+the same order. build.cone_scan, which builds every edge and picks the
+theta-5 witness's construction targets, repeats them for its keys, labels
+cones with np.arctan2 and decides again with cone_index every label within
+ANGLE_EPS + geometry._CHECK_SLACK of a boundary. Its reference is the scalar
+scan in tests/oracles.py.
 
 The general-position checks (geometry.general_position_report and
 gen_random's geometry._stream_conflicts, over one list of avoided

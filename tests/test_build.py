@@ -41,6 +41,7 @@ from spannerkit import (
 from spannerkit import build as build_module
 from spannerkit import kernels
 from spannerkit.build import cone_scan
+from spannerkit.geometry import _CHECK_SLACK
 
 from oracles import (
     oracle_adjacency,
@@ -133,6 +134,29 @@ def _uniform(n, seed, scale=1.0):
     return [(rng.random() * scale, rng.random() * scale) for _ in range(n)]
 
 
+#: Azimuth offsets from a cone boundary: on it, inside the kernel's ANGLE_EPS
+#: rule, at its edge, just past the scan's relabelling band, and far beyond.
+BOUNDARY_OFFSETS = [0.0] + [
+    s * d
+    for d in (
+        kernels.ANGLE_EPS / 2,
+        kernels.ANGLE_EPS * (1 - 1e-3),
+        kernels.ANGLE_EPS * (1 + 1e-3),
+        kernels.ANGLE_EPS + 2 * _CHECK_SLACK,
+        1e-8,
+        1e-6,
+    )
+    for s in (1, -1)
+]
+
+
+def _offset_directions(k):
+    # Unit vectors at every offset from every cone boundary of k cones.
+    theta = 2 * math.pi / k
+    azs = [i * theta + theta / 2 + off for i in range(k) for off in BOUNDARY_OFFSETS]
+    return [(math.sin(az), math.cos(az)) for az in azs]
+
+
 SCAN_SETS = {
     "grid": [(float(i), float(j)) for i in range(6) for j in range(6)],
     **{f"boundary_k{k}": _boundary_star(k) for k in (4, 5, 6, 7, 9, 12)},
@@ -164,6 +188,10 @@ def _large_scan_sets():
         "strip": [(rng.random(), rng.random() * 1e-6) for _ in range(700)],
         "scaled_1e150": [(x * 1e150, y * 1e150) for x, y in base],
         "scaled_1e-300": [(x * 1e-300, y * 1e-300) for x, y in base],
+        # Two 1e-3-wide squares 1000 apart side by side: every pair across
+        # them lies within 1e-6 rad of the boundary at azimuth pi/2 (k = 6).
+        "aligned": [(dx + rng.random() * 1e-3, rng.random() * 1e-3)
+                             for dx in (0.0, 1000.0) for _ in range(150)],
     }
 
 
@@ -185,6 +213,47 @@ class TestConeScan:
         for k, proj, mask in SCAN_CONFIGS:
             got = cone_scan(xs, ys, k, proj, mask)
             assert got == oracle_cone_picks(coords, k, proj, mask), (k, proj, mask)
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_labels_equal_the_kernel_at_boundary_offsets(self, k):
+        # One row per length, one column per offset from every boundary.
+        table = [[(r * a, r * b) for a, b in _offset_directions(k)] for r in (1e-300, 1.0, 1e300)]
+        dx = np.array([[a for a, _ in row] for row in table])
+        dy = np.array([[b for _, b in row] for row in table])
+        want = [[kernels.cone_index(a, b, k) for a, b in row] for row in table]
+        assert build_module._cone_labels(dx, dy, k).tolist() == want
+
+    @pytest.mark.parametrize("k,proj,mask", SCAN_CONFIGS)
+    def test_boundary_offset_star_matches_the_oracle(self, k, proj, mask, monkeypatch):
+        # The origin sees a point at every offset from every boundary. Their
+        # distinct radii keep the other pairs' directions off the knife edge
+        # at ANGLE_EPS, where the kernel and the oracle may round apart. The
+        # star is scanned in full, then forced through the grid.
+        coords = [(0.0, 0.0)] + [(a * (1 + j / 64), b * (1 + j / 64))
+                                 for j, (a, b) in enumerate(_offset_directions(k))]
+        xs = [x for x, _ in coords]
+        ys = [y for _, y in coords]
+        want = oracle_cone_picks(coords, k, proj, mask)
+        assert cone_scan(xs, ys, k, proj, mask) == want
+        monkeypatch.setattr(build_module, "_GRID_MIN_N", 0)
+        assert cone_scan(xs, ys, k, proj, mask) == want
+
+    @pytest.mark.parametrize("cfg", [(6, True, 0b010101), (6, False, 0)])
+    def test_aligned_clusters_relabel_few_pairs(self, cfg, monkeypatch):
+        # Half of all pairs lie within 1e-6 rad of a boundary, but only those
+        # within ANGLE_EPS plus _CHECK_SLACK go to the scalar kernel.
+        coords = LARGE_SCAN_SETS["aligned"]
+        calls = []
+        cone_index = kernels.cone_index
+
+        def counted(dx, dy, k):
+            calls.append(None)
+            return cone_index(dx, dy, k)
+
+        monkeypatch.setattr(kernels, "cone_index", counted)
+        cone_scan([x for x, _ in coords], [y for _, y in coords], *cfg)
+        n = len(coords)
+        assert len(calls) <= 0.01 * n * (n - 1)
 
     @pytest.mark.parametrize("block", [1, 40, 333])
     def test_row_blocks(self, block, monkeypatch):

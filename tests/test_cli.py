@@ -156,6 +156,24 @@ class TestBuild:
         assert main(["build", "--graph", "mst", "--points", str(pts_file)]) == 0
         assert len(graph_from_json(capsys.readouterr().out).edges) == 8
 
+    @pytest.mark.parametrize("kind,k", [("half_theta6", "7"), ("g12", "12"), ("g9", "5"), ("mst", "3")])
+    def test_k_the_kind_rules_out_is_a_usage_error(self, kind, k, tmp_path, capsys):
+        # The header rule's own message, before anything is built; --k 6
+        # stays valid for the six-cone kinds.
+        pts_file = tmp_path / "pts.json"
+        pts_file.write_text(points_to_json(gen_random(9, 3)))
+        assert main(["build", "--graph", kind, "--k", k, "--points", str(pts_file)]) == 2
+        assert capsys.readouterr().err == f"error: a {kind} graph cannot have k = {k}\n"
+        if kind != "mst":
+            assert main(["build", "--graph", kind, "--k", "6", "--points", str(pts_file)]) == 0
+            assert graph_from_json(capsys.readouterr().out).k == 6
+
+    def test_rotated_union_k_is_the_rotation_count(self, tmp_path, capsys):
+        pts_file = tmp_path / "pts.json"
+        pts_file.write_text(points_to_json(gen_random(9, 3)))
+        assert main(["build", "--graph", "rotated_union", "--k", "3", "--points", str(pts_file)]) == 0
+        assert graph_from_json(capsys.readouterr().out).metadata == {"m": 3}
+
     def test_missing_points_file(self, capsys):
         assert main(["build", "--graph", "mst", "--points", "/nonexistent.json"]) == 2
         capsys.readouterr()
@@ -356,6 +374,11 @@ class TestVerify:
         pts_file.write_text(points_to_json(gen_random(8, 3)))
         assert main(["build", "--graph", kind, "--points", str(pts_file)]) == 2
         assert capsys.readouterr().err == err
+
+    def test_generative_k_the_kind_rules_out_is_a_usage_error(self, capsys):
+        argv = ["verify", "--graph", "g9", "--k", "12", "--n", "20", "--trials", "1", "--seed", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: a g9 graph cannot have k = 12\n"
 
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf"])
     def test_non_finite_tolerance_is_a_usage_error(self, tolerance, h6_file, capsys):
