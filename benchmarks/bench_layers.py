@@ -69,7 +69,7 @@ behind every Theta, Yao, half-Theta-6, rotated-union and MST build, for the
 four SCANS on points drawn with random.Random(seed): uniform over
 [0, 100)^2 at every size, and up to FULL_MAX points the three sets the grid
 serves badly, a dense cluster plus far points, a circle, and two small
-squares side by side whose pairs across lie near a cone boundary:
+squares side by side whose pairs across lie near a six-cone boundary:
 
 - grid_s: best-of-k wall time of cone_scan;
 - fallback_rows: the rows its grid certificates leave to the full row-block
@@ -347,7 +347,7 @@ def scan_points(points, n, seed):
         pairs += [(rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0)) for _ in range(n - m)]
     elif points == "aligned":
         # Two 1e-3-wide squares 1000 apart side by side: every pair across
-        # them lies within 1e-6 rad of a cone boundary at azimuth pi/2.
+        # them lies within 1e-6 rad of azimuth pi/2, a boundary of six cones.
         pairs = [(dx + rng.uniform(0.0, 1e-3), rng.uniform(0.0, 1e-3))
                  for dx, m in ((0.0, n // 2), (1000.0, n - n // 2)) for _ in range(m)]
     else:

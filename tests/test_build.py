@@ -191,7 +191,7 @@ def _large_scan_sets():
         # Two 1e-3-wide squares 1000 apart side by side: every pair across
         # them lies within 1e-6 rad of the boundary at azimuth pi/2 (k = 6).
         "aligned": [(dx + rng.random() * 1e-3, rng.random() * 1e-3)
-                             for dx in (0.0, 1000.0) for _ in range(150)],
+                    for dx in (0.0, 1000.0) for _ in range(150)],
     }
 
 
