@@ -66,7 +66,7 @@ n = 64 and 4096) check pairs on build_half_theta6 of the same uniform points:
 
 Scan rows (one process per n in SCAN_SIZES) run build.cone_scan, the scan
 behind every Theta, Yao, half-Theta-6, rotated-union and MST build, for the
-four SCANS on points drawn with random.Random(seed): uniform over
+six SCANS on points drawn with random.Random(seed): uniform over
 [0, 100)^2 at every size, and up to FULL_MAX points the three sets the grid
 serves badly, a dense cluster plus far points, a circle, and two small
 squares side by side whose pairs across lie near a six-cone boundary:
@@ -127,7 +127,8 @@ SCAN_SIZES = (768, 4096, 16384)
 FULL_MAX = 4096
 #: Scans of the scan rows: name, k, use_projection, cone_mask.
 SCANS = (("half-theta-6", 6, True, 0b010101), ("theta k=7", 7, True, 0),
-         ("yao k=6", 6, False, 0), ("yao k=12", 12, False, 0))
+         ("yao k=6", 6, False, 0), ("yao k=12", 12, False, 0),
+         ("theta k=64", 64, True, 0), ("yao k=64", 64, False, 0))
 #: Point sets of the scan rows (scan_points).
 SCAN_POINTS = ("uniform", "cluster_far", "circle", "aligned")
 

@@ -615,7 +615,6 @@ def theta5_witness_path(g: SpannerGraph, u: int, w: int) -> list[int]:
     ids, x, y = g.points.arrays
     xy = g.points._coords
     n = len(ids)
-    everyone = np.arange(n)
     budget = [n * (n - 1) // 2 + 2]
 
     def edge(a: int, b: int) -> bool:
@@ -624,7 +623,7 @@ def theta5_witness_path(g: SpannerGraph, u: int, w: int) -> list[int]:
     def target(a: int, c: int) -> int:
         """a's construction target in cone c: the scan's pick, which g must hold."""
         with np.errstate(over="ignore", invalid="ignore"):
-            v = int(_cone_picks(x, y, np.array([a]), everyone, 5, True, [c])[0][0, 0])
+            v = int(_cone_picks(x, y, np.array([a]), None, None, 5, True, [c])[0][0, 0])
         if v < 0 or not edge(a, v):
             raise InvalidParameter(f"g is not the theta-5 graph of its points: vertex {ids[a]} "
                                    f"lacks its edge in cone {c}")

@@ -19,7 +19,6 @@ import numpy as np
 from . import kernels
 from .errors import InternalInvariantViolation, InvalidParameter
 from .geometry import (
-    _CHECK_BLOCK,
     _CHECK_SLACK,
     ConeSystem,
     PointSet,
@@ -42,7 +41,7 @@ _KIND_K = {"half_theta6": 6, "g12": 6, "g9": 6, "rotated_union": 6, "mst": None}
 
 #: Labels within this many radians of a cone boundary are decided again by
 #: kernels.cone_index: its ANGLE_EPS, plus _CHECK_SLACK for the few ulps (about
-#: 1e-15) between np.arctan2 and atan2. No labelled point lies farther outside.
+#: 1e-15) between _cone_labels and the kernel. No labelled point lies farther outside.
 _ANGLE_SLACK = kernels.ANGLE_EPS + _CHECK_SLACK
 #: Cells from a point's own cell to the edge of its candidate block, per pass
 #: of the grid scan (see cone_scan).
@@ -53,6 +52,10 @@ _GRID_MIN_N = 200
 #: Rows whose candidate block holds more than this share of the points skip
 #: the grid pass (see cone_scan).
 _DENSE_SHARE = 0.25
+#: (row, candidate) entries per block of the cone scan: 96 KB arrays, below
+#: glibc's 128 KB mmap threshold, so blocks reuse their pages. At 65,536 a
+#: 4096-point circle scan took 300,000 page faults (800 now) and 1.4-2x the time.
+_SCAN_BLOCK = 12288
 
 
 class SpannerGraph:
@@ -142,7 +145,11 @@ class SpannerGraph:
         src = np.concatenate((a, b))
         nbr = np.concatenate((b, a))
         dx, dy = x[nbr] - x[src], y[nbr] - y[src]
-        az = np.fromiter(map(kernels.azimuth, dx.tolist(), dy.tolist()), np.float64, 2 * m)
+        # kernels.azimuth: math.atan2 per entry, then its wrap as the same
+        # IEEE operations in numpy (a sum that rounds up to TWO_PI is 0.0).
+        az = np.fromiter(map(math.atan2, dx.tolist(), dy.tolist()), np.float64, 2 * m)
+        az = np.where(az < 0.0, az + kernels.TWO_PI, az)
+        az[az >= kernels.TWO_PI] = 0.0
         order = np.lexsort((nbr, az, src))
         indptr = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
@@ -323,7 +330,7 @@ class _ConeTable:
         ids, x, y = g.points.arrays
         t = g._csr
         dx, dy = x[t.nbr] - x[t.src], y[t.nbr] - y[t.src]
-        cone = _cone_labels(dx[None, :], dy[None, :], 6)[0]
+        cone = _cone_labels(dx, dy, 6)
         slot = t.src * 6 + cone
 
         even = np.flatnonzero(cone % 2 == 0)
@@ -459,9 +466,17 @@ def cone_scan(xs, ys, k: int, use_projection: bool, cone_mask: int) -> list[tupl
     elementwise IEEE double operations in the same order as the kernels, with
     sin/cos of the bisectors from ConeSystem(k), so every key is the same
     double. Only the cone label comes from np.arctan2, a few ulps from libm's
-    atan2, so every label within _ANGLE_SLACK (ANGLE_EPS + _CHECK_SLACK) of a
-    boundary is decided again with kernels.cone_index. Ties on the first key
-    are then broken exactly by (squared distance, index).
+    atan2 (_cone_labels), so every label within _ANGLE_SLACK (ANGLE_EPS +
+    _CHECK_SLACK) of a boundary is decided again with kernels.cone_index.
+
+    Winners (_cone_picks): every (point, candidate) entry belongs to the group
+    of its point and cone. The point itself and the cones outside the mask
+    are dropped before any key is formed. np.minimum.at gives each group's
+    smallest first key; a second round among the entries at that key gives
+    the smallest squared distance (Theta keys only), and a third the smallest
+    index. np.bincount of the groups, not an inf key, tells an empty cone,
+    since keys are inf once squares overflow. There is no pass per cone, so
+    a row's cost does not grow with k.
 
     Candidates (_certified_rows): the points go into a uniform grid over their
     bounding box with max(2, k/3) points per square cell on average, so that a
@@ -486,14 +501,16 @@ def cone_scan(xs, ys, k: int, use_projection: bool, cone_mask: int) -> list[tupl
 
     The grid pays only where certificates are cheap, judged from the input:
     - inputs of fewer than _GRID_MIN_N points skip it: its fixed cost (k
-      sorts and about 60 small numpy calls, 0.4-1 ms) exceeds the full
-      scan's below about n = 200 on uniform points (300 for k = 12);
+      sorts and about 60 small numpy calls, 0.6-1 ms at n = 64) exceeds the
+      full scan's below about n = 160-200 on uniform points for half-Theta-6
+      and Yao-6 (200-256 for Theta-7, 320 for Yao-12);
     - a row whose block holds more than _DENSE_SHARE of the points (it sits
       in a cluster) skips the pass, which would cost about a full row;
     - a pass that settles fewer than half of its rows ends the grid phase,
       as on a circle, whose inward cones have their winners across it.
-    Rows with an uncertified cone go through the full row-block scan. Both
-    phases work in blocks of at most _CHECK_BLOCK pair elements.
+    Rows with an uncertified cone go through the full row-block scan, whose
+    rows share one candidate list (every point). Both phases pass flat entry
+    lists of at most _SCAN_BLOCK entries to the same _cone_picks.
 
     No cKDTree: importing scipy.spatial alone raises the peak resident size
     by 5 MB over the package's own imports (64 to 69 MB), 6 % of the
@@ -514,10 +531,10 @@ def _scan(xs, ys, k: int, use_projection: bool, cone_mask: int):
         rows = np.arange(n)
         if n >= _GRID_MIN_N:
             rows = _certified_rows(x, y, k, use_projection, cones, best)
-        step = max(1, _CHECK_BLOCK // max(n, 1))
+        step = max(1, _SCAN_BLOCK // max(n, 1))
         for lo in range(0, len(rows), step):
             r = rows[lo:lo + step]
-            best[np.ix_(r, cones)] = _cone_picks(x, y, r, np.arange(n), k, use_projection, cones)[0]
+            best[np.ix_(r, cones)] = _cone_picks(x, y, r, None, None, k, use_projection, cones)[0]
     us, cs = np.nonzero(best >= 0)
     return us, cs, best[us, cs]
 
@@ -528,49 +545,37 @@ def _scan_ends(xs, ys, k: int, use_projection: bool, cone_mask: int) -> np.ndarr
     return np.stack((us, vs), axis=1)
 
 
-def _cone_picks(x, y, rows, cand, k: int, use_projection: bool, cones):
-    """Each cone's winner for every point of rows among its candidates, and
-    its first key; a winner of -1 marks an empty cone.
-
-    cand holds one row of candidate indices per point, or one row for all;
-    entries equal to the point itself are skipped.
+def _cone_picks(x, y, rows, at, cand, k: int, use_projection: bool, cones):
+    """Each cone's winner (-1: none) for every point of rows among its
+    candidates, and its first key, as two (len(rows), len(cones)) arrays (see
+    cone_scan). Entry e is candidate cand[e] of point rows[at[e]]; with at
+    and cand None, every point is a candidate of every row.
     """
-    dx = x[cand] - x[rows, None]
-    dy = y[cand] - y[rows, None]
-    d2 = dx * dx + dy * dy
-    # Index k labels a pair the scan must skip: the point itself (which also
-    # pads candidate rows), or a cone outside the mask.
-    keep = np.zeros(k + 1, dtype=bool)
-    keep[cones] = True
+    u = rows[:, None] if at is None else rows[at]
+    v = np.arange(len(x)) if at is None else cand
+    dx, dy = x[v] - x[u], y[v] - y[u]
     label = _cone_labels(dx, dy, k)
-    label[cand == rows[:, None]] = k
-    label[~keep[label]] = k
-    key1 = d2
+    in_mask = np.zeros(k, dtype=bool)
+    in_mask[cones] = True
+    e = np.flatnonzero(in_mask[label] & (v != u))
+    dx, dy, label = dx.ravel()[e], dy.ravel()[e], label.ravel()[e]
+    at = e // len(x) if at is None else at[e]
+    v = e - at * len(x) if cand is None else v[e]
+    cs = ConeSystem(k)
+    d2 = dx * dx + dy * dy
+    key = dx * cs.sin_bisector[label] + dy * cs.cos_bisector[label] if use_projection else d2
+    group = at * k + label
+    keys = np.full(len(rows) * k, np.inf)
+    np.minimum.at(keys, group, key)
+    tied = key == keys[group]
     if use_projection:
-        cs = ConeSystem(k)
-        sin_bis = np.append(cs.sin_bisector, 0.0)
-        cos_bis = np.append(cs.cos_bisector, 0.0)
-        key1 = dx * sin_bis[label] + dy * cos_bis[label]
-    none = np.iinfo(np.intp).max
-    picks = np.full((len(dx), len(cones)), -1, dtype=np.intp)
-    keys = np.full((len(dx), len(cones)), np.inf)
-    for c, i in enumerate(cones):
-        member = label == i
-        # Membership, not an inf sentinel, marks empty cones: keys are
-        # legitimately inf once squared distances overflow.
-        occupied = member.any(axis=1)
-        if not occupied.any():
-            continue
-        k1 = np.where(member, key1, np.inf)
-        keys[:, c] = k1.min(axis=1)
-        tied = member & (k1 == keys[:, c, None])
-        if use_projection:
-            k2 = np.where(tied, d2, np.inf)
-            tied &= k2 == k2.min(axis=1, keepdims=True)
-        # The lowest index among the remaining candidates wins.
-        low = np.where(tied, cand, none).min(axis=1)
-        picks[:, c] = np.where(occupied, low, -1)
-    return picks, keys
+        near = np.full(len(keys), np.inf)
+        np.minimum.at(near, group[tied], d2[tied])
+        tied &= d2 == near[group]
+    picks = np.full(len(keys), np.iinfo(np.intp).max)
+    np.minimum.at(picks, group[tied], v[tied])
+    picks[np.bincount(group, minlength=len(keys)) == 0] = -1
+    return picks.reshape(-1, k)[:, cones], keys.reshape(-1, k)[:, cones]
 
 
 def _certified_rows(x, y, k: int, use_projection: bool, cones, best):
@@ -631,24 +636,18 @@ def _certified_rows(x, y, k: int, use_projection: bool, cones, best):
         # Subnormal rounding is absolute, not relative: such bounds certify nothing.
         bound[bound < sys.float_info.min] = -np.inf
 
+        # Runs of rows whose blocks hold at most _SCAN_BLOCK entries in
+        # all (at least one row), each a flat list of (row, candidate) entries.
         settled = np.zeros(len(todo), dtype=bool)
+        ends = np.cumsum(total)
         s0 = 0
         while s0 < len(todo):
-            # The longest run of rows whose padded block holds at most
-            # _CHECK_BLOCK elements (at least one row).
-            width = np.maximum.accumulate(total[s0:s0 + _CHECK_BLOCK])
-            fits = np.searchsorted(width * np.arange(1, len(width) + 1), _CHECK_BLOCK, side="right")
-            s1 = s0 + max(1, int(fits))
+            s1 = max(s0 + 1, int(np.searchsorted(ends, ends[s0] - total[s0] + _SCAN_BLOCK, side="right")))
             u = todo[s0:s1]
             sz = size[s0:s1].ravel()
-            at = np.arange(sz.sum()) + np.repeat(start[s0:s1].ravel() - (np.cumsum(sz) - sz), sz)
-            tot = total[s0:s1]
-            row = np.repeat(np.arange(s1 - s0), tot)
-            col = np.arange(len(at)) - np.repeat(np.cumsum(tot) - tot, tot)
-            # Padding repeats the row's own point, which is skipped anyway.
-            cand = np.repeat(u[:, None], tot.max(), axis=1)
-            cand[row, col] = order[at]
-            picks, keys = _cone_picks(x, y, u, cand, k, use_projection, cones)
+            pos = np.arange(sz.sum()) + np.repeat(start[s0:s1].ravel() - (np.cumsum(sz) - sz), sz)
+            row = np.repeat(np.arange(s1 - s0), total[s0:s1])
+            picks, keys = _cone_picks(x, y, u, row, order[pos], k, use_projection, cones)
             sure = np.where(picks >= 0, keys < bound[s0:s1, None], empty[u])
             settled[s0:s1] = (sure | whole[s0:s1, None]).all(axis=1)
             best[np.ix_(u, cones)] = picks
@@ -687,20 +686,20 @@ def _empty_cones(ox, oy, k: int, cones):
 
 
 def _cone_labels(dx, dy, k: int):
-    """Cone index of every vector, as kernels.cone_index computes it."""
+    """Cone index of every vector, as kernels.cone_index computes it: t =
+    np.arctan2(dx, dy) / theta + k + 1/2 is the kernel's (az - theta/2) /
+    theta + 1 plus whole turns, a few ulps of 2 * pi apart, and floor(t) mod
+    k is its label unless t is within _ANGLE_SLACK / theta of an integer."""
     theta = ConeSystem(k).theta
-    az = np.arctan2(dx, dy)
-    az = np.where(az < 0.0, az + kernels.TWO_PI, az)
-    t = (az - 0.5 * theta) / theta
+    t = np.arctan2(dx, dy)
+    t /= theta
+    t += k + 0.5
     floor_t = np.floor(t)
-    label = floor_t.astype(np.intp) + 1
-    label[label == k] = 0
-    frac = t - floor_t
+    label = (np.arange(2 * k) % k)[floor_t.astype(np.intp)]
+    t -= floor_t
     slack = _ANGLE_SLACK / theta
-    rs, cs = np.nonzero((frac <= slack) | (frac >= 1.0 - slack))
-    label[rs, cs] = [
-        kernels.cone_index(a, b, k) for a, b in zip(dx[rs, cs].tolist(), dy[rs, cs].tolist())
-    ]
+    near = np.flatnonzero((t <= slack) | (t >= 1.0 - slack))
+    label.flat[near] = [kernels.cone_index(a, b, k) for a, b in zip(dx.flat[near].tolist(), dy.flat[near].tolist())]
     return label
 
 

@@ -24,7 +24,7 @@ from .errors import DegenerateInput, InvalidParameter
 EPS = 1e-9
 
 #: Elements per block of the row-blocked numpy passes: the general-position
-#: checks, the cone scan and the spanning ratio (a block holds at least one row).
+#: checks and the spanning ratio (a block holds at least one row).
 _CHECK_BLOCK = 65536
 #: Numpy filters hand a case to their exact path within this margin of its
 #: threshold: general-position tests (relative above 1), spanning ratios and

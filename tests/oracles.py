@@ -19,26 +19,25 @@ def oracle_azimuth(dx, dy):
 
 
 def oracle_cone_index(dx, dy, k):
-    """Interval-membership cone lookup.
+    """Cone lookup by kernels.cone_index's own arithmetic, repeated here.
 
-    Cone i covers azimuths (i*theta - theta/2, i*theta + theta/2]; an azimuth
+    Cone i covers azimuths (i*theta - theta/2, i*theta + theta/2], and one
     within BOUNDARY_EPS of a boundary belongs to the counter-clockwise
-    (lower-index) cone, i.e. the boundary at i*theta + theta/2 belongs to i.
+    (lower-index) cone, so the boundary at i*theta + theta/2 belongs to i.
+    "Within" is the kernel's test, |t - m| * theta <= BOUNDARY_EPS with
+    t = (az - theta/2) / theta and m its nearest integer, not a difference
+    of azimuths in radians: the two round apart on directions within a few
+    ulps of BOUNDARY_EPS past a boundary, where the kernel defines the rule.
     """
-    az = oracle_azimuth(dx, dy)
+    az = math.atan2(dx, dy)
+    if az < 0.0:
+        az += TWO_PI
     theta = TWO_PI / k
-    for i in range(k):
-        hi = i * theta + theta / 2.0
-        d = az - hi
-        d -= TWO_PI * round(d / TWO_PI)
-        if abs(d) <= BOUNDARY_EPS:
-            return i
-    for i in range(k):
-        d = az - i * theta
-        d -= TWO_PI * round(d / TWO_PI)
-        if -theta / 2.0 < d < theta / 2.0:
-            return i
-    raise AssertionError("azimuth not covered by any cone")
+    t = (az - 0.5 * theta) / theta
+    m = math.floor(t + 0.5)
+    if abs(t - m) * theta <= BOUNDARY_EPS:
+        return m % k
+    return (math.floor(t) + 1) % k
 
 
 def oracle_projection(dx, dy, k):

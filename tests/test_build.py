@@ -214,6 +214,23 @@ class TestConeScan:
             got = cone_scan(xs, ys, k, proj, mask)
             assert got == oracle_cone_picks(coords, k, proj, mask), (k, proj, mask)
 
+    @pytest.mark.parametrize("k", [64, 1024])
+    def test_many_cones_match_the_oracle(self, k, monkeypatch):
+        # A scan's cost and memory follow its (point, cone) groups, not a loop
+        # over cones. The 6x6 grid has ties; each set is scanned in full, then
+        # forced through the grid (whose cells hold every point at these k).
+        for name in ("random_a", "grid"):
+            coords = SCAN_SETS[name]
+            xs = [x for x, _ in coords]
+            ys = [y for _, y in coords]
+            for proj in (True, False):
+                want = oracle_cone_picks(coords, k, proj, 0)
+                with monkeypatch.context() as patch:
+                    assert cone_scan(xs, ys, k, proj, 0) == want, (name, proj)
+                    patch.setattr(build_module, "_GRID_MIN_N", 0)
+                    patch.setattr(build_module, "_DENSE_SHARE", 1.0)
+                    assert cone_scan(xs, ys, k, proj, 0) == want, (name, proj)
+
     @pytest.mark.parametrize("k", range(2, 13))
     def test_labels_equal_the_kernel_at_boundary_offsets(self, k):
         # One row per length, one column per offset from every boundary.
@@ -225,18 +242,22 @@ class TestConeScan:
 
     @pytest.mark.parametrize("k,proj,mask", SCAN_CONFIGS)
     def test_boundary_offset_star_matches_the_oracle(self, k, proj, mask, monkeypatch):
-        # The origin sees a point at every offset from every boundary. Their
-        # distinct radii keep the other pairs' directions off the knife edge
-        # at ANGLE_EPS, where the kernel and the oracle may round apart. The
-        # star is scanned in full, then forced through the grid.
-        coords = [(0.0, 0.0)] + [(a * (1 + j / 64), b * (1 + j / 64))
-                                 for j, (a, b) in enumerate(_offset_directions(k))]
-        xs = [x for x, _ in coords]
-        ys = [y for _, y in coords]
-        want = oracle_cone_picks(coords, k, proj, mask)
-        assert cone_scan(xs, ys, k, proj, mask) == want
-        monkeypatch.setattr(build_module, "_GRID_MIN_N", 0)
-        assert cone_scan(xs, ys, k, proj, mask) == want
+        # The origin sees a point at every offset from every boundary, at
+        # distinct radii and at radius 1. On the equal radii, pairs of outer
+        # points point within rounding of ANGLE_EPS past a boundary (on k = 6,
+        # (4, 71) lies 1.0000000827e-9 rad past azimuth 3 pi / 2), which only
+        # the kernel's own arithmetic decides. Each star is scanned in full,
+        # then forced through the grid.
+        for radius in (lambda j: 1 + j / 64, lambda j: 1.0):
+            coords = [(0.0, 0.0)] + [(a * radius(j), b * radius(j))
+                                     for j, (a, b) in enumerate(_offset_directions(k))]
+            xs = [x for x, _ in coords]
+            ys = [y for _, y in coords]
+            want = oracle_cone_picks(coords, k, proj, mask)
+            with monkeypatch.context() as patch:
+                assert cone_scan(xs, ys, k, proj, mask) == want
+                patch.setattr(build_module, "_GRID_MIN_N", 0)
+                assert cone_scan(xs, ys, k, proj, mask) == want
 
     @pytest.mark.parametrize("cfg", [(6, True, 0b010101), (6, False, 0)])
     def test_aligned_clusters_relabel_few_pairs(self, cfg, monkeypatch):
@@ -257,7 +278,7 @@ class TestConeScan:
 
     @pytest.mark.parametrize("block", [1, 40, 333])
     def test_row_blocks(self, block, monkeypatch):
-        monkeypatch.setattr(build_module, "_CHECK_BLOCK", block)
+        monkeypatch.setattr(build_module, "_SCAN_BLOCK", block)
         coords = SCAN_SETS["random_a"] + SCAN_SETS["grid"]
         xs = [x for x, _ in coords]
         ys = [y for _, y in coords]
@@ -278,12 +299,36 @@ class TestConeScan:
     @pytest.mark.parametrize("block", [1, 40, 333])
     def test_grid_row_blocks(self, block, monkeypatch):
         monkeypatch.setattr(build_module, "_GRID_MIN_N", 0)
-        monkeypatch.setattr(build_module, "_CHECK_BLOCK", block)
+        monkeypatch.setattr(build_module, "_SCAN_BLOCK", block)
         coords = SCAN_SETS["random_a"] + SCAN_SETS["grid"]
         xs = [x for x, _ in coords]
         ys = [y for _, y in coords]
         for k, proj, mask in [(6, True, 0b010101), (7, True, 0), (6, False, 0)]:
             assert cone_scan(xs, ys, k, proj, mask) == oracle_cone_picks(coords, k, proj, mask)
+
+    def test_certificates_keep_their_margins(self, monkeypatch):
+        # Cells of side 1 (40 points over x in [0, 20], y in [0, 0.5]): point
+        # 0's 5x5 block ends 3 to its right. Point 2 lies just past that side,
+        # 1e-5 rad inside cone 1's east boundary, and wins the cone; point 1,
+        # in the block, has a projection 2e-4 above rho * cos(theta / 2).
+        # A wedge bound of cos(theta/2 - 1e-3), or rho widened by 1e-3 cells,
+        # certifies point 1 instead.
+        monkeypatch.setattr(build_module, "_GRID_MIN_N", 0)
+        rho, half = 3.0, math.pi / 6
+
+        def at(az, d):
+            return (d * math.sin(az), 0.25 + d * math.cos(az))
+
+        rng = random.Random(5)
+        coords = [
+            (0.0, 0.25),
+            at(math.radians(85), rho * math.cos(half) * (1 + 2e-4) / math.cos(math.radians(25))),
+            at(math.pi / 2 - 1e-5, rho * (1 + 1e-5)),
+            at(math.radians(120), 0.5),
+        ] + [(4.0 + 16.0 * i / 35, 0.2 * rng.random()) for i in range(35)] + [(20.0, 0.1)]
+        got = cone_scan([x for x, _ in coords], [y for _, y in coords], 6, True, 0)
+        assert got == oracle_cone_picks(coords, 6, True, 0)
+        assert (0, 1, 2) in got
 
     def test_small_inputs_skip_the_grid(self, monkeypatch):
         def fail(*_):
@@ -301,10 +346,10 @@ class TestConeScan:
         gridded = []
         picks = build_module._cone_picks
 
-        def counted(x, y, rows, cand, *args):
-            if cand.ndim == 2:
+        def counted(x, y, rows, at, *args):
+            if at is not None:
                 gridded.extend(rows.tolist())
-            return picks(x, y, rows, cand, *args)
+            return picks(x, y, rows, at, *args)
 
         monkeypatch.setattr(build_module, "_cone_picks", counted)
         cone_scan([x for x, _ in coords], [y for _, y in coords], 6, True, 0b010101)
@@ -930,6 +975,20 @@ class TestGraphContainer:
         _assert_tables_match(build_g12(h))
         with pytest.raises(InternalInvariantViolation):
             build_g9(h)
+
+    def test_csr_azimuths_equal_the_kernel(self):
+        # The CSR wraps math.atan2 in numpy; (-1e-300, 1) rounds up to the
+        # full turn, which azimuth maps to 0.0.
+        pts = [(0.0, 0.0), (-1e-300, 1.0), (1e-300, 1.0), (-1.0, -1e-300), (0.0, -1.0), (-1.0, 0.0)]
+        ps = PointSet.from_pairs(pts + _as_coords(gen_random(30, 4))[6:])
+        star = [(0, v) for v in range(1, len(ps))]
+        for g in (SpannerGraph("yao", 6, ps, star), build_theta(ps, 6)):
+            t = g._csr
+            want = [kernels.azimuth(ps[v].x - ps[u].x, ps[v].y - ps[u].y)
+                    for u, v in zip(t.src.tolist(), t.nbr.tolist())]
+            assert t.az.tolist() == want
+        t = SpannerGraph("yao", 6, ps, star)._csr
+        assert t.az[(t.src == 0) & (t.nbr == 1)].tolist() == [0.0]
 
     def test_edges_cannot_be_mutated(self):
         # A mutable edge set would leave the cached adjacency stale.
