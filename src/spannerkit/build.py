@@ -46,9 +46,11 @@ _ANGLE_SLACK = kernels.ANGLE_EPS + _CHECK_SLACK
 #: Cells from a point's own cell to the edge of its candidate block, per pass
 #: of the grid scan (see cone_scan).
 _REACHES = (2, 4)
-#: Inputs with fewer points skip the grid: its fixed cost of about 60 small
-#: numpy calls exceeds the full scan's (see cone_scan).
+#: Inputs with fewer than _GRID_MIN_N * max(1, k / _GRID_MIN_K) points skip
+#: the grid: its fixed cost of about 60 small numpy calls, and for many cones
+#: its k sorts, exceed the full scan's (see cone_scan).
 _GRID_MIN_N = 200
+_GRID_MIN_K = 12
 #: Rows whose candidate block holds more than this share of the points skip
 #: the grid pass (see cone_scan).
 _DENSE_SHARE = 0.25
@@ -80,6 +82,10 @@ class SpannerGraph:
       fan table of the routers and of build_g12 and build_g9, plus
       ``hint_table`` on g9 graphs.
     max_degree() counts the array's entries and builds no view.
+
+    A g9 from build_g9 keeps its routing hints as the index lists of its
+    hint table: its ``metadata`` dict is made from the table on first read,
+    and to_json writes the hints' text from the table until then.
     """
 
     def __init__(self, kind: str, k, points: PointSet, edges, metadata=None):
@@ -95,14 +101,15 @@ class SpannerGraph:
         self._setup(kind, k, points, _index_ends(points, ids), metadata)
 
     @classmethod
-    def _indexed(cls, kind: str, k, points: PointSet, ends, metadata=None) -> "SpannerGraph":
+    def _indexed(cls, kind: str, k, points: PointSet, ends, metadata=None, hints=None) -> "SpannerGraph":
         """Graph whose edges are given as pairs of indices into
-        ``points.arrays`` order, in any order and orientation."""
+        ``points.arrays`` order, in any order and orientation. A built g9
+        passes its _HintTable as hints, and no metadata."""
         g = cls.__new__(cls)
-        g._setup(kind, k, points, ends, metadata)
+        g._setup(kind, k, points, ends, metadata, hints)
         return g
 
-    def _setup(self, kind, k, points, ends, metadata) -> None:
+    def _setup(self, kind, k, points, ends, metadata, hints=None) -> None:
         """The one header rule of built and loaded graphs: kind is a str,
         metadata a dict (None: none), and k as _kind_k allows."""
         if not isinstance(kind, str):
@@ -114,7 +121,17 @@ class SpannerGraph:
         self.k = _kind_k(kind, k)
         self.points = points
         self._ends = _edge_array(points, ends)
-        self.metadata = metadata
+        if hints is None:
+            self.metadata = metadata
+        else:
+            self.hint_table = hints
+
+    @cached_property
+    def metadata(self) -> dict:
+        """Construction-specific extras, set when the graph is made, except
+        on a built g9: its {"hints": ...} dict is read from the text its hint
+        table writes, on first use."""
+        return _parse_json(self.hint_table.to_json(self.points), "g9 hints")
 
     @cached_property
     def _id_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -175,8 +192,9 @@ class SpannerGraph:
 
     @cached_property
     def hint_table(self) -> "_HintTable":
-        """The routing hints build_g9 stored in the metadata, checked against the points."""
-        return _HintTable(self.metadata.get("hints"), self.points)
+        """A g9's routing hints: build_g9's own table, or the metadata's
+        hints checked against the points."""
+        return _HintTable.parse(self.metadata.get("hints"), self.points)
 
     def edge_list(self) -> list[tuple[int, int]]:
         return list(self._id_pairs)
@@ -219,12 +237,16 @@ class SpannerGraph:
 
     def to_json(self) -> str:
         # The top-level keys in sorted order, as _dump_json writes them; the
-        # points' text is the point set's own.
+        # points' text is the point set's own. A built g9 whose metadata was
+        # never read writes it from its hint table; once read, the dict (with
+        # any edits) is written.
+        metadata = self.__dict__.get("metadata")
+        ids = np.array(self.points.arrays[0], dtype=object)
         return '{"edges":%s,"k":%s,"kind":%s,"metadata":%s,"points":%s}\n' % (
-            _json_text(self._id_pairs),
+            _json_text(ids[self._ends].tolist()),
             _json_text(self.k),
             _json_text(self.kind),
-            _json_text(self.metadata),
+            self.hint_table.to_json(self.points) if metadata is None else _json_text(metadata),
             self.points._records_json,
         )
 
@@ -397,34 +419,65 @@ class _ConeTable:
 
 
 class _HintTable:
-    """build_g9's routing hints as index lists, like the cone table's:
+    """A g9's routing hints as index lists, like the cone table's:
     walk[6 * i + c] is vertex i's walk direction ("self", "ccw" or "cw")
     toward even cone c, ends[6 * i + j] the (first, last) vertices of its fan
-    in odd cone j, each None for none. An entry's key must be a vertex's id,
-    and a fan end's [id, x, y] a vertex at exactly those coordinates."""
+    in odd cone j, each None for none. build_g9 fills the lists from its fan
+    arrays; parse reads them from a loaded g9's metadata."""
 
-    def __init__(self, raw, points: PointSet):
+    def __init__(self, walk: list[str | None], ends: list[tuple[int, int] | None]):
+        self.walk = walk
+        self.ends = ends
+
+    @classmethod
+    def parse(cls, raw, points: PointSet) -> "_HintTable":
+        """The table of a g9 metadata's "hints" dict (see to_json). An
+        entry's key must be a vertex's id, and a fan end's [id, x, y] a
+        vertex at exactly those coordinates."""
         if not isinstance(raw, dict):
             raise InvalidParameter("graph lacks the construction hints required for g9 routing")
         index, coords = points.index, points._coords
-        self.walk: list[str | None] = [None] * (6 * len(coords))
-        self.ends: list[tuple[int, int] | None] = [None] * (6 * len(coords))
+        walk: list[str | None] = [None] * (6 * len(coords))
+        ends: list[tuple[int, int] | None] = [None] * (6 * len(coords))
         try:
             for key, entry in raw.items():
                 i = index[int(key)]
                 for c, d in entry.get("dir", {}).items():
                     if c not in ("0", "2", "4") or d not in ("self", "ccw", "cw"):
                         raise ValueError(f"walk {c!r}: {d!r} is not a walk direction in an even cone")
-                    self.walk[6 * i + int(c)] = d
+                    walk[6 * i + int(c)] = d
                 for c, fan in entry.get("fan", {}).items():
                     (a, ax, ay), (b, bx, by) = fan["first"], fan["last"]
                     a, b = index[_json_id(a)], index[_json_id(b)]
                     if (c not in ("1", "3", "5") or coords[a] != (_as_coord(ax), _as_coord(ay))
                             or coords[b] != (_as_coord(bx), _as_coord(by))):
                         raise ValueError(f"fan {c!r}: {fan!r} is not two vertices at their coordinates in an odd cone")
-                    self.ends[6 * i + int(c)] = (a, b)
+                    ends[6 * i + int(c)] = (a, b)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InvalidParameter(f"malformed g9 routing hints: {exc!r}") from exc
+        return cls(walk, ends)
+
+    def to_json(self, points: PointSet) -> str:
+        """The metadata text of a g9 file, {"hints": {str(id): {"dir": {even
+        cone: walk}, "fan": {odd cone: {"first": [id, x, y], "last": [id, x,
+        y]}}}}} for every vertex with a walk or a fan, as _json_text writes
+        it (sorted keys, no spaces), made from the lists without a dict."""
+        end = points._id_xy_json
+        # Per cone, every vertex's "cone":value text and a comma, or "".
+        dirs = []
+        for c in (0, 2, 4):
+            text = {d: f'"{c}":"{d}",' for d in ("self", "ccw", "cw")}
+            text[None] = ""
+            dirs.append(list(map(text.__getitem__, self.walk[c::6])))
+        fans = [[f'"{c}":{{"first":{end[p[0]]},"last":{end[p[1]]}}},' if p else "" for p in self.ends[c::6]]
+                for c in (1, 3, 5)]
+        texts = [f'"{pid}":{{"dir":{{{d[:-1]}}},"fan":{{{f[:-1]}}}}}'
+                 for pid, d, f in zip(points.arrays[0], map("".join, zip(*dirs)), map("".join, zip(*fans)))
+                 if d or f]
+        # json.dumps sorts the keys as strings ("-1" < "10" < "2"), and so
+        # does this sort: '"' sorts before every digit and "-".
+        texts.sort()
+        return '{"hints":{%s}}' % ",".join(texts)
 
 
 def graph_to_json(g: SpannerGraph) -> str:
@@ -500,10 +553,14 @@ def cone_scan(xs, ys, k: int, use_projection: bool, cone_mask: int) -> list[tupl
     certify nothing, because subnormal rounding is absolute.
 
     The grid pays only where certificates are cheap, judged from the input:
-    - inputs of fewer than _GRID_MIN_N points skip it: its fixed cost (k
-      sorts and about 60 small numpy calls, 0.6-1 ms at n = 64) exceeds the
-      full scan's below about n = 160-200 on uniform points for half-Theta-6
-      and Yao-6 (200-256 for Theta-7, 320 for Yao-12);
+    - inputs of fewer than _GRID_MIN_N * max(1, k / _GRID_MIN_K) points
+      skip it: its fixed cost (k sorts and about 60 small numpy calls, 0.6-1
+      ms at n = 64) exceeds the full scan's below about n = 160-200 on
+      uniform points for half-Theta-6 and Yao-6 (200-256 for Theta-7, 320
+      for Yao-12). With more cones a block holds more points (k / 3 per
+      cell), and the crossover grows about as 20 k: about 500 points at k =
+      24, 700 at 32, 1,250 at 64 and 2,000-2,500 at 128. _GRID_MIN_K = 12 is
+      the divisor nearest those that leaves every k <= 12 at _GRID_MIN_N;
     - a row whose block holds more than _DENSE_SHARE of the points (it sits
       in a cluster) skips the pass, which would cost about a full row;
     - a pass that settles fewer than half of its rows ends the grid phase,
@@ -529,7 +586,7 @@ def _scan(xs, ys, k: int, use_projection: bool, cone_mask: int):
     y = np.asarray(ys, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         rows = np.arange(n)
-        if n >= _GRID_MIN_N:
+        if n >= _GRID_MIN_N * max(1, k / _GRID_MIN_K):
             rows = _certified_rows(x, y, k, use_projection, cones, best)
         step = max(1, _SCAN_BLOCK // max(n, 1))
         for lo in range(0, len(rows), step):
@@ -773,7 +830,11 @@ def build_g9(h: SpannerGraph) -> SpannerGraph:
     """Degree-9 subgraph: keep the projection-closest fan edge per negative cone
     plus every edge between consecutive fan members, and store the per-vertex
     hints local routing needs (walk direction per positive cone, fan endpoint
-    coordinates per negative cone)."""
+    coordinates per negative cone).
+
+    The hints are a _HintTable filled from h's fan arrays, correct by
+    construction; the graph's metadata dict is made from it on first read,
+    and its file is written from it (SpannerGraph.to_json)."""
     cones = _half_theta6_cones(h)
     t = h._csr
     ids = h.points.arrays[0]
@@ -796,21 +857,18 @@ def build_g9(h: SpannerGraph) -> SpannerGraph:
         )
     kept = np.concatenate((t.edge[cones.fan_closest], at))
 
-    # Every fan member and anchor has an entry; a member walks ccw to the
-    # closest member before it and cw to one after it.
-    entry = {v: {"dir": {}, "fan": {}} for v in np.union1d(member, cones.fan_src).tolist()}
-    cone_name = np.array(["0", "1", "2", "3", "4", "5"])
-    side = np.sign(cones.fan_entry - cones.fan_closest[group]) + 1
-    walk = np.array(["ccw", "self", "cw"])[side].tolist()
-    opposite = cone_name[(cones.fan_cone[group] + 3) % 6].tolist()
-    for v, c, d in zip(member.tolist(), opposite, walk):
-        entry[v]["dir"][c] = d
-    xy = h.points._coords
-    for s, j, f, l in zip(cones.fan_src.tolist(), cone_name[cones.fan_cone].tolist(),
-                          t.nbr[cones.fan_start].tolist(), t.nbr[cones.fan_stop - 1].tolist()):
-        entry[s]["fan"][j] = {"first": [ids[f], *xy[f]], "last": [ids[l], *xy[l]]}
-    hints = {str(ids[v]): e for v, e in entry.items()}
-    return SpannerGraph._indexed("g9", 6, h.points, h._ends[kept], {"hints": hints})
+    # Toward the even cone opposite its fan's, the fan's closest member walks
+    # "self", members before it by azimuth "ccw" and members after it "cw";
+    # an anchor keeps its fan's first and last member per odd cone.
+    side = np.sign(cones.fan_entry - cones.fan_closest[group]) + 2
+    code = np.zeros(6 * n, dtype=np.intp)
+    code[6 * member + (cones.fan_cone[group] + 3) % 6] = side
+    walk = np.array([None, "ccw", "self", "cw"], dtype=object)[code].tolist()
+    ends: list[tuple[int, int] | None] = [None] * (6 * n)
+    for s, first, last in zip((6 * cones.fan_src + cones.fan_cone).tolist(),
+                              t.nbr[cones.fan_start].tolist(), t.nbr[cones.fan_stop - 1].tolist()):
+        ends[s] = (first, last)
+    return SpannerGraph._indexed("g9", 6, h.points, h._ends[kept], hints=_HintTable(walk, ends))
 
 
 def build_rotated_union(ps: PointSet, m: int) -> SpannerGraph:

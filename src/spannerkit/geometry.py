@@ -153,6 +153,14 @@ class PointSet:
         value of every graph file of the set, written once."""
         return _json_text(_point_records(*self.arrays))
 
+    @cached_property
+    def _id_xy_json(self) -> list[str]:
+        """JSON text [id,x,y] of every point in ``arrays`` order, as
+        _json_text writes the list (int and float repr): the fan ends of a
+        g9 file's routing hints."""
+        ids, x, y = self.arrays
+        return list(map("[%d,%r,%r]".__mod__, zip(ids, x.tolist(), y.tolist())))
+
 
 def _table(ids, xs, ys) -> tuple[list[int], np.ndarray, np.ndarray, list[int] | None]:
     """A PointSet's ids as a list of int, its read-only x and y columns, and

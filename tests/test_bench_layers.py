@@ -70,8 +70,8 @@ def test_scan_rows():
         edges = cone_scan(xs, ys, row["k"], row["projection"], row["cone_mask"])
         assert row["edges_sha256"] == hashlib.sha256(repr(edges).encode()).hexdigest()
         if row["points"] == "uniform":
-            # The grid ran and settled some rows, except at k = 64, where
-            # every block of this small set holds more than _DENSE_SHARE of it.
+            # The grid ran and settled some rows, except at k = 64, where it
+            # needs _GRID_MIN_N * 64 / 12 points and this set has fewer.
             assert (row["fallback_rows"] < SCAN_N) == (row["k"] <= 12)
 
 

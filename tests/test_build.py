@@ -3,6 +3,7 @@ half-theta-6 graph's structural properties, its degree-bounded subgraphs, the
 rotated union, and the MST."""
 
 import hashlib
+import json
 import math
 import random
 
@@ -35,6 +36,7 @@ from spannerkit import (
     graph_to_json,
     points_from_json,
     points_to_json,
+    route_g9,
     spanning_ratio,
 )
 
@@ -339,6 +341,21 @@ class TestConeScan:
         xs = [x for x, _ in coords]
         ys = [y for _, y in coords]
         assert cone_scan(xs, ys, 6, True, 0b010101) == oracle_cone_picks(coords, 6, True, 0b010101)
+
+    @pytest.mark.parametrize("k, least", [(6, 200), (12, 200), (24, 400), (64, 1067)])
+    def test_grid_threshold_grows_with_k(self, k, least, monkeypatch):
+        # Above 12 cones the grid needs _GRID_MIN_N * k / 12 points.
+        sizes = []
+
+        def every_row(x, *_):
+            sizes.append(len(x))
+            return np.arange(len(x))
+
+        monkeypatch.setattr(build_module, "_certified_rows", every_row)
+        for n in (least - 1, least):
+            xs, ys = zip(*_uniform(n, 5))
+            cone_scan(list(xs), list(ys), k, False, 0)
+        assert sizes == [least]
 
     @staticmethod
     def _gridded_rows(coords, monkeypatch):
@@ -646,6 +663,76 @@ class TestDegreeBoundedSubgraphs:
                         assert d == "self"
                     else:
                         assert d in ("ccw", "cw")
+
+
+def _hints_from_fans(h):
+    """The g9 hints of h, as metadata["hints"] holds them, from
+    canonical_path_info: each fan's first and last member, and each member's
+    walk toward the even cone opposite the fan ("self" for the closest
+    member, "ccw" before it and "cw" after it by azimuth)."""
+    hints = {}
+    for p in h.points:
+        for cone in (1, 3, 5):
+            info = canonical_path_info(h, p.id, cone)
+            if not info.members:
+                continue
+            ends = {key: [q.id, q.x, q.y] for key, q in (("first", h.points[info.first]),
+                                                         ("last", h.points[info.last]))}
+            hints.setdefault(str(p.id), {"dir": {}, "fan": {}})["fan"][str(cone)] = ends
+            near = info.members.index(info.closest)
+            for at, v in enumerate(info.members):
+                walk = "self" if at == near else "ccw" if at < near else "cw"
+                hints.setdefault(str(v), {"dir": {}, "fan": {}})["dir"][str((cone + 3) % 6)] = walk
+    return hints
+
+
+def _id_shuffled(ps, seed):
+    """ps with ids whose string order is not their integer order (negative,
+    two-digit and beyond int64), listed in shuffled order."""
+    rng = random.Random(seed)
+    ids = [-10**20, -7, -1, 0, 3, 10, 25, 100, 10**20, 10**20 + 1] + list(range(200, 190 + len(ps)))
+    rng.shuffle(ids)
+    pts = [Point(i, p.x, p.y) for i, p in zip(ids, ps)]
+    rng.shuffle(pts)
+    return PointSet(pts)
+
+
+class TestBuiltG9Hints:
+    """A built g9 keeps its hints as an index table: the metadata dict is
+    made on first read, and the file is written from the table until then."""
+
+    @pytest.mark.parametrize("ps", [gen_random(60, seed) for seed in (1, 2, 3, 4)]
+                             + [_id_shuffled(gen_random(60, 5), 1), _id_shuffled(gen_random(90, 6), 2)])
+    def test_file_and_metadata_agree_before_and_after_the_read(self, ps):
+        h = build_half_theta6(ps)
+        g9 = build_g9(h)
+        text = g9.to_json()
+        # Writing the file made no dict.
+        assert "metadata" not in g9.__dict__
+        assert g9.metadata == {"hints": _hints_from_fans(h)}
+        assert g9.to_json() == text
+        assert json.loads(text)["metadata"] == g9.metadata
+
+    def test_edits_after_the_read_are_written(self):
+        g9 = build_g9(build_half_theta6(gen_random(40, 7)))
+        hints = g9.metadata["hints"]
+        key = min(hints)
+        hints[key]["dir"] = {"0": "self"}
+        hints["-1"] = {"dir": {}, "fan": {}}
+        doc = json.loads(g9.to_json())
+        assert doc["metadata"]["hints"][key]["dir"] == {"0": "self"}
+        assert doc["metadata"] == g9.metadata
+
+    @pytest.mark.parametrize("ps", [gen_random(80, 9), _id_shuffled(gen_random(80, 10), 3)])
+    def test_loaded_graph_equals_and_routes_as_the_built_one(self, ps):
+        g9 = build_g9(build_half_theta6(ps))
+        loaded = graph_from_json(g9.to_json())
+        assert loaded == g9
+        pairs = random.Random(4).sample([(s, t) for s in ps.ids for t in ps.ids if s != t], 40)
+        for s, t in pairs:
+            assert route_g9(loaded, s, t).to_json() == route_g9(g9, s, t).to_json()
+        assert loaded.hint_table.walk == g9.hint_table.walk
+        assert loaded.hint_table.ends == g9.hint_table.ends
 
 
 class TestRotatedUnion:

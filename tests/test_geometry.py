@@ -89,13 +89,19 @@ class TestConeSystem:
         dx, dy = v
         cs = ConeSystem(k)
         az = cs.azimuth((0, 0), (dx, dy))
+        # offset[i]: az less cone i's clockwise boundary, wrapped to [-pi, pi).
+        offset = [(az - b + math.pi) % (2 * math.pi) - math.pi for b in cs.boundary_azimuths()]
+        gap = min(map(abs, offset))
         # Skip the knife edge where the two eps formulations may round apart.
-        gap = min(
-            abs((az - b + math.pi) % (2 * math.pi) - math.pi)
-            for b in cs.boundary_azimuths()
-        )
         assume(not 1e-10 < gap < 3e-9)
-        assert cs.cone_of((0, 0), (dx, dy)) == oracle_cone_index(dx, dy, k)
+        # The rule by intervals: cone i covers (i*theta - theta/2, i*theta +
+        # theta/2], and a direction within eps of a boundary belongs to the
+        # cone that boundary closes clockwise.
+        if gap <= 1e-10:
+            expected = min(range(k), key=lambda i: abs(offset[i]))
+        else:
+            expected = next(i for i in range(k) if -cs.theta < offset[i] <= 0.0)
+        assert cs.cone_of((0, 0), (dx, dy)) == expected == oracle_cone_index(dx, dy, k)
 
     @given(v=vec(), k=cone_counts)
     @settings(max_examples=200, deadline=None)
