@@ -385,7 +385,7 @@ def _verify_bound(g: SpannerGraph, name: str | None, tolerance: float, per_pair:
     if name is None:
         name, kwargs = _default_bound(g)
     else:
-        kwargs = {"k": g.k, "m": g.metadata.get("m")}
+        kwargs = {"k": g.k, "m": g.metadata.get("m") if name == "rotated_union" else None}
         kwargs = {k_: v for k_, v in kwargs.items() if v is not None}
     value = bound_value(name, **kwargs)
     report = spanning_ratio(g, per_pair=per_pair)

@@ -83,9 +83,9 @@ class SpannerGraph:
       ``hint_table`` on g9 graphs.
     max_degree() counts the array's entries and builds no view.
 
-    A g9 from build_g9 keeps its routing hints as the index lists of its
-    hint table: its ``metadata`` dict is made from the table on first read,
-    and to_json writes the hints' text from the table until then.
+    A g9's hints live only in its hint table (a made or loaded g9 parses
+    its raw hints on first use): to_json writes them from it, == compares
+    tables, and each read of ``metadata`` makes a new dict from it.
     """
 
     def __init__(self, kind: str, k, points: PointSet, edges, metadata=None):
@@ -111,27 +111,33 @@ class SpannerGraph:
 
     def _setup(self, kind, k, points, ends, metadata, hints=None) -> None:
         """The one header rule of built and loaded graphs: kind is a str,
-        metadata a dict (None: none), and k as _kind_k allows."""
+        metadata a dict (None: none), a g9's exactly {"hints": <dict>} unless
+        build_g9 passes its table as hints, and k as _kind_k allows."""
         if not isinstance(kind, str):
             raise InvalidParameter(f"graph kind must be a string, got {kind!r}")
         metadata = {} if metadata is None else metadata
         if not isinstance(metadata, dict):
             raise InvalidParameter(f"graph metadata must be a dict, got {metadata!r}")
+        if kind == "g9" and hints is None and (list(metadata) != ["hints"] or not isinstance(metadata["hints"], dict)):
+            raise InvalidParameter("graph lacks the construction hints required for g9 routing")
         self.kind = kind
         self.k = _kind_k(kind, k)
         self.points = points
         self._ends = _edge_array(points, ends)
-        if hints is None:
-            self.metadata = metadata
+        if kind != "g9":
+            self._metadata = metadata
+        elif hints is None:
+            self._raw_hints = metadata["hints"]
         else:
             self.hint_table = hints
 
-    @cached_property
+    @property
     def metadata(self) -> dict:
-        """Construction-specific extras, set when the graph is made, except
-        on a built g9: its {"hints": ...} dict is read from the text its hint
-        table writes, on first use."""
-        return _parse_json(self.hint_table.to_json(self.points), "g9 hints")
+        """Construction-specific extras as the graph was made with them; a
+        g9's {"hints": ...} dict is made anew from its hint table."""
+        if self.kind == "g9":
+            return _parse_json(self.hint_table.to_json(self.points), "g9 hints")
+        return self._metadata
 
     @cached_property
     def _id_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -192,9 +198,11 @@ class SpannerGraph:
 
     @cached_property
     def hint_table(self) -> "_HintTable":
-        """A g9's routing hints: build_g9's own table, or the metadata's
-        hints checked against the points."""
-        return _HintTable.parse(self.metadata.get("hints"), self.points)
+        """A g9's routing hints: build_g9's table, or its raw hints parsed,
+        which are dropped only once they pass, so a failed parse repeats."""
+        table = _HintTable.parse(self._raw_hints, self.points)
+        del self._raw_hints
+        return table
 
     def edge_list(self) -> list[tuple[int, int]]:
         return list(self._id_pairs)
@@ -232,21 +240,19 @@ class SpannerGraph:
             and self.k == other.k
             and _same_points(self.points, other.points)
             and np.array_equal(self._ends, other._ends)
-            and self.metadata == other.metadata
+            and (self.hint_table == other.hint_table if self.kind == "g9" else self._metadata == other._metadata)
         )
 
     def to_json(self) -> str:
         # The top-level keys in sorted order, as _dump_json writes them; the
-        # points' text is the point set's own. A built g9 whose metadata was
-        # never read writes it from its hint table; once read, the dict (with
-        # any edits) is written.
-        metadata = self.__dict__.get("metadata")
+        # points' text is the point set's own, and a g9's metadata its hint
+        # table's.
         ids = np.array(self.points.arrays[0], dtype=object)
         return '{"edges":%s,"k":%s,"kind":%s,"metadata":%s,"points":%s}\n' % (
             _json_text(ids[self._ends].tolist()),
             _json_text(self.k),
             _json_text(self.kind),
-            self.hint_table.to_json(self.points) if metadata is None else _json_text(metadata),
+            self.hint_table.to_json(self.points) if self.kind == "g9" else _json_text(self._metadata),
             self.points._records_json,
         )
 
@@ -418,24 +424,22 @@ class _ConeTable:
         return self.nbr[self._closest[g]]
 
 
+@dataclass
 class _HintTable:
     """A g9's routing hints as index lists, like the cone table's:
     walk[6 * i + c] is vertex i's walk direction ("self", "ccw" or "cw")
     toward even cone c, ends[6 * i + j] the (first, last) vertices of its fan
     in odd cone j, each None for none. build_g9 fills the lists from its fan
-    arrays; parse reads them from a loaded g9's metadata."""
+    arrays; parse reads them from a made or loaded g9's hints dict."""
 
-    def __init__(self, walk: list[str | None], ends: list[tuple[int, int] | None]):
-        self.walk = walk
-        self.ends = ends
+    walk: list[str | None]
+    ends: list[tuple[int, int] | None]
 
     @classmethod
-    def parse(cls, raw, points: PointSet) -> "_HintTable":
-        """The table of a g9 metadata's "hints" dict (see to_json). An
-        entry's key must be a vertex's id, and a fan end's [id, x, y] a
-        vertex at exactly those coordinates."""
-        if not isinstance(raw, dict):
-            raise InvalidParameter("graph lacks the construction hints required for g9 routing")
+    def parse(cls, raw: dict, points: PointSet) -> "_HintTable":
+        """The table of a g9's "hints" dict (see to_json). An entry's key
+        must be a vertex's id, and a fan end's [id, x, y] a vertex at exactly
+        those coordinates; else InvalidParameter."""
         index, coords = points.index, points._coords
         walk: list[str | None] = [None] * (6 * len(coords))
         ends: list[tuple[int, int] | None] = [None] * (6 * len(coords))
@@ -833,8 +837,7 @@ def build_g9(h: SpannerGraph) -> SpannerGraph:
     coordinates per negative cone).
 
     The hints are a _HintTable filled from h's fan arrays, correct by
-    construction; the graph's metadata dict is made from it on first read,
-    and its file is written from it (SpannerGraph.to_json)."""
+    construction, and the graph's one store of them (see SpannerGraph)."""
     cones = _half_theta6_cones(h)
     t = h._csr
     ids = h.points.arrays[0]

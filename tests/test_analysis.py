@@ -20,6 +20,7 @@ from spannerkit import (
     build_g9,
     build_g12,
     build_half_theta6,
+    build_rotated_union,
     build_theta,
     build_yao,
     canonical_triangle,
@@ -34,6 +35,7 @@ from spannerkit import (
     theta5_witness_path,
     verify_bound,
 )
+from spannerkit.build import _HintTable
 
 from oracles import oracle_shortest_path
 
@@ -165,6 +167,20 @@ class TestVerifyBound:
         g = build_theta(gen_random(30, 11), 12)
         rep = verify_bound(g, name="theta")
         assert rep.bound == pytest.approx(bound_value("theta", k=12))
+
+    def test_only_the_rotated_union_bound_reads_metadata(self, monkeypatch):
+        # Each read of a g9's metadata writes its hint table's text; a named
+        # bound other than rotated_union needs no m, so it reads none.
+        ps = gen_random(30, 11)
+        g9 = build_g9(build_half_theta6(ps))
+        writes = []
+        to_json = _HintTable.to_json
+        monkeypatch.setattr(_HintTable, "to_json", lambda *a: writes.append(a) or to_json(*a))
+        for name in ("half_theta6", "theta5"):
+            assert verify_bound(g9, name).bound_name == name
+        assert writes == []
+        rep = verify_bound(build_rotated_union(ps, 3), name="rotated_union")
+        assert rep.bound == bound_value("rotated_union", m=3)
 
     def test_five_and_four_cone_defaults(self):
         ps = gen_random(30, 11)

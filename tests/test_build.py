@@ -698,30 +698,69 @@ def _id_shuffled(ps, seed):
 
 
 class TestBuiltG9Hints:
-    """A built g9 keeps its hints as an index table: the metadata dict is
-    made on first read, and the file is written from the table until then."""
+    """A g9 keeps its hints only as its hint table: the file is written from
+    it, == compares tables, and metadata is a new dict made from it."""
 
     @pytest.mark.parametrize("ps", [gen_random(60, seed) for seed in (1, 2, 3, 4)]
                              + [_id_shuffled(gen_random(60, 5), 1), _id_shuffled(gen_random(90, 6), 2)])
-    def test_file_and_metadata_agree_before_and_after_the_read(self, ps):
+    def test_file_and_metadata_agree_before_and_after_the_read(self, ps, monkeypatch):
         h = build_half_theta6(ps)
         g9 = build_g9(h)
         text = g9.to_json()
-        # Writing the file made no dict.
-        assert "metadata" not in g9.__dict__
+        # A loaded g9 equals the built one until one walk direction changes,
+        # and == neither writes nor parses hints text.
+        doc = json.loads(text)
+        entry = next(e for e in doc["metadata"]["hints"].values() if "ccw" in e["dir"].values())
+        cone = min(c for c, d in entry["dir"].items() if d == "ccw")
+        entry["dir"][cone] = "cw"
+        same, changed = graph_from_json(text), graph_from_json(json.dumps(doc))
+        calls = []
+        monkeypatch.setattr(build_module._HintTable, "to_json", lambda *a: calls.append(a))
+        monkeypatch.setattr(build_module, "_parse_json", lambda *a: calls.append(a))
+        assert same == g9 and g9 == same
+        assert changed != g9 and g9 != changed
+        assert calls == []
+        monkeypatch.undo()
         assert g9.metadata == {"hints": _hints_from_fans(h)}
         assert g9.to_json() == text
         assert json.loads(text)["metadata"] == g9.metadata
 
-    def test_edits_after_the_read_are_written(self):
-        g9 = build_g9(build_half_theta6(gen_random(40, 7)))
-        hints = g9.metadata["hints"]
-        key = min(hints)
-        hints[key]["dir"] = {"0": "self"}
-        hints["-1"] = {"dir": {}, "fan": {}}
-        doc = json.loads(g9.to_json())
-        assert doc["metadata"]["hints"][key]["dir"] == {"0": "self"}
-        assert doc["metadata"] == g9.metadata
+    def test_metadata_edits_change_nothing(self):
+        # Editing a loaded g9's metadata after a route used to change its
+        # file but not its routes: every "ccw" and "cw" swapped here made the
+        # written file raise InternalInvariantViolation on 517 of 3,540
+        # ordered pairs, and the graph still compared equal to that file.
+        ps = gen_random(60, 3)
+        text = build_g9(build_half_theta6(ps)).to_json()
+        g9 = graph_from_json(text)
+        pairs = random.Random(5).sample([(s, t) for s in ps.ids for t in ps.ids if s != t], 60)
+        routes = [route_g9(g9, s, t).to_json() for s, t in pairs]
+        metadata = g9.metadata
+        for entry in metadata["hints"].values():
+            entry["dir"] = {c: {"ccw": "cw", "cw": "ccw"}.get(d, d) for c, d in entry["dir"].items()}
+        assert g9.metadata != metadata
+        assert g9.to_json() == text
+        assert g9 == graph_from_json(text)
+        assert g9 != SpannerGraph("g9", 6, ps, g9.edge_list(), metadata)
+        assert [route_g9(g9, s, t).to_json() for s, t in pairs] == routes
+
+    def test_raw_hints_are_dropped_once_the_table_is_read(self):
+        g9 = build_g9(build_half_theta6(gen_random(30, 4)))
+        assert "_raw_hints" not in g9.__dict__
+        for g in (graph_from_json(g9.to_json()), SpannerGraph("g9", 6, g9.points, g9.edge_list(), g9.metadata)):
+            assert "_raw_hints" in g.__dict__
+            assert g.hint_table == g9.hint_table
+            assert "_raw_hints" not in g.__dict__
+
+    def test_malformed_hints_fail_at_every_use(self):
+        ps = gen_random(20, 11)
+        doc = json.loads(build_g9(build_half_theta6(ps)).to_json())
+        doc["metadata"]["hints"]["1"] = {"dir": {"0": "up"}}
+        g9 = graph_from_json(json.dumps(doc))
+        for use in (lambda: route_g9(g9, 0, 13), lambda: route_g9(g9, 0, 13), g9.to_json,
+                    lambda: g9.metadata, lambda: g9 == g9):
+            with pytest.raises(InvalidParameter, match="malformed g9 routing hints"):
+                use()
 
     @pytest.mark.parametrize("ps", [gen_random(80, 9), _id_shuffled(gen_random(80, 10), 3)])
     def test_loaded_graph_equals_and_routes_as_the_built_one(self, ps):
@@ -1152,6 +1191,11 @@ class TestGraphContainer:
                                   ("yao", 6, [1]), ("mst", 6, None), ("theta", None, None)):
             with pytest.raises(InvalidParameter):
                 SpannerGraph(kind, k, ps, edges, metadata)
+        # A g9's metadata is exactly {"hints": <dict>}.
+        hints = build_g9(build_half_theta6(ps)).metadata["hints"]
+        for metadata in (None, {}, {"hints": []}, {"hints": hints, "m": 1}):
+            with pytest.raises(InvalidParameter, match="lacks the construction hints required for g9 routing"):
+                SpannerGraph("g9", 6, ps, [], metadata)
         # A numpy cone count is stored as the int ConeSystem holds.
         g = SpannerGraph("yao", np.int64(6), ps, [])
         assert type(g.k) is int and graph_from_json(g.to_json()) == g

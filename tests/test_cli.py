@@ -493,6 +493,19 @@ class TestRoute:
                      "--from", "0", "--to", "13"]) == 2
         assert "malformed g9 routing hints" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["render", "analyze", "route"])
+    def test_g9_metadata_other_than_hints_is_rejected_input(self, tmp_path, capsys, command):
+        # render and analyze used to read these files, and a route kept the
+        # extra key "m" when the graph was written.
+        doc = json.loads(graph_to_json(build_g9(build_half_theta6(gen_random(20, 11)))))
+        argv = {"render": [], "analyze": [], "route": ["--algo", "g9", "--from", "0", "--to", "13"]}[command]
+        for name, metadata in (("empty", {}), ("list", {"hints": []}),
+                               ("extra", dict(doc["metadata"], m=1))):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(dict(doc, metadata=metadata)))
+            assert main([command, "--graph", str(path)] + argv) == 2
+            assert "lacks the construction hints required for g9 routing" in capsys.readouterr().err
+
 
 class TestRender:
     def test_point_svg_is_byte_stable(self, tmp_path, capsys):
