@@ -402,10 +402,14 @@ def scan_rows(n, repeat, seed):
 
 
 def commit():
+    """HEAD, with -dirty when src/ or benchmarks/ differ from it: the
+    measured code and this script, not the documents beside them."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
+
     try:
-        out = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"],
-                             cwd=ROOT, capture_output=True, text=True, check=True)
-        return out.stdout.strip()
+        dirty = git("status", "--porcelain", "--", "src", "benchmarks")
+        return git("describe", "--always", "--abbrev=40") + ("-dirty" if dirty else "")
     except (OSError, subprocess.CalledProcessError):
         return None
 

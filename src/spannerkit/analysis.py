@@ -16,7 +16,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from . import kernels
-from .build import SpannerGraph, _cone_picks, _half_theta6_cones, _same_points, build_half_theta6, build_theta
+from .build import SpannerGraph, _cone_picks, _half_theta6_cones, build_half_theta6, build_theta
 from .errors import InternalInvariantViolation, InvalidParameter
 from .geometry import (
     _CHECK_BLOCK,
@@ -553,12 +553,12 @@ def g9_approximation_check(h: SpannerGraph, g9: SpannerGraph, tolerance: float =
     cones = _half_theta6_cones(h)
     if g9.kind != "g9":
         raise InvalidParameter(f"expected a g9 graph, got kind {g9.kind!r}")
-    if not _same_points(h.points, g9.points):
+    if h.points != g9.points:
         raise InvalidParameter("g9 is not over the points of h")
     ids, xy = cones.ids, cones.coords
     records = []
     ok = True
-    for s, j in product(map(h.points.index.__getitem__, h.points.ids), (1, 3, 5)):
+    for s, j in product(range(len(ids)), (1, 3, 5)):
         members = cones.fan(s, j)
         if not members:
             continue

@@ -238,7 +238,7 @@ class SpannerGraph:
         return (
             self.kind == other.kind
             and self.k == other.k
-            and _same_points(self.points, other.points)
+            and self.points == other.points
             and np.array_equal(self._ends, other._ends)
             and (self.hint_table == other.hint_table if self.kind == "g9" else self._metadata == other._metadata)
         )
@@ -490,13 +490,6 @@ def graph_to_json(g: SpannerGraph) -> str:
 
 def graph_from_json(text: str) -> SpannerGraph:
     return SpannerGraph.from_json(text)
-
-
-def _same_points(p: PointSet, q: PointSet) -> bool:
-    """Whether p and q hold the same ids at the same coordinates. Points
-    compare in id order, as edge arrays and graph files hold them."""
-    a, b = p.arrays, q.arrays
-    return a[0] == b[0] and np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])
 
 
 def _norm_edge(u: int, v: int) -> tuple[int, int]:

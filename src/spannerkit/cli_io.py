@@ -332,27 +332,30 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    _as_real(args.tolerance, "tolerance must be finite (a real number)")
-    g = graph_from_json(_read(args.graph))
-    if args.check:
-        report = analysis._verify_bound(g, None, args.tolerance, per_pair=args.per_pair)
+    return _analyze_file(args.graph, args.tolerance, args.check, args.per_pair, args.out)
+
+
+def _analyze_file(path, tolerance, check: bool, per_pair: bool, out) -> int:
+    """analyze over a graph file; verify over one runs it with check on."""
+    _as_real(tolerance, "tolerance must be finite (a real number)")
+    g = graph_from_json(_read(path))
+    if check:
+        report = analysis._verify_bound(g, None, tolerance, per_pair=per_pair)
     else:
-        report = analysis.spanning_ratio(g, per_pair=args.per_pair)
-    if args.per_pair and args.out and args.out.endswith(".csv"):
+        report = analysis.spanning_ratio(g, per_pair=per_pair)
+    if per_pair and out and out.endswith(".csv"):
         rows = ["u,v,euclidean,graph_distance,ratio"]
         for rec in report.per_pair:
             rows.append(
                 f'{rec["u"]},{rec["v"]},{rec["euclidean"]!r},'
                 f'{rec["graph_distance"]!r},{rec["ratio"]!r}'
             )
-        _emit("\n".join(rows) + "\n", args.out)
+        _emit("\n".join(rows) + "\n", out)
         report.per_pair = None
         _emit(report.to_json(), None)
     else:
-        _emit(report.to_json(), args.out)
-    if args.check and not report.passed:
-        return 1
-    return 0
+        _emit(report.to_json(), out)
+    return 1 if check and not report.passed else 0
 
 
 def _cmd_verify(args) -> int:
@@ -388,10 +391,7 @@ def _cmd_verify(args) -> int:
         }
         _emit(_dump_json(doc), args.out)
         return 0 if passed else 1
-    g = graph_from_json(_read(args.graph))
-    report = analysis.verify_bound(g, tolerance=args.tolerance)
-    _emit(report.to_json(), args.out)
-    return 0 if report.passed else 1
+    return _analyze_file(args.graph, args.tolerance, True, False, args.out)
 
 
 def _cmd_route(args) -> int:

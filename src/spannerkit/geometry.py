@@ -44,14 +44,18 @@ class Point:
 
 
 class PointSet:
-    """Ordered collection of points with unique ids and unique finite
-    coordinates, whose x and y extents have a finite diagonal.
+    """Collection of points with unique ids and unique finite coordinates,
+    whose x and y extents have a finite diagonal.
 
-    The set is a table in input order: the ids, a list of int (_as_id), and
-    the x and y columns, read-only float64 arrays (_as_coord). Every layer
-    reads ``arrays`` or ``_coords``; Point objects are built only to iterate
-    the set or look a point up.
+    The set is one table in ascending id order, ``arrays``: the ids, a tuple
+    of int (_as_id), and the x and y columns, read-only float64 arrays
+    (_as_coord). The input order is not kept: ids, iteration, equality and
+    every reader follow the table. Every layer reads ``arrays`` or
+    ``_coords``; Point objects are built only to iterate the set or look a
+    point up.
     """
+
+    arrays: tuple[tuple[int, ...], np.ndarray, np.ndarray]
 
     def __init__(self, points):
         try:
@@ -59,7 +63,7 @@ class PointSet:
             columns = [p.id for p in pts], [p.x for p in pts], [p.y for p in pts]
         except (AttributeError, TypeError) as exc:
             raise InvalidParameter(f"a point set takes an iterable of Points: {exc}") from exc
-        self._ids, self._x, self._y, self._order = _table(*columns)
+        self.arrays = _table(*columns)
 
     @classmethod
     def from_pairs(cls, pairs) -> "PointSet":
@@ -75,16 +79,14 @@ class PointSet:
     def _from_columns(cls, ids, xs, ys) -> "PointSet":
         """The set of the given ids and float coordinates, checked by _table."""
         self = cls.__new__(cls)
-        self._ids, self._x, self._y, self._order = _table(ids, xs, ys)
+        self.arrays = _table(ids, xs, ys)
         return self
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return len(self.arrays[0])
 
     def __iter__(self):
-        if self._order is None:
-            return iter(self._id_order)
-        return map(Point, self._ids, self._x.tolist(), self._y.tolist())
+        return iter(self._id_order)
 
     def __getitem__(self, pid: int) -> Point:
         i = self._position(pid)
@@ -98,26 +100,16 @@ class PointSet:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PointSet):
             return NotImplemented
-        return self._ids == other._ids and np.array_equal(self._x, other._x) and np.array_equal(self._y, other._y)
+        (a, ax, ay), (b, bx, by) = self.arrays, other.arrays
+        return a == b and np.array_equal(ax, bx) and np.array_equal(ay, by)
 
     @property
     def ids(self) -> list[int]:
-        return list(self._ids)
-
-    @cached_property
-    def arrays(self) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-        """The table in ascending id order, as a tuple and two read-only
-        float64 arrays: the columns themselves when the ids ascend already,
-        as in every generated set and graph file."""
-        if self._order is None:
-            return tuple(self._ids), self._x, self._y
-        x, y = self._x[self._order], self._y[self._order]
-        x.flags.writeable = y.flags.writeable = False
-        return tuple(map(self._ids.__getitem__, self._order)), x, y
+        return list(self.arrays[0])
 
     @cached_property
     def _id_order(self) -> list[Point]:
-        """The points in ``arrays`` order, for ps[id]."""
+        """The points in ``arrays`` order, for iteration and ps[id]."""
         ids, x, y = self.arrays
         return list(map(Point, ids, x.tolist(), y.tolist()))
 
@@ -162,9 +154,10 @@ class PointSet:
         return list(map("[%d,%r,%r]".__mod__, zip(ids, x.tolist(), y.tolist())))
 
 
-def _table(ids, xs, ys) -> tuple[list[int], np.ndarray, np.ndarray, list[int] | None]:
-    """A PointSet's ids as a list of int, its read-only x and y columns, and
-    its input positions in ascending id order (None when the ids ascend).
+def _table(ids, xs, ys) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """A PointSet's table, sorted by id: the ids as a tuple of int and the
+    read-only x and y columns (the converted input columns themselves when
+    the ids ascend already, as in every generated set and graph file).
 
     As a loop over the points in input order would, the first point that
     breaks a rule raises the error of the first rule it breaks: its id is an
@@ -207,8 +200,10 @@ def _table(ids, xs, ys) -> tuple[list[int], np.ndarray, np.ndarray, list[int] | 
     if len(ids) and not math.isfinite(
             math.hypot(float(x.max()) - float(x.min()), float(y.max()) - float(y.min()))):
         raise DegenerateInput("coordinate differences overflow: the points' x and y extents have no finite diagonal")
+    if order is not None:
+        ids, x, y = list(map(ids.__getitem__, order)), x[order], y[order]
     x.flags.writeable = y.flags.writeable = False
-    return ids, x, y, order
+    return tuple(ids), x, y
 
 
 def _coordinates(values) -> tuple[np.ndarray, list[int]]:
@@ -434,14 +429,14 @@ def general_position_report(ps: PointSet, k: int) -> list[dict]:
 
     Flags pairs whose direction is within EPS of a cone boundary direction or
     its perpendicular (mod pi, _avoided_directions), then pairs equidistant
-    from a common apex. The vectorized passes (_aligned_pairs,
-    _distance_rows) only filter: _aligned_direction decides every pair whose
-    direction is not clear of EPS, and _equidistant_findings every apex row
-    with a gap not clear of its threshold, by more than _CHECK_SLACK; so the
-    findings and their order are exactly those of the all-pairs scalar loops.
+    from a common apex, rows and pairs in the set's id order. The vectorized
+    passes (_aligned_pairs, _distance_rows) only filter: _aligned_direction
+    decides every pair whose direction is not clear of EPS, and
+    _equidistant_findings every apex row with a gap not clear of its
+    threshold, by more than _CHECK_SLACK; so the findings and their order are
+    exactly those of the all-pairs scalar loops.
     """
-    # Rows and pairs in input order.
-    ids, x, y = ps._ids, ps._x, ps._y
+    ids, x, y = ps.arrays
     xs, ys = x.tolist(), y.tolist()
     with np.errstate(over="ignore", invalid="ignore"):
         findings = [
@@ -662,9 +657,7 @@ def _equidistant_findings(table, a: int) -> list[dict]:
 
 
 def points_to_json(ps: PointSet) -> str:
-    if ps._order is None:
-        return '{"points":%s}\n' % ps._records_json
-    return '{"points":%s}\n' % _json_text(_point_records(ps._ids, ps._x, ps._y))
+    return '{"points":%s}\n' % ps._records_json
 
 
 def points_from_json(text: str) -> PointSet:
@@ -727,11 +720,12 @@ def _json_ids(values: list) -> list[int]:
 
 
 def _json_real(value) -> float:
-    """A length read from JSON, as float by _as_coord's rule; anything else
-    (bools and strings included) raises ValueError."""
+    """A length read from JSON, as a finite float by _as_coord's rule;
+    anything else (bools, strings, NaN and the infinities, 1e400 included)
+    raises ValueError."""
     real = _as_coord(value)
-    if real is None:
-        raise ValueError(f"expected a number, got {value!r}")
+    if real is None or not math.isfinite(real):
+        raise ValueError(f"expected a finite number, got {value!r}")
     return real
 
 

@@ -818,11 +818,8 @@ def _walk_region_landing(ctx, frame, target, start, pref_dir: str | None):
         fl = _flank(ctx, cur, anchor_cone, pref_dir)
         if fl is None:
             return cur, walked
-        px, py = ctx.coords[fl[0]]
         nxt_az = az_from_s(fl[0])
-        if (kernels.cone_index(px - sx, py - sy, 6) != frame.j
-                or not frame.contains((px, py))
-                or not advances(pref_dir, cur_az, nxt_az)):
+        if not _in_region(ctx, frame, frame.j, fl[0]) or not advances(pref_dir, cur_az, nxt_az):
             return cur, walked
         cur = fl[0]
         cur_az = nxt_az

@@ -1070,7 +1070,7 @@ class TestGraphContainer:
         for g in (build_half_theta6(ps), build_g9(build_half_theta6(ps)), build_mst(ps)):
             back = graph_from_json(g.to_json())
             assert back == g and g == back
-        assert build_half_theta6(ps) == build_half_theta6(base)
+        assert build_half_theta6(ps) == build_half_theta6(base) and ps == base
 
     def test_tables_match_the_per_edge_loops(self, golden_graphs):
         for graphs in golden_graphs.values():

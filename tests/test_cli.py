@@ -399,6 +399,20 @@ class TestVerify:
         assert main(["verify", "--graph", path, "--tolerance", "-1.5"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("kind,extra,code", [
+        ("half_theta6", [], 0), ("half_theta6", ["--tolerance", "-1"], 1), ("g9", [], 2)])
+    def test_file_mode_is_analyze_check(self, kind, extra, code, tmp_path, capsys):
+        # A passing file, a failing one and a kind with no bound: the same
+        # bytes on stdout and stderr and the same exit code.
+        h = build_half_theta6(gen_random(60, 3))
+        path = tmp_path / "graph.json"
+        path.write_text(graph_to_json(h if kind == "half_theta6" else build_g9(h)))
+        outputs = []
+        for command in (["verify"], ["analyze", "--check"]):
+            assert main(command + ["--graph", str(path)] + extra) == code
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] and outputs[0].out + outputs[0].err
+
 
 class TestRoute:
     def test_summary_and_trace(self, h6_file, capsys):

@@ -281,7 +281,7 @@ class TestPointSet:
     def test_numpy_integer_ids_are_stored_as_int(self):
         # They used to make points_to_json raise TypeError.
         ps = PointSet([Point(np.int64(5), 0.0, 0.0), Point(np.uint8(2), 1.0, 0.5)])
-        assert ps.ids == [5, 2] and all(type(i) is int for i in ps.ids)
+        assert ps.ids == [2, 5] and all(type(i) is int for i in ps.ids)
         assert points_from_json(points_to_json(ps)) == ps
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -382,20 +382,42 @@ class TestPointSet:
         assert len(PointSet.from_pairs([])) == 0
 
     def test_columns_are_the_point_set(self):
-        # Ids in input order and read-only float64 columns; arrays is their
-        # id-order view, which is the columns themselves when ids ascend.
+        # One stored table in id order: the ids and read-only float64 columns.
         ps = PointSet.from_pairs([(0.5, 0.25), (-1.0, 2.0), (3.0, -0.0)])
         ids, x, y = ps.arrays
-        assert ids == (0, 1, 2) and x is ps._x and y is ps._y
+        assert ids == (0, 1, 2) and vars(ps)["arrays"] is ps.arrays
+        assert not {"_ids", "_x", "_y", "_order"} & set(vars(ps))
         assert not x.flags.writeable and not y.flags.writeable
         assert ps._coords == [(0.5, 0.25), (-1.0, 2.0), (3.0, -0.0)]
         assert ps[1] is ps[1] and ps[1] == Point(1, -1.0, 2.0)
         shuffled = PointSet([Point(7, 0.0, 0.0), Point(-2, 0.25, 1.0), Point(3, -3.125, 2.5)])
-        assert shuffled.ids == [7, -2, 3] and [p.id for p in shuffled] == [7, -2, 3]
+        assert shuffled.ids == [-2, 3, 7] and [p.id for p in shuffled] == [-2, 3, 7]
         ids, x, y = shuffled.arrays
         assert ids == (-2, 3, 7) and x.tolist() == [0.25, -3.125, 0.0] and y.tolist() == [1.0, 2.5, 0.0]
         assert shuffled._coords == [(0.25, 1.0), (-3.125, 2.5), (0.0, 0.0)]
         assert shuffled[3] == Point(3, -3.125, 2.5) and len(shuffled) == 3
+
+    def test_input_order_is_not_kept(self):
+        # Ids given shuffled: the set equals its id-sorted twin, and every
+        # read follows id order.
+        ids = [np.int64(12), -(10**20), 3, 10**20, np.uint8(7), -5, 40]
+        coords = [(1.0, 0.0), (-1.0, 2.0), (3.0, -0.0), (0.125, 7.5), (2.25, -3.0), (-4.5, 1.75), (0.0, 0.0)]
+        given = [Point(i, x, y) for i, (x, y) in zip(ids, coords)]
+        shuffled, twin = PointSet(given), PointSet(sorted(given, key=lambda p: int(p.id)))
+        assert shuffled == twin and twin == shuffled and shuffled != PointSet(given[1:])
+        assert shuffled.ids == twin.ids == sorted(map(int, ids))
+        assert list(shuffled) == list(twin) and [p.id for p in shuffled] == twin.ids
+        assert points_to_json(shuffled) == points_to_json(twin)
+        assert points_from_json(points_to_json(shuffled)) == shuffled
+        report = general_position_report(shuffled, 6)
+        assert report == general_position_report(twin, 6) and len(report) >= 2
+        # The first offender in input order is still the one named.
+        with pytest.raises(DegenerateInput, match=r"^duplicate point id 9$"):
+            PointSet([Point(9, 0.0, 0.0), Point(5, 1.0, 0.5), Point(9, 2.0, 1.0), Point(5, 3.0, 2.0)])
+        with pytest.raises(InvalidParameter, match=r"^point 5 has a non-finite coordinate \(nan, 0.0\)$"):
+            PointSet([Point(9, 0.0, 0.0), Point(5, math.nan, 0.0), Point(1, 1.0, math.inf)])
+        with pytest.raises(InvalidParameter, match=r"^point 5 coordinate must be a real number, got 'a'$"):
+            PointSet([Point(9, 0.0, 0.0), Point(5, "a", 0.0), Point(1, None, 0.0)])
 
 
 class TestGeneralPositionReport:

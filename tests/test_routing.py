@@ -387,3 +387,18 @@ class TestTraceSerialization:
         for key, bad in (("from", True), ("case", 7), ("case", "E")):
             with pytest.raises(InvalidParameter):
                 trace_from_json(json.dumps({**doc, "steps": [{**step, key: bad}]}))
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_numbers_rejected(self, world, bad):
+        # json.loads reads NaN and the infinities, and 1e400 overflows to inf.
+        doc = json.loads(route_stateless(world[0], 0, 40).to_json())
+        assert doc["steps"]
+        fields = [(doc, key) for key in ("total", "exploration", "bound", "probe_slack")]
+        fields += [(doc["steps"][0], key) for key in ("len", "phi_before", "phi_after", "exploration")]
+        for record, key in fields:
+            kept, record[key] = record[key], "@"
+            text = json.dumps(doc).replace('"@"', bad)
+            record[key] = kept
+            with pytest.raises(InvalidParameter, match=r"^malformed trace JSON: expected a finite number"):
+                trace_from_json(text)
+        assert trace_from_json(json.dumps(doc)) == route_stateless(world[0], 0, 40)
