@@ -78,7 +78,21 @@ squares side by side whose pairs across lie near a six-cone boundary:
   scan alone (every row forced through it), which must return the same edges;
 - edges_sha256: sha256 of repr() of cone_scan's edge list.
 
-Writes the six tables with the Python/numpy/scipy versions, commit and
+CLI rows (one process per n in CLI_SIZES) run python -m spannerkit on files
+of the same uniform points, each call in a fresh process with stdout to a
+file, as a user's shell runs it: gen (--kind random while gen_random reaches
+n, up to GEN_RANDOM_MAX, and --kind circle), build --graph half_theta6 and
+g9, route with each router on its graph between the first pair that
+random.Random(seed) draws, analyze and render of the half-Theta-6 file:
+
+- wall_s: best-of-k wall time from starting the process to reaping it, which
+  is mostly interpreter start-up and imports at these sizes;
+- peak_rss_mb: the largest of the k processes' peak RSS (os.wait4's
+  rusage);
+- stdout_sha256: the first 16 hex digits of its standard output, which every
+  repetition must repeat.
+
+Writes the seven tables with the Python/numpy/scipy versions, commit and
 source hash to --out (BENCH_layers.json by default) and prints them. With
 --only (say --only ratio) it runs just those tables and keeps the other rows
 of an existing --out as they are, with their own commit and source hash in
@@ -131,6 +145,10 @@ SCANS = (("half-theta-6", 6, True, 0b010101), ("theta k=7", 7, True, 0),
          ("theta k=64", 64, True, 0), ("yao k=64", 64, False, 0))
 #: Point sets of the scan rows (scan_points).
 SCAN_POINTS = ("uniform", "cluster_far", "circle", "aligned")
+#: Point counts of the CLI rows.
+CLI_SIZES = (512, 4096)
+#: Largest n of the CLI rows that also runs gen --kind random.
+GEN_RANDOM_MAX = 2048
 
 
 def peak_rss_mb():
@@ -401,6 +419,79 @@ def scan_rows(n, repeat, seed):
     return rows
 
 
+def cli_inputs(n, seed, directory):
+    """Write the CLI rows' input files to directory: n uniform points and the
+    half-Theta-6, G12 and G9 graphs over them."""
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    import spannerkit as sk
+
+    ps = sk.PointSet.from_pairs(uniform_pairs(n, seed))
+    h = sk.build_half_theta6(ps)
+    for name, text in (("points", sk.points_to_json(ps)), ("half_theta6", h.to_json()),
+                       ("g12", sk.build_g12(h).to_json()), ("g9", sk.build_g9(h).to_json())):
+        with open(os.path.join(directory, name + ".json"), "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
+def run_cli(argv, out_path, err_path):
+    """Run python -m spannerkit argv in a fresh process with stdout to
+    out_path and stderr to err_path; returns its wall time and peak RSS in MB."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    env.pop("SPANNER_KIT_SEED", None)
+    with open(out_path, "wb") as out, open(err_path, "wb") as err:
+        t0 = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-m", "spannerkit", *argv], stdout=out, stderr=err, env=env)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall_s = time.perf_counter() - t0
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode != 0:
+        with open(err_path, encoding="utf-8", errors="replace") as fh:
+            raise SystemExit(f"spannerkit {' '.join(argv)} exited {proc.returncode}:\n{fh.read()}")
+    return wall_s, usage.ru_maxrss / 1024.0
+
+
+def cli_rows(n, repeat, seed):
+    """Time CLI calls at one size, each in a fresh process; returns their rows.
+
+    A child that subprocess starts (by vfork) counts its parent's peak RSS in
+    its own ru_maxrss, so the calls start from this process, which imports
+    neither numpy nor spannerkit, and another process writes the inputs."""
+    import tempfile
+
+    s, t = (str(v) for v in random.Random(seed).sample(range(n), 2))
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        subprocess.run([sys.executable, "-c", f"import bench_layers; bench_layers.cli_inputs({n}, {seed}, {tmp!r})"],
+                       cwd=HERE, check=True)
+        path = {name: os.path.join(tmp, name + ".json") for name in ("points", "half_theta6", "g12", "g9")}
+        calls = [["gen", "--kind", "random", "--n", str(n), "--seed", str(seed)]] if n <= GEN_RANDOM_MAX else []
+        calls.append(["gen", "--kind", "circle", "--n", str(n)])
+        calls += [["build", "--graph", kind, "--points", path["points"]] for kind in ("half_theta6", "g9")]
+        calls += [["route", "--graph", path[kind], "--algo", name, "--from", s, "--to", t]
+                  for name, kind in ROUTERS]
+        calls += [["analyze", "--graph", path["half_theta6"]], ["render", "--graph", path["half_theta6"]]]
+        out_path, err_path = os.path.join(tmp, "stdout"), os.path.join(tmp, "stderr")
+        for argv in calls:
+            wall_s, rss, digest = float("inf"), 0.0, None
+            for _ in range(repeat):
+                call_s, call_rss = run_cli(argv, out_path, err_path)
+                wall_s, rss = min(wall_s, call_s), max(rss, call_rss)
+                with open(out_path, "rb") as fh:
+                    got = hashlib.sha256(fh.read()).hexdigest()[:16]
+                if digest is not None and got != digest:
+                    raise SystemExit(f"n={n}: spannerkit {' '.join(argv)} printed different output")
+                digest = got
+            rows.append({
+                "n": n,
+                "command": " ".join(os.path.basename(a) if a in path.values() else a for a in argv),
+                "repeat": repeat,
+                "wall_s": round(wall_s, 4),
+                "peak_rss_mb": round(rss, 1),
+                "stdout_sha256": digest,
+            })
+    return rows
+
+
 def commit():
     """HEAD, with -dirty when src/ or benchmarks/ differ from it: the
     measured code and this script, not the documents beside them."""
@@ -460,8 +551,8 @@ def main():
 
     doc = {
         "bench": "spannerkit layers: gen_random, build.cone_scan, and over uniform points "
-                 "spanning_ratio(build_half_theta6), the half-theta-6 graph tables, the four routers "
-                 "and pair certification",
+                 "spanning_ratio(build_half_theta6), the half-theta-6 graph tables, the four routers, "
+                 "pair certification and fresh-process CLI calls",
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
@@ -554,6 +645,17 @@ def cert_section(args):
     return rows
 
 
+def cli_section(args):
+    rows = []
+    print(f"\n{'n':>6} {'command':<66} {'wall ms':>8} {'peak MB':>8} {'stdout':>17}")
+    for n in CLI_SIZES:
+        for row in child("cli", n, args):
+            rows.append(row)
+            print(f"{n:>6} {row['command']:<66} {row['wall_s'] * 1e3:>8.1f} {row['peak_rss_mb']:>8.1f} "
+                  f"{row['stdout_sha256']:>17}")
+    return rows
+
+
 def scan_section(args):
     rows = []
     print(f"\n{'points':<12} {'cone scan':<14} {'n':>6} {'grid ms':>9} {'fallback':>8} "
@@ -578,6 +680,7 @@ TABLES = {
     "route": (lambda n, args: route_rows(n, args.repeat, args.seed), route_section),
     "cert": (lambda n, args: cert_row(n, args.repeat, args.seed), cert_section),
     "scan": (lambda n, args: scan_rows(n, args.repeat, args.seed), scan_section),
+    "cli": (lambda n, args: cli_rows(n, args.repeat, args.seed), cli_section),
 }
 
 

@@ -10,10 +10,9 @@ import math
 import sys
 from dataclasses import dataclass, field
 from itertools import product
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from . import kernels
 from .build import SpannerGraph, _cone_picks, _half_theta6_cones, build_half_theta6, build_theta
@@ -32,6 +31,9 @@ from .geometry import (
     canonical_triangle,
     direction,
 )
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 #: Per-call length factor of the theta-5 witness recursion, 2*(2+sqrt(5)).
 THETA5_WITNESS_FACTOR = 2.0 * (2.0 + math.sqrt(5.0))
@@ -363,10 +365,20 @@ def _limited_rows(mat: csr_matrix, lo: int, limit) -> np.ndarray:
     return out
 
 
+def _csgraph_dijkstra(mat: csr_matrix, directed: bool, indices, limit: float = np.inf) -> np.ndarray:
+    """scipy.sparse.csgraph.dijkstra, imported at the first call: only the
+    exact ratio needs scipy, so building, routing and file I/O never load it."""
+    from scipy.sparse.csgraph import dijkstra
+
+    return dijkstra(mat, directed=directed, indices=indices, limit=limit)
+
+
 def _length_matrix(g: SpannerGraph) -> csr_matrix:
     """Symmetric CSR of math.hypot edge lengths over sorted-id indices: the
     graph's own CSR. Its rows are in azimuth order, which Dijkstra's
     distances do not depend on (see spanning_ratio)."""
+    from scipy.sparse import csr_matrix
+
     t = g._csr
     n = len(g.points)
     return csr_matrix((t.length, t.nbr, t.indptr), shape=(n, n))

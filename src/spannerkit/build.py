@@ -566,9 +566,10 @@ def cone_scan(xs, ys, k: int, use_projection: bool, cone_mask: int) -> list[tupl
     rows share one candidate list (every point). Both phases pass flat entry
     lists of at most _SCAN_BLOCK entries to the same _cone_picks.
 
-    No cKDTree: importing scipy.spatial alone raises the peak resident size
-    by 5 MB over the package's own imports (64 to 69 MB), 6 % of the
-    construct workload's 78 MB, and the grid answers the same queries.
+    No cKDTree: importing scipy.spatial, which loads scipy.sparse with it,
+    raises the peak resident size by 34 MB over the package's own imports
+    (31 to 65 MB), 76 % of the construct workload's 45 MB, and the grid
+    answers the same queries.
     """
     us, cs, vs = _scan(xs, ys, ConeSystem(k).k, use_projection, cone_mask)
     return list(zip(us.tolist(), cs.tolist(), vs.tolist()))

@@ -30,6 +30,7 @@ CERT_KEYS = COMMON | {"pairs", "certify_warm_us", "certify_first_s", "shortest_p
                      "shortest_path_first_s", "results_sha256"}
 SCAN_KEYS = COMMON | {"points", "scan", "k", "projection", "cone_mask", "grid_s", "fallback_rows",
                      "full_s", "edges_sha256"}
+CLI_KEYS = COMMON | {"command", "wall_s", "peak_rss_mb", "stdout_sha256"}
 
 
 def test_gen_row():
@@ -73,6 +74,14 @@ def test_scan_rows():
             # The grid ran and settled some rows, except at k = 64, where it
             # needs _GRID_MIN_N * 64 / 12 points and this set has fewer.
             assert (row["fallback_rows"] < SCAN_N) == (row["k"] <= 12)
+
+
+def test_cli_rows():
+    rows = bench.cli_rows(N, 1, SEED)
+    assert [row["command"].split()[0] for row in rows] == (
+        ["gen"] * 2 + ["build"] * 2 + ["route"] * len(bench.ROUTERS) + ["analyze", "render"])
+    assert all(set(row) == CLI_KEYS for row in rows)
+    assert all(row["wall_s"] > 0 and row["peak_rss_mb"] > 0 for row in rows)
 
 
 def test_unknown_child_table_exits(monkeypatch):
