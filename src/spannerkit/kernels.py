@@ -32,6 +32,12 @@ USING_COMPILED = False
 TWO_PI = 6.283185307179586
 # Angular slack for boundary ownership decisions, in radians.
 ANGLE_EPS = 1e-9
+# Bound on the rounding of cone_index's boundary offset |t - m| * theta (atan2,
+# the shift into [0, 2*pi) and the scaling by theta, each a few ulps of 2*pi,
+# about 5e-15 in all). The tie band is narrowed by it, so that every vector it
+# gives to the counter-clockwise cone lies within ANGLE_EPS of the boundary.
+_OFFSET_ROUNDING = 1e-14
+_TIE_BAND = ANGLE_EPS - _OFFSET_ROUNDING
 
 
 def azimuth(dx, dy):
@@ -48,14 +54,16 @@ def azimuth(dx, dy):
 def cone_index(dx, dy, k):
     """Index of the cone (k equal wedges, cone 0 centred on +y, labels clockwise)
     containing the vector. A vector within ANGLE_EPS of a boundary belongs to the
-    counter-clockwise (lower-index) cone."""
+    counter-clockwise (lower-index) cone, where the rounded offset says so with
+    room for its rounding (_TIE_BAND); one within that rounding of ANGLE_EPS
+    past a boundary may go either way."""
     az = atan2(dx, dy)
     if az < 0.0:
         az += TWO_PI
     theta = TWO_PI / k
     t = (az - 0.5 * theta) / theta
     m = floor(t + 0.5)
-    if abs(t - m) * theta <= ANGLE_EPS:
+    if abs(t - m) * theta <= _TIE_BAND:
         i = int(m)
     else:
         i = int(floor(t)) + 1

@@ -11,6 +11,8 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 BOUNDARY_EPS = 1e-9
+#: kernels.cone_index's tie band: BOUNDARY_EPS less a bound on the offset's rounding.
+TIE_BAND = BOUNDARY_EPS - 1e-14
 
 
 def oracle_azimuth(dx, dy):
@@ -24,7 +26,7 @@ def oracle_cone_index(dx, dy, k):
     Cone i covers azimuths (i*theta - theta/2, i*theta + theta/2], and one
     within BOUNDARY_EPS of a boundary belongs to the counter-clockwise
     (lower-index) cone, so the boundary at i*theta + theta/2 belongs to i.
-    "Within" is the kernel's test, |t - m| * theta <= BOUNDARY_EPS with
+    "Within" is the kernel's test, |t - m| * theta <= TIE_BAND with
     t = (az - theta/2) / theta and m its nearest integer, not a difference
     of azimuths in radians: the two round apart on directions within a few
     ulps of BOUNDARY_EPS past a boundary, where the kernel defines the rule.
@@ -35,7 +37,7 @@ def oracle_cone_index(dx, dy, k):
     theta = TWO_PI / k
     t = (az - 0.5 * theta) / theta
     m = math.floor(t + 0.5)
-    if abs(t - m) * theta <= BOUNDARY_EPS:
+    if abs(t - m) * theta <= TIE_BAND:
         return m % k
     return (math.floor(t) + 1) % k
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spannerkit import (
@@ -117,6 +117,8 @@ class TestConeSystem:
 
 class TestProjectionAndAlpha:
     @given(v=vec(), k=cone_counts)
+    # About ANGLE_EPS past the boundary of two half-planes, where the floor is tight.
+    @example(v=(-1.0, 1e-9), k=2)
     @settings(max_examples=200, deadline=None)
     def test_projection_between_cos_half_theta_and_full_length(self, v, k):
         cs = ConeSystem(k)
