@@ -94,9 +94,8 @@ random.Random(seed) draws, analyze and render of the half-Theta-6 file:
 
 Writes the seven tables with the Python/numpy/scipy versions, commit and
 source hash to --out (BENCH_layers.json by default) and prints them. With
---only (say --only ratio) it runs just those tables and keeps the other rows
-of an existing --out as they are, with their own commit and source hash in
-kept_from.
+--only (say --only ratio) it runs and prints just those tables and writes no
+file, so every table in --out comes from one run at one commit.
 """
 
 import argparse
@@ -164,6 +163,21 @@ def best_of(fn, repeat):
         result = fn()
         best = min(best, time.perf_counter() - t0)
     return best, result
+
+
+def first_call_s(text, call, repeat):
+    """Best-of-repeat time of call(graph) on a graph just read from the graph
+    file text, so the call builds the graph's cached tables."""
+    from spannerkit import graph_from_json
+
+    best = float("inf")
+    for _ in range(repeat):
+        fresh = graph_from_json(text)
+        gc.collect()
+        t0 = time.perf_counter()
+        call(fresh)
+        best = min(best, time.perf_counter() - t0)
+    return best
 
 
 def traced_peak_mb(fn):
@@ -299,13 +313,7 @@ def route_rows(n, repeat, seed):
         if not all(tr.passed for tr in traces):
             raise SystemExit(f"n={n}: a {name} route did not pass its bound")
         warm_s, _ = best_of(lambda: [route(g, s, t) for s, t in pairs], repeat)
-        first_s = float("inf")
-        for _ in range(repeat):
-            fresh = sk.graph_from_json(texts[kind])
-            gc.collect()
-            t0 = time.perf_counter()
-            route(fresh, *pairs[0])
-            first_s = min(first_s, time.perf_counter() - t0)
+        first_s = first_call_s(texts[kind], lambda fresh: route(fresh, *pairs[0]), repeat)
         digest = hashlib.sha256("".join(tr.to_json() for tr in traces).encode())
         rows.append({
             "n": n,
@@ -337,13 +345,7 @@ def cert_row(n, repeat, seed):
         if label == "certify" and not all(r["ok"] for r in results):
             raise SystemExit(f"n={n}: a pair did not meet its bound")
         warm_s, _ = best_of(lambda: [check(h, s, t) for s, t in pairs], repeat)
-        first_s = float("inf")
-        for _ in range(repeat):
-            fresh = sk.graph_from_json(text)
-            gc.collect()
-            t0 = time.perf_counter()
-            check(fresh, *pairs[0])
-            first_s = min(first_s, time.perf_counter() - t0)
+        first_s = first_call_s(text, lambda fresh: check(fresh, *pairs[0]), repeat)
         digest.update(json.dumps(results).encode())
         row[f"{label}_warm_us"] = round(warm_s / ROUTE_PAIRS * 1e6, 1)
         row[f"{label}_first_s"] = round(first_s, 4)
@@ -533,8 +535,7 @@ def main():
     ap.add_argument("--seed", type=int, default=2024, help="seed of the uniform points")
     ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_layers.json"))
     ap.add_argument("--only", action="append", choices=TABLES,
-                    help="run only this table (repeatable) and keep the other tables' rows of --out, "
-                         "recording their commit and source hash under kept_from")
+                    help="run and print only this table (repeatable); writes no file")
     ap.add_argument("--child", help=argparse.SUPPRESS)
     args = ap.parse_args()
     sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -562,25 +563,11 @@ def main():
         "source_sha256": source_sha256(),
         "seed": args.seed,
     }
-    kept = {}
-    if args.only:
-        if not os.path.exists(args.out):
-            raise SystemExit(f"--only keeps the other tables' rows of {args.out}, which does not exist")
-        with open(args.out, encoding="utf-8") as fh:
-            old = json.load(fh)
-        for name in TABLES:
-            key = f"{name}_rows"
-            if name in args.only:
-                continue
-            if key not in old:
-                raise SystemExit(f"{args.out} has no {key}: add --only {name}")
-            kept[key] = old.get("kept_from", {}).get(
-                key, {"commit": old["commit"], "source_sha256": old["source_sha256"]})
     for name, (_, section) in TABLES.items():
-        key = f"{name}_rows"
-        doc[key] = old[key] if key in kept else section(args)
-    if kept:
-        doc["kept_from"] = kept
+        if not args.only or name in args.only:
+            doc[f"{name}_rows"] = section(args)
+    if args.only:
+        return
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

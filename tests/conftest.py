@@ -1,10 +1,16 @@
 """Shared fixtures: the seeded point sets, graphs, and routing traces that the
 acceptance criteria and several unit tests all consume.  Everything here is
-deterministic; building it once per session keeps the suite fast."""
+deterministic; building it once per session keeps the suite fast.
+
+The property tests draw from one hypothesis profile, derandomized and with no
+example database, so a run's verdict depends only on the checked-out code.
+`--hypothesis-profile=default` explores with random seeds and the local
+database instead; pin each case it finds with @example."""
 
 import random
 
 import pytest
+from hypothesis import settings
 
 from spannerkit import (
     build_g9,
@@ -20,6 +26,9 @@ from spannerkit import (
 SET_SEEDS = tuple(range(1000, 1100))
 PAIRS_PER_SET = 200
 SET_SIZE = 64
+
+settings.register_profile("commit", derandomize=True, database=None, deadline=None)
+settings.load_profile("commit")
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,16 @@
 """Smoke test of benchmarks/bench_layers.py: every table's row function runs
 in this process at a small n, with one repetition and no output file, and
-returns the keys its table records."""
+returns the keys its table records.
 
+The bench calls gc.collect() before each timed call. In a full test session
+the heap holds the session fixtures' sets, graphs and routing traces, which
+every such collection would walk; freezing the heap for each test leaves the
+bench only its own objects to collect."""
+
+import gc
 import hashlib
 import importlib.util
+import json
 import os
 
 import pytest
@@ -31,6 +38,13 @@ CERT_KEYS = COMMON | {"pairs", "certify_warm_us", "certify_first_s", "shortest_p
 SCAN_KEYS = COMMON | {"points", "scan", "k", "projection", "cone_mask", "grid_s", "fallback_rows",
                      "full_s", "edges_sha256"}
 CLI_KEYS = COMMON | {"command", "wall_s", "peak_rss_mb", "stdout_sha256"}
+
+
+@pytest.fixture(autouse=True)
+def frozen_heap():
+    gc.freeze()
+    yield
+    gc.unfreeze()
 
 
 def test_gen_row():
@@ -90,9 +104,23 @@ def test_unknown_child_table_exits(monkeypatch):
         bench.main()
 
 
-def test_only_without_an_output_exits(monkeypatch, tmp_path):
-    out = tmp_path / "missing.json"
-    monkeypatch.setattr("sys.argv", ["bench_layers.py", "--only", "scan", "--out", str(out)])
-    with pytest.raises(SystemExit, match="does not exist"):
-        bench.main()
-    assert not out.exists()
+def test_only_prints_its_table_and_leaves_the_output_as_it_is(monkeypatch, tmp_path, capsys):
+    # A file with every table, as a full run writes it: --only must not merge
+    # its rows with these, which came from another run.
+    out = tmp_path / "bench.json"
+    text = json.dumps({"commit": "0" * 40, "source_sha256": "0" * 64,
+                       **{f"{name}_rows": [] for name in bench.TABLES}}, indent=2) + "\n"
+    out.write_text(text)
+    row = {"gen_s": 0.5, "report_s": 0.25, "traced_peak_mb": 1.0, "peak_rss_mb": 2.0, "sha256": "f" * 16}
+    ran = []
+
+    def child(table, n, args):
+        ran.append((table, n))
+        return row
+
+    monkeypatch.setattr(bench, "child", child)
+    monkeypatch.setattr("sys.argv", ["bench_layers.py", "--only", "gen", "--out", str(out)])
+    bench.main()
+    assert ran == [("gen", n) for n in bench.GEN_SIZES]
+    assert capsys.readouterr().out.count(row["sha256"]) == len(bench.GEN_SIZES)
+    assert out.read_text() == text

@@ -388,7 +388,7 @@ class TestConeScan:
         assert len(set(gridded)) == 768 < len(gridded)
 
     @given(st.lists(st.tuples(FULL_RANGE, FULL_RANGE), min_size=2, max_size=12))
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200)
     def test_sets_the_table_accepts_follow_the_kernel(self, pairs):
         # Every coordinate difference of an accepted set is finite, so no key
         # or ratio is NaN; squares may still overflow to inf.

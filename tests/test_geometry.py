@@ -84,7 +84,7 @@ class TestConeSystem:
         assert (cu + 3) % 6 == cv
 
     @given(v=vec(), k=cone_counts)
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_cone_index_matches_interval_oracle(self, v, k):
         dx, dy = v
         cs = ConeSystem(k)
@@ -104,7 +104,7 @@ class TestConeSystem:
         assert cs.cone_of((0, 0), (dx, dy)) == expected == oracle_cone_index(dx, dy, k)
 
     @given(v=vec(), k=cone_counts)
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_azimuth_range_and_direction_roundtrip(self, v, k):
         cs = ConeSystem(k)
         az = cs.azimuth((0, 0), v)
@@ -119,7 +119,7 @@ class TestProjectionAndAlpha:
     @given(v=vec(), k=cone_counts)
     # About ANGLE_EPS past the boundary of two half-planes, where the floor is tight.
     @example(v=(-1.0, 1e-9), k=2)
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_projection_between_cos_half_theta_and_full_length(self, v, k):
         cs = ConeSystem(k)
         proj = theta_projection(cs, (0, 0), v)
@@ -128,7 +128,7 @@ class TestProjectionAndAlpha:
         assert proj >= n * math.cos(cs.theta / 2) - 1e-9 * n
 
     @given(v=vec(), k=cone_counts)
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_alpha_in_half_cone_and_consistent_with_projection(self, v, k):
         cs = ConeSystem(k)
         alpha = angle_alpha(cs, (0, 0), v)
@@ -188,7 +188,7 @@ class TestCanonicalTriangle:
         p=st.tuples(st.floats(0, 1), st.floats(0, 1)),
         k=cone_counts,
     )
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_contained_points_within_size_of_apex(self, u, w, p, k):
         assume(u != w)
         t = canonical_triangle(ConeSystem(k), u, w)
@@ -210,7 +210,7 @@ class TestCanonicalTriangle:
         scale=st.integers(-200, 200),
         k=st.sampled_from([5, 6, 7, 9]),
     )
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_projection_is_theta_projection_bitwise(self, u, w, scale, k):
         cs = ConeSystem(k)
         u = (u[0] * 10.0**scale, u[1] * 10.0**scale)
