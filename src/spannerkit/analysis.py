@@ -158,9 +158,9 @@ def spanning_ratio(g: SpannerGraph, per_pair: bool = False) -> RatioReport:
     dropped when U over its Euclidean distance is below the best ratio known
     so far less a relative _CHECK_SLACK; every other pair is kept, and each
     source runs Dijkstra only up to the largest U of its kept pairs. Pruning
-    is off (every pair kept, no limit) with per_pair and on a disconnected
-    graph (some hub distance is inf); but a graph with an inf distance from
-    vertex 0 is decided from that row alone (_disconnected_ratio).
+    is off (every pair kept, no limit) with per_pair. No path length
+    overflows (geometry._table), so an inf hub distance means a disconnected
+    graph, decided from vertex 0's row alone (_disconnected_ratio).
     """
     if len(g.points) < 2:
         return RatioReport(1.0, None)
@@ -174,9 +174,7 @@ def spanning_ratio(g: SpannerGraph, per_pair: bool = False) -> RatioReport:
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         hubs = None if per_pair else _hub_bounds(mat, x, y)
         if hubs is None and not per_pair:
-            report = _disconnected_ratio(mat, ids, x, y)
-            if report is not None:
-                return report
+            return _disconnected_ratio(mat, ids, x, y)
         # The last row has no pair (j > i) left.
         for lo in range(0, n - 1, step):
             hi = min(n - 1, lo + step)
@@ -244,20 +242,16 @@ def _decided_ratios(d, dx, dy, best: float, every: bool):
     return sel, euclid, d[sel] / euclid
 
 
-def _disconnected_ratio(mat: csr_matrix, ids, x, y) -> RatioReport | None:
-    """spanning_ratio of a graph with an inf distance from vertex 0 (it is
-    disconnected, or a path length overflows), from that one Dijkstra row;
-    None for any other graph.
+def _disconnected_ratio(mat: csr_matrix, ids, x, y) -> RatioReport:
+    """spanning_ratio of a disconnected graph, from vertex 0's Dijkstra row.
 
-    Vertex 0 has an inf ratio to every vertex at an inf distance, and no
-    ratio outranks inf; so the maximum and the witness of the all-pairs loop
-    are those of row 0. The witness is vertex 0 and the first vertex at an
-    inf distance, unless a finite graph distance over a subnormal one
-    overflows to inf before it.
+    Vertex 0 cannot reach some vertex: it has an inf ratio to every such
+    vertex, and no ratio outranks inf; so the maximum and the witness of the
+    all-pairs loop are those of row 0. The witness is vertex 0 and the first
+    vertex it cannot reach, unless a finite graph distance over a subnormal
+    one overflows to inf before it.
     """
     d = _csgraph_dijkstra(mat, directed=True, indices=0)
-    if np.isfinite(d).all():
-        return None
     sel, _, ratios = _decided_ratios(d[1:], x[1:] - x[0], y[1:] - y[0], -math.inf, False)
     at = int(np.argmax(ratios))
     return RatioReport(float(ratios[at]), (ids[0], ids[1 + int(sel[at])]))
@@ -290,19 +284,19 @@ class _HubBounds:
         best and low) less a relative _CHECK_SLACK and capped at the largest
         float (a larger ratio is inf). While dx^2 + dy^2 is a normal float
         both sides are within a few ulps, and an underflowing (up / t)^2 is
-        below it anyway; pairs whose dx^2 + dy^2 is subnormal, zero or inf
-        are kept."""
+        below it anyway; pairs whose dx^2 + dy^2 is subnormal or zero are
+        kept (no square overflows, see geometry._table)."""
         t = min(max(self.low, best), sys.float_info.max) * (1.0 - _CHECK_SLACK)
         sq = dx * dx
         sq += dy * dy
         q = up / t
         q *= q
-        return ~((q < sq) & (sq >= sys.float_info.min) & (sq < math.inf))
+        return ~((q < sq) & (sq >= sys.float_info.min))
 
 
 def _hub_bounds(mat: csr_matrix, x, y) -> _HubBounds | None:
     """spanning_ratio's hub certificate of the graph with length matrix mat
-    on the points x, y; None where pruning is off."""
+    on the points x, y; None on a disconnected graph."""
     n = len(x)
     side = math.ceil(math.sqrt(2.0 * math.sqrt(n)))
     cell = np.zeros(n, dtype=np.int64)
@@ -393,7 +387,7 @@ def verify_bound(g: SpannerGraph, name: str | None = None, tolerance: float = 1e
 
 def _verify_bound(g: SpannerGraph, name: str | None, tolerance: float, per_pair: bool) -> RatioReport:
     """verify_bound over one spanning_ratio(g, per_pair) computation."""
-    _as_real(tolerance, "tolerance must be finite (a real number)")
+    tolerance = _as_real(tolerance, "tolerance must be finite (a real number)")
     if name is None:
         name, kwargs = _default_bound(g)
     else:
@@ -523,9 +517,9 @@ def restricted_pair_check(
     on them its absence is a construction bug and raises
     InternalInvariantViolation; on any other kind it raises InvalidParameter.
     """
-    _as_real(tolerance, "tolerance must be finite (a real number)")
+    tolerance = _as_real(tolerance, "tolerance must be finite (a real number)")
     if bound is not None:
-        _as_real(bound, "bound must be finite (a real number)")
+        bound = _as_real(bound, "bound must be finite (a real number)")
     i, j = h.points._vertex(u), h.points._vertex(w)
     if i == j:
         raise InvalidParameter("pair check endpoints must differ")
@@ -561,7 +555,7 @@ def g9_approximation_check(h: SpannerGraph, g9: SpannerGraph, tolerance: float =
 
     Raises InvalidParameter unless h is a half-theta-6 graph and g9 its G9
     graph, or if the tolerance is not a finite real number."""
-    _as_real(tolerance, "tolerance must be finite (a real number)")
+    tolerance = _as_real(tolerance, "tolerance must be finite (a real number)")
     cones = _half_theta6_cones(h)
     if g9.kind != "g9":
         raise InvalidParameter(f"expected a g9 graph, got kind {g9.kind!r}")
@@ -634,8 +628,7 @@ def theta5_witness_path(g: SpannerGraph, u: int, w: int) -> list[int]:
 
     def target(a: int, c: int) -> int:
         """a's construction target in cone c: the scan's pick, which g must hold."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            v = int(_cone_picks(x, y, np.array([a]), None, None, 5, True, [c])[0][0, 0])
+        v = int(_cone_picks(x, y, np.array([a]), None, None, 5, True, [c])[0][0, 0])
         if v < 0 or not edge(a, v):
             raise InvalidParameter(f"g is not the theta-5 graph of its points: vertex {ids[a]} "
                                    f"lacks its edge in cone {c}")

@@ -392,9 +392,8 @@ class _ConeTable:
         c = cone[odd]
         cs6 = ConeSystem(6)
         fdx, fdy = dx[odd], dy[odd]
-        with np.errstate(over="ignore"):
-            proj = fdx * cs6.sin_bisector[c] + fdy * cs6.cos_bisector[c]
-            d2 = fdx * fdx + fdy * fdy
+        proj = fdx * cs6.sin_bisector[c] + fdy * cs6.cos_bisector[c]
+        d2 = fdx * fdx + fdy * fdy
         group = np.repeat(np.arange(len(first)), size)
         closest = np.lexsort((t.nbr[odd], d2, proj, group))[first]
         self.fan_src, self.fan_cone = key[first] // 6, key[first] % 6
@@ -506,10 +505,10 @@ def cone_scan(xs, ys, k: int, use_projection: bool, cone_mask: int) -> list[tupl
     cone_mask is nonzero) return (u, i, v) where v minimises (projection,
     squared distance, index) when use_projection is true, else (squared
     distance, index); sorted by (u, i). Coordinates must be finite and their
-    extents have a finite diagonal, as PointSet guarantees, so no coordinate
-    difference overflows and no key is NaN; k is checked as ConeSystem checks
-    it. The reference is the scalar scan that visits every v in index order
-    (oracle_cone_picks in tests/oracles.py).
+    extents' diagonal at most 2**500, as PointSet guarantees, so no key
+    overflows; k is checked as ConeSystem checks it. The reference is the
+    scalar scan that visits every v in index order (oracle_cone_picks in
+    tests/oracles.py).
 
     Bit identity with the scalar scan: dx, dy, d2 = dx*dx + dy*dy and the
     projection dx*sin(i*theta) + dy*cos(i*theta) are each computed as separate
@@ -524,9 +523,8 @@ def cone_scan(xs, ys, k: int, use_projection: bool, cone_mask: int) -> list[tupl
     are dropped before any key is formed. np.minimum.at gives each group's
     smallest first key; a second round among the entries at that key gives
     the smallest squared distance (Theta keys only), and a third the smallest
-    index. np.bincount of the groups, not an inf key, tells an empty cone,
-    since keys are inf once squares overflow. There is no pass per cone, so
-    a row's cost does not grow with k.
+    index. np.bincount of the groups tells an empty cone. There is no pass
+    per cone, so a row's cost does not grow with k.
 
     Candidates (_certified_rows): the points go into a uniform grid over their
     bounding box with max(2, k/3) points per square cell on average, so that a
@@ -582,14 +580,13 @@ def _scan(xs, ys, k: int, use_projection: bool, cone_mask: int):
     best = np.full((n, k), -1, dtype=np.intp)
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows = np.arange(n)
-        if n >= _GRID_MIN_N * max(1, k / _GRID_MIN_K):
-            rows = _certified_rows(x, y, k, use_projection, cones, best)
-        step = max(1, _SCAN_BLOCK // max(n, 1))
-        for lo in range(0, len(rows), step):
-            r = rows[lo:lo + step]
-            best[np.ix_(r, cones)] = _cone_picks(x, y, r, None, None, k, use_projection, cones)[0]
+    rows = np.arange(n)
+    if n >= _GRID_MIN_N * max(1, k / _GRID_MIN_K):
+        rows = _certified_rows(x, y, k, use_projection, cones, best)
+    step = max(1, _SCAN_BLOCK // max(n, 1))
+    for lo in range(0, len(rows), step):
+        r = rows[lo:lo + step]
+        best[np.ix_(r, cones)] = _cone_picks(x, y, r, None, None, k, use_projection, cones)[0]
     us, cs = np.nonzero(best >= 0)
     return us, cs, best[us, cs]
 
@@ -870,7 +867,10 @@ def build_g9(h: SpannerGraph) -> SpannerGraph:
 
 def build_rotated_union(ps: PointSet, m: int) -> SpannerGraph:
     """Union of m half-theta-6 graphs, the j-th built in a frame rotated by
-    j*pi/(3m)."""
+    j*pi/(3m). Each frame must pass _table's rules, or raises its error: a
+    rotated coordinate can overflow (a point near 1.35e308), two subnormal
+    points can round together, and a frame's diagonal can be sqrt(2) times
+    the set's, so a set within sqrt(2) of the 2**500 bound can fail."""
     m = _as_count(m, 1, "rotation count must be an integer")
     ids, x, y = ps.arrays
     ends = []
@@ -880,7 +880,7 @@ def build_rotated_union(ps: PointSet, m: int) -> SpannerGraph:
         with np.errstate(over="ignore", invalid="ignore"):
             rx = x * c - y * s
             ry = x * s + y * c
-        _table(ids, rx, ry)  # the rotated frame must be a valid point set
+        _table(ids, rx, ry)
         ends.append(_scan_ends(rx, ry, 6, True, _POSITIVE_MASK_6))
     return SpannerGraph._indexed("rotated_union", 6, ps, np.concatenate(ends), {"m": m})
 
@@ -891,19 +891,18 @@ def build_mst(ps: PointSet) -> SpannerGraph:
     # Kruskal needs only the Yao-6 edges, which contain this tree (A. C. Yao,
     # SIAM J. Comput. 1982). Order all pairs by (d2, id, id), with d2 = dx * dx
     # + dy * dy, the same double cone_scan compares (x ** 2 can differ from
-    # x * x in the last ulp, and overflows with an error); the tree is the
-    # set of pairs (p, q) joined by no path of smaller pairs. If (p, q) is not
-    # a Yao-6 edge, p's pick r in the cone holding q has (d2(p, r), r) <
-    # (d2(p, q), q), so the pair (p, r) precedes (p, q) also when the
-    # distances tie. A cone is half-open and 60 degrees wide, so the angle rpq
-    # is below 60 degrees and |rq|^2 < |pr|^2 + |pq|^2 - |pr||pq| <= |pq|^2:
-    # the path p-r-q uses only smaller pairs and (p, q) is not in the tree.
+    # x * x in the last ulp); the tree is the set of pairs (p, q) joined by
+    # no path of smaller pairs. If (p, q) is not a Yao-6 edge, p's pick r in
+    # the cone holding q has (d2(p, r), r) < (d2(p, q), q), so the pair
+    # (p, r) precedes (p, q) also when the distances tie. A cone is half-open
+    # and 60 degrees wide, so the angle rpq is below 60 degrees and |rq|^2 <
+    # |pr|^2 + |pq|^2 - |pr||pq| <= |pq|^2: the path p-r-q uses only smaller
+    # pairs and (p, q) is not in the tree.
     # Indices follow id order, so (d2, index, index) is the same order.
     cand = _edge_array(ps, _scan_ends(x, y, 6, False, 0))
     a, b = cand.T
-    with np.errstate(over="ignore"):
-        dx, dy = x[b] - x[a], y[b] - y[a]
-        order = np.lexsort((b, a, dx * dx + dy * dy))
+    dx, dy = x[b] - x[a], y[b] - y[a]
+    order = np.lexsort((b, a, dx * dx + dy * dy))
     parent = list(range(len(ps)))
 
     def find(x: int) -> int:

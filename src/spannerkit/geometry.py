@@ -30,6 +30,8 @@ _CHECK_BLOCK = 65536
 #: threshold: general-position tests (relative above 1), spanning ratios and
 #: the cone scan's certificates (relative), and cone labels (past ANGLE_EPS).
 _CHECK_SLACK = 1e-12
+#: The largest diagonal of a point set's x and y extents (see _table).
+_MAX_DIAGONAL = 2.0**500
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,8 @@ class Point:
 
 class PointSet:
     """Collection of points with unique ids and unique finite coordinates,
-    whose x and y extents have a finite diagonal.
+    whose x and y extents have a diagonal of at most _MAX_DIAGONAL = 2**500
+    (see _table).
 
     The set is one table in ascending id order, ``arrays``: the ids, a tuple
     of int (_as_id), and the x and y columns, read-only float64 arrays
@@ -165,9 +168,15 @@ def _table(ids, xs, ys) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     coordinates (-0.0 equals 0.0) are no earlier point's. Each rule marks all
     its offenders at once, the last rule first: a lexsort of the coordinates,
     a sort of the ids (none when they ascend), np.isfinite, an _as_id pass
-    (none when every id is an int). Then the extents' math.hypot diagonal
-    must be finite (else DegenerateInput), so that every coordinate
-    difference and distance is, and no key, projection or ratio is NaN.
+    (none when every id is an int). Then the extents' math.hypot diagonal D
+    must be at most _MAX_DIAGONAL = 2**500 (else DegenerateInput), so that no
+    square, cross product or path length overflows: every coordinate
+    difference is at most D, so dx*dx + dy*dy < 2**1001; a canonical
+    triangle's corners lie within D / cos(pi / 6), about 1.2 D, of its apex
+    at six cones (routing, pair certification), so every point_in_tri cross
+    product there is below 2**1005; and a path of fewer than 2**500 edges is
+    below 2**1000 long. No ratio is NaN, and only one over a subnormal
+    distance can overflow.
     """
     ids = raw = list(ids)
     x, bad_x = _coordinates(xs)
@@ -197,9 +206,9 @@ def _table(ids, xs, ys) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
             (DegenerateInput, f"duplicate coordinates for point {ids[p]}"),
         )[rule[p]]
         raise error(message)
-    if len(ids) and not math.isfinite(
-            math.hypot(float(x.max()) - float(x.min()), float(y.max()) - float(y.min()))):
-        raise DegenerateInput("coordinate differences overflow: the points' x and y extents have no finite diagonal")
+    if len(ids) and not math.hypot(
+            float(x.max()) - float(x.min()), float(y.max()) - float(y.min())) <= _MAX_DIAGONAL:
+        raise DegenerateInput("coordinate differences overflow: the points' x and y extents have a diagonal above 2**500")
     if order is not None:
         ids, x, y = list(map(ids.__getitem__, order)), x[order], y[order]
     x.flags.writeable = y.flags.writeable = False
@@ -438,18 +447,17 @@ def general_position_report(ps: PointSet, k: int) -> list[dict]:
     """
     ids, x, y = ps.arrays
     xs, ys = x.tolist(), y.tolist()
-    with np.errstate(over="ignore", invalid="ignore"):
-        findings = [
-            {"kind": "cone_boundary_aligned", "pair": [ids[a], ids[b]], "direction": d}
-            for a, b, d in sorted(_aligned_pairs(x, y, xs, ys, k, EPS))
-        ]
-        for lo, dist in _distance_rows(x, y):
-            dist.sort(axis=1)
-            dist = dist[:, : len(ids) - 1]
-            low, high = dist[:, :-1], dist[:, 1:]
-            clear = high - low > EPS * np.maximum(1.0, low) + _CHECK_SLACK * np.maximum(1.0, high)
-            for r in np.nonzero(~clear.all(axis=1))[0].tolist():
-                findings.extend(_equidistant_findings((ids, xs, ys), lo + r))
+    findings = [
+        {"kind": "cone_boundary_aligned", "pair": [ids[a], ids[b]], "direction": d}
+        for a, b, d in sorted(_aligned_pairs(x, y, xs, ys, k, EPS))
+    ]
+    for lo, dist in _distance_rows(x, y):
+        dist.sort(axis=1)
+        dist = dist[:, : len(ids) - 1]
+        low, high = dist[:, :-1], dist[:, 1:]
+        clear = high - low > EPS * np.maximum(1.0, low) + _CHECK_SLACK * np.maximum(1.0, high)
+        for r in np.nonzero(~clear.all(axis=1))[0].tolist():
+            findings.extend(_equidistant_findings((ids, xs, ys), lo + r))
     return findings
 
 
@@ -607,24 +615,23 @@ def _direction_gaps(dx, dy, k: int):
     return t
 
 
-#: Where dx^2 + dy^2 lies in [_SQUARES_MIN, _SQUARES_MAX] its square root is
-#: within 2 ulps of the distance: no square overflows, and what underflows
-#: is below an ulp of the sum.
+#: Where dx^2 + dy^2 is at least _SQUARES_MIN its square root is within 2
+#: ulps of the distance: what underflows is below an ulp of the sum.
 _SQUARES_MIN = 2.0**-900
-_SQUARES_MAX = 2.0**900
 
 
 def _fast_hypot(dx, dy):
     """Distances sqrt(dx^2 + dy^2), elementwise, for the row filters.
 
     Several times cheaper than np.hypot, and within 2 ulps of the exact
-    distance wherever dx^2 + dy^2 is in [_SQUARES_MIN, _SQUARES_MAX]; every
-    other entry (zero, extreme scales, inf) is np.hypot's own. math.hypot
-    decides every case the filters pass on, so these rows never decide one.
+    distance wherever dx^2 + dy^2 is at least _SQUARES_MIN (no square of a
+    PointSet's differences overflows, see _table); every other entry is
+    np.hypot's own. math.hypot decides every case the filters pass on, so
+    these rows never decide one.
     """
     d = dx * dx
     d += dy * dy
-    odd = ~((d >= _SQUARES_MIN) & (d <= _SQUARES_MAX))
+    odd = d < _SQUARES_MIN
     np.sqrt(d, out=d)
     if odd.any():
         d[odd] = np.hypot(dx[odd], dy[odd])

@@ -3,11 +3,11 @@ tests. Cone directions are computed in geometry.ConeSystem alone.
 
 These scalar functions define every boundary decision in the package.
 points_in_tri repeats point_in_tri's IEEE double operations elementwise in
-the same order. build.cone_scan, which builds every edge and picks the
-theta-5 witness's construction targets, repeats them for its keys, labels
-cones with np.arctan2 and decides again with cone_index every label within
-ANGLE_EPS + geometry._CHECK_SLACK of a boundary. Its reference is the scalar
-scan in tests/oracles.py.
+the same order. build.cone_scan, which builds every edge, repeats them for
+its keys, labels cones with np.arctan2 and decides again with cone_index
+every label within ANGLE_EPS + geometry._CHECK_SLACK of a boundary. Its
+winner step, build._cone_picks, also picks the theta-5 witness's
+construction targets. Its reference is the scalar scan in tests/oracles.py.
 
 The general-position checks (geometry.general_position_report and
 gen_random's geometry._stream_conflicts, over one list of avoided

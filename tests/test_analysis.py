@@ -232,7 +232,7 @@ class TestShortestPath:
         # path and length of the run over all vertices.
         graphs = [build_half_theta6(gen_random(48, seed)) for seed in (3, 11, 29)]
         base = gen_random(48, 5)
-        for scale in (1e150, 1e-150, 1e200):
+        for scale in (1e150, 1e-150, 2.0**498):
             scaled = PointSet([Point(p.id, p.x * scale, p.y * scale) for p in base])
             graphs.append(build_half_theta6(scaled))
         graphs += [build_yao(base, 5), build_theta(base, 7)]

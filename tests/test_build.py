@@ -56,8 +56,9 @@ from oracles import (
 )
 
 
-#: Coordinates from subnormal up to the largest magnitudes a set can hold.
-FULL_RANGE = st.floats(min_value=-1.7e308, max_value=1.7e308, allow_nan=False, allow_infinity=False)
+#: Coordinates from subnormal up to 2**498 in magnitude: every set of them
+#: has extents whose diagonal is at most 2**499.5, which the table accepts.
+ACCEPTED_RANGE = st.floats(min_value=-2.0**498, max_value=2.0**498, allow_nan=False, allow_infinity=False)
 
 
 def _as_coords(ps):
@@ -167,7 +168,7 @@ SCAN_SETS = {
     "n2": _uniform(2, 2),
     "n3": _uniform(3, 3),
     "huge_1e120": _uniform(20, 4, 1e120),
-    "huge_1e160": _uniform(20, 5, 1e160),
+    "huge_2pow499": _uniform(20, 5, 2.0**499),
     "random_a": _as_coords(gen_random(30, 6)),
     "random_b": _as_coords(gen_random(30, 7)),
 }
@@ -387,11 +388,11 @@ class TestConeScan:
         gridded = self._gridded_rows(LARGE_SCAN_SETS["random_768"], monkeypatch)
         assert len(set(gridded)) == 768 < len(gridded)
 
-    @given(st.lists(st.tuples(FULL_RANGE, FULL_RANGE), min_size=2, max_size=12))
+    @given(st.lists(st.tuples(ACCEPTED_RANGE, ACCEPTED_RANGE), min_size=2, max_size=12))
     @settings(max_examples=200)
     def test_sets_the_table_accepts_follow_the_kernel(self, pairs):
-        # Every coordinate difference of an accepted set is finite, so no key
-        # or ratio is NaN; squares may still overflow to inf.
+        # No key of an accepted set overflows and no ratio is NaN; only
+        # repeated coordinates are rejected here.
         try:
             ps = PointSet.from_pairs(pairs)
         except DegenerateInput:
@@ -457,10 +458,15 @@ class TestConeScan:
         b = cone_scan(xs, ys, 6, True, 0b010101)
         assert a == b
 
-    def test_overflowing_keys_still_pick_by_id(self):
-        # Squared distances overflow to inf, so the three candidates in cone 1
-        # of point 0 tie and the lowest index wins, though it is the farthest.
-        xs, ys = [0.0, 3e160, 2e160, 1e160], [0.0, -1e159, 1e159, 0.0]
+    def test_tied_keys_pick_by_id_at_a_large_scale(self):
+        # A set whose squared distances would overflow is rejected, so no key
+        # is inf. Near the rule's edge the three candidates in cone 1 of point
+        # 0 tie exactly (squared distance 25 * 2**992), and the lowest index wins.
+        with pytest.raises(DegenerateInput, match="extents"):
+            PointSet.from_pairs([(0.0, 0.0), (3e160, -1e159), (2e160, 1e159), (1e160, 0.0)])
+        s = 2.0**496
+        xs, ys = [0.0, 4 * s, 5 * s, 4 * s], [0.0, -3 * s, 0.0, 3 * s]
+        assert len(PointSet.from_pairs(zip(xs, ys))) == 4
         got = cone_scan(xs, ys, 4, False, 0)
         assert got == oracle_cone_picks(list(zip(xs, ys)), 4, False, 0)
         assert (0, 1, 1) in got
@@ -795,11 +801,18 @@ class TestRotatedUnion:
         assert g.metadata == {"m": 3}
 
     def test_rotated_coordinates_keep_the_point_set_checks(self):
-        # Frame 1 of m = 2 turns by pi/6: x * sin + y * cos overflows here
-        # (the extents' diagonal is 7.1e306),
-        big = PointSet([Point(0, 1.35e308, 1.35e308), Point(1, 1.3e308, 1.3e308), Point(2, 1.3e308, 1.35e308)])
-        with pytest.raises(InvalidParameter):
+        # Frame 1 of m = 2 turns by pi/6: x * sin + y * cos overflows here,
+        big = PointSet([Point(0, 1.35e308, 1.35e308)])
+        assert build_rotated_union(big, 1).edge_list() == []
+        with pytest.raises(InvalidParameter, match="non-finite coordinate"):
             build_rotated_union(big, 2)
+        # frame 3 of m = 4 turns this square by pi/4, which widens its
+        # extents' diagonal from 1.7 * 2**499 to 2.4 * 2**499, past the rule,
+        side = 1.2 * 2.0**499
+        square = PointSet.from_pairs([(0.0, 0.0), (side, 0.0), (0.0, side), (side, side)])
+        assert len(build_rotated_union(square, 1).edges) > 0
+        with pytest.raises(DegenerateInput, match="^coordinate differences overflow: .*extents"):
+            build_rotated_union(square, 4)
         # and rounds these two subnormal points to the same coordinates.
         tiny = PointSet([Point(0, -4 * 5e-324, -2 * 5e-324), Point(1, -3 * 5e-324, -3 * 5e-324)])
         assert build_rotated_union(tiny, 1).edge_list() == [(0, 1)]
@@ -910,11 +923,15 @@ class TestMstMatchesAllPairsKruskal:
         assert build_mst(ps).edges == oracle_mst(ps)
 
     def test_coordinates_whose_squares_overflow(self):
-        # Every squared distance is inf, so the tree is chosen by ids alone.
-        ps = PointSet.from_pairs([(0.0, 0.0), (1e200, 0.0), (0.0, 2e200)])
-        mst = build_mst(ps)
-        assert len(mst.edges) == len(ps) - 1
-        assert mst.edges == oracle_mst(ps)
+        # Such sets are rejected: Kruskal would see every squared distance as
+        # inf and choose the tree by ids alone, (0, 1) and (0, 2) on both.
+        for pairs in ([(0.0, 0.0), (1e200, 0.0), (0.0, 2e200)], [(-8e307, 0.0), (8e307, 0.0), (0.0, 1.0)]):
+            with pytest.raises(DegenerateInput, match="extents"):
+                PointSet.from_pairs(pairs)
+        # Inside the rule the second set's tree is the true minimum.
+        ps = PointSet.from_pairs([(-(2.0**498), 0.0), (2.0**498, 0.0), (0.0, 1.0)])
+        assert build_mst(ps).edge_list() == [(0, 2), (1, 2)]
+        assert build_mst(ps).edges == oracle_mst(ps)
 
     def test_set_whose_tree_leaves_yao4(self):
         # Kruskal over this set's Yao-4 edges misses a tree edge, so a

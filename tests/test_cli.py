@@ -44,6 +44,23 @@ OVERFLOW_RECORDS = ('[{"id":0,"x":-1.5e+308,"y":0.0},{"id":1,"x":1.5e+308,"y":0.
 OVERFLOW_GRAPH = ('{"edges":[[0,2],[1,2]],"k":6,"kind":"half_theta6","metadata":{},"points":%s}\n'
                   % OVERFLOW_RECORDS)
 
+#: Sets with a finite diagonal whose squares overflow, which build and analyze
+#: took before the diagonal had to be at most 2**500: the first set's MST held
+#: (0, 1) and (0, 2), chosen by ids, and analyze read "max_ratio": "inf" on it.
+SQUARE_OVERFLOW_SETS = {
+    "three": [(-8e307, 0.0), (8e307, 0.0), (0.0, 1.0)],
+    "path": [(float(i), float(i * i % 5)) for i in range(6)] + [(8.5e307, 0.0), (-8.5e307, 1.0)],
+}
+
+
+def _moved_graph_file(path, g, pairs):
+    """Write g's graph file with its points, in id order, moved to pairs."""
+    doc = json.loads(graph_to_json(g))
+    for rec, (x, y) in zip(doc["points"], pairs):
+        rec["x"], rec["y"] = x, y
+    path.write_text(json.dumps(doc))
+    return str(path)
+
 
 @pytest.fixture()
 def h6_file(tmp_path):
@@ -192,6 +209,14 @@ class TestBuild:
         assert main(["build", "--graph", "half_theta6", "--points", str(pts_file)]) == 2
         assert "extent" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", sorted(SQUARE_OVERFLOW_SETS))
+    def test_overflowing_squares_are_usage_errors(self, name, tmp_path, capsys):
+        pts_file = tmp_path / "pts.json"
+        pts_file.write_text(json.dumps({"points": [{"id": i, "x": x, "y": y}
+                                                   for i, (x, y) in enumerate(SQUARE_OVERFLOW_SETS[name])]}))
+        assert main(["build", "--graph", "mst", "--points", str(pts_file)]) == 2
+        assert "extent" in capsys.readouterr().err
+
     def test_internal_invariant_violation_has_its_own_exit_code(self, tmp_path, capsys, monkeypatch):
         from spannerkit import InternalInvariantViolation, build
 
@@ -224,6 +249,15 @@ class TestAnalyze:
         path = tmp_path / "overflow.json"
         path.write_text(OVERFLOW_GRAPH)
         assert main(["analyze", "--graph", str(path)]) == 2
+        assert "extent" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(SQUARE_OVERFLOW_SETS))
+    def test_overflowing_squares_are_usage_errors(self, name, tmp_path, capsys):
+        # A tree on the same ids, built with x shrunk into the rule, then moved
+        # to the set's coordinates.
+        pairs = SQUARE_OVERFLOW_SETS[name]
+        mst = spannerkit.build_mst(PointSet.from_pairs((x * 2.0**-600, y) for x, y in pairs))
+        assert main(["analyze", "--graph", _moved_graph_file(tmp_path / "mst.json", mst, pairs)]) == 2
         assert "extent" in capsys.readouterr().err
 
     def test_per_pair_csv(self, h6_file, tmp_path, capsys):
@@ -440,6 +474,15 @@ class TestRoute:
         assert main(["route", "--graph", str(path), "--algo", "stateless",
                      "--from", "0", "--to", "1"]) == 2
         assert "extent" in capsys.readouterr().err
+
+    def test_scaled_past_the_diagonal_rule_is_usage_error(self, tmp_path, capsys):
+        # gen_random(64, 3) scaled by 2**530: most routes used to exit 3.
+        ps = gen_random(64, 3)
+        scaled = [(p.x * 2.0**530, p.y * 2.0**530) for p in ps]
+        path = _moved_graph_file(tmp_path / "h6.json", build_half_theta6(ps), scaled)
+        for src, dst in ((0, 63), (5, 40), (17, 2)):
+            assert main(["route", "--graph", path, "--algo", "stateless", "--from", str(src), "--to", str(dst)]) == 2
+            assert "extent" in capsys.readouterr().err
 
     def test_algo_kind_mismatch(self, h6_file, capsys):
         path, _g = h6_file

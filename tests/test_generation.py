@@ -405,18 +405,26 @@ class TestReportMatchesOracle:
         ps = _at_boundary_pairs(7)
         assert general_position_report(ps, 7) == oracle_general_position_report(ps, 7)
 
-    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e154, 1e200, 1e300])
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 2.0**496, 1e154, 1e200, 1e300])
     @pytest.mark.parametrize("k", [5, 6, 7])
     def test_scaled_sets(self, scale, k):
-        # Squared distances underflow (1e-160 and below) or overflow (1e154
-        # and above), so the distance rows fall back to np.hypot.
+        # Squared distances underflow (1e-160 and below), so the distance rows
+        # fall back to np.hypot. Every diagonal here is below 8.5, so 2**496
+        # keeps each set inside the table's 2**500 rule; from 1e154 up every
+        # set of two or more points is rejected before a square overflows.
         for name, ps in sorted(REPORT_SETS.items()):
-            scaled = PointSet(Point(p.id, p.x * scale, p.y * scale) for p in ps)
+            points = [Point(p.id, p.x * scale, p.y * scale) for p in ps]
+            if scale >= 1e154 and len(points) > 1:
+                with pytest.raises(DegenerateInput, match="extents"):
+                    PointSet(points)
+                continue
+            scaled = PointSet(points)
             assert general_position_report(scaled, k) == oracle_general_position_report(scaled, k), name
 
     def test_huge_scales_keep_the_distance_filter(self, monkeypatch):
-        # dx^2 + dy^2 overflows at these scales; the np.hypot entries still
-        # clear every apex row of a set in general position.
+        # Up to the largest scale the table accepts (the unit square times
+        # 2**499 has a diagonal below 2**499.5), the distance rows' square
+        # roots still clear every apex row of a set in general position.
         rows = []
         scalar = geometry._equidistant_findings
 
@@ -425,17 +433,21 @@ class TestReportMatchesOracle:
             return scalar(pts, apex)
 
         monkeypatch.setattr(geometry, "_equidistant_findings", counted)
-        for scale in (1e200, 1e300):
+        for scale in (2.0**256, 2.0**499):
             ps = PointSet(Point(p.id, p.x * scale, p.y * scale) for p in REPORT_SETS["random"])
             assert general_position_report(ps, 6) == []
         assert not rows
 
     def test_overflowing_differences(self):
         # Two distances from the origin that tie within EPS on either side of
-        # sqrt(max float): only the first one's dx^2 + dy^2 is finite.
-        ps = PointSet.from_pairs(
-            [(0.0, 0.0), (3.962278169935955e153, 1.280896815338092e154), (1.1949137110649833e154, 6.081729674449232e153)]
-        )
+        # sqrt(max float), where only the first one's dx^2 + dy^2 is finite:
+        # the table rejects the set.
+        pairs = [(0.0, 0.0), (3.962278169935955e153, 1.280896815338092e154),
+                 (1.1949137110649833e154, 6.081729674449232e153)]
+        with pytest.raises(DegenerateInput, match="extents"):
+            PointSet.from_pairs(pairs)
+        # Scaled by 2**-13 into the rule, the tie is the same finding.
+        ps = PointSet.from_pairs([(x * 2.0**-13, y * 2.0**-13) for x, y in pairs])
         report = general_position_report(ps, 6)
         assert {"kind": "equidistant", "apex": 0, "pair": [1, 2]} in report
         assert report == oracle_general_position_report(ps, 6)

@@ -355,8 +355,11 @@ class TestPointSet:
             PointSet([Point(0, 0.0, 0.0), Point(1, math.inf, "2"), Point(0, 0.0, 0.0)])
 
     def test_extents_must_have_a_finite_diagonal(self):
-        # In the second set each extent is finite, but not their diagonal.
-        for pairs in ([(-1.5e308, 0.0), (1.5e308, 0.0), (0.0, 1.0)], [(0.0, 0.0), (1.7e308, 0.0), (0.0, 1.7e308)]):
+        # The diagonal must be at most 2**500. In the second set each extent
+        # is finite, but not their diagonal; the third's is finite, 1.7e308;
+        # the fourth's is one ulp above 2**500.
+        for pairs in ([(-1.5e308, 0.0), (1.5e308, 0.0), (0.0, 1.0)], [(0.0, 0.0), (1.7e308, 0.0), (0.0, 1.7e308)],
+                      [(0.0, 0.0), (1.7e308, 0.0), (1e308, 1e153)], [(0.0, 0.0), (math.nextafter(2.0**500, math.inf), 0.0)]):
             with pytest.raises(DegenerateInput, match=r"^coordinate differences overflow: .*extents"):
                 PointSet.from_pairs(pairs)
             doc = '{"points":[%s]}' % ",".join(
@@ -366,7 +369,7 @@ class TestPointSet:
         # The per-point rules come first.
         with pytest.raises(DegenerateInput, match="^duplicate point id 0$"):
             PointSet([Point(0, -1.5e308, 0.0), Point(0, 1.5e308, 0.0)])
-        assert len(PointSet.from_pairs([(0.0, 0.0), (1.7e308, 0.0), (1e308, 1e153)])) == 3
+        assert len(PointSet.from_pairs([(0.0, 0.0), (2.0**500, 0.0), (2.0**500, 2.0**-500)])) == 3
         assert len(PointSet.from_pairs([(-1.7e308, 1.7e308)])) == 1
 
     def test_from_pairs_follows_the_coordinate_rule(self):

@@ -160,7 +160,7 @@ def apart_clusters():
     return SpannerGraph("x", None, PointSet(list(near) + list(far)), edges)
 
 
-#: Disconnected graphs whose distances cannot overflow, and their witnesses.
+#: Disconnected graphs and their witnesses.
 DISCONNECTED = {
     "isolated_first": (lambda: without_vertex_edges(build_half_theta6(gen_random(60, 1)), 0), (0, 1)),
     "isolated_middle": (lambda: without_vertex_edges(build_half_theta6(gen_random(60, 1)), 5), (0, 5)),
@@ -195,26 +195,29 @@ def test_disconnected_graph_is_decided_from_vertex_0(case, monkeypatch):
 
 @BLOCKS
 def test_overflowing_extents_are_rejected(rows, monkeypatch):
-    # Sets whose coordinate differences overflow never reach the ratio.
+    # Sets whose squares or path lengths could overflow never reach the
+    # ratio: with them, the MST of the fourth set took (0, 1) by ids and read
+    # inf at (1, 2), and the path over the fifth read inf at (0, 7).
     small = [Point(i, float(i), float(i * i % 5)) for i in range(6)]
     for points in (
         [Point(0, -1.5e308, 0.0), Point(1, 1.5e308, 0.0), Point(2, 0.0, 1.0)],
         small + [Point(6, 1.7e308, 0.0), Point(7, -1.7e308, 1.0)],
         [Point(0, 0.0, 1.0), Point(1, -1.5e308, 0.0), Point(2, 1.5e308, 0.0), Point(3, 0.0, 2.0)],
+        [Point(0, -8e307, 0.0), Point(1, 8e307, 0.0), Point(2, 0.0, 1.0)],
+        small + [Point(6, 8.5e307, 0.0), Point(7, -8.5e307, 1.0)],
     ):
         with pytest.raises(DegenerateInput, match="extent"):
             PointSet(points)
-    # Just inside the rule no ratio is NaN. Every squared distance is inf,
-    # so the MST takes (0, 1) by ids, and d(1, 2) through 0 overflows.
-    ps = PointSet([Point(0, -8e307, 0.0), Point(1, 8e307, 0.0), Point(2, 0.0, 1.0)])
-    for g, ratio, witness in ((build_half_theta6(ps), 1.0, (0, 1)), (build_mst(ps), math.inf, (1, 2))):
+    # Inside the rule (2**498) both have their true ratios.
+    s = 2.0**498
+    ps = PointSet([Point(0, -s, 0.0), Point(1, s, 0.0), Point(2, 0.0, 1.0)])
+    for g in (build_half_theta6(ps), build_mst(ps)):
         got = assert_matches_oracle(g, monkeypatch, rows)
-        assert (got.max_ratio, got.witness) == (ratio, witness)
-    # A path length can still overflow: d(0, 7) runs through 6 and is inf.
-    ps = PointSet(small + [Point(6, 8.5e307, 0.0), Point(7, -8.5e307, 1.0)])
+        assert (got.max_ratio, got.witness) == (1.0, (0, 1))
+    ps = PointSet(small + [Point(6, 1.0625 * s, 0.0), Point(7, -1.0625 * s, 1.0)])
     g = SpannerGraph("x", None, ps, [(i, i + 1) for i in range(7)])
     got = assert_matches_oracle(g, monkeypatch, rows)
-    assert math.isinf(got.max_ratio) and got.witness == (0, 7)
+    assert (got.max_ratio, got.witness) == (3.0, (0, 7))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])

@@ -2,8 +2,11 @@
 documented SpannerKitError, never a bare Python exception and never
 InternalInvariantViolation, which means a bug in spannerkit."""
 
+import json
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from spannerkit import (
@@ -12,12 +15,15 @@ from spannerkit import (
     SpannerGraph,
     SpannerKitError,
     bound_value,
+    build_g9,
     build_half_theta6,
     gen_circle,
     gen_random,
     gen_routing_lb,
     gen_theta5_lower_bound,
+    g9_approximation_check,
     render_svg,
+    restricted_pair_check,
     verify_bound,
 )
 
@@ -55,3 +61,19 @@ def test_bad_argument_is_rejected_input(case):
     with pytest.raises(SpannerKitError) as info:
         CASES[case]()
     assert not isinstance(info.value, InternalInvariantViolation)
+
+
+@pytest.mark.parametrize("value", [Fraction(5), np.float32(5), np.int64(5)])
+def test_checked_reals_come_back_as_floats(value):
+    # A bound or tolerance is checked as a float and used as one, so every
+    # result holds floats and bools that JSON can write.
+    h = build_half_theta6(gen_random(20, 1))
+    pair = restricted_pair_check(h, 0, 1, bound=value, tolerance=value)
+    assert (type(pair["bound"]), type(pair["ok"])) == (float, bool)
+    json.dumps(pair)
+    report = verify_bound(h, tolerance=value)
+    assert type(report.passed) is bool
+    report.to_json()
+    ok, records = g9_approximation_check(h, build_g9(h), tolerance=value)
+    assert type(ok) is bool and {type(r["ok"]) for r in records} == {bool}
+    json.dumps(records)
